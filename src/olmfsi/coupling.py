@@ -50,8 +50,7 @@ def aitken_update(omega_prev, du_k, du_next, omega_max, omega_min=0.05):
     return float(min(max(omega, omega_min), omega_max))
 
 
-def traction_functional(solution, body_force, space, topo, interface_nodes,
-                        sym_grad=False):
+def traction_functional(solution, body_force, space, topo, interface_nodes):
     """Nodal fluid load on the structure at the interface nodes.
 
     Each interface node's hat function on the front fluid mesh acts as the
@@ -83,11 +82,7 @@ def traction_functional(solution, body_force, space, topo, interface_nodes,
             local = int(np.flatnonzero(conn == v)[0])
             gv = g[local]
             gradu = np.einsum("ai,aj->ij", u2[conn], g)
-            if sym_grad:
-                sig = nu * (gradu + gradu.T)
-            else:
-                sig = nu * gradu
-            sig = sig - np.mean(p2[conn]) * np.eye(2)
+            sig = nu * gradu - np.mean(p2[conn]) * np.eye(2)
             val -= a * (sig @ gv)
             if body_force is not None:
                 pts = lam_q @ front.cell_points[c]
@@ -215,10 +210,9 @@ def fsi_outer_iteration(problem, config, us, um, load_scale=1.0):
 
     iface = region_interface_vertices(problem.front_ref, problem.fluid_tag,
                                       problem.solid_tag)
-    tr = traction_functional(sol, problem.fluid.body_force, space, topo, iface)
-    tr = transfer_traction_to_reference(tr, iface, iface)
     load = np.zeros((problem.front_ref.nv, 2))
-    load[iface] = tr
+    load[iface] = traction_functional(sol, problem.fluid.body_force, space, topo,
+                                      iface)
     if problem.solid_extra_load is not None:
         load = load + problem.solid_extra_load
     if load_scale != 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, SOLID
+from .mesh import Mesh, SOLID, barycentric
 
 
 class GeometryError(RuntimeError):
@@ -175,50 +175,6 @@ def intersect_convex(poly_a, poly_b, eps=None):
     return poly
 
 
-class _BoxGrid:
-    """Uniform bucket grid over axis-aligned boxes for candidate queries."""
-
-    def __init__(self, los, his, ncells_hint):
-        los = np.asarray(los, float).reshape(-1, 2)
-        his = np.asarray(his, float).reshape(-1, 2)
-        self.lo = los.min(axis=0) if len(los) else np.zeros(2)
-        hi = his.max(axis=0) if len(his) else np.ones(2)
-        self.span = np.maximum(hi - self.lo, 1e-300)
-        n = max(1, int(np.sqrt(max(ncells_hint, 1))))
-        self.n = n
-        self.buckets = {}
-        il = self._idx(los)
-        ih = self._idx(his)
-        for k in range(len(los)):
-            for i in range(il[k, 0], ih[k, 0] + 1):
-                for j in range(il[k, 1], ih[k, 1] + 1):
-                    self.buckets.setdefault((i, j), []).append(k)
-
-    def _idx(self, pts):
-        pts = np.asarray(pts, float).reshape(-1, 2)
-        return np.clip(((pts - self.lo) / self.span * self.n).astype(int), 0, self.n - 1)
-
-    def query(self, lo, hi):
-        il = self._idx(np.asarray(lo))[0]
-        ih = self._idx(np.asarray(hi))[0]
-        found = set()
-        for i in range(il[0], ih[0] + 1):
-            for j in range(il[1], ih[1] + 1):
-                found.update(self.buckets.get((i, j), ()))
-        return found
-
-
-def _front_grid(front):
-    if front.nc == 0:
-        return None
-    p = front.cell_points
-    return _BoxGrid(p.min(axis=1), p.max(axis=1), front.nc)
-
-
-def _candidates(grid, lo, hi):
-    return () if grid is None else grid.query(lo, hi)
-
-
 # -- topology ----------------------------------------------------------------
 
 
@@ -254,7 +210,12 @@ class OverlapPair:
 
 @dataclass
 class OverlapTopology:
-    """Classification of a background mesh against a moving composite mesh."""
+    """Classification of a background mesh against a moving composite mesh.
+
+    ``covered`` keeps the front-cell intersections of every reduced
+    background cell that meets the front, computed once by ``classify``;
+    cut rules, overlap pairs and the geometry dump are built from them.
+    """
     background: Mesh
     front: Mesh
     solid_tag: int = SOLID
@@ -262,6 +223,7 @@ class OverlapTopology:
     class_fully: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     class_partial: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     reduced_cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    covered: dict = field(default_factory=dict)   # reduced cell -> [(front cell, polygon)]
     cut_rules: dict = field(default_factory=dict)          # partial cell -> QuadRule
     interface_segments: list = field(default_factory=list)
     overlap_pairs: list = field(default_factory=list)
@@ -286,17 +248,18 @@ class OverlapTopology:
         if order is None:
             order = self.order
         if bg_cell in self.cut_rules:
-            return cut_cell_quadrature(bg_cell, self.background, self.front, order)
+            return _subtractive_rule(self.background, bg_cell,
+                                     self.covered[bg_cell], order)
         return triangle_rule(self.background.cell_points[bg_cell], order)
 
 
-def _covered_polygons(background, front, cell, grid, eps):
-    """Front-cell intersections with one background cell."""
+def _covered_polygons(background, front, cell, grid):
+    """Front-cell intersections with one background cell, by front cell."""
     tri = background.cell_points[cell]
-    lo, hi = tri.min(axis=0), tri.max(axis=0)
+    eps = EPS_GEOM * background.cell_diameters[cell]
     fp = front.cell_points
     out = []
-    for k in sorted(_candidates(grid, lo, hi)):
+    for k in grid.query(tri.min(axis=0), tri.max(axis=0)):
         poly = intersect_convex(tri, fp[k], eps=eps)
         if len(poly):
             out.append((k, poly))
@@ -306,12 +269,13 @@ def _covered_polygons(background, front, cell, grid, eps):
 def classify(background, front, solid_region_tag=SOLID):
     """Partition background cells into not / fully / partially covered sets.
 
-    A partially covered cell intersecting the solid subdomain means the
-    background mesh cannot resolve the fluid-fluid interface and raises
-    CoarseBackgroundError.
+    The covered polygons of the reduced (not and partially covered) cells
+    are kept on the topology.  A partially covered cell intersecting the
+    solid subdomain means the background mesh cannot resolve the
+    fluid-fluid interface and raises CoarseBackgroundError.
     """
     topo = OverlapTopology(background, front, solid_region_tag)
-    grid = _front_grid(front)
+    grid = front.cell_grid
     nc = background.nc
     areas = background.cell_areas
     is_solid = front.region_tags == solid_region_tag
@@ -319,8 +283,7 @@ def classify(background, front, solid_region_tag=SOLID):
     cls = np.empty(nc, dtype=np.int64)  # 0 = not, 1 = fully, 2 = partial
     rel_tol = 1e-9
     for c in range(nc):
-        eps = EPS_GEOM * background.cell_diameters[c]
-        polys = _covered_polygons(background, front, c, grid, eps)
+        polys = _covered_polygons(background, front, c, grid)
         covered = sum(polygon_area(p) for _, p in polys)
         frac = covered / areas[c]
         if frac <= rel_tol:
@@ -334,6 +297,8 @@ def classify(background, front, solid_region_tag=SOLID):
                 raise CoarseBackgroundError(
                     f"background mesh too coarse near interface: "
                     f"partially covered cell {c} intersects the solid subdomain")
+        if polys and cls[c] != 1:
+            topo.covered[c] = polys
 
     topo.class_not = np.flatnonzero(cls == 0)
     topo.class_fully = np.flatnonzero(cls == 1)
@@ -342,18 +307,8 @@ def classify(background, front, solid_region_tag=SOLID):
     return topo
 
 
-def cut_cell_quadrature(cell, background, front, order=2, grid=None):
-    """Quadrature over the uncovered part of one background cell.
-
-    Subtractive composition: the full-cell rule plus negatively weighted
-    rules on every intersection with a front cell.  Weights sum to
-    |T| - |T intersect front domain| and the rule is exact for polynomials
-    up to ``order`` on the cut region.
-    """
-    if grid is None:
-        grid = _front_grid(front)
-    eps = EPS_GEOM * background.cell_diameters[cell]
-    polys = _covered_polygons(background, front, cell, grid, eps)
+def _subtractive_rule(background, cell, polys, order):
+    """Full-cell rule plus negatively weighted rules on the covered polygons."""
     base = triangle_rule(background.cell_points[cell], order)
     if not polys:
         return base
@@ -367,6 +322,20 @@ def cut_cell_quadrature(cell, background, front, order=2, grid=None):
     if rule.total <= EPS_GEOM * background.cell_areas[cell]:
         return EMPTY_RULE
     return rule
+
+
+def cut_cell_quadrature(cell, background, front, order=2, grid=None):
+    """Quadrature over the uncovered part of one background cell.
+
+    Subtractive composition: the full-cell rule plus negatively weighted
+    rules on every intersection with a front cell.  Weights sum to
+    |T| - |T intersect front domain| and the rule is exact for polynomials
+    up to ``order`` on the cut region.  ``grid`` defaults to the front's
+    cell grid.
+    """
+    polys = _covered_polygons(background, front, cell,
+                              front.cell_grid if grid is None else grid)
+    return _subtractive_rule(background, cell, polys, order)
 
 
 def _segment_cell_interval(a, d, tri):
@@ -404,40 +373,45 @@ def _front_boundary_edges(front, ff_markers, skip_region=None):
     for e, (i, j) in enumerate(front.boundary_edges):
         if ff_markers is not None and int(front.boundary_markers[e]) not in ff_markers:
             continue
-        cell = front.boundary_cell_of_edge(e)
+        cell, n = front.boundary_normal(e)
         if skip_region is not None and front.region_tags[cell] == skip_region:
             continue
-        a, b = front.vertices[i], front.vertices[j]
-        ev = b - a
-        n = np.array([ev[1], -ev[0]])
-        ln = np.hypot(*n)
-        if ln == 0.0:
-            continue
-        n /= ln
-        centroid = front.cell_points[cell].mean(axis=0)
-        if np.dot(n, centroid - 0.5 * (a + b)) > 0.0:
-            n = -n
-        out.append((a, b, int(cell), n))
+        out.append((front.vertices[i], front.vertices[j], int(cell), n))
     return out
 
 
 def _bg_point_cells(background, grid, pt, tol=1e-9):
     """Background cells whose closure contains a point (with relative tol)."""
-    found = []
-    for c in sorted(_candidates(grid, pt, pt)):
-        p = background.cell_points[c]
-        a2 = 2.0 * background.cell_areas[c]
-        ok = True
-        for k in range(3):
-            pa, pb = p[(k + 1) % 3], p[(k + 2) % 3]
-            lam = ((pb[0] - pa[0]) * (pt[1] - pa[1])
-                   - (pb[1] - pa[1]) * (pt[0] - pa[0])) / a2
-            if lam < -tol:
-                ok = False
-                break
-        if ok:
-            found.append(int(c))
-    return found
+    return [c for c in grid.query(pt, pt)
+            if (barycentric(background, c, pt[None]) >= -tol).all()]
+
+
+def _split_segment(a, b, normal, background, grid):
+    """Pieces (t0, t1, side) of segment [a, b] cut at background cell edges.
+
+    ``side`` lists the background cells containing the point 1e-7 h off the
+    piece midpoint along ``normal``; it is empty for pieces outside the
+    background mesh or on its outer boundary.
+    """
+    d = b - a
+    intervals = []
+    for c in grid.query(np.minimum(a, b), np.maximum(a, b)):
+        iv = _segment_cell_interval(a, d, background.cell_points[c])
+        if iv is not None and iv[1] - iv[0] > EPS_GEOM:
+            intervals.append((iv[0], iv[1], c))
+    cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
+    pieces = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        if t1 - t0 <= 1e-12:
+            continue
+        tm = 0.5 * (t0 + t1)
+        inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
+        side = []
+        if inside:
+            eps_n = 1e-7 * background.cell_diameters[inside[0]]
+            side = _bg_point_cells(background, grid, a + tm * d + eps_n * normal)
+        pieces.append((t0, t1, side))
+    return pieces
 
 
 def interface_quadrature(front, background, topo, order=2, ff_markers=None,
@@ -452,9 +426,7 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     side, which must belong to the reduced mesh, plus the front parent,
     the outward normal of the front domain and a 1D Gauss rule.
     """
-    bg_grid = background._cached("bg_cell_grid", lambda: _BoxGrid(
-        background.cell_points.min(axis=1), background.cell_points.max(axis=1),
-        background.nc)) if background.nc else None
+    grid = background.cell_grid
     reduced = topo.reduced_mask
     xs, ws = seg_rule(order)
     segments = []
@@ -462,33 +434,9 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
                                                           skip_region):
         d = b - a
         length = np.hypot(*d)
-        if length == 0.0:
-            continue
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        cands = sorted(_candidates(bg_grid, lo, hi))
-        intervals = []
-        for c in cands:
-            iv = _segment_cell_interval(a, d, background.cell_points[c])
-            if iv is not None and iv[1] - iv[0] > EPS_GEOM:
-                intervals.append((iv[0], iv[1], c))
-        if not intervals:
-            continue
-        cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            if (t1 - t0) * length <= EPS_GEOM * max(length, 1e-300) \
-                    or (t1 - t0) <= 1e-12:
-                continue
-            tm = 0.5 * (t0 + t1)
-            inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
-            if not inside:
-                continue  # this piece lies outside the background mesh
-            # the parent is the cell just on the background-fluid side
-            eps_n = 1e-7 * background.cell_diameters[inside[0]]
-            probe = a + tm * d + eps_n * normal
-            side = _bg_point_cells(background, bg_grid, probe)
+        for t0, t1, side in _split_segment(a, b, normal, background, grid):
             if not side:
-                continue  # piece sits on the outer background boundary
+                continue  # outside the background mesh or on its boundary
             parents = [c for c in side if reduced[c]]
             if not parents:
                 # corner slivers below the classification tolerance may end
@@ -514,26 +462,14 @@ def overlap_region_pairs(front, topo, order=2, fluid_tag=None):
 
     The union of the returned polygons tiles the overlap region (front
     fluid domain laid over the reduced background mesh) with no double
-    counting.
+    counting.  Pairs come from the covered polygons ``classify`` stored,
+    ordered by front cell, then background cell.
     """
-    background = topo.background
-    if not len(topo.reduced_cells) or front.nc == 0:
-        return []
-    rp = background.cell_points[topo.reduced_cells]
-    grid = _BoxGrid(rp.min(axis=1), rp.max(axis=1), len(topo.reduced_cells))
-    fluid_cells = (np.arange(front.nc) if fluid_tag is None
-                   else np.flatnonzero(front.region_tags == fluid_tag))
-    pairs = []
-    fp = front.cell_points
-    for k in fluid_cells:
-        tri = fp[k]
-        eps = EPS_GEOM * front.cell_diameters[k]
-        for idx in sorted(grid.query(tri.min(axis=0), tri.max(axis=0))):
-            c = int(topo.reduced_cells[idx])
-            poly = intersect_convex(tri, background.cell_points[c], eps=eps)
-            if len(poly):
-                pairs.append(OverlapPair(int(k), c, poly, polygon_rule(poly, order)))
-    return pairs
+    fluid = (np.ones(front.nc, dtype=bool) if fluid_tag is None
+             else front.region_tags == fluid_tag)
+    pairs = [OverlapPair(k, c, poly, polygon_rule(poly, order))
+             for c, polys in topo.covered.items() for k, poly in polys if fluid[k]]
+    return sorted(pairs, key=lambda p: (p.front_cell, p.bg_cell))
 
 
 def build_topology(background, front, order=2, ff_markers=None,
@@ -541,10 +477,9 @@ def build_topology(background, front, order=2, ff_markers=None,
     """Classify, then build all cut rules, interface segments and pairs."""
     topo = classify(background, front, solid_tag)
     topo.order = order
-    grid = _front_grid(front)
     for c in topo.class_partial:
-        topo.cut_rules[int(c)] = cut_cell_quadrature(int(c), background, front,
-                                                     order, grid=grid)
+        c = int(c)
+        topo.cut_rules[c] = _subtractive_rule(background, c, topo.covered[c], order)
     skip = solid_tag if (front.region_tags == solid_tag).any() else None
     topo.interface_segments = interface_quadrature(front, background, topo,
                                                    order, ff_markers,
@@ -560,35 +495,16 @@ def exterior_intervals_on_segment(a, b, n_out, background, grid=None):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     n_out = np.asarray(n_out, float)
-    if background.nc == 0:
-        return [(0.0, 1.0)]
     if grid is None:
-        grid = background._cached("bg_cell_grid", lambda: _BoxGrid(
-            background.cell_points.min(axis=1),
-            background.cell_points.max(axis=1), background.nc))
-    d = b - a
-    intervals = []
-    for c in sorted(_candidates(grid, np.minimum(a, b), np.maximum(a, b))):
-        iv = _segment_cell_interval(a, d, background.cell_points[c])
-        if iv is not None and iv[1] - iv[0] > EPS_GEOM:
-            intervals.append((iv[0], iv[1], c))
-    cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
+        grid = background.cell_grid
     out = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 - t0 <= 1e-12:
+    for t0, t1, side in _split_segment(a, b, n_out, background, grid):
+        if side:
             continue
-        tm = 0.5 * (t0 + t1)
-        inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
-        exterior = True
-        if inside:
-            eps_n = 1e-7 * background.cell_diameters[inside[0]]
-            probe = a + tm * d + eps_n * n_out
-            exterior = not _bg_point_cells(background, grid, probe)
-        if exterior:
-            if out and abs(out[-1][1] - t0) <= 1e-12:
-                out[-1] = (out[-1][0], t1)
-            else:
-                out.append((t0, t1))
+        if out and abs(out[-1][1] - t0) <= 1e-12:
+            out[-1] = (out[-1][0], t1)
+        else:
+            out.append((t0, t1))
     return out
 
 
@@ -601,10 +517,10 @@ def covered_intervals_on_segment(a, b, front, grid=None):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if grid is None:
-        grid = _front_grid(front)
+        grid = front.cell_grid
     d = b - a
     iv = []
-    for k in _candidates(grid, np.minimum(a, b), np.maximum(a, b)):
+    for k in grid.query(np.minimum(a, b), np.maximum(a, b)):
         r = _segment_cell_interval(a, d, front.cell_points[k])
         if r is not None and r[1] - r[0] > 1e-12:
             iv.append(r)

@@ -40,6 +40,36 @@ class MeshFormatError(MeshError):
     """Malformed mesh text file."""
 
 
+class CellGrid:
+    """Uniform bucket grid over the cell bounding boxes of a mesh."""
+
+    def __init__(self, cell_points):
+        los, his = cell_points.min(axis=1), cell_points.max(axis=1)
+        nc = len(los)
+        self.lo = los.min(axis=0) if nc else np.zeros(2)
+        hi = his.max(axis=0) if nc else np.ones(2)
+        self.span = np.maximum(hi - self.lo, 1e-300)
+        self.n = max(1, int(np.sqrt(max(nc, 1))))
+        self.buckets = {}
+        il, ih = self._idx(los), self._idx(his)
+        for c in range(nc):
+            for i in range(il[c, 0], ih[c, 0] + 1):
+                for j in range(il[c, 1], ih[c, 1] + 1):
+                    self.buckets.setdefault((i, j), []).append(c)
+
+    def _idx(self, pts):
+        return np.clip(((pts - self.lo) / self.span * self.n).astype(int), 0, self.n - 1)
+
+    def query(self, lo, hi):
+        """Cells whose bounding box may meet the box [lo, hi], ascending."""
+        (i0, j0), (i1, j1) = self._idx(np.array([lo, hi], float))
+        found = set()
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                found.update(self.buckets.get((i, j), ()))
+        return sorted(found)
+
+
 class Mesh:
     """Immutable triangle mesh with boundary markers and cell region tags.
 
@@ -179,6 +209,11 @@ class Mesh:
         return self._cached("bbox", f)
 
     @property
+    def cell_grid(self):
+        """Bucket grid over the cell bounding boxes, for candidate queries."""
+        return self._cached("cell_grid", lambda: CellGrid(self.cell_points))
+
+    @property
     def edge_cells(self):
         """dict mapping a sorted vertex pair to the list of adjacent cells."""
         def f():
@@ -217,6 +252,17 @@ class Mesh:
         if len(cells) != 1:
             raise MeshError(f"boundary edge {edge_index} is not on the mesh boundary")
         return cells[0]
+
+    def boundary_normal(self, edge_index):
+        """Adjacent cell and outward unit normal of a boundary edge."""
+        i, j = self.boundary_edges[edge_index]
+        a, b = self.vertices[i], self.vertices[j]
+        cell = self.boundary_cell_of_edge(edge_index)
+        ev = b - a
+        n = np.array([ev[1], -ev[0]]) / np.hypot(ev[1], -ev[0])
+        if np.dot(n, self.cell_points[cell].mean(axis=0) - 0.5 * (a + b)) > 0.0:
+            n = -n
+        return cell, n
 
 
 def build_rect_mesh(nx, ny, bbox, region_fn=None):
@@ -323,58 +369,28 @@ def refine_uniform(mesh):
 def locate_points(mesh, points, tol=1e-10):
     """Containing cell index for each point (-1 if outside).
 
-    Uses a uniform bucket grid over cell bounding boxes, so repeated queries
-    on the same mesh are cheap.
+    Uses the mesh's cached bucket grid, so repeated queries are cheap.
     """
     points = np.atleast_2d(np.asarray(points, float))
-    grid = mesh._cached("locate_grid", lambda: _build_cell_grid(mesh))
+    grid = mesh.cell_grid
     out = np.full(len(points), -1, dtype=np.int64)
     for ip, pt in enumerate(points):
-        for c in _grid_candidates(grid, pt):
-            if _point_in_cell(mesh, c, pt, tol):
+        for c in grid.query(pt, pt):
+            if (barycentric(mesh, c, pt[None]) >= -tol).all():
                 out[ip] = c
                 break
     return out
 
 
-def _build_cell_grid(mesh):
-    lo, hi = mesh.bbox
-    span = np.maximum(hi - lo, 1e-300)
-    n = max(1, int(np.sqrt(max(mesh.nc, 1))))
-    nxg = nyg = n
-    buckets = {}
-    p = mesh.cell_points
-    cl = p.min(axis=1)
-    ch = p.max(axis=1)
-    il = np.clip(((cl - lo) / span * [nxg, nyg]).astype(int), 0, [nxg - 1, nyg - 1])
-    ih = np.clip(((ch - lo) / span * [nxg, nyg]).astype(int), 0, [nxg - 1, nyg - 1])
-    for c in range(mesh.nc):
-        for i in range(il[c, 0], ih[c, 0] + 1):
-            for j in range(il[c, 1], ih[c, 1] + 1):
-                buckets.setdefault((i, j), []).append(c)
-    return (lo, span, nxg, nyg, buckets)
-
-
-def _grid_candidates(grid, pt):
-    lo, span, nxg, nyg, buckets = grid
-    i = min(max(int((pt[0] - lo[0]) / span[0] * nxg), 0), nxg - 1)
-    j = min(max(int((pt[1] - lo[1]) / span[1] * nyg), 0), nyg - 1)
-    return buckets.get((i, j), ())
-
-
-def _point_in_cell(mesh, c, pt, tol):
-    lam = barycentric(mesh, c, pt)
-    return (lam >= -tol).all()
-
-
-def barycentric(mesh, cell, pt):
-    """Barycentric coordinates of a point w.r.t. one cell, shape (3,)."""
+def barycentric(mesh, cell, pts):
+    """Barycentric coordinates of (n, 2) points w.r.t. one cell, (n, 3)."""
     p = mesh.cell_points[cell]
     a2 = 2.0 * mesh.cell_areas[cell]
-    lam = np.empty(3)
+    lam = np.empty((len(pts), 3))
     for k in range(3):
         pa, pb = p[(k + 1) % 3], p[(k + 2) % 3]
-        lam[k] = ((pb[0] - pa[0]) * (pt[1] - pa[1]) - (pb[1] - pa[1]) * (pt[0] - pa[0])) / a2
+        lam[:, k] = ((pb[0] - pa[0]) * (pts[:, 1] - pa[1])
+                     - (pb[1] - pa[1]) * (pts[:, 0] - pa[0])) / a2
     return lam
 
 
@@ -400,7 +416,7 @@ def eval_p1(mesh, nodal, points, cells=None):
         raise MeshError("point outside mesh in eval_p1")
     vals = []
     for pt, c in zip(points, cells):
-        lam = barycentric(mesh, c, pt)
+        lam = barycentric(mesh, c, pt[None])[0]
         vals.append(lam @ nodal[mesh.cells[c]])
     return np.array(vals)
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SOLID, region_interface_vertices, eval_field as _eval_vec
+from .mesh import (SOLID, region_interface_vertices, barycentric as _bary,
+                   eval_field as _eval_vec)
 from .geometry import (
     tri_rule,
     seg_rule,
     triangle_rule,
     uncovered_intervals_on_segment,
     exterior_intervals_on_segment,
-    _front_grid,
 )
 from .linalg import SparseSystem, apply_dirichlet, solve_direct
 
@@ -231,18 +231,6 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
         sys.add_rhs(pdof.ravel(), rq.ravel())
 
 
-def _bary(mesh, cell, pts):
-    """Barycentric coordinates of points w.r.t. one cell, (nq, 3)."""
-    p = mesh.cell_points[cell]
-    a2 = 2.0 * mesh.cell_areas[cell]
-    lam = np.empty((len(pts), 3))
-    for k in range(3):
-        pa, pb = p[(k + 1) % 3], p[(k + 2) % 3]
-        lam[:, k] = ((pb[0] - pa[0]) * (pts[:, 1] - pa[1])
-                     - (pb[1] - pa[1]) * (pts[:, 0] - pa[0])) / a2
-    return lam
-
-
 def _cut_cell_terms(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a, delta,
                     f, jh_extension, order):
     """Volume terms on one partially covered background cell."""
@@ -359,7 +347,6 @@ def _neumann_terms(sys, space, problem):
     if not problem.neumann:
         return
     xs, ws = seg_rule(max(problem.quad_order, 2))
-    fgrid = _front_grid(space.front)
     for mesh_id, marker, traction in problem.neumann:
         mesh = space.background if mesh_id == BG else space.front
         vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
@@ -371,19 +358,15 @@ def _neumann_terms(sys, space, problem):
             if vmap[i] < 0 or vmap[j] < 0:
                 continue
             a, b = mesh.vertices[i], mesh.vertices[j]
-            cell = mesh.boundary_cell_of_edge(e)
-            ev = b - a
-            n = np.array([ev[1], -ev[0]])
-            n /= np.hypot(*n)
-            if np.dot(n, mesh.cell_points[cell].mean(axis=0) - 0.5 * (a + b)) > 0:
-                n = -n
+            _, n = mesh.boundary_normal(e)
             if mesh_id == BG:
-                pieces = uncovered_intervals_on_segment(a, b, space.front, fgrid)
+                pieces = uncovered_intervals_on_segment(a, b, space.front)
             else:
                 # keep only pieces on the true union boundary: parts of a
                 # front edge that drifted into the background interior are
                 # Nitsche-coupled instead
                 pieces = exterior_intervals_on_segment(a, b, n, space.background)
+            ev = b - a
             length = np.hypot(*ev)
             for t0, t1 in pieces:
                 ts = t0 + xs * (t1 - t0)

@@ -47,15 +47,7 @@ def write_vtk_mesh(path, mesh, point_data=None, title="mesh"):
 
 def write_vtk_topology(path, topo, title="cut geometry"):
     """Polydata dump of the cut polygons and interface segments."""
-    from .geometry import _covered_polygons, _front_grid
-
-    grid = _front_grid(topo.front)
-    polys = []
-    for c in topo.class_partial:
-        eps = 1e-12 * topo.background.cell_diameters[int(c)]
-        for _, poly in _covered_polygons(topo.background, topo.front, int(c),
-                                         grid, eps):
-            polys.append(poly)
+    polys = [poly for c in topo.class_partial for _, poly in topo.covered[int(c)]]
 
     points = []
     poly_conn = []

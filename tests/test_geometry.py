@@ -407,3 +407,74 @@ def test_covered_uncovered_intervals():
     assert cov[0][0] == pytest.approx(0.25, abs=1e-12)
     assert cov[0][1] == pytest.approx(0.75, abs=1e-12)
     assert sum(t1 - t0 for t0, t1 in unc) == pytest.approx(0.5, abs=1e-12)
+
+
+# -- stored covered polygons -----------------------------------------------------
+
+def _random_fronts(n, seed):
+    """Rotated rectangular fronts with a solid core, inside the unit square."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        cx, cy = rng.uniform(0.4, 0.6, 2)
+        w, h = rng.uniform(0.3, 0.45, 2)
+        fr0 = build_rect_mesh(int(rng.integers(4, 7)), int(rng.integers(4, 7)),
+                              [(cx - w / 2, cy - h / 2), (cx + w / 2, cy + h / 2)],
+                              region_fn=lambda p: SOLID if (abs(p[0] - cx) < w / 5
+                                                            and abs(p[1] - cy) < h / 5)
+                              else FLUID)
+        th = rng.uniform(0, np.pi)
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        v = (fr0.vertices - [cx, cy]) @ R.T + [cx, cy]
+        if (v < 0.02).any() or (v > 0.98).any():
+            continue
+        out.append(Mesh(v, fr0.cells, fr0.boundary_edges, fr0.boundary_markers,
+                        fr0.region_tags))
+    return out
+
+
+def test_topology_rules_match_standalone_cut_rules():
+    bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
+    for fr in _random_fronts(4, seed=5):
+        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        assert len(topo.class_partial)
+        for c in topo.class_partial:
+            c = int(c)
+            for order, rule in ((2, topo.cut_rules[c]), (4, topo.physical_rule(c, 4))):
+                ref = cut_cell_quadrature(c, bg, fr, order)
+                assert np.array_equal(rule.points, ref.points)
+                assert np.array_equal(rule.weights, ref.weights)
+
+
+def test_covered_polygons_area_identities():
+    bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
+    for fr in _random_fronts(4, seed=9):
+        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        assert set(topo.covered) <= set(topo.reduced_cells.tolist())
+        for c in topo.class_partial:
+            c = int(c)
+            covered = sum(polygon_area(p) for _, p in topo.covered[c])
+            assert covered + topo.cut_rules[c].total == pytest.approx(
+                bg.cell_areas[c], rel=1e-12)
+        fluid_area = sum(polygon_area(p) for polys in topo.covered.values()
+                         for k, p in polys if fr.region_tags[k] == FLUID)
+        assert topo.overlap_area() == pytest.approx(fluid_area, rel=1e-12)
+
+
+def test_topology_clips_each_pair_once(monkeypatch):
+    import olmfsi.geometry as geometry
+    calls = [0]
+    clip = geometry.intersect_convex
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "intersect_convex", counted)
+    bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
+    fr = _random_fronts(1, seed=2)[0]
+    classify(bg, fr)
+    n_classify, calls[0] = calls[0], 0
+    topo = build_topology(bg, fr, fluid_tag=FLUID)
+    assert len(topo.class_partial) and len(topo.overlap_pairs)
+    assert 0 < calls[0] <= n_classify

@@ -109,70 +109,98 @@ def polygon_rule(poly, order):
 
 # -- convex polygon primitives ---------------------------------------------
 
+# Pairs clipped per kernel call: bounds the padded temporaries to a few MB.
+CLIP_CHUNK = 4096
+
 
 def polygon_area(poly):
     poly = np.asarray(poly, float)
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return float(_areas(poly[None], np.array([len(poly)]))[0])
 
 
-def _dedupe(poly, eps):
-    """Drop consecutive vertices closer than eps (including wrap-around)."""
-    if len(poly) == 0:
-        return poly
-    keep = []
-    for p in poly:
-        if not keep or np.hypot(*(p - keep[-1])) > eps:
-            keep.append(p)
-    while len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= eps:
-        keep.pop()
-    return np.array(keep).reshape(-1, 2)
+def _areas(pts, cnt):
+    """Areas of padded polygons: the first cnt[i] vertices of pts[i]."""
+    area = np.zeros(len(cnt))
+    for n in np.unique(cnt[cnt >= 3]):
+        rows = np.flatnonzero(cnt == n)
+        poly = pts[rows, :n]
+        x, y = poly[..., 0], poly[..., 1]
+        # a stacked vector-vector matmul takes np.dot's dot product row by
+        # row (same strides), so an area does not depend on its batch
+        area[rows] = 0.5 * (x[:, None] @ np.roll(y, -1, axis=1)[..., None]
+                            - y[:, None] @ np.roll(x, -1, axis=1)[..., None])[:, 0, 0]
+    return area
+
+
+def _compact(pts, keep):
+    """Move the kept vertices of each row to its front, in order."""
+    cnt = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :cnt.max(initial=0)]
+    return np.take_along_axis(pts, order[..., None], axis=1), cnt
+
+
+def _clip_halfplane(pts, cnt, p, q):
+    """One Sutherland-Hodgman step per row: keep the left of the line p->q.
+
+    Rows with fewer than 3 vertices are emptied.  Each vertex emits the
+    crossing point from its predecessor, if any, then itself if inside.
+    """
+    cnt = np.where(cnt < 3, 0, cnt)
+    slot = np.arange(pts.shape[1])
+    ex, ey = (q[:, 0] - p[:, 0])[:, None], (q[:, 1] - p[:, 1])[:, None]
+    side = ex * (pts[:, :, 1] - p[:, None, 1]) - ey * (pts[:, :, 0] - p[:, None, 0])
+    prev = np.where(slot == 0, np.maximum(cnt - 1, 0)[:, None], slot - 1)
+    a, a_side = np.take_along_axis(pts, prev[..., None], 1), np.take_along_axis(side, prev, 1)
+    keep = (slot < cnt[:, None]) & (side >= 0.0)
+    cross = (slot < cnt[:, None]) & ((side >= 0.0) != (a_side >= 0.0))
+    t = np.where(cross, a_side / np.where(cross, a_side - side, 1.0), 0.0)[..., None]
+    shape = (len(pts), 2 * len(slot))
+    both = np.stack([a + t * (pts - a), pts], axis=2).reshape(*shape, 2)
+    return _compact(both, np.stack([cross, keep], axis=2).reshape(shape))
+
+
+def _dedupe(pts, cnt, eps):
+    """Per row, drop vertices within eps of the last kept one, then trailing
+    vertices within eps of the first."""
+    rows, last = np.arange(len(pts)), np.zeros(len(pts), dtype=np.int64)
+    keep = np.arange(pts.shape[1]) < cnt[:, None]
+    for i in range(1, pts.shape[1]):
+        d = pts[:, i] - pts[rows, last]
+        keep[:, i] &= np.hypot(d[:, 0], d[:, 1]) > eps
+        last = np.where(keep[:, i], i, last)
+    pts, cnt = _compact(pts, keep)
+    for _ in range(pts.shape[1]):
+        d = pts[:, 0] - pts[rows, np.maximum(cnt - 1, 0)]
+        cnt = cnt - ((cnt > 1) & (np.hypot(d[:, 0], d[:, 1]) <= eps))
+    return pts, cnt
 
 
 def intersect_convex(poly_a, poly_b, eps=None):
-    """Intersection of two convex CCW polygons (Sutherland-Hodgman).
+    """Intersection of convex CCW polygons (Sutherland-Hodgman).
 
-    Returns a CCW polygon array, possibly empty.  Vertices closer than
-    ``eps`` (default: EPS_GEOM times the larger polygon diameter) are
-    snapped together and slivers below the matching area tolerance are
-    dropped.
+    Single polygons (na, 2) and (nb, 2) give a CCW polygon array, possibly
+    empty.  Stacked ones (P, na, 2) and (P, nb, 2) are clipped pairwise into
+    padded vertices (P, m, 2) and vertex counts (P,), 0 when empty.
+    Vertices closer than ``eps`` (per pair or scalar; default: EPS_GEOM
+    times the larger polygon diameter) are snapped together and slivers
+    below the matching area tolerance are dropped.
     """
     poly_a = np.asarray(poly_a, float)
     poly_b = np.asarray(poly_b, float)
-    if len(poly_a) < 3 or len(poly_b) < 3:
-        return np.zeros((0, 2))
+    single = poly_a.ndim == 2
+    if single:
+        poly_a, poly_b = poly_a[None], poly_b[None]
     if eps is None:
-        scale = max(np.ptp(poly_a, axis=0).max(), np.ptp(poly_b, axis=0).max(), 1e-300)
-        eps = EPS_GEOM * scale
-
-    out = [p for p in poly_a]
-    nb = len(poly_b)
+        scale = np.maximum(np.ptp(poly_a, axis=1).max(axis=1),
+                           np.ptp(poly_b, axis=1).max(axis=1))
+        eps = EPS_GEOM * np.maximum(scale, 1e-300)
+    pts, nb = poly_a, poly_b.shape[1]
+    cnt = np.full(len(pts), pts.shape[1] if nb >= 3 else 0)
     for k in range(nb):
-        if len(out) < 3:
-            return np.zeros((0, 2))
-        p, q = poly_b[k], poly_b[(k + 1) % nb]
-        ex, ey = q[0] - p[0], q[1] - p[1]
-        nxt = []
-        prev = out[-1]
-        prev_side = ex * (prev[1] - p[1]) - ey * (prev[0] - p[0])
-        for cur in out:
-            cur_side = ex * (cur[1] - p[1]) - ey * (cur[0] - p[0])
-            if cur_side >= 0.0:
-                if prev_side < 0.0:
-                    t = prev_side / (prev_side - cur_side)
-                    nxt.append(prev + t * (cur - prev))
-                nxt.append(cur)
-            elif prev_side >= 0.0:
-                t = prev_side / (prev_side - cur_side)
-                nxt.append(prev + t * (cur - prev))
-            prev, prev_side = cur, cur_side
-        out = nxt
-    poly = _dedupe(np.array(out).reshape(-1, 2), eps)
-    if len(poly) < 3 or polygon_area(poly) <= eps * eps:
-        return np.zeros((0, 2))
-    return poly
+        pts, cnt = _clip_halfplane(pts, cnt, poly_b[:, k], poly_b[:, (k + 1) % nb])
+    pts, cnt = _dedupe(pts, cnt, eps)
+    cnt[(cnt < 3) | (_areas(pts, cnt) <= eps * eps)] = 0
+    return pts[0, :cnt[0]] if single else (pts[:, :cnt.max(initial=0)], cnt)
 
 
 # -- topology ----------------------------------------------------------------
@@ -253,53 +281,57 @@ class OverlapTopology:
         return triangle_rule(self.background.cell_points[bg_cell], order)
 
 
-def _covered_polygons(background, front, cell, grid):
-    """Front-cell intersections with one background cell, by front cell."""
-    tri = background.cell_points[cell]
-    eps = EPS_GEOM * background.cell_diameters[cell]
-    fp = front.cell_points
-    out = []
-    for k in grid.query(tri.min(axis=0), tri.max(axis=0)):
-        poly = intersect_convex(tri, fp[k], eps=eps)
-        if len(poly):
-            out.append((k, poly))
-    return out
+def _covered_pairs(background, front, cells=None):
+    """Nonempty intersections of background cells (all, or the given ones)
+    with front cells, sorted by background cell, then front cell.
+
+    One grid query with all front cell boxes finds the pairs whose bounding
+    boxes meet; the kernel clips them in chunks, each with its background
+    cell's eps.  Returns background cells, front cells, areas and polygons.
+    """
+    bp, fp = background.cell_points, front.cell_points
+    lo, hi = fp.min(axis=1), fp.max(axis=1)
+    ks, cs = background.cell_grid.query_boxes(lo, hi)
+    meet = ((bp[cs].min(axis=1) <= hi[ks]) & (bp[cs].max(axis=1) >= lo[ks])).all(axis=1)
+    if cells is not None:
+        meet &= np.isin(cs, cells)
+    order = np.lexsort((ks[meet], cs[meet]))
+    cs, ks = cs[meet][order], ks[meet][order]
+    eps = EPS_GEOM * background.cell_diameters[cs]
+    chunks = []
+    for s in range(0, max(len(cs), 1), CLIP_CHUNK):   # one chunk if empty
+        c = slice(s, s + CLIP_CHUNK)
+        pts, cnt = intersect_convex(bp[cs[c]], fp[ks[c]], eps[c])
+        chunks.append((cnt, _areas(pts, cnt), pts[np.arange(pts.shape[1]) < cnt[:, None]]))
+    cnt, area, verts = (np.concatenate(col) for col in zip(*chunks))
+    hit = cnt > 0
+    return cs[hit], ks[hit], area[hit], np.split(verts, np.cumsum(cnt[hit])[:-1])
 
 
 def classify(background, front, solid_region_tag=SOLID):
     """Partition background cells into not / fully / partially covered sets.
 
-    The covered polygons of the reduced (not and partially covered) cells
-    are kept on the topology.  A partially covered cell intersecting the
-    solid subdomain means the background mesh cannot resolve the
-    fluid-fluid interface and raises CoarseBackgroundError.
+    A cell's covered fraction is the sum of its pair areas.  The covered
+    polygons of the reduced (not and partially covered) cells are kept on
+    the topology, by ascending front cell.  A partially covered cell
+    intersecting the solid subdomain means the background mesh cannot
+    resolve the fluid-fluid interface and raises CoarseBackgroundError.
     """
     topo = OverlapTopology(background, front, solid_region_tag)
-    grid = front.cell_grid
-    nc = background.nc
-    areas = background.cell_areas
-    is_solid = front.region_tags == solid_region_tag
-
-    cls = np.empty(nc, dtype=np.int64)  # 0 = not, 1 = fully, 2 = partial
+    nc, areas = background.nc, background.cell_areas
+    cells, ks, pair_area, polys = _covered_pairs(background, front)
     rel_tol = 1e-9
-    for c in range(nc):
-        polys = _covered_polygons(background, front, c, grid)
-        covered = sum(polygon_area(p) for _, p in polys)
-        frac = covered / areas[c]
-        if frac <= rel_tol:
-            cls[c] = 0
-        elif frac >= 1.0 - rel_tol:
-            cls[c] = 1
-        else:
-            cls[c] = 2
-            solid_area = sum(polygon_area(p) for k, p in polys if is_solid[k])
-            if solid_area > rel_tol * areas[c]:
-                raise CoarseBackgroundError(
-                    f"background mesh too coarse near interface: "
-                    f"partially covered cell {c} intersects the solid subdomain")
-        if polys and cls[c] != 1:
-            topo.covered[c] = polys
-
+    frac = np.bincount(cells, pair_area, nc) / areas
+    cls = np.where(frac <= rel_tol, 0, np.where(frac >= 1.0 - rel_tol, 1, 2))
+    solid = front.region_tags[ks] == solid_region_tag
+    solid_area = np.bincount(cells[solid], pair_area[solid], nc)
+    bad = np.flatnonzero((cls == 2) & (solid_area > rel_tol * areas))
+    if len(bad):
+        raise CoarseBackgroundError(
+            f"background mesh too coarse near interface: "
+            f"partially covered cell {bad[0]} intersects the solid subdomain")
+    for i in np.flatnonzero(cls[cells] != 1).tolist():
+        topo.covered.setdefault(int(cells[i]), []).append((int(ks[i]), polys[i]))
     topo.class_not = np.flatnonzero(cls == 0)
     topo.class_fully = np.flatnonzero(cls == 1)
     topo.class_partial = np.flatnonzero(cls == 2)
@@ -324,18 +356,16 @@ def _subtractive_rule(background, cell, polys, order):
     return rule
 
 
-def cut_cell_quadrature(cell, background, front, order=2, grid=None):
+def cut_cell_quadrature(cell, background, front, order=2):
     """Quadrature over the uncovered part of one background cell.
 
     Subtractive composition: the full-cell rule plus negatively weighted
     rules on every intersection with a front cell.  Weights sum to
     |T| - |T intersect front domain| and the rule is exact for polynomials
-    up to ``order`` on the cut region.  ``grid`` defaults to the front's
-    cell grid.
+    up to ``order`` on the cut region.
     """
-    polys = _covered_polygons(background, front, cell,
-                              front.cell_grid if grid is None else grid)
-    return _subtractive_rule(background, cell, polys, order)
+    _, ks, _, polys = _covered_pairs(background, front, [cell])
+    return _subtractive_rule(background, cell, list(zip(ks.tolist(), polys)), order)
 
 
 def _segment_cell_interval(a, d, tri):
@@ -489,16 +519,15 @@ def build_topology(background, front, order=2, ff_markers=None,
     return topo
 
 
-def exterior_intervals_on_segment(a, b, n_out, background, grid=None):
+def exterior_intervals_on_segment(a, b, n_out, background):
     """Sub-intervals of a front boundary edge that face the outside of the
     background mesh (the complement of the Nitsche-coupled pieces)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     n_out = np.asarray(n_out, float)
-    if grid is None:
-        grid = background.cell_grid
     out = []
-    for t0, t1, side in _split_segment(a, b, n_out, background, grid):
+    for t0, t1, side in _split_segment(a, b, n_out, background,
+                                       background.cell_grid):
         if side:
             continue
         if out and abs(out[-1][1] - t0) <= 1e-12:
@@ -508,7 +537,7 @@ def exterior_intervals_on_segment(a, b, n_out, background, grid=None):
     return out
 
 
-def covered_intervals_on_segment(a, b, front, grid=None):
+def covered_intervals_on_segment(a, b, front):
     """Merged parameter intervals of segment [a, b] covered by the front mesh.
 
     Used to restrict boundary integrals on background edges to their
@@ -516,11 +545,9 @@ def covered_intervals_on_segment(a, b, front, grid=None):
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    if grid is None:
-        grid = front.cell_grid
     d = b - a
     iv = []
-    for k in grid.query(np.minimum(a, b), np.maximum(a, b)):
+    for k in front.cell_grid.query(np.minimum(a, b), np.maximum(a, b)):
         r = _segment_cell_interval(a, d, front.cell_points[k])
         if r is not None and r[1] - r[0] > 1e-12:
             iv.append(r)
@@ -536,9 +563,9 @@ def covered_intervals_on_segment(a, b, front, grid=None):
     return [(t0, t1) for t0, t1 in merged]
 
 
-def uncovered_intervals_on_segment(a, b, front, grid=None):
+def uncovered_intervals_on_segment(a, b, front):
     """Complement of covered_intervals_on_segment within [0, 1]."""
-    covered = covered_intervals_on_segment(a, b, front, grid)
+    covered = covered_intervals_on_segment(a, b, front)
     out = []
     t = 0.0
     for t0, t1 in covered:

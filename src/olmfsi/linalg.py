@@ -112,7 +112,7 @@ def apply_dirichlet(system, dofs=None, values=None):
 
     cdofs = np.fromiter(system.constraints.keys(), dtype=np.int64)
     cvals = np.fromiter(system.constraints.values(), dtype=float)
-    A = system.matrix().tocsc()
+    A = system.matrix()
     n = system.n
     x0 = np.zeros(n)
     x0[cdofs] = cvals
@@ -120,13 +120,15 @@ def apply_dirichlet(system, dofs=None, values=None):
 
     mask = np.zeros(n, dtype=bool)
     mask[cdofs] = True
-    keep = ~mask
     # zero constrained rows and columns, then put ones on the diagonal
-    D = sp.diags(keep.astype(float))
-    A = (D @ A @ D).tolil()
-    A[cdofs, cdofs] = 1.0
+    A = A.copy()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    A.data[mask[rows] | mask[A.indices]] = 0.0
+    A.eliminate_zeros()
+    A = A + sp.csr_matrix((np.ones(len(cdofs)), (cdofs, cdofs)), shape=(n, n))
+    A.sort_indices()
     rhs[cdofs] = cvals
-    return system._from_csr(A.tocsr(), rhs, system.constraints)
+    return system._from_csr(A, rhs, system.constraints)
 
 
 def solve_direct(system):

@@ -40,34 +40,54 @@ class MeshFormatError(MeshError):
     """Malformed mesh text file."""
 
 
+def _ranges(counts):
+    """Row and offset within the row of each slot of rows of these lengths."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+
+
 class CellGrid:
-    """Uniform bucket grid over the cell bounding boxes of a mesh."""
+    """Uniform bucket grid over the cell bounding boxes of a mesh.
+
+    Bucket ``b = i * n + j`` holds ``cells[start[b]:start[b + 1]]``,
+    ascending (CSR), so the buckets of one grid row ``i`` are contiguous.
+    """
 
     def __init__(self, cell_points):
         los, his = cell_points.min(axis=1), cell_points.max(axis=1)
-        nc = len(los)
-        self.lo = los.min(axis=0) if nc else np.zeros(2)
-        hi = his.max(axis=0) if nc else np.ones(2)
+        self.nc = len(los)
+        self.lo = los.min(axis=0) if self.nc else np.zeros(2)
+        hi = his.max(axis=0) if self.nc else np.ones(2)
         self.span = np.maximum(hi - self.lo, 1e-300)
-        self.n = max(1, int(np.sqrt(max(nc, 1))))
-        self.buckets = {}
+        self.n = max(1, int(np.sqrt(max(self.nc, 1))))
+        box, first, last = self._rows(los, his)
+        row, off = _ranges(last - first)
+        bucket = first[row] + off
+        self.cells = box[row][np.argsort(bucket, kind="stable")]
+        self.start = np.append(0, np.cumsum(np.bincount(bucket, minlength=self.n ** 2)))
+
+    def _rows(self, los, his):
+        """(box, first bucket, end bucket) per grid row each box [lo, hi] meets."""
         il, ih = self._idx(los), self._idx(his)
-        for c in range(nc):
-            for i in range(il[c, 0], ih[c, 0] + 1):
-                for j in range(il[c, 1], ih[c, 1] + 1):
-                    self.buckets.setdefault((i, j), []).append(c)
+        box, di = _ranges(ih[:, 0] - il[:, 0] + 1)
+        row = (il[box, 0] + di) * self.n
+        return box, row + il[box, 1], row + ih[box, 1] + 1
 
     def _idx(self, pts):
         return np.clip(((pts - self.lo) / self.span * self.n).astype(int), 0, self.n - 1)
 
+    def query_boxes(self, los, his):
+        """(box, cell) pairs whose bounding boxes may meet, for the boxes
+        [los[i], his[i]]; sorted by box, then cell."""
+        box, first, last = self._rows(np.atleast_2d(los), np.atleast_2d(his))
+        first, last = self.start[first], self.start[last]
+        slot, off = _ranges(last - first)
+        key = np.unique(box[slot] * self.nc + self.cells[first[slot] + off])
+        return key // max(self.nc, 1), key % max(self.nc, 1)
+
     def query(self, lo, hi):
         """Cells whose bounding box may meet the box [lo, hi], ascending."""
-        (i0, j0), (i1, j1) = self._idx(np.array([lo, hi], float))
-        found = set()
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                found.update(self.buckets.get((i, j), ()))
-        return sorted(found)
+        return self.query_boxes(lo, hi)[1].tolist()
 
 
 class Mesh:

@@ -176,6 +176,93 @@ def split_edges_brute_force(front, background):
     return pieces
 
 
+def polygon_area_loop(poly):
+    """Shoelace area of a polygon, one dot product per coordinate pair."""
+    poly = np.asarray(poly, float)
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _dedupe_loop(poly, eps):
+    """Drop consecutive vertices closer than eps (including wrap-around)."""
+    if len(poly) == 0:
+        return poly
+    keep = []
+    for p in poly:
+        if not keep or np.hypot(*(p - keep[-1])) > eps:
+            keep.append(p)
+    while len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= eps:
+        keep.pop()
+    return np.array(keep).reshape(-1, 2)
+
+
+def clip_convex_loop(poly_a, poly_b, eps):
+    """Per-pair Sutherland-Hodgman clip of two convex CCW polygons, with the
+    package's snapping (eps) and sliver (area <= eps**2) rules; the scalar
+    reference for the batched ``intersect_convex``."""
+    poly_a = np.asarray(poly_a, float)
+    poly_b = np.asarray(poly_b, float)
+    if len(poly_a) < 3 or len(poly_b) < 3:
+        return np.zeros((0, 2))
+    out = [p for p in poly_a]
+    nb = len(poly_b)
+    for k in range(nb):
+        if len(out) < 3:
+            return np.zeros((0, 2))
+        p, q = poly_b[k], poly_b[(k + 1) % nb]
+        ex, ey = q[0] - p[0], q[1] - p[1]
+        nxt = []
+        prev = out[-1]
+        prev_side = ex * (prev[1] - p[1]) - ey * (prev[0] - p[0])
+        for cur in out:
+            cur_side = ex * (cur[1] - p[1]) - ey * (cur[0] - p[0])
+            if cur_side >= 0.0:
+                if prev_side < 0.0:
+                    t = prev_side / (prev_side - cur_side)
+                    nxt.append(prev + t * (cur - prev))
+                nxt.append(cur)
+            elif prev_side >= 0.0:
+                t = prev_side / (prev_side - cur_side)
+                nxt.append(prev + t * (cur - prev))
+            prev, prev_side = cur, cur_side
+        out = nxt
+    poly = _dedupe_loop(np.array(out).reshape(-1, 2), eps)
+    if len(poly) < 3 or polygon_area_loop(poly) <= eps * eps:
+        return np.zeros((0, 2))
+    return poly
+
+
+def classify_loop(background, front, solid_tag, eps_rel=1e-12, rel_tol=1e-9):
+    """Background cell classes (0 not, 1 fully, 2 partially covered) and the
+    covered polygons {cell: [(front cell, polygon)]} of the not and partially
+    covered cells, one background cell and one clip at a time.
+
+    Returns None for classes when a partially covered cell meets the solid.
+    """
+    fp = front.cell_points
+    flo, fhi = fp.min(axis=1), fp.max(axis=1)
+    cls = np.empty(background.nc, dtype=np.int64)
+    covered = {}
+    for c, tri in enumerate(background.cell_points):
+        eps = eps_rel * background.cell_diameters[c]
+        near = np.flatnonzero(((flo <= tri.max(axis=0))
+                               & (fhi >= tri.min(axis=0))).all(axis=1))
+        polys = [(int(k), clip_convex_loop(tri, fp[k], eps)) for k in near]
+        polys = [(k, p) for k, p in polys if len(p)]
+        frac = sum(polygon_area_loop(p) for _, p in polys) / background.cell_areas[c]
+        cls[c] = 0 if frac <= rel_tol else 1 if frac >= 1.0 - rel_tol else 2
+        if cls[c] == 2:
+            solid = sum(polygon_area_loop(p) for k, p in polys
+                        if front.region_tags[k] == solid_tag)
+            if solid > rel_tol * background.cell_areas[c]:
+                return None, covered
+        if polys and cls[c] != 1:
+            covered[c] = polys
+    return cls, covered
+
+
 def adaptive_tri_integral(f, tri, order_rule, tol=1e-10, depth=0):
     """Recursive-subdivision reference integral of f over a triangle."""
     lam, w = order_rule

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from olmfsi.mesh import Mesh, build_rect_mesh, FLUID, SOLID
+from olmfsi.mesh import Mesh, build_rect_mesh, refine_uniform, FLUID, SOLID
 from olmfsi.geometry import (classify, build_topology, intersect_convex,
                              polygon_area, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
@@ -13,7 +13,8 @@ from olmfsi.geometry import (classify, build_topology, intersect_convex,
 from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,
-                     halfplane_cut_area)
+                     halfplane_cut_area, clip_convex_loop, classify_loop,
+                     polygon_area_loop)
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -42,16 +43,29 @@ def test_intersect_shifted_squares():
 
 def test_intersect_area_bound_random():
     rng = np.random.default_rng(7)
+    pairs = []
     for _ in range(50):
         a = rng.uniform(0, 1, (3, 2))
         b = rng.uniform(0, 1, (3, 2))
         ta, tb = tri_mesh(a), tri_mesh(b)  # constructors force CCW
         out = intersect_convex(ta.cell_points[0], tb.cell_points[0])
+        eps = 1e-12 * max(np.ptp(ta.cell_points[0], axis=0).max(),
+                          np.ptp(tb.cell_points[0], axis=0).max())
+        assert np.array_equal(out, clip_convex_loop(ta.cell_points[0],
+                                                    tb.cell_points[0], eps))
         area = polygon_area(out)
+        assert area == polygon_area_loop(out)
         assert area <= min(ta.cell_areas[0], tb.cell_areas[0]) + 1e-12
         # cross-check the area against the scanline oracle
         ref = scanline_intersection_area(ta.cell_points[0], tb.cell_points[0])
         assert area == pytest.approx(ref, abs=1e-12)
+        pairs.append((ta.cell_points[0], tb.cell_points[0], out))
+    # the same pairs clipped in one stacked call
+    pts, cnt = intersect_convex(np.array([p[0] for p in pairs]),
+                                np.array([p[1] for p in pairs]))
+    assert (cnt > 3).any()
+    for (_, _, out), p, n in zip(pairs, pts, cnt):
+        assert np.array_equal(p[:n], out)
 
 
 # -- classification ------------------------------------------------------------
@@ -462,19 +476,75 @@ def test_covered_polygons_area_identities():
 
 
 def test_topology_clips_each_pair_once(monkeypatch):
+    # pairs clipped = batch sizes summed over the kernel calls
     import olmfsi.geometry as geometry
-    calls = [0]
+    pairs = [0]
     clip = geometry.intersect_convex
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return clip(*args, **kwargs)
+    def counted(poly_a, poly_b, eps=None):
+        pairs[0] += len(poly_a) if np.ndim(poly_a) == 3 else 1
+        return clip(poly_a, poly_b, eps)
 
     monkeypatch.setattr(geometry, "intersect_convex", counted)
     bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
     fr = _random_fronts(1, seed=2)[0]
     classify(bg, fr)
-    n_classify, calls[0] = calls[0], 0
+    n_classify, pairs[0] = pairs[0], 0
     topo = build_topology(bg, fr, fluid_tag=FLUID)
     assert len(topo.class_partial) and len(topo.overlap_pairs)
-    assert 0 < calls[0] <= n_classify
+    bp, fp = bg.cell_points, fr.cell_points
+    meet = ((bp.min(axis=1)[:, None] <= fp.max(axis=1)[None])
+            & (fp.min(axis=1)[None] <= bp.max(axis=1)[:, None])).all(axis=2)
+    assert pairs[0] == n_classify == meet.sum()
+
+
+def _placements():
+    """(name, background, front) for degenerate and generic front placements."""
+    h = 0.125
+    bg = build_rect_mesh(8, 8, [(0, 0), (1, 1)])
+    bg20 = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
+    core = lambda p: SOLID if abs(p[0] - 0.5) < 0.1 and abs(p[1] - 0.5) < 0.1 else FLUID
+    out = [("random", bg20, fr) for fr in _random_fronts(4, seed=13)]
+    out += [
+        ("vertex on vertex", bg, build_rect_mesh(4, 4, [(2 * h, 2 * h), (6 * h, 6 * h)],
+                                                 region_fn=core)),
+        ("vertex on vertex, shifted 3h", bg, refine_uniform(refine_uniform(
+            tri_mesh([[h, h], [5 * h, h], [h, 5 * h]]))).translated([3 * h, h])),
+        ("edge on edge", bg, build_rect_mesh(3, 3, [(2 * h, 2 * h), (0.61, 0.7)])),
+        ("across the background boundary", bg,
+         build_rect_mesh(3, 4, [(0.71, 0.23), (1.3, 0.81)])),
+        ("sliver 1e-6 h deep", bg,
+         build_rect_mesh(3, 3, [(2 * h - 1e-6 * h, 0.3), (0.61, 0.7)])),
+        ("coarse background", build_rect_mesh(2, 2, [(0, 0), (1, 1)]),
+         build_rect_mesh(4, 4, [(0.2, 0.2), (0.8, 0.8)],
+                         region_fn=lambda c: SOLID if 0.35 < c[1] < 0.65 else FLUID)),
+    ]
+    return out
+
+
+def test_batched_classify_matches_per_pair_reference():
+    from olmfsi.geometry import _subtractive_rule
+    raised = 0
+    for name, bg, fr in _placements():
+        ref_cls, ref_cov = classify_loop(bg, fr, SOLID)
+        if ref_cls is None:
+            with pytest.raises(CoarseBackgroundError):
+                classify(bg, fr)
+            raised += 1
+            continue
+        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        cls = np.zeros(bg.nc, dtype=np.int64)
+        cls[topo.class_fully] = 1
+        cls[topo.class_partial] = 2
+        assert np.array_equal(cls, ref_cls), name
+        assert list(topo.covered) == list(ref_cov), name
+        for c, polys in ref_cov.items():
+            assert [k for k, _ in topo.covered[c]] == [k for k, _ in polys], name
+            for (_, p), (_, q) in zip(topo.covered[c], polys):
+                assert np.array_equal(p, q), name
+        for c in topo.class_partial:
+            c = int(c)
+            ref = _subtractive_rule(bg, c, ref_cov[c], topo.order)
+            assert np.array_equal(topo.cut_rules[c].points, ref.points), name
+            assert np.array_equal(topo.cut_rules[c].weights, ref.weights), name
+    assert raised == 1

@@ -123,6 +123,37 @@ def test_dirichlet_exact_values_in_solution():
     assert x[2] == vals[0] and x[3] == vals[1] and x[7] == vals[2]
 
 
+def test_dirichlet_matches_diagonal_scaling_bitwise():
+    # reference: D A D with D the 0/1 diagonal of free dofs, then unit
+    # diagonal on the constrained dofs; dof 3 has no diagonal entry
+    A = random_spd(9, seed=11)
+    A[3, 3] = 0.0
+    A[2, 6] = A[6, 2] = 0.0
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal(9)
+    cdofs, cvals = np.array([3, 5, 0]), rng.standard_normal(3)
+    sys = system_from_dense(A, b)
+    out = apply_dirichlet(sys, cdofs, cvals)
+
+    M = sys.matrix()
+    x0 = np.zeros(9)
+    x0[cdofs] = cvals
+    rhs = b - M.tocsc() @ x0
+    rhs[cdofs] = cvals
+    free = np.ones(9)
+    free[cdofs] = 0.0
+    D = sp.diags(free)
+    ref = (D @ M @ D).tolil()
+    ref[cdofs, cdofs] = 1.0
+    ref = ref.tocsr()
+    got = out.matrix()
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    assert np.array_equal(out.rhs, rhs)
+    assert sys.matrix() is M and M[3, 4] != 0.0   # the input stays unconstrained
+
+
 def test_dirichlet_conflict_error():
     sys = system_from_dense(np.eye(3))
     sys.set_dirichlet([1], [2.0])

@@ -412,8 +412,9 @@ def _front_boundary_edges(front, ff_markers, skip_region=None):
 
 def _bg_point_cells(background, grid, pt, tol=1e-9):
     """Background cells whose closure contains a point (with relative tol)."""
-    return [c for c in grid.query(pt, pt)
-            if (barycentric(background, c, pt[None]) >= -tol).all()]
+    cands = grid.query(pt, pt)
+    inside = (barycentric(background, cands, pt[None]) >= -tol).all(axis=(1, 2))
+    return [c for c, ok in zip(cands, inside) if ok]
 
 
 def _split_segment(a, b, normal, background, grid):

@@ -40,6 +40,12 @@ class SparseSystem:
         vals = np.asarray(vals, dtype=float).ravel()
         if not (len(rows) == len(cols) == len(vals)):
             raise ValueError("triplet arrays must have equal length")
+        if self._csr is not None and not self._rows:
+            # an eliminated system holds only its CSR: it becomes the first triplets
+            coo = self._csr.tocoo()
+            self._rows.append(coo.row.astype(np.int64))
+            self._cols.append(coo.col.astype(np.int64))
+            self._vals.append(coo.data)
         self._rows.append(rows)
         self._cols.append(cols)
         self._vals.append(vals)
@@ -83,10 +89,6 @@ class SparseSystem:
     def _from_csr(self, A, rhs, constraints):
         out = SparseSystem(self.n)
         out._csr = A.tocsr()
-        coo = out._csr.tocoo()
-        out._rows = [coo.row.astype(np.int64)]
-        out._cols = [coo.col.astype(np.int64)]
-        out._vals = [coo.data.astype(float)]
         out.rhs = rhs
         out.constraints = dict(constraints)
         return out
@@ -133,18 +135,18 @@ def apply_dirichlet(system, dofs=None, values=None):
 
 def solve_direct(system):
     """Direct sparse LU solve; constrained entries reproduce their values exactly."""
-    A = system.matrix().tocsc()
+    A = system.matrix()
     n = system.n
     if n == 0:
         return np.zeros(0)
     # structural deficiency: name the first empty row
-    row_counts = np.diff(system.matrix().indptr)
-    empty = np.flatnonzero(row_counts == 0)
+    empty = np.flatnonzero(np.diff(A.indptr) == 0)
     if len(empty):
         raise SingularMatrixError(
             f"structurally singular: zero pivot at dof {int(empty[0])} (empty row)")
     try:
-        lu = spla.splu(A)
+        # the CSC copy lives only as long as the factorization call
+        lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
     diag = np.abs(lu.U.diagonal())

@@ -395,23 +395,21 @@ def locate_points(mesh, points, tol=1e-10):
     grid = mesh.cell_grid
     out = np.full(len(points), -1, dtype=np.int64)
     for ip, pt in enumerate(points):
-        for c in grid.query(pt, pt):
-            if (barycentric(mesh, c, pt[None]) >= -tol).all():
-                out[ip] = c
-                break
+        cands = grid.query(pt, pt)
+        hit = np.flatnonzero((barycentric(mesh, cands, pt[None]) >= -tol).all(axis=(1, 2)))
+        if len(hit):
+            out[ip] = cands[hit[0]]
     return out
 
 
 def barycentric(mesh, cell, pts):
-    """Barycentric coordinates of (n, 2) points w.r.t. one cell, (n, 3)."""
-    p = mesh.cell_points[cell]
-    a2 = 2.0 * mesh.cell_areas[cell]
-    lam = np.empty((len(pts), 3))
-    for k in range(3):
-        pa, pb = p[(k + 1) % 3], p[(k + 2) % 3]
-        lam[:, k] = ((pb[0] - pa[0]) * (pts[:, 1] - pa[1])
-                     - (pb[1] - pa[1]) * (pts[:, 0] - pa[0])) / a2
-    return lam
+    """Barycentric coordinates of (n, 2) points w.r.t. one cell, (n, 3), or
+    w.r.t. each of an array of cells, (m, n, 3)."""
+    p = mesh.cell_points[cell][..., None, :, :]
+    pa, pb = p[..., [1, 2, 0], :], p[..., [2, 0, 1], :]       # (..., 1, 3, 2)
+    lam = ((pb[..., 0] - pa[..., 0]) * (pts[:, 1, None] - pa[..., 1])
+           - (pb[..., 1] - pa[..., 1]) * (pts[:, 0, None] - pa[..., 0]))
+    return lam / (2.0 * np.asarray(mesh.cell_areas[cell]))[..., None, None]
 
 
 def eval_field(fn, pts):

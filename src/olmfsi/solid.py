@@ -52,38 +52,49 @@ class Material:
         return cls(model, mu, lam)
 
 
+def _T(X):
+    return np.swapaxes(X, -1, -2)
+
+
+def _tr(X):
+    return X[..., 0, 0] + X[..., 1, 1]
+
+
+def _green(F):
+    return 0.5 * (_T(F) @ F - _I2)
+
+
+def _stress(E, material):
+    """2 mu E + lam tr(E) I: the StVK S of a Green strain, or the linear
+    stress of a small strain."""
+    return 2.0 * material.mu * E + material.lam * _tr(E)[..., None, None] * _I2
+
+
 def strain_energy(F, material):
     """Strain energy density (St. Venant-Kirchhoff only)."""
-    F = np.asarray(F, float)
-    E = 0.5 * (F.T @ F - _I2)
-    return material.mu * np.trace(E @ E) + 0.5 * material.lam * np.trace(E) ** 2
+    E = _green(np.asarray(F, float))
+    return material.mu * _tr(E @ E) + 0.5 * material.lam * _tr(E) ** 2
 
 
 def first_piola(F, material):
-    """First Piola-Kirchhoff stress for a 2x2 deformation gradient."""
+    """First Piola-Kirchhoff stress for (..., 2, 2) deformation gradients."""
     F = np.asarray(F, float)
     if material.model == STVK:
-        if np.linalg.det(F) <= 0.0:
+        if (np.linalg.det(F) <= 0.0).any():
             raise InvertedElementError("det F <= 0")
-        E = 0.5 * (F.T @ F - _I2)
-        S = 2.0 * material.mu * E + material.lam * np.trace(E) * _I2
-        return F @ S
-    eps = 0.5 * ((F - _I2) + (F - _I2).T)
-    return 2.0 * material.mu * eps + material.lam * np.trace(eps) * _I2
+        return F @ _stress(_green(F), material)
+    return _stress(0.5 * ((F - _I2) + _T(F - _I2)), material)
 
 
 def piola_tangent(F, material, dF):
-    """Directional derivative of first_piola at F in direction dF."""
+    """Directional derivative of first_piola at F in direction dF; the
+    (..., 2, 2) stacks of F and dF broadcast against each other."""
     F = np.asarray(F, float)
     dF = np.asarray(dF, float)
     if material.model == STVK:
-        E = 0.5 * (F.T @ F - _I2)
-        S = 2.0 * material.mu * E + material.lam * np.trace(E) * _I2
-        dE = 0.5 * (F.T @ dF + dF.T @ F)
-        dS = 2.0 * material.mu * dE + material.lam * np.trace(dE) * _I2
-        return dF @ S + F @ dS
-    deps = 0.5 * (dF + dF.T)
-    return 2.0 * material.mu * deps + material.lam * np.trace(deps) * _I2
+        dE = 0.5 * (_T(F) @ dF + _T(dF) @ F)
+        return dF @ _stress(_green(F), material) + F @ _stress(dE, material)
+    return _stress(0.5 * (dF + _T(dF)), material)
 
 
 @dataclass
@@ -171,54 +182,43 @@ def assemble_solid(problem, u_current):
     """Residual vector and analytic tangent at the current displacement.
 
     ``u_current`` is an active dof vector; the residual pairs internal
-    forces against body force, edge tractions and the interface load.
+    forces against body force, edge tractions and the interface load.  All
+    cells of the problem are assembled at once: local arrays are indexed
+    (cell, node a, component i), and the tangent's columns come from the
+    six unit directions dF = e_j (x) grad phi_b per cell.
     """
     mesh = problem.mesh
     mat = problem.material
+    cells = problem.cells
+    nc = len(cells)
     U = np.asarray(u_current, float)
     R = np.zeros(problem.ndof)
     K = SparseSystem(problem.ndof)
 
-    for cell in problem.cells:
-        cell = int(cell)
-        g = mesh.p1_grads[cell]
-        A = mesh.cell_areas[cell]
-        conn = mesh.cells[cell]
-        slots = problem.vmap[conn]
-        dofs = np.column_stack([2 * slots, 2 * slots + 1])  # (3, 2)
-        u_loc = np.column_stack([U[dofs[:, 0]], U[dofs[:, 1]]])
-        gradu = u_loc.T @ g
-        F = _I2 + gradu
-        if mat.model == STVK and np.linalg.det(F) <= 0.0:
-            raise InvertedElementError(f"inverted element: cell {cell}")
-        P = first_piola(F, mat)
-        R_loc = A * (g @ P.T)                 # (a, i)
-        np.add.at(R, dofs.ravel(), R_loc.ravel())
+    G = mesh.p1_grads[cells]                                      # (c, a, j)
+    A = mesh.cell_areas[cells][:, None, None]
+    dofs = 2 * problem.vmap[mesh.cells[cells]][:, :, None] + np.arange(2)
+    F = _I2 + _T(U[dofs]) @ G
+    if mat.model == STVK:
+        bad = np.flatnonzero(np.linalg.det(F) <= 0.0)
+        if len(bad):
+            raise InvertedElementError(f"inverted element: cell {cells[bad[0]]}")
+    np.add.at(R, dofs, A * (G @ _T(first_piola(F, mat))))
 
-        Kloc = np.empty((6, 6))
-        for b in range(3):
-            for j in range(2):
-                dF = np.zeros((2, 2))
-                dF[j, :] = g[b]
-                dP = piola_tangent(F, mat, dF)
-                col = A * (g @ dP.T)          # (a, i)
-                Kloc[:, 2 * b + j] = col.ravel()
-        loc = dofs.ravel()
-        K.add(np.repeat(loc, 6), np.tile(loc, 6), Kloc.ravel())
+    dF = np.zeros((nc, 3, 2, 2, 2))                               # (c, b, j, 2, 2)
+    dF[:, :, 0, 0] = dF[:, :, 1, 1] = G
+    dP = piola_tangent(F[:, None, None], mat, dF)
+    Kloc = A[:, None, None] * (G[:, None, None] @ _T(dP))         # (c, b, j, a, i)
+    loc = dofs.reshape(nc, 6)
+    K.add(np.repeat(loc, 6, axis=1), np.tile(loc, (1, 6)),
+          Kloc.transpose(0, 3, 4, 1, 2).reshape(nc, 36))
 
     # external loads enter the residual with a minus sign
     if problem.body_force is not None:
         lam, w = tri_rule(problem.quad_order)
-        for cell in problem.cells:
-            cell = int(cell)
-            pts = lam @ mesh.cell_points[cell]
-            fv = eval_field(problem.body_force, pts)
-            conn = mesh.cells[cell]
-            slots = problem.vmap[conn]
-            A = mesh.cell_areas[cell]
-            rv = A * np.einsum("q,qa,qi->ai", w, lam, fv)
-            dofs = np.column_stack([2 * slots, 2 * slots + 1])
-            np.add.at(R, dofs.ravel(), -rv.ravel())
+        fv = eval_field(problem.body_force, lam @ mesh.cell_points[cells])
+        fv = fv.reshape(nc, len(w), 2)
+        np.add.at(R, dofs, -(A * np.einsum("q,qa,cqi->cai", w, lam, fv)))
 
     if problem._neumann_edges:
         xs, ws = seg_rule(max(problem.quad_order, 2))
@@ -286,18 +286,10 @@ def p1_mass_matrix(mesh, cells=None):
     if cells is None:
         cells = np.arange(mesh.nc)
     cells = np.asarray(cells, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    for c in cells:
-        conn = mesh.cells[c]
-        M = base * mesh.cell_areas[c]
-        rows.append(np.repeat(conn, 3))
-        cols.append(np.tile(conn, 3))
-        vals.append(M.ravel())
-    if not rows:
-        return sp.csr_matrix((mesh.nv, mesh.nv))
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
+    conn = mesh.cells[cells]
+    M = mesh.cell_areas[cells][:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    return sp.coo_matrix((M.ravel(), (np.repeat(conn, 3, axis=1).ravel(),
+                                      np.tile(conn, (1, 3)).ravel())),
                          shape=(mesh.nv, mesh.nv)).tocsr()
 
 
@@ -310,32 +302,32 @@ def l2_norm(mesh, cells, field_nodal):
     return float(np.sqrt(sum(col @ (M @ col) for col in field_nodal.T)))
 
 
+def _cell_sum(mesh, cells, w, sq):
+    """sqrt of sum_c |T_c| sum_q w_q sq[c, q].  The cells are summed one
+    after the other (a running sum, where np.sum would pair them up), so the
+    norms keep the rounding of a per-cell loop."""
+    per_cell = mesh.cell_areas[cells] * np.sum(w * sq, axis=1)
+    return float(np.sqrt(np.cumsum(np.append(0.0, per_cell))[-1]))
+
+
 def h1_seminorm_error(mesh, cells, field_nodal, exact_grad, order=4):
     """H1 seminorm of (P1 field - exact field) over the given cells."""
+    cells = np.asarray(cells, dtype=np.int64)
     lam, w = tri_rule(order)
-    total = 0.0
-    for c in np.asarray(cells, dtype=np.int64):
-        g = mesh.p1_grads[c]
-        conn = mesh.cells[c]
-        gradu = np.einsum("ai,aj->ij", field_nodal[conn], g)
-        pts = lam @ mesh.cell_points[c]
-        ge = eval_field(exact_grad, pts)
-        diff = gradu[None, :, :] - ge
-        total += mesh.cell_areas[c] * np.sum(w * np.einsum("qij,qij->q", diff, diff))
-    return float(np.sqrt(total))
+    pts = lam @ mesh.cell_points[cells]
+    gradu = np.einsum("cai,caj->cij", field_nodal[mesh.cells[cells]],
+                      mesh.p1_grads[cells])
+    diff = gradu[:, None] - eval_field(exact_grad, pts).reshape(*pts.shape, 2)
+    return _cell_sum(mesh, cells, w, np.einsum("cqij,cqij->cq", diff, diff))
 
 
 def l2_error(mesh, cells, field_nodal, exact, order=4):
     """L2 norm of (P1 field - exact field) over the given cells."""
+    cells = np.asarray(cells, dtype=np.int64)
     lam, w = tri_rule(order)
-    total = 0.0
-    for c in np.asarray(cells, dtype=np.int64):
-        conn = mesh.cells[c]
-        pts = lam @ mesh.cell_points[c]
-        vals = lam @ field_nodal[conn]
-        diff = vals - eval_field(exact, pts)
-        total += mesh.cell_areas[c] * np.sum(w * np.einsum("qi,qi->q", diff, diff))
-    return float(np.sqrt(total))
+    pts = lam @ mesh.cell_points[cells]
+    diff = lam @ field_nodal[mesh.cells[cells]] - eval_field(exact, pts).reshape(pts.shape)
+    return _cell_sum(mesh, cells, w, np.einsum("cqi,cqi->cq", diff, diff))
 
 
 def h1_error(mesh, cells, field_nodal, exact, exact_grad, order=4):

@@ -449,9 +449,8 @@ class FluidSolution:
 
 def solve_stokes(problem, space, topo):
     """Assemble, constrain and solve; Dirichlet values are exact in the result."""
-    sys = assemble(problem, space, topo)
-    constrained = apply_dirichlet(sys)
-    x = solve_direct(constrained)
+    # nested, so the unconstrained system is freed before the factorization
+    x = solve_direct(apply_dirichlet(assemble(problem, space, topo)))
     return FluidSolution(space, x, viscosity=problem.viscosity)
 
 

@@ -4,10 +4,21 @@ Everything here deliberately avoids the production code paths: membership
 is tested per triangle with cross products, intersection areas come from a
 scanline (trapezoid) decomposition, interface splitting from brute-force
 segment-segment intersection, and the single-mesh flow assembler is a
-plain dense textbook implementation.
+plain dense textbook implementation.  The ``*_loop`` functions are the
+per-item forms of batched package kernels: they share the package's
+formulas (the solid loop calls its constitutive laws on single 2x2
+matrices) but none of its batching.
 """
 
 import numpy as np
+
+from olmfsi.geometry import seg_rule, tri_rule
+from olmfsi.linalg import SparseSystem
+from olmfsi.mesh import eval_field
+from olmfsi.solid import (STVK, InvertedElementError, first_piola,
+                          piola_tangent)
+
+_I2 = np.eye(2)
 
 
 def point_in_tri(p, tri, tol=1e-12):
@@ -261,6 +272,77 @@ def classify_loop(background, front, solid_tag, eps_rel=1e-12, rel_tol=1e-9):
         if polys and cls[c] != 1:
             covered[c] = polys
     return cls, covered
+
+
+def assemble_solid_loop(problem, u_current):
+    """Per-cell assembly of the solid residual and tangent: the scalar
+    reference for the batched ``solid.assemble_solid``, with six 2x2
+    ``piola_tangent`` calls per cell and one ``eval_field`` call per cell
+    for the body force."""
+    mesh = problem.mesh
+    mat = problem.material
+    U = np.asarray(u_current, float)
+    R = np.zeros(problem.ndof)
+    K = SparseSystem(problem.ndof)
+
+    for cell in problem.cells:
+        cell = int(cell)
+        g = mesh.p1_grads[cell]
+        A = mesh.cell_areas[cell]
+        conn = mesh.cells[cell]
+        slots = problem.vmap[conn]
+        dofs = np.column_stack([2 * slots, 2 * slots + 1])  # (3, 2)
+        u_loc = np.column_stack([U[dofs[:, 0]], U[dofs[:, 1]]])
+        gradu = u_loc.T @ g
+        F = _I2 + gradu
+        if mat.model == STVK and np.linalg.det(F) <= 0.0:
+            raise InvertedElementError(f"inverted element: cell {cell}")
+        P = first_piola(F, mat)
+        R_loc = A * (g @ P.T)                 # (a, i)
+        np.add.at(R, dofs.ravel(), R_loc.ravel())
+
+        Kloc = np.empty((6, 6))
+        for b in range(3):
+            for j in range(2):
+                dF = np.zeros((2, 2))
+                dF[j, :] = g[b]
+                dP = piola_tangent(F, mat, dF)
+                col = A * (g @ dP.T)          # (a, i)
+                Kloc[:, 2 * b + j] = col.ravel()
+        loc = dofs.ravel()
+        K.add(np.repeat(loc, 6), np.tile(loc, 6), Kloc.ravel())
+
+    # external loads enter the residual with a minus sign
+    if problem.body_force is not None:
+        lam, w = tri_rule(problem.quad_order)
+        for cell in problem.cells:
+            cell = int(cell)
+            pts = lam @ mesh.cell_points[cell]
+            fv = eval_field(problem.body_force, pts)
+            conn = mesh.cells[cell]
+            slots = problem.vmap[conn]
+            A = mesh.cell_areas[cell]
+            rv = A * np.einsum("q,qa,qi->ai", w, lam, fv)
+            dofs = np.column_stack([2 * slots, 2 * slots + 1])
+            np.add.at(R, dofs.ravel(), -rv.ravel())
+
+    if problem._neumann_edges:
+        xs, ws = seg_rule(max(problem.quad_order, 2))
+        for i, j, t in problem._neumann_edges:
+            a, b = mesh.vertices[i], mesh.vertices[j]
+            length = np.hypot(*(b - a))
+            pts = a[None, :] + xs[:, None] * (b - a)[None, :]
+            tv = eval_field(t, pts)
+            lam = np.column_stack([1.0 - xs, xs])
+            for vloc, v in enumerate((i, j)):
+                for c in range(2):
+                    R[2 * problem.vmap[v] + c] -= np.sum(ws * length * lam[:, vloc] * tv[:, c])
+
+    if problem.interface_load is not None:
+        L = problem.gather(np.asarray(problem.interface_load, float))
+        R -= L
+
+    return R, K
 
 
 def adaptive_tri_integral(f, tri, order_rule, tol=1e-10, depth=0):

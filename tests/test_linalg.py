@@ -154,6 +154,17 @@ def test_dirichlet_matches_diagonal_scaling_bitwise():
     assert sys.matrix() is M and M[3, 4] != 0.0   # the input stays unconstrained
 
 
+def test_add_after_elimination_sums_into_eliminated_matrix():
+    A = random_spd(7, seed=13)
+    out = apply_dirichlet(system_from_dense(A, np.ones(7)), [1, 4], [0.5, -2.0])
+    before = out.matrix().toarray()
+    out.add([0, 1, 6, 6], [0, 3, 2, 2], [1.5, -2.0, 0.25, 0.5])
+    extra = np.zeros((7, 7))
+    extra[0, 0], extra[1, 3], extra[6, 2] = 1.5, -2.0, 0.75
+    assert np.array_equal(out.matrix().toarray(), before + extra)
+    assert out.constraints == {1: 0.5, 4: -2.0}
+
+
 def test_dirichlet_conflict_error():
     sys = system_from_dense(np.eye(3))
     sys.set_dirichlet([1], [2.0])

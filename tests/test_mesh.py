@@ -4,7 +4,7 @@ import pytest
 from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
                          build_rect_mesh, element_diameter,
                          p1_gradients, refine_uniform, read_mesh, write_mesh,
-                         locate_points, eval_p1, region_interface_vertices,
+                         locate_points, barycentric, eval_p1, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
 
@@ -148,6 +148,23 @@ def test_locate_points():
         lam = np.linalg.solve(C.T, np.array([1.0, pt[0], pt[1]]))
         assert lam.min() > -1e-10
     assert locate_points(m, np.array([[2.0, 2.0]]))[0] == -1
+
+
+def test_barycentric_over_cells_matches_single_cell_calls():
+    m = build_rect_mesh(5, 4, [(0, 0), (1, 0.8)])
+    pts = np.random.default_rng(3).uniform(-0.2, 1.2, size=(7, 2))
+    cells = np.array([4, 0, 17, 4])
+    lam = barycentric(m, cells, pts)
+    assert lam.shape == (4, 7, 3)
+    for c, lam_c in zip(cells, lam):
+        single = barycentric(m, c, pts)
+        # callers take matmul products of it, whose rounding depends on memory order
+        assert single.flags.c_contiguous and np.array_equal(single, lam_c)
+        assert np.allclose(single @ m.cell_points[c], pts, atol=1e-14)
+    assert barycentric(m, [], pts).shape == (0, 7, 3)
+    # a vertex lies in several closed cells: the lowest-numbered one is returned
+    first = [min(np.flatnonzero((m.cells == v).any(axis=1))) for v in range(m.nv)]
+    assert locate_points(m, m.vertices).tolist() == first
 
 
 def test_mesh_text_roundtrip(tmp_path):

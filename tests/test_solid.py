@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from olmfsi.mesh import build_rect_mesh, LEFT, RIGHT, FLUID, SOLID
+from oracles import assemble_solid_loop
+from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, FLUID, SOLID
 from olmfsi.solid import (Material, SolidProblem, first_piola, piola_tangent,
                           strain_energy, assemble_solid, solve_newton,
                           InvertedElementError, NewtonError, STVK, LINEAR,
-                          p1_mass_matrix, l2_norm)
+                          p1_mass_matrix, l2_norm, l2_error, h1_seminorm_error)
 
 
 MAT1 = Material(STVK, 1.0, 1.0)
@@ -225,3 +226,109 @@ def test_mass_matrix_and_l2_norm():
     # constant vector field (a, b): L2 norm sqrt(a^2 + b^2) over unit area
     fld = np.tile([0.3, -0.4], (mesh.nv, 1))
     assert l2_norm(mesh, np.arange(mesh.nc), fld) == pytest.approx(0.5, abs=1e-12)
+
+
+# -- batched kernels against their per-cell forms ---------------------------------
+
+def _jittered_mesh(nx, ny, top, region_fn=None, seed=8):
+    """Rectangle mesh with moved vertices, so cells differ in shape and area."""
+    m = build_rect_mesh(nx, ny, [(0, 0), top], region_fn=region_fn)
+    h = min(top[0] / nx, top[1] / ny)
+    v = m.vertices + 0.15 * h * np.random.default_rng(seed).uniform(-1, 1, (m.nv, 2))
+    return Mesh(v, m.cells, m.boundary_edges, m.boundary_markers, m.region_tags)
+
+
+def _vec_force(x):
+    return np.column_stack([np.sin(3.0 * x[:, 0]), x[:, 1] ** 2 - 0.2])
+
+
+_vec_force.vectorized = True
+
+
+@pytest.mark.parametrize("model", [STVK, LINEAR])
+@pytest.mark.parametrize("region", [None, SOLID])
+@pytest.mark.parametrize("force", ["vectorized", "pointwise"])
+def test_batched_assembly_matches_per_cell_reference(model, region, force):
+    mesh = _jittered_mesh(7, 6, (1, 0.6), lambda c: SOLID if c[1] > 0.25 else FLUID)
+    rng = np.random.default_rng(4)
+    prob = SolidProblem(
+        mesh, Material.from_young_poisson(10.0, 0.3, model), region_tag=region,
+        body_force=_vec_force if force == "vectorized" else lambda x: _vec_force(x[None])[0],
+        dirichlet={LEFT: zero_g}, neumann={RIGHT: lambda x: np.array([0.1, x[1]])},
+        interface_load=rng.standard_normal((mesh.nv, 2)))
+    assert 0 < len(prob.cells) and len(prob._neumann_edges)
+    U = 0.005 * rng.standard_normal(prob.ndof)
+    R, K = assemble_solid(prob, U)
+    R_ref, K_ref = assemble_solid_loop(prob, U)
+    # same products and sums in the same order: bitwise equal
+    assert np.array_equal(R, R_ref)
+    A, A_ref = K.matrix(), K_ref.matrix()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(A_ref, part))
+
+
+def test_batched_assembly_names_first_inverted_cell():
+    mesh = build_rect_mesh(4, 4, [(0, 0), (1, 1)],
+                           region_fn=lambda c: SOLID if c[0] > 0.25 else FLUID)
+    prob = SolidProblem(mesh, MAT1, region_tag=SOLID)
+    U = np.zeros(prob.ndof)
+    # two vertices pushed across their neighbours invert several cells
+    U[2 * prob.vmap[12]] = -0.6
+    U[2 * prob.vmap[8] + 1] = 0.7
+    with pytest.raises(InvertedElementError) as ref:
+        assemble_solid_loop(prob, U)
+    with pytest.raises(InvertedElementError) as got:
+        assemble_solid(prob, U)
+    assert str(got.value) == str(ref.value)
+    assert int(str(ref.value).split()[-1]) != int(prob.cells[0])
+
+
+def test_stacked_constitutive_laws_match_2x2_calls_bitwise():
+    rng = np.random.default_rng(6)
+    F = np.eye(2) + 0.1 * rng.standard_normal((20, 2, 2))
+    dF = rng.standard_normal((20, 6, 2, 2))
+    for mat in (MAT1, Material.from_young_poisson(10.0, 0.3),
+                Material(LINEAR, 2.0, 3.0)):
+        P = first_piola(F, mat)
+        dP = piola_tangent(F[:, None], mat, dF)
+        assert P.shape == (20, 2, 2) and dP.shape == (20, 6, 2, 2)
+        for c in range(20):
+            assert np.array_equal(P[c], first_piola(F[c], mat))
+            for k in range(6):
+                assert np.array_equal(dP[c, k], piola_tangent(F[c], mat, dF[c, k]))
+        if mat.model == STVK:
+            W = strain_energy(F, mat)
+            assert all(W[c] == strain_energy(F[c], mat) for c in range(20))
+    F[7] = np.diag([-1.0, 1.0])
+    with pytest.raises(InvertedElementError):
+        first_piola(F, MAT1)
+
+
+@pytest.mark.parametrize("force", [None, _vec_force, lambda x: np.array([0.0, 1.0])])
+def test_assembly_on_empty_region(force):
+    mesh = build_rect_mesh(3, 2, [(0, 0), (1, 1)], region_fn=lambda c: FLUID)
+    prob = SolidProblem(mesh, MAT1, region_tag=SOLID, body_force=force)
+    assert len(prob.cells) == 0
+    R, K = assemble_solid(prob, np.zeros(prob.ndof))
+    assert R.shape == (0,) and K.n == 0 and K.matrix().nnz == 0
+
+
+def test_batched_error_norms_sum_over_cells():
+    mesh = _jittered_mesh(5, 4, (1, 0.8))
+    rng = np.random.default_rng(7)
+    fld = rng.standard_normal((mesh.nv, 2))
+    cells = np.arange(3, mesh.nc, 2)
+    exact = lambda x: np.array([np.cos(x[0]), x[0] * x[1]])
+    grad = lambda x: np.array([[-np.sin(x[0]), 0.0], [x[1], x[0]]])
+    for err, fn in ((l2_error, exact), (h1_seminorm_error, grad)):
+        whole = err(mesh, cells, fld, fn) ** 2
+        parts = sum(err(mesh, [c], fld, fn) ** 2 for c in cells)
+        assert whole == pytest.approx(parts, rel=1e-13)
+    # P1 fields are integrated exactly by the order-4 rule and the mass matrix
+    zero = lambda x: np.zeros(2)
+    assert l2_error(mesh, cells, fld, zero) == pytest.approx(
+        l2_norm(mesh, cells, fld), rel=1e-13)
+    M = p1_mass_matrix(mesh, cells).toarray()
+    parts = sum(p1_mass_matrix(mesh, [c]).toarray() for c in cells)
+    assert np.abs(M - parts).max() <= 1e-15 * np.abs(parts).max()
+    assert p1_mass_matrix(mesh, []).shape == (mesh.nv, mesh.nv)

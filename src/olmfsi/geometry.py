@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, SOLID, barycentric
+from .mesh import Mesh, SOLID, containing_cells
 
 
 class GeometryError(RuntimeError):
@@ -86,12 +86,13 @@ EMPTY_RULE = QuadRule(np.zeros((0, 2)), np.zeros(0))
 
 
 def triangle_rule(pts, order):
-    """Rule on a physical triangle given its three vertices."""
+    """Rule on a physical triangle given its three vertices (3, 2); a stack
+    of triangles (c, 3, 2) gives points (c, nq, 2) and weights (c, nq)."""
     lam, w = tri_rule(order)
     pts = np.asarray(pts, float)
-    area = 0.5 * abs((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-                     - (pts[1, 1] - pts[0, 1]) * (pts[2, 0] - pts[0, 0]))
-    return QuadRule(lam @ pts, w * area)
+    area = 0.5 * np.abs((pts[..., 1, 0] - pts[..., 0, 0]) * (pts[..., 2, 1] - pts[..., 0, 1])
+                        - (pts[..., 1, 1] - pts[..., 0, 1]) * (pts[..., 2, 0] - pts[..., 0, 0]))
+    return QuadRule(lam @ pts, w * area[..., None])
 
 
 def polygon_rule(poly, order):
@@ -410,39 +411,45 @@ def _front_boundary_edges(front, ff_markers, skip_region=None):
     return out
 
 
-def _bg_point_cells(background, grid, pt, tol=1e-9):
-    """Background cells whose closure contains a point (with relative tol)."""
-    cands = grid.query(pt, pt)
-    inside = (barycentric(background, cands, pt[None]) >= -tol).all(axis=(1, 2))
-    return [c for c, ok in zip(cands, inside) if ok]
+def _cell_intervals(a, b, mesh, min_len):
+    """Per segment [a[i], b[i]], the (t0, t1, cell) of the mesh cells it
+    runs through for more than min_len in parameter, by ascending cell; one
+    grid query for all segments."""
+    seg, cand = mesh.cell_grid.query_boxes(np.minimum(a, b), np.maximum(a, b))
+    out = [[] for _ in range(len(a))]
+    for i, c in zip(seg.tolist(), cand.tolist()):
+        iv = _segment_cell_interval(a[i], b[i] - a[i], mesh.cell_points[c])
+        if iv is not None and iv[1] - iv[0] > min_len:
+            out[i].append((iv[0], iv[1], c))
+    return out
 
 
-def _split_segment(a, b, normal, background, grid):
-    """Pieces (t0, t1, side) of segment [a, b] cut at background cell edges.
+def _split_segments(a, b, normal, background):
+    """Pieces (t0, t1, side) of each segment [a[i], b[i]] (stacked (E, 2))
+    cut at background cell edges.
 
     ``side`` lists the background cells containing the point 1e-7 h off the
-    piece midpoint along ``normal``; it is empty for pieces outside the
+    piece midpoint along ``normal[i]``; it is empty for pieces outside the
     background mesh or on its outer boundary.
     """
-    d = b - a
-    intervals = []
-    for c in grid.query(np.minimum(a, b), np.maximum(a, b)):
-        iv = _segment_cell_interval(a, d, background.cell_points[c])
-        if iv is not None and iv[1] - iv[0] > EPS_GEOM:
-            intervals.append((iv[0], iv[1], c))
-    cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
-    pieces = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 - t0 <= 1e-12:
-            continue
-        tm = 0.5 * (t0 + t1)
-        inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
-        side = []
-        if inside:
-            eps_n = 1e-7 * background.cell_diameters[inside[0]]
-            side = _bg_point_cells(background, grid, a + tm * d + eps_n * normal)
-        pieces.append((t0, t1, side))
-    return pieces
+    pieces, probes = [], []
+    for i, intervals in enumerate(_cell_intervals(a, b, background, EPS_GEOM)):
+        d = b[i] - a[i]
+        cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
+        seg_pieces = []
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if t1 - t0 <= 1e-12:
+                continue
+            tm = 0.5 * (t0 + t1)
+            inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
+            if inside:
+                eps_n = 1e-7 * background.cell_diameters[inside[0]]
+                probes.append(a[i] + tm * d + eps_n * normal[i])
+            seg_pieces.append((t0, t1, len(probes) - 1 if inside else None))
+        pieces.append(seg_pieces)
+    side = containing_cells(background, np.array(probes).reshape(-1, 2), 1e-9)
+    return [[(t0, t1, [] if k is None else side[k]) for t0, t1, k in seg_pieces]
+            for seg_pieces in pieces]
 
 
 def interface_quadrature(front, background, topo, order=2, ff_markers=None,
@@ -457,15 +464,18 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     side, which must belong to the reduced mesh, plus the front parent,
     the outward normal of the front domain and a 1D Gauss rule.
     """
-    grid = background.cell_grid
     reduced = topo.reduced_mask
     xs, ws = seg_rule(order)
     segments = []
-    for a, b, front_cell, normal in _front_boundary_edges(front, ff_markers,
-                                                          skip_region):
+    edges = _front_boundary_edges(front, ff_markers, skip_region)
+    if not edges:
+        return segments
+    starts, ends, _, normals = (np.array(col) for col in zip(*edges))
+    for (a, b, front_cell, normal), pieces in zip(
+            edges, _split_segments(starts, ends, normals, background)):
         d = b - a
         length = np.hypot(*d)
-        for t0, t1, side in _split_segment(a, b, normal, background, grid):
+        for t0, t1, side in pieces:
             if not side:
                 continue  # outside the background mesh or on its boundary
             parents = [c for c in side if reduced[c]]
@@ -522,57 +532,55 @@ def build_topology(background, front, order=2, ff_markers=None,
 
 def exterior_intervals_on_segment(a, b, n_out, background):
     """Sub-intervals of a front boundary edge that face the outside of the
-    background mesh (the complement of the Nitsche-coupled pieces)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    n_out = np.asarray(n_out, float)
+    background mesh (the complement of the Nitsche-coupled pieces).  Stacked
+    edges (E, 2) give one list per edge."""
+    a, b, n_out = (np.asarray(v, float) for v in (a, b, n_out))
     out = []
-    for t0, t1, side in _split_segment(a, b, n_out, background,
-                                       background.cell_grid):
-        if side:
-            continue
-        if out and abs(out[-1][1] - t0) <= 1e-12:
-            out[-1] = (out[-1][0], t1)
-        else:
-            out.append((t0, t1))
-    return out
+    for pieces in _split_segments(np.atleast_2d(a), np.atleast_2d(b),
+                                  np.atleast_2d(n_out), background):
+        merged = []
+        for t0, t1, side in pieces:
+            if side:
+                continue
+            if merged and abs(merged[-1][1] - t0) <= 1e-12:
+                merged[-1] = (merged[-1][0], t1)
+            else:
+                merged.append((t0, t1))
+        out.append(merged)
+    return out if a.ndim == 2 else out[0]
 
 
 def covered_intervals_on_segment(a, b, front):
     """Merged parameter intervals of segment [a, b] covered by the front mesh.
 
     Used to restrict boundary integrals on background edges to their
-    physical (uncovered) part.
+    physical (uncovered) part.  Stacked segments (E, 2) give one list per
+    segment.
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    d = b - a
-    iv = []
-    for k in front.cell_grid.query(np.minimum(a, b), np.maximum(a, b)):
-        r = _segment_cell_interval(a, d, front.cell_points[k])
-        if r is not None and r[1] - r[0] > 1e-12:
-            iv.append(r)
-    if not iv:
-        return []
-    iv.sort()
-    merged = [list(iv[0])]
-    for t0, t1 in iv[1:]:
-        if t0 <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], t1)
-        else:
-            merged.append([t0, t1])
-    return [(t0, t1) for t0, t1 in merged]
+    out = []
+    for ivs in _cell_intervals(np.atleast_2d(a), np.atleast_2d(b), front, 1e-12):
+        merged = []
+        for t0, t1, _ in sorted(ivs):
+            if merged and t0 <= merged[-1][1] + 1e-12:
+                merged[-1][1] = max(merged[-1][1], t1)
+            else:
+                merged.append([t0, t1])
+        out.append([(t0, t1) for t0, t1 in merged])
+    return out if a.ndim == 2 else out[0]
 
 
 def uncovered_intervals_on_segment(a, b, front):
     """Complement of covered_intervals_on_segment within [0, 1]."""
-    covered = covered_intervals_on_segment(a, b, front)
     out = []
-    t = 0.0
-    for t0, t1 in covered:
-        if t0 > t + 1e-12:
-            out.append((t, t0))
-        t = max(t, t1)
-    if t < 1.0 - 1e-12:
-        out.append((t, 1.0))
-    return out
+    for covered in covered_intervals_on_segment(np.atleast_2d(a), np.atleast_2d(b), front):
+        pieces, t = [], 0.0
+        for t0, t1 in covered:
+            if t0 > t + 1e-12:
+                pieces.append((t, t0))
+            t = max(t, t1)
+        if t < 1.0 - 1e-12:
+            pieces.append((t, 1.0))
+        out.append(pieces)
+    return out if np.ndim(a) == 2 else out[0]

@@ -85,10 +85,6 @@ class CellGrid:
         key = np.unique(box[slot] * self.nc + self.cells[first[slot] + off])
         return key // max(self.nc, 1), key % max(self.nc, 1)
 
-    def query(self, lo, hi):
-        """Cells whose bounding box may meet the box [lo, hi], ascending."""
-        return self.query_boxes(lo, hi)[1].tolist()
-
 
 class Mesh:
     """Immutable triangle mesh with boundary markers and cell region tags.
@@ -386,29 +382,34 @@ def refine_uniform(mesh):
 # -- point location / field evaluation ----------------------------------
 
 
-def locate_points(mesh, points, tol=1e-10):
-    """Containing cell index for each point (-1 if outside).
-
-    Uses the mesh's cached bucket grid, so repeated queries are cheap.
-    """
-    points = np.atleast_2d(np.asarray(points, float))
-    grid = mesh.cell_grid
-    out = np.full(len(points), -1, dtype=np.int64)
-    for ip, pt in enumerate(points):
-        cands = grid.query(pt, pt)
-        hit = np.flatnonzero((barycentric(mesh, cands, pt[None]) >= -tol).all(axis=(1, 2)))
-        if len(hit):
-            out[ip] = cands[hit[0]]
+def containing_cells(mesh, points, tol=1e-10):
+    """Per point (n, 2), the cells whose closure contains it (barycentric
+    coordinates >= -tol), ascending; one query of the cached bucket grid
+    for all points."""
+    k, cand = mesh.cell_grid.query_boxes(points, points)
+    inside = (barycentric(mesh, cand, points[k][:, None]) >= -tol).all(axis=(1, 2))
+    out = [[] for _ in range(len(points))]
+    for i, c in zip(k[inside].tolist(), cand[inside].tolist()):
+        out[i].append(c)
     return out
+
+
+def locate_points(mesh, points, tol=1e-10):
+    """Containing cell index for each point (-1 if outside); the lowest
+    numbered one where several cells contain it."""
+    points = np.atleast_2d(np.asarray(points, float))
+    return np.array([cells[0] if cells else -1
+                     for cells in containing_cells(mesh, points, tol)], dtype=np.int64)
 
 
 def barycentric(mesh, cell, pts):
     """Barycentric coordinates of (n, 2) points w.r.t. one cell, (n, 3), or
-    w.r.t. each of an array of cells, (m, n, 3)."""
+    w.r.t. each of an array of m cells, (m, n, 3).  With per-cell points
+    (m, n, 2), cell i takes the points pts[i]."""
     p = mesh.cell_points[cell][..., None, :, :]
     pa, pb = p[..., [1, 2, 0], :], p[..., [2, 0, 1], :]       # (..., 1, 3, 2)
-    lam = ((pb[..., 0] - pa[..., 0]) * (pts[:, 1, None] - pa[..., 1])
-           - (pb[..., 1] - pa[..., 1]) * (pts[:, 0, None] - pa[..., 0]))
+    lam = ((pb[..., 0] - pa[..., 0]) * (pts[..., 1, None] - pa[..., 1])
+           - (pb[..., 1] - pa[..., 1]) * (pts[..., 0, None] - pa[..., 0]))
     return lam / (2.0 * np.asarray(mesh.cell_areas[cell]))[..., None, None]
 
 

@@ -185,6 +185,16 @@ class AssemblyError(RuntimeError):
     pass
 
 
+def _block(rows, cols, vals):
+    """Triplets (S, a * b) of per-item blocks vals (S, a, b) on row dofs
+    (S, a) and column dofs (S, b), row-major within an item.  Several blocks
+    are added in one call as ``map(np.hstack, zip(*blocks))``: item-major,
+    then block by block, the order of a per-item loop, so the CSR sums
+    duplicate entries in the same order."""
+    return (np.repeat(rows, cols.shape[1], axis=1),
+            np.tile(cols, (1, rows.shape[1])), vals.reshape(len(vals), -1))
+
+
 def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
                             delta, f, order):
     """Vectorized P1-P1 Stokes volume terms over full (uncut) cells."""
@@ -201,23 +211,17 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
 
     M = nu_a * A[:, None, None] * np.einsum("cad,cbd->cab", G, G)
     for comp in range(2):
-        r = np.repeat(udof[:, :, comp], 3, axis=1)
-        c = np.tile(udof[:, :, comp], (1, 3))
-        sys.add(r, c, M.reshape(len(cells), 9))
+        sys.add(*_block(udof[..., comp], udof[..., comp], M))
 
     # b(v, p) = -(div v, q): integral of lambda_b is A/3
     Bv = -(A[:, None, None] / 3.0) * G  # (nc, a, i) for every pressure b
     for comp in range(2):
-        vals = np.repeat(Bv[:, :, comp], 3, axis=1)           # (nc, 9) a-major
-        r = np.repeat(udof[:, :, comp], 3, axis=1)
-        c = np.tile(pdof, (1, 3))
-        sys.add(r, c, vals)
-        sys.add(c, r, vals)
+        r, c, v = _block(udof[..., comp], pdof, np.repeat(Bv[..., comp, None], 3, axis=2))
+        sys.add(r, c, v)
+        sys.add(c, r, v)
 
     J = -(delta * h2 * A)[:, None, None] * np.einsum("cad,cbd->cab", G, G)
-    r = np.repeat(pdof, 3, axis=1)
-    c = np.tile(pdof, (1, 3))
-    sys.add(r, c, J.reshape(len(cells), 9))
+    sys.add(*_block(pdof, pdof, J))
 
     if f is not None:
         lam, w = tri_rule(order)
@@ -231,111 +235,122 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
         sys.add_rhs(pdof.ravel(), rq.ravel())
 
 
-def _cut_cell_terms(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a, delta,
+def _stack_rules(rules):
+    """Point counts, concatenated points and weights of the rules, and per
+    count n > 0 the rows of the rules with n points and their point indices
+    (g, n).  A stacked matmul over one group makes each rule's BLAS call."""
+    nq = np.array([len(r.weights) for r in rules], dtype=np.int64)
+    start = np.cumsum(nq) - nq
+    groups = []
+    for n in np.unique(nq[nq > 0]):
+        rows = np.flatnonzero(nq == n)
+        groups.append((rows, start[rows][:, None] + np.arange(n)))
+    return (nq, np.concatenate([np.zeros((0, 2))] + [r.points for r in rules]),
+            np.concatenate([np.zeros(0)] + [r.weights for r in rules]), groups)
+
+
+def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
                     f, jh_extension, order):
-    """Volume terms on one partially covered background cell."""
-    g = mesh.p1_grads[cell]
-    conn = mesh.cells[cell]
-    slot = vmap[conn]
-    udof = u_base + 2 * slot[:, None] + np.arange(2)[None, :]
+    """Volume terms on partially covered background cells, one rule each."""
+    if len(cells) == 0:
+        return
+    g = mesh.p1_grads[cells]
+    slot = vmap[mesh.cells[cells]]
+    udof = u_base + 2 * slot[:, :, None] + np.arange(2)
     pdof = p_base + slot
-    W = rule.total
-    lam = _bary(mesh, cell, rule.points) if len(rule.points) else np.zeros((0, 3))
+    W = np.array([r.total for r in rules])
+    nq, pts, wts, groups = _stack_rules(rules)
+    lam = np.empty((len(pts), 3))
+    int_lam = np.zeros((len(cells), 3))
+    for rows, idx in groups:
+        lam[idx] = _bary(mesh, cells[rows], pts[idx])
+        int_lam[rows] = (wts[idx][:, None] @ lam[idx])[:, 0]
 
-    M = nu_a * W * (g @ g.T)
+    gg = g @ g.transpose(0, 2, 1)
+    h2 = mesh.cell_diameters[cells] ** 2
+    area_j = mesh.cell_areas[cells] if jh_extension else W
+    trip = [_block(udof[..., comp], udof[..., comp], (nu_a * W)[:, None, None] * gg)
+            for comp in range(2)]
     for comp in range(2):
-        r = np.repeat(udof[:, comp], 3)
-        c = np.tile(udof[:, comp], 3)
-        sys.add(r, c, M.ravel())
+        # -(div v, q) with int lambda_b over the cut region
+        r, c, v = _block(udof[..., comp], pdof, -(g[:, :, comp, None] * int_lam[:, None]))
+        trip += [(r, c, v), (c, r, v)]
+    trip.append(_block(pdof, pdof, (-delta * h2 * area_j)[:, None, None] * gg))
+    sys.add(*map(np.hstack, zip(*trip)))
 
-    # -(div v, q) with int lambda_b over the cut region
-    int_lam = rule.weights @ lam if len(rule.points) else np.zeros(3)
-    for comp in range(2):
-        vals = -np.outer(g[:, comp], int_lam)
-        r = np.repeat(udof[:, comp], 3)
-        c = np.tile(pdof, 3)
-        sys.add(r, c, vals.ravel())
-        sys.add(c, r, vals.ravel())
-
-    h2 = mesh.cell_diameters[cell] ** 2
-    area_j = mesh.cell_areas[cell] if jh_extension else W
-    J = -delta * h2 * area_j * (g @ g.T)
-    sys.add(np.repeat(pdof, 3), np.tile(pdof, 3), J.ravel())
-
-    if f is not None:
-        if len(rule.points):
-            fv = _eval_vec(f, rule.points)
-            rv = np.einsum("q,qa,qi->ai", rule.weights, lam, fv)
-            sys.add_rhs(udof.ravel(), rv.ravel())
-        # rhs stabilization matches the j-term region
-        if jh_extension:
-            frule = triangle_rule(mesh.cell_points[cell], order)
-            fpts, fw = frule.points, frule.weights
-        else:
-            fpts, fw = rule.points, rule.weights
-        if len(fpts):
-            fv = _eval_vec(f, fpts)
-            rq = -delta * h2 * np.einsum("q,qi,ai->a", fw, fv, g)
-            sys.add_rhs(pdof, rq)
+    if f is None:
+        return
+    fv = _eval_vec(f, pts).reshape(-1, 2) if len(pts) else None
+    rv = np.zeros((len(cells), 3, 2))
+    rq = np.zeros((len(cells), 3))
+    for rows, idx in groups:
+        rv[rows] = np.einsum("cq,cqa,cqi->cai", wts[idx], lam[idx], fv[idx])
+        rq[rows] = np.einsum("cq,cqi,cai->ca", wts[idx], fv[idx], g[rows])
+    has = nq > 0
+    sys.add_rhs(udof[has].ravel(), rv[has].ravel())
+    # rhs stabilization matches the j-term region
+    if jh_extension:
+        full = triangle_rule(mesh.cell_points[cells], order)
+        fv = _eval_vec(f, full.points).reshape(len(cells), -1, 2)
+        rq = np.einsum("cq,cqi,cai->ca", full.weights, fv, g)
+    has |= jh_extension
+    sys.add_rhs(pdof[has].ravel(), ((-delta * h2)[:, None] * rq)[has].ravel())
 
 
 def _interface_terms(sys, space, problem, segments):
+    if not segments:
+        return
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     a1, a2 = problem.alpha
     bg, fr = space.background, space.front
-    for s in segments:
-        gT = bg.p1_grads[s.bg_cell]
-        gK = fr.p1_grads[s.front_cell]
-        lamT = _bary(bg, s.bg_cell, s.points)
-        lamK = _bary(fr, s.front_cell, s.points)
-        n = s.normal
-        w = s.weights
-        h = bg.cell_diameters[s.bg_cell]
+    T, K = np.array([(s.bg_cell, s.front_cell) for s in segments]).T
+    pts = np.stack([s.points for s in segments])              # (S, nq, 2)
+    w = np.stack([s.weights for s in segments])
+    n = np.stack([s.normal for s in segments])
+    gT, gK = bg.p1_grads[T], fr.p1_grads[K]
+    lamT, lamK = _bary(bg, T, pts), _bary(fr, K, pts)
+    h = bg.cell_diameters[T]
+    slotT = space.bg_vmap[bg.cells[T]]
+    slotK = space.fr_vmap[fr.cells[K]]
+    udofs = [np.hstack([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
+             for c in range(2)]
+    pdofs = np.hstack([space.offset_p1 + slotT, space.offset_p2 + slotK])
 
-        connT = bg.cells[s.bg_cell]
-        connK = fr.cells[s.front_cell]
-        slotT = space.bg_vmap[connT]
-        slotK = space.fr_vmap[connK]
-        udofs = [np.concatenate([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
-                 for c in range(2)]
-        pdofs = np.concatenate([space.offset_p1 + slotT, space.offset_p2 + slotK])
+    # jump = front - background ; mean = a1*background + a2*front
+    jco = np.concatenate([-lamT, lamK], axis=2)                # (S, nq, 6)
+    mco = np.hstack([a1 * (gT @ n[..., None])[..., 0],
+                     a2 * (gK @ n[..., None])[..., 0]])        # (S, 6)
+    mp = np.concatenate([a1 * lamT, a2 * lamK], axis=2)        # (S, nq, 6)
 
-        # jump = front - background ; mean = a1*background + a2*front
-        jco = np.hstack([-lamT, lamK])                       # (nq, 6)
-        mco = np.concatenate([a1 * (gT @ n), a2 * (gK @ n)])  # (6,)
-        mp = np.hstack([a1 * lamT, a2 * lamK])               # (nq, 6)
+    jw = (w[:, None] @ jco)[:, 0]                              # (S, 6)
+    jTw = jco.transpose(0, 2, 1) * w[:, None]                  # (S, 6, nq)
+    pen = ((problem.gamma * nu_a / h)[:, None, None] * jTw) @ jco
+    consist = -nu_a * (jw[:, :, None] * mco[:, None] + mco[:, :, None] * jw[:, None])
+    Avv = pen + consist
+    Bjp = jTw @ mp                                             # jump x mean
 
-        jw = w @ jco                                          # (6,)
-        pen = (problem.gamma * nu_a / h) * (jco.T * w) @ jco
-        consist = -nu_a * (np.outer(jw, mco) + np.outer(mco, jw))
-        Avv = pen + consist
-        Bjp = (jco.T * w) @ mp                                # (6, 6) jump x mean
-
-        for comp in range(2):
-            r = np.repeat(udofs[comp], 6)
-            c = np.tile(udofs[comp], 6)
-            sys.add(r, c, Avv.ravel())
-            bv = n[comp] * Bjp
-            r = np.repeat(udofs[comp], 6)
-            c = np.tile(pdofs, 6)
-            sys.add(r, c, bv.ravel())
-            sys.add(c, r, bv.ravel())
+    trip = []
+    for comp in range(2):
+        trip.append(_block(udofs[comp], udofs[comp], Avv))
+        r, c, v = _block(udofs[comp], pdofs, n[:, comp, None, None] * Bjp)
+        trip += [(r, c, v), (c, r, v)]
+    sys.add(*map(np.hstack, zip(*trip)))
 
 
 def _overlap_terms(sys, space, problem, pairs):
+    if not pairs:
+        return
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     bg, fr = space.background, space.front
-    for p in pairs:
-        gT = bg.p1_grads[p.bg_cell]
-        gK = fr.p1_grads[p.front_cell]
-        slotT = space.bg_vmap[bg.cells[p.bg_cell]]
-        slotK = space.fr_vmap[fr.cells[p.front_cell]]
-        G = np.vstack([gT, -gK])                              # jump gradient
-        M = nu_a * p.rule.total * (G @ G.T)
-        for comp in range(2):
-            dofs = np.concatenate([2 * slotT + comp,
-                                   space.offset_u2 + 2 * slotK + comp])
-            sys.add(np.repeat(dofs, 6), np.tile(dofs, 6), M.ravel())
+    T, K = np.array([(p.bg_cell, p.front_cell) for p in pairs]).T
+    W = np.array([p.rule.total for p in pairs])
+    slotT = space.bg_vmap[bg.cells[T]]
+    slotK = space.fr_vmap[fr.cells[K]]
+    G = np.concatenate([bg.p1_grads[T], -fr.p1_grads[K]], axis=1)   # jump gradient
+    M = (nu_a * W)[:, None, None] * (G @ G.transpose(0, 2, 1))
+    dofs = [np.hstack([2 * slotT + comp, space.offset_u2 + 2 * slotK + comp])
+            for comp in range(2)]
+    sys.add(*map(np.hstack, zip(*[_block(d, d, M) for d in dofs])))
 
 
 def _neumann_terms(sys, space, problem):
@@ -351,33 +366,36 @@ def _neumann_terms(sys, space, problem):
         mesh = space.background if mesh_id == BG else space.front
         vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
         base = 0 if mesh_id == BG else space.offset_u2
-        for e, ((i, j), m) in enumerate(zip(mesh.boundary_edges,
-                                            mesh.boundary_markers)):
-            if int(m) != marker:
-                continue
-            if vmap[i] < 0 or vmap[j] < 0:
-                continue
-            a, b = mesh.vertices[i], mesh.vertices[j]
-            _, n = mesh.boundary_normal(e)
-            if mesh_id == BG:
-                pieces = uncovered_intervals_on_segment(a, b, space.front)
-            else:
-                # keep only pieces on the true union boundary: parts of a
-                # front edge that drifted into the background interior are
-                # Nitsche-coupled instead
-                pieces = exterior_intervals_on_segment(a, b, n, space.background)
-            ev = b - a
+        ij = mesh.boundary_edges
+        edges = np.flatnonzero((mesh.boundary_markers == marker)
+                               & (vmap[ij] >= 0).all(axis=1))
+        if len(edges) == 0:
+            continue
+        a, b = mesh.vertices[ij[edges, 0]], mesh.vertices[ij[edges, 1]]
+        normals = np.array([mesh.boundary_normal(e)[1] for e in edges])
+        if mesh_id == BG:
+            pieces = uncovered_intervals_on_segment(a, b, space.front)
+        else:
+            # keep only pieces on the true union boundary: parts of a
+            # front edge that drifted into the background interior are
+            # Nitsche-coupled instead
+            pieces = exterior_intervals_on_segment(a, b, normals, space.background)
+        dofs, loads = [], []
+        for e, a_e, ev, n, edge_pieces in zip(edges, a, b - a, normals, pieces):
             length = np.hypot(*ev)
-            for t0, t1 in pieces:
+            vdofs = base + 2 * vmap[ij[e]][:, None] + np.arange(2)
+            for t0, t1 in edge_pieces:
                 ts = t0 + xs * (t1 - t0)
-                pts = a[None, :] + ts[:, None] * ev[None, :]
+                pts = a_e + ts[:, None] * ev
                 w = ws * (t1 - t0) * length
                 tv = np.asarray(traction(pts, n), float).reshape(-1, 2)
                 lam = np.column_stack([1.0 - ts, ts])  # hats of i, j
-                for vloc, v in enumerate((i, j)):
-                    for comp in range(2):
-                        sys.add_rhs([base + 2 * vmap[v] + comp],
-                                    [np.sum(w * lam[:, vloc] * tv[:, comp])])
+                # (vertex, component, point): each load sums its own row
+                terms = (w[:, None] * lam)[:, :, None] * tv[:, None]
+                loads.append(np.sum(np.ascontiguousarray(terms.transpose(1, 2, 0)), axis=2))
+                dofs.append(vdofs)
+        if dofs:
+            sys.add_rhs(np.concatenate(dofs), np.concatenate(loads))
 
 
 def assemble(problem, space, topo):
@@ -397,13 +415,13 @@ def assemble(problem, space, topo):
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
                             space.offset_p1, nu_a, problem.delta, f, order)
     # partially covered cells: physical terms with cut rules
-    for c in topo.class_partial:
-        c = int(c)
-        rule = topo.cut_rules.get(c)
+    rules = [topo.cut_rules.get(int(c)) for c in topo.class_partial]
+    for c, rule in zip(topo.class_partial, rules):
         if rule is None:
             raise AssemblyError(f"missing cut rule for partial cell {c}")
-        _cut_cell_terms(sys, bg, c, rule, space.bg_vmap, 0, space.offset_p1,
-                        nu_a, problem.delta, f, problem.jh_extension, order)
+    _cut_cell_terms(sys, bg, topo.class_partial, rules, space.bg_vmap, 0,
+                    space.offset_p1, nu_a, problem.delta, f,
+                    problem.jh_extension, order)
     # front fluid cells: full rules
     _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
                             space.offset_u2, space.offset_p2, nu_a,
@@ -466,38 +484,47 @@ def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
     space = solution.space
     if mean_shift is None:
         mean_shift = space.pin_dof is not None
-    bg, fr = space.background, space.front
-    u_bg, p_bg = solution.velocity(BG), solution.pressure(BG)
-    u_fr, p_fr = solution.velocity(FRONT), solution.pressure(FRONT)
+    on_bg = (space.background, solution.velocity(BG), solution.pressure(BG))
+    on_fr = (space.front, solution.velocity(FRONT), solution.pressure(FRONT))
 
-    acc = np.zeros(4)  # grad err^2, p err^2, p err, area
+    def fields(pts):
+        shape = pts.shape[:-1]
+        return (_eval_vec(exact_grad_u, pts).reshape(*shape, 2, 2),
+                _eval_vec(exact_p, pts).reshape(shape))
 
-    def cell_contrib(mesh, cell, u_nodal, p_nodal, rule):
-        if len(rule.points) == 0:
-            return
-        g = mesh.p1_grads[cell]
-        conn = mesh.cells[cell]
-        gradu = np.einsum("ai,aj->ij", u_nodal[conn], g)
-        lam = _bary(mesh, cell, rule.points)
-        ph = lam @ p_nodal[conn]
-        ge = _eval_vec(exact_grad_u, rule.points)
-        pe = _eval_vec(exact_p, rule.points).reshape(-1)
-        diff = gradu[None, :, :] - ge
-        acc[0] += np.sum(rule.weights * np.einsum("qij,qij->q", diff, diff))
-        dp = ph - pe
-        acc[1] += np.sum(rule.weights * dp * dp)
-        acc[2] += np.sum(rule.weights * dp)
-        acc[3] += rule.total
+    def sums(side, cells, pts, w, ge, pe):
+        """Per-cell (grad err^2, p err^2, p err, weight) sums of rules with
+        one point count: points (c, q, 2), weights (c, q), exact fields
+        there.  Each row sums on its own, as np.sum of one cell's rule."""
+        mesh, u_nodal, p_nodal = side
+        conn = mesh.cells[cells]
+        gradu = np.einsum("cai,caj->cij", u_nodal[conn], mesh.p1_grads[cells])
+        dp = (_bary(mesh, cells, pts) @ p_nodal[conn][..., None])[..., 0] - pe
+        diff = gradu[:, None] - ge
+        return np.column_stack([
+            np.sum(w * np.einsum("cqij,cqij->cq", diff, diff), axis=1),
+            np.sum(w * dp * dp, axis=1), np.sum(w * dp, axis=1), np.sum(w, axis=1)])
 
-    for c in topo.class_not:
-        cell_contrib(bg, int(c), u_bg, p_bg,
-                     triangle_rule(bg.cell_points[int(c)], order))
-    for c in topo.class_partial:
-        cell_contrib(bg, int(c), u_bg, p_bg, topo.physical_rule(int(c), order))
-    for c in space.fluid_cells:
-        cell_contrib(fr, int(c), u_fr, p_fr,
-                     triangle_rule(fr.cell_points[int(c)], order))
+    def full_cells(side, cells):
+        if len(cells) == 0:
+            return np.zeros((0, 4))
+        rule = triangle_rule(side[0].cell_points[cells], order)
+        return sums(side, cells, rule.points, rule.weights, *fields(rule.points))
 
+    partial = topo.class_partial
+    nq, pts, wts, groups = _stack_rules([topo.physical_rule(int(c), order)
+                                         for c in partial])
+    part = np.zeros((len(partial), 4))
+    if len(pts):
+        ge, pe = fields(pts)
+        for rows, idx in groups:
+            part[rows] = sums(on_bg, partial[rows], pts[idx], wts[idx], ge[idx], pe[idx])
+
+    # grad err^2, p err^2, p err, area: a running sum over the cells in
+    # order (not covered, partial with a nonempty rule, front fluid)
+    acc = np.cumsum(np.vstack([np.zeros((1, 4)), full_cells(on_bg, topo.class_not),
+                               part[nq > 0], full_cells(on_fr, space.fluid_cells)]),
+                    axis=0)[-1]
     p_sq = acc[1]
     if mean_shift and acc[3] > 0:
         p_sq = max(acc[1] - acc[2] ** 2 / acc[3], 0.0)

@@ -7,16 +7,20 @@ segment-segment intersection, and the single-mesh flow assembler is a
 plain dense textbook implementation.  The ``*_loop`` functions are the
 per-item forms of batched package kernels: they share the package's
 formulas (the solid loop calls its constitutive laws on single 2x2
-matrices) but none of its batching.
+matrices, the Stokes loops take one cell, segment, pair or boundary piece
+at a time) but none of its batching.
 """
 
 import numpy as np
 
-from olmfsi.geometry import seg_rule, tri_rule
+from olmfsi.geometry import (exterior_intervals_on_segment, seg_rule,
+                             tri_rule, triangle_rule,
+                             uncovered_intervals_on_segment)
 from olmfsi.linalg import SparseSystem
-from olmfsi.mesh import eval_field
+from olmfsi.mesh import barycentric, eval_field
 from olmfsi.solid import (STVK, InvertedElementError, first_piola,
                           piola_tangent)
+from olmfsi.stokes import BG, FRONT, AssemblyError, _full_cell_volume_terms
 
 _I2 = np.eye(2)
 
@@ -343,6 +347,225 @@ def assemble_solid_loop(problem, u_current):
         R -= L
 
     return R, K
+
+
+def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
+                         delta, f, jh_extension, order):
+    """Volume terms on one partially covered background cell."""
+    g = mesh.p1_grads[cell]
+    conn = mesh.cells[cell]
+    slot = vmap[conn]
+    udof = u_base + 2 * slot[:, None] + np.arange(2)[None, :]
+    pdof = p_base + slot
+    W = rule.total
+    lam = barycentric(mesh, cell, rule.points) if len(rule.points) else np.zeros((0, 3))
+
+    M = nu_a * W * (g @ g.T)
+    for comp in range(2):
+        r = np.repeat(udof[:, comp], 3)
+        c = np.tile(udof[:, comp], 3)
+        sys.add(r, c, M.ravel())
+
+    # -(div v, q) with int lambda_b over the cut region
+    int_lam = rule.weights @ lam if len(rule.points) else np.zeros(3)
+    for comp in range(2):
+        vals = -np.outer(g[:, comp], int_lam)
+        r = np.repeat(udof[:, comp], 3)
+        c = np.tile(pdof, 3)
+        sys.add(r, c, vals.ravel())
+        sys.add(c, r, vals.ravel())
+
+    h2 = mesh.cell_diameters[cell] ** 2
+    area_j = mesh.cell_areas[cell] if jh_extension else W
+    J = -delta * h2 * area_j * (g @ g.T)
+    sys.add(np.repeat(pdof, 3), np.tile(pdof, 3), J.ravel())
+
+    if f is not None:
+        if len(rule.points):
+            fv = eval_field(f, rule.points)
+            rv = np.einsum("q,qa,qi->ai", rule.weights, lam, fv)
+            sys.add_rhs(udof.ravel(), rv.ravel())
+        # rhs stabilization matches the j-term region
+        if jh_extension:
+            frule = triangle_rule(mesh.cell_points[cell], order)
+            fpts, fw = frule.points, frule.weights
+        else:
+            fpts, fw = rule.points, rule.weights
+        if len(fpts):
+            fv = eval_field(f, fpts)
+            rq = -delta * h2 * np.einsum("q,qi,ai->a", fw, fv, g)
+            sys.add_rhs(pdof, rq)
+
+
+def _interface_terms_loop(sys, space, problem, segments):
+    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    a1, a2 = problem.alpha
+    bg, fr = space.background, space.front
+    for s in segments:
+        gT = bg.p1_grads[s.bg_cell]
+        gK = fr.p1_grads[s.front_cell]
+        lamT = barycentric(bg, s.bg_cell, s.points)
+        lamK = barycentric(fr, s.front_cell, s.points)
+        n = s.normal
+        w = s.weights
+        h = bg.cell_diameters[s.bg_cell]
+
+        connT = bg.cells[s.bg_cell]
+        connK = fr.cells[s.front_cell]
+        slotT = space.bg_vmap[connT]
+        slotK = space.fr_vmap[connK]
+        udofs = [np.concatenate([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
+                 for c in range(2)]
+        pdofs = np.concatenate([space.offset_p1 + slotT, space.offset_p2 + slotK])
+
+        # jump = front - background ; mean = a1*background + a2*front
+        jco = np.hstack([-lamT, lamK])                       # (nq, 6)
+        mco = np.concatenate([a1 * (gT @ n), a2 * (gK @ n)])  # (6,)
+        mp = np.hstack([a1 * lamT, a2 * lamK])               # (nq, 6)
+
+        jw = w @ jco                                          # (6,)
+        pen = (problem.gamma * nu_a / h) * (jco.T * w) @ jco
+        consist = -nu_a * (np.outer(jw, mco) + np.outer(mco, jw))
+        Avv = pen + consist
+        Bjp = (jco.T * w) @ mp                                # (6, 6) jump x mean
+
+        for comp in range(2):
+            r = np.repeat(udofs[comp], 6)
+            c = np.tile(udofs[comp], 6)
+            sys.add(r, c, Avv.ravel())
+            bv = n[comp] * Bjp
+            r = np.repeat(udofs[comp], 6)
+            c = np.tile(pdofs, 6)
+            sys.add(r, c, bv.ravel())
+            sys.add(c, r, bv.ravel())
+
+
+def _overlap_terms_loop(sys, space, problem, pairs):
+    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    bg, fr = space.background, space.front
+    for p in pairs:
+        gT = bg.p1_grads[p.bg_cell]
+        gK = fr.p1_grads[p.front_cell]
+        slotT = space.bg_vmap[bg.cells[p.bg_cell]]
+        slotK = space.fr_vmap[fr.cells[p.front_cell]]
+        G = np.vstack([gT, -gK])                              # jump gradient
+        M = nu_a * p.rule.total * (G @ G.T)
+        for comp in range(2):
+            dofs = np.concatenate([2 * slotT + comp,
+                                   space.offset_u2 + 2 * slotK + comp])
+            sys.add(np.repeat(dofs, 6), np.tile(dofs, 6), M.ravel())
+
+
+def _neumann_terms_loop(sys, space, problem):
+    if not problem.neumann:
+        return
+    xs, ws = seg_rule(max(problem.quad_order, 2))
+    for mesh_id, marker, traction in problem.neumann:
+        mesh = space.background if mesh_id == BG else space.front
+        vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
+        base = 0 if mesh_id == BG else space.offset_u2
+        for e, ((i, j), m) in enumerate(zip(mesh.boundary_edges,
+                                            mesh.boundary_markers)):
+            if int(m) != marker:
+                continue
+            if vmap[i] < 0 or vmap[j] < 0:
+                continue
+            a, b = mesh.vertices[i], mesh.vertices[j]
+            _, n = mesh.boundary_normal(e)
+            if mesh_id == BG:
+                pieces = uncovered_intervals_on_segment(a, b, space.front)
+            else:
+                pieces = exterior_intervals_on_segment(a, b, n, space.background)
+            ev = b - a
+            length = np.hypot(*ev)
+            for t0, t1 in pieces:
+                ts = t0 + xs * (t1 - t0)
+                pts = a[None, :] + ts[:, None] * ev[None, :]
+                w = ws * (t1 - t0) * length
+                tv = np.asarray(traction(pts, n), float).reshape(-1, 2)
+                lam = np.column_stack([1.0 - ts, ts])  # hats of i, j
+                for vloc, v in enumerate((i, j)):
+                    for comp in range(2):
+                        sys.add_rhs([base + 2 * vmap[v] + comp],
+                                    [np.sum(w * lam[:, vloc] * tv[:, comp])])
+
+
+def stokes_item_terms_loop(problem, space, topo):
+    """Per-item assembly of the coupled Stokes system: the reference for the
+    batched ``stokes.assemble``.  Cut-cell terms are added one partial cell
+    at a time, interface terms one segment, overlap terms one pair and
+    Neumann loads one (piece, vertex, component) at a time; full cells use
+    the package's batched volume kernel, as the package always did."""
+    sys = SparseSystem(space.ndof)
+    bg, fr = space.background, space.front
+    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    f = problem.body_force
+    order = problem.quad_order
+    _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
+                            space.offset_p1, nu_a, problem.delta, f, order)
+    for c in topo.class_partial:
+        c = int(c)
+        rule = topo.cut_rules.get(c)
+        if rule is None:
+            raise AssemblyError(f"missing cut rule for partial cell {c}")
+        _cut_cell_terms_loop(sys, bg, c, rule, space.bg_vmap, 0, space.offset_p1,
+                             nu_a, problem.delta, f, problem.jh_extension, order)
+    _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
+                            space.offset_u2, space.offset_p2, nu_a,
+                            problem.delta, f, order)
+    _interface_terms_loop(sys, space, problem, topo.interface_segments)
+    if problem.use_ih:
+        _overlap_terms_loop(sys, space, problem, topo.overlap_pairs)
+    _neumann_terms_loop(sys, space, problem)
+    if len(space.dirichlet_dofs):
+        sys.set_dirichlet(space.dirichlet_dofs, space.dirichlet_values)
+    return sys
+
+
+def error_norms_loop(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
+                     mean_shift=None):
+    """Per-cell velocity H1-seminorm and pressure L2 errors: the reference
+    for the batched ``stokes.error_norms``, with two exact-field calls, one
+    barycentric call and one einsum per cell."""
+    space = solution.space
+    if mean_shift is None:
+        mean_shift = space.pin_dof is not None
+    bg, fr = space.background, space.front
+    u_bg, p_bg = solution.velocity(BG), solution.pressure(BG)
+    u_fr, p_fr = solution.velocity(FRONT), solution.pressure(FRONT)
+
+    acc = np.zeros(4)  # grad err^2, p err^2, p err, area
+
+    def cell_contrib(mesh, cell, u_nodal, p_nodal, rule):
+        if len(rule.points) == 0:
+            return
+        g = mesh.p1_grads[cell]
+        conn = mesh.cells[cell]
+        gradu = np.einsum("ai,aj->ij", u_nodal[conn], g)
+        lam = barycentric(mesh, cell, rule.points)
+        ph = lam @ p_nodal[conn]
+        ge = eval_field(exact_grad_u, rule.points)
+        pe = eval_field(exact_p, rule.points).reshape(-1)
+        diff = gradu[None, :, :] - ge
+        acc[0] += np.sum(rule.weights * np.einsum("qij,qij->q", diff, diff))
+        dp = ph - pe
+        acc[1] += np.sum(rule.weights * dp * dp)
+        acc[2] += np.sum(rule.weights * dp)
+        acc[3] += rule.total
+
+    for c in topo.class_not:
+        cell_contrib(bg, int(c), u_bg, p_bg,
+                     triangle_rule(bg.cell_points[int(c)], order))
+    for c in topo.class_partial:
+        cell_contrib(bg, int(c), u_bg, p_bg, topo.physical_rule(int(c), order))
+    for c in space.fluid_cells:
+        cell_contrib(fr, int(c), u_fr, p_fr,
+                     triangle_rule(fr.cell_points[int(c)], order))
+
+    p_sq = acc[1]
+    if mean_shift and acc[3] > 0:
+        p_sq = max(acc[1] - acc[2] ** 2 / acc[3], 0.0)
+    return float(np.sqrt(acc[0])), float(np.sqrt(p_sq))
 
 
 def adaptive_tri_integral(f, tri, order_rule, tol=1e-10, depth=0):

@@ -162,6 +162,12 @@ def test_barycentric_over_cells_matches_single_cell_calls():
         assert single.flags.c_contiguous and np.array_equal(single, lam_c)
         assert np.allclose(single @ m.cell_points[c], pts, atol=1e-14)
     assert barycentric(m, [], pts).shape == (0, 7, 3)
+    # per-cell point stacks (m, n, 2): cell i takes the points pts[i]
+    stacks = pts[None] + np.arange(4)[:, None, None] * np.array([0.05, -0.03])
+    lam = barycentric(m, cells, stacks)
+    assert lam.shape == (4, 7, 3)
+    for c, pts_c, lam_c in zip(cells, stacks, lam):
+        assert np.array_equal(barycentric(m, c, pts_c), lam_c)
     # a vertex lies in several closed cells: the lowest-numbered one is returned
     first = [min(np.flatnonzero((m.cells == v).any(axis=1))) for v in range(m.nv)]
     assert locate_points(m, m.vertices).tolist() == first

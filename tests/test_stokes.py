@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, TOP
-from olmfsi.geometry import build_topology
+from olmfsi.mesh import (Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, TOP,
+                         FLUID, SOLID)
+from olmfsi.geometry import EMPTY_RULE, build_topology
 from olmfsi.stokes import (CompositeSpace, FluidProblem, FluidSolution,
                            assemble, solve_stokes, error_norms)
 from olmfsi.linalg import apply_dirichlet, solve_direct, condition_estimate, \
     SingularMatrixError
 
-from oracles import dense_stokes_single_mesh
+from oracles import (dense_stokes_single_mesh, error_norms_loop,
+                     stokes_item_terms_loop)
 
 ALL_SIDES = (LEFT, RIGHT, BOTTOM, TOP)
 
@@ -325,3 +327,96 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         FluidProblem(alpha=(0.5, 0.2))
     FluidProblem(delta=0.0)  # allowed for stabilization studies
+
+
+# -- batched kernels against their per-item references ----------------------------
+
+def _vectorized(fn):
+    def call(pts):
+        return fn(np.asarray(pts, float))
+    call.vectorized = True
+    return call
+
+
+def _grad_u(p):
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([np.cos(x) * y, np.sin(y), x * x - y, -np.cos(x) * y],
+                    axis=-1).reshape(*np.shape(p)[:-1], 2, 2)
+
+
+def _pres(p):
+    return np.sin(3.0 * p[..., 0]) * p[..., 1] + 0.3
+
+
+def _force(p):
+    return np.stack([np.sin(p[..., 0]) + p[..., 1], p[..., 0] * p[..., 1]], axis=-1)
+
+
+def _traction(pts, n):
+    return np.outer(1.0 + pts[:, 1] - pts[:, 0] ** 2, n) + np.array([0.3, -0.1])
+
+
+def _overlap_case(fluid_tag=None, aligned=False, empty_cut=False):
+    """Background square under a rotated front that crosses its right side
+    (a solid core when fluid_tag is set), or a grid-aligned front."""
+    bg = build_rect_mesh(10, 10, [(0, 0), (1, 1)])
+    if aligned:
+        fr = build_rect_mesh(4, 4, [(0.2, 0.3), (0.6, 0.7)])
+    else:
+        solid = (lambda c: SOLID if 0.62 < c[0] < 0.84 and 0.44 < c[1] < 0.56
+                 else FLUID)
+        fr = build_rect_mesh(10, 6, [(0.31, 0.24), (1.24, 0.76)],
+                             region_fn=solid if fluid_tag is not None else None)
+        t = 0.17
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        c = np.array([0.7, 0.5])
+        fr = Mesh((fr.vertices - c) @ rot.T + c, fr.cells, fr.boundary_edges,
+                  fr.boundary_markers, fr.region_tags)
+    topo = build_topology(bg, fr, fluid_tag=fluid_tag)
+    if empty_cut:
+        topo.cut_rules[int(topo.class_partial[1])] = EMPTY_RULE
+    space = CompositeSpace(bg, fr, topo, fluid_tag=fluid_tag,
+                           bg_dirichlet={LEFT: lambda p: np.array([p[1], 0.0])},
+                           interface_g=None if fluid_tag is None else "zero",
+                           pin_pressure=True)
+    return topo, space
+
+
+@pytest.mark.parametrize("case", [
+    dict(order=2), dict(order=4), dict(order=5),
+    dict(mean_shift=True), dict(mean_shift=False), dict(pointwise=True),
+    dict(fluid_tag=FLUID), dict(aligned=True), dict(order=2, empty_cut=True)])
+def test_batched_error_norms_match_per_cell_reference(case):
+    case = dict(case)
+    order = case.pop("order", 4)
+    mean_shift = case.pop("mean_shift", None)
+    pointwise = case.pop("pointwise", False)
+    topo, space = _overlap_case(**case)
+    if case.get("aligned"):
+        assert len(topo.class_partial) == 0
+    if case.get("fluid_tag") is not None:
+        assert len(space.fluid_cells) < space.front.nc
+    sol = FluidSolution(space, np.random.default_rng(5).standard_normal(space.ndof))
+    gu, pr = (_grad_u, _pres) if pointwise else (_vectorized(_grad_u), _vectorized(_pres))
+    args = (sol, None, gu, pr, topo, order, mean_shift)
+    # same cells, same per-cell sums in the same order: equal to the last bit
+    assert error_norms(*args) == error_norms_loop(*args)
+
+
+@pytest.mark.parametrize("force", [None, "vectorized", "pointwise"])
+@pytest.mark.parametrize("use_ih", [True, False])
+@pytest.mark.parametrize("jh_extension", [True, False])
+def test_batched_assembly_matches_per_item_reference(jh_extension, use_ih, force):
+    topo, space = _overlap_case(fluid_tag=FLUID, empty_cut=True)
+    f = {None: None, "vectorized": _vectorized(_force), "pointwise": _force}[force]
+    prob = FluidProblem(viscosity=0.3, body_force=f, use_ih=use_ih,
+                        jh_extension=jh_extension,
+                        neumann=((0, RIGHT, _traction), (1, RIGHT, _traction),
+                                 (1, TOP, _traction)))
+    assert topo.interface_segments and topo.overlap_pairs
+    new, ref = assemble(prob, space, topo), stokes_item_terms_loop(prob, space, topo)
+    A, B = new.matrix(), ref.matrix()
+    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data),
+                 (new.rhs, ref.rhs)):
+        assert x.shape == y.shape and np.array_equal(x, y)
+    assert new.constraints == ref.constraints

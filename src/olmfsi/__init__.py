@@ -35,7 +35,6 @@ from .coupling import (
     FsiState,
     aitken_update,
     traction_functional,
-    transfer_traction_to_reference,
     fsi_fixed_point,
 )
 
@@ -76,6 +75,5 @@ __all__ = [
     "FsiState",
     "aitken_update",
     "traction_functional",
-    "transfer_traction_to_reference",
     "fsi_fixed_point",
 ]

@@ -92,28 +92,6 @@ def traction_functional(solution, body_force, space, topo, interface_nodes):
     return out
 
 
-def transfer_traction_to_reference(values, current_nodes, reference_nodes):
-    """Carry nodal functional values to the reference mesh by node identity.
-
-    The variational functional evaluated on the current configuration is
-    already the weak pull-back, so no metric factors are applied.
-    """
-    values = np.asarray(values, float)
-    current_nodes = np.asarray(current_nodes, dtype=np.int64)
-    reference_nodes = np.asarray(reference_nodes, dtype=np.int64)
-    if len(values) != len(current_nodes) or len(current_nodes) != len(reference_nodes):
-        raise TractionMappingError("node map length mismatch")
-    if len(set(current_nodes.tolist())) != len(current_nodes) \
-            or len(set(reference_nodes.tolist())) != len(reference_nodes):
-        raise TractionMappingError("node map is not one-to-one")
-    order = {int(c): i for i, c in enumerate(current_nodes)}
-    try:
-        return np.array([values[order[int(r)]] for r in reference_nodes])
-    except KeyError as exc:
-        raise TractionMappingError(
-            f"reference node {exc} missing from the current node set") from exc
-
-
 @dataclass
 class FsiConfig:
     """Outer-loop controls for the fixed-point iteration.

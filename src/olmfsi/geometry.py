@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, SOLID, containing_cells
+from .mesh import Mesh, SOLID, _ranges, containing_cells
 
 
 class GeometryError(RuntimeError):
@@ -82,9 +82,6 @@ class QuadRule:
         return float(self.weights.sum())
 
 
-EMPTY_RULE = QuadRule(np.zeros((0, 2)), np.zeros(0))
-
-
 def triangle_rule(pts, order):
     """Rule on a physical triangle given its three vertices (3, 2); a stack
     of triangles (c, 3, 2) gives points (c, nq, 2) and weights (c, nq)."""
@@ -95,17 +92,41 @@ def triangle_rule(pts, order):
     return QuadRule(lam @ pts, w * area[..., None])
 
 
-def polygon_rule(poly, order):
-    """Rule on a convex CCW polygon via a fan triangulation."""
-    poly = np.asarray(poly, float)
-    if len(poly) < 3:
-        return EMPTY_RULE
-    pts, wts = [], []
-    for k in range(1, len(poly) - 1):
-        r = triangle_rule(poly[[0, k, k + 1]], order)
-        pts.append(r.points)
-        wts.append(r.weights)
-    return QuadRule(np.vstack(pts), np.concatenate(wts))
+@dataclass(frozen=True)
+class CutRules:
+    """One rule per cell, flat: rule i is points and weights
+    [offsets[i]:offsets[i + 1]]."""
+    points: np.ndarray   # (N, 2)
+    weights: np.ndarray  # (N,)
+    offsets: np.ndarray  # (C + 1,)
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        s = slice(self.offsets[i], self.offsets[i + 1])
+        return QuadRule(self.points[s], self.weights[s])
+
+    def groups(self):
+        """Per point count n > 0, the rules with n points and their point
+        indices (g, n): a stacked kernel over a group treats each row alone."""
+        nq = np.diff(self.offsets)
+        rows = [np.flatnonzero(nq == n) for n in np.unique(nq[nq > 0])]
+        return [(r, self.offsets[r][:, None] + np.arange(nq[r[0]])) for r in rows]
+
+    def totals(self):
+        """Weight sum of each rule, as np.sum of that rule alone."""
+        out = np.zeros(len(self))
+        for rows, idx in self.groups():
+            out[rows] = self.weights[idx].sum(axis=1)
+        return out
+
+
+def fan_triangles(verts, count):
+    """Fan triangles (v0, vk, vk+1), k = 1 .. count[i] - 2, of padded convex
+    polygons, polygon by polygon: (T, 3, 2) and the polygon of each."""
+    poly, k = _ranges(np.maximum(count - 2, 0))
+    return verts[poly[:, None], np.stack([0 * k, k + 1, k + 2], axis=1)], poly
 
 
 # -- convex polygon primitives ---------------------------------------------
@@ -229,21 +250,31 @@ class InterfaceSegment:
 
 
 @dataclass(frozen=True)
-class OverlapPair:
-    """Intersection of one front fluid cell with one reduced background cell."""
-    front_cell: int
-    bg_cell: int
-    polygon: np.ndarray
-    rule: QuadRule
+class CellPairs:
+    """Intersections of background with front cells, one per row: the two
+    cells, the area and, where kept, the convex CCW polygon as the first
+    count[i] of the padded vertices verts (P, m, 2)."""
+    bg_cell: np.ndarray
+    front_cell: np.ndarray
+    area: np.ndarray
+    verts: np.ndarray = None
+    count: np.ndarray = None
+
+    def __len__(self):
+        return len(self.area)
+
+    def take(self, rows):
+        return CellPairs(*(None if a is None else a[rows] for a in vars(self).values()))
 
 
 @dataclass
 class OverlapTopology:
     """Classification of a background mesh against a moving composite mesh.
 
-    ``covered`` keeps the front-cell intersections of every reduced
-    background cell that meets the front, computed once by ``classify``;
-    cut rules, overlap pairs and the geometry dump are built from them.
+    ``classify`` keeps the covered polygons of the reduced cells, by
+    background cell, then front cell; cut rules (in ``class_partial``
+    order) and overlap pairs (by front cell, then background cell) are
+    built from them.
     """
     background: Mesh
     front: Mesh
@@ -252,10 +283,10 @@ class OverlapTopology:
     class_fully: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     class_partial: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     reduced_cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    covered: dict = field(default_factory=dict)   # reduced cell -> [(front cell, polygon)]
-    cut_rules: dict = field(default_factory=dict)          # partial cell -> QuadRule
+    polygons: CellPairs = None
+    cut_rules: CutRules = None
     interface_segments: list = field(default_factory=list)
-    overlap_pairs: list = field(default_factory=list)
+    overlap_pairs: CellPairs = None
     order: int = 2
 
     @property
@@ -268,27 +299,17 @@ class OverlapTopology:
         return sum(s.length for s in self.interface_segments)
 
     def overlap_area(self):
-        return sum(p.rule.total for p in self.overlap_pairs)
-
-    def physical_rule(self, bg_cell, order=None):
-        """Quadrature over the background-fluid part of one reduced cell."""
-        if bg_cell in self.cut_rules and (order is None or order <= self.order):
-            return self.cut_rules[bg_cell]
-        if order is None:
-            order = self.order
-        if bg_cell in self.cut_rules:
-            return _subtractive_rule(self.background, bg_cell,
-                                     self.covered[bg_cell], order)
-        return triangle_rule(self.background.cell_points[bg_cell], order)
+        return float(self.overlap_pairs.area.sum())
 
 
 def _covered_pairs(background, front, cells=None):
     """Nonempty intersections of background cells (all, or the given ones)
-    with front cells, sorted by background cell, then front cell.
+    with front cells as CellPairs, sorted by background cell, then front
+    cell.
 
     One grid query with all front cell boxes finds the pairs whose bounding
     boxes meet; the kernel clips them in chunks, each with its background
-    cell's eps.  Returns background cells, front cells, areas and polygons.
+    cell's eps.
     """
     bp, fp = background.cell_points, front.cell_points
     lo, hi = fp.min(axis=1), fp.max(axis=1)
@@ -299,14 +320,15 @@ def _covered_pairs(background, front, cells=None):
     order = np.lexsort((ks[meet], cs[meet]))
     cs, ks = cs[meet][order], ks[meet][order]
     eps = EPS_GEOM * background.cell_diameters[cs]
-    chunks = []
-    for s in range(0, max(len(cs), 1), CLIP_CHUNK):   # one chunk if empty
-        c = slice(s, s + CLIP_CHUNK)
-        pts, cnt = intersect_convex(bp[cs[c]], fp[ks[c]], eps[c])
-        chunks.append((cnt, _areas(pts, cnt), pts[np.arange(pts.shape[1]) < cnt[:, None]]))
-    cnt, area, verts = (np.concatenate(col) for col in zip(*chunks))
-    hit = cnt > 0
-    return cs[hit], ks[hit], area[hit], np.split(verts, np.cumsum(cnt[hit])[:-1])
+    chunks = [intersect_convex(bp[cs[s:s + CLIP_CHUNK]], fp[ks[s:s + CLIP_CHUNK]],
+                               eps[s:s + CLIP_CHUNK])
+              for s in range(0, max(len(cs), 1), CLIP_CHUNK)]   # one chunk if empty
+    m = max(p.shape[1] for p, _ in chunks)
+    verts = np.concatenate([np.pad(p[c > 0], ((0, 0), (0, m - p.shape[1]), (0, 0)))
+                            for p, c in chunks])
+    hit = np.concatenate([c for _, c in chunks]) > 0
+    cnt = np.concatenate([c[c > 0] for _, c in chunks])
+    return CellPairs(cs[hit], ks[hit], _areas(verts, cnt), verts, cnt)
 
 
 def classify(background, front, solid_region_tag=SOLID):
@@ -314,25 +336,25 @@ def classify(background, front, solid_region_tag=SOLID):
 
     A cell's covered fraction is the sum of its pair areas.  The covered
     polygons of the reduced (not and partially covered) cells are kept on
-    the topology, by ascending front cell.  A partially covered cell
-    intersecting the solid subdomain means the background mesh cannot
-    resolve the fluid-fluid interface and raises CoarseBackgroundError.
+    the topology.  A partially covered cell intersecting the solid
+    subdomain means the background mesh cannot resolve the fluid-fluid
+    interface and raises CoarseBackgroundError.
     """
     topo = OverlapTopology(background, front, solid_region_tag)
     nc, areas = background.nc, background.cell_areas
-    cells, ks, pair_area, polys = _covered_pairs(background, front)
+    pairs = _covered_pairs(background, front)
+    cells, pair_area = pairs.bg_cell, pairs.area
     rel_tol = 1e-9
     frac = np.bincount(cells, pair_area, nc) / areas
     cls = np.where(frac <= rel_tol, 0, np.where(frac >= 1.0 - rel_tol, 1, 2))
-    solid = front.region_tags[ks] == solid_region_tag
+    solid = front.region_tags[pairs.front_cell] == solid_region_tag
     solid_area = np.bincount(cells[solid], pair_area[solid], nc)
     bad = np.flatnonzero((cls == 2) & (solid_area > rel_tol * areas))
     if len(bad):
         raise CoarseBackgroundError(
             f"background mesh too coarse near interface: "
             f"partially covered cell {bad[0]} intersects the solid subdomain")
-    for i in np.flatnonzero(cls[cells] != 1).tolist():
-        topo.covered.setdefault(int(cells[i]), []).append((int(ks[i]), polys[i]))
+    topo.polygons = pairs.take(cls[cells] != 1)
     topo.class_not = np.flatnonzero(cls == 0)
     topo.class_fully = np.flatnonzero(cls == 1)
     topo.class_partial = np.flatnonzero(cls == 2)
@@ -340,21 +362,29 @@ def classify(background, front, solid_region_tag=SOLID):
     return topo
 
 
-def _subtractive_rule(background, cell, polys, order):
-    """Full-cell rule plus negatively weighted rules on the covered polygons."""
-    base = triangle_rule(background.cell_points[cell], order)
-    if not polys:
-        return base
-    pts = [base.points]
-    wts = [base.weights]
-    for _, poly in polys:
-        r = polygon_rule(poly, order)
-        pts.append(r.points)
-        wts.append(-r.weights)
-    rule = QuadRule(np.vstack(pts), np.concatenate(wts))
-    if rule.total <= EPS_GEOM * background.cell_areas[cell]:
-        return EMPTY_RULE
-    return rule
+def subtractive_rules(background, cells, polygons, order):
+    """Rules over the uncovered parts of background cells (ascending ids).
+
+    Cell i's rule is its full-cell rule followed by the negatively weighted
+    fan rules of its covered polygons, in the order of ``polygons``; all
+    triangles go through one ``triangle_rule`` call.  A rule whose weights
+    sum to at most EPS_GEOM |T| is left empty.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    mine = np.isin(polygons.bg_cell, cells)
+    tris, poly = fan_triangles(polygons.verts[mine], polygons.count[mine])
+    rule = triangle_rule(np.concatenate([background.cell_points[cells], tris]), order)
+    owner = np.concatenate([np.arange(len(cells)),
+                            np.searchsorted(cells, polygons.bg_cell[mine])[poly]])
+    rule.weights[len(cells):] *= -1.0
+    by_cell = np.argsort(owner, kind="stable")
+    nq = np.bincount(owner, minlength=len(cells)) * rule.weights.shape[1]
+    rules = CutRules(rule.points[by_cell].reshape(-1, 2), rule.weights[by_cell].ravel(),
+                     np.append(0, np.cumsum(nq)))
+    empty = rules.totals() <= EPS_GEOM * background.cell_areas[cells]
+    keep = np.repeat(~empty, nq)
+    nq[empty] = 0
+    return CutRules(rules.points[keep], rules.weights[keep], np.append(0, np.cumsum(nq)))
 
 
 def cut_cell_quadrature(cell, background, front, order=2):
@@ -365,8 +395,8 @@ def cut_cell_quadrature(cell, background, front, order=2):
     |T| - |T intersect front domain| and the rule is exact for polynomials
     up to ``order`` on the cut region.
     """
-    _, ks, _, polys = _covered_pairs(background, front, [cell])
-    return _subtractive_rule(background, cell, list(zip(ks.tolist(), polys)), order)
+    polygons = _covered_pairs(background, front, [cell])
+    return subtractive_rules(background, [cell], polygons, order)[0]
 
 
 def _segment_cell_interval(a, d, tri):
@@ -392,23 +422,6 @@ def _segment_cell_interval(a, d, tri):
         if t0 >= t1:
             return None
     return (t0, t1)
-
-
-def _front_boundary_edges(front, ff_markers, skip_region=None):
-    """(edge vertex pair, adjacent cell, outward unit normal) per marked edge.
-
-    Edges adjacent to ``skip_region`` cells (the solid) never participate
-    in the fluid-fluid coupling.
-    """
-    out = []
-    for e, (i, j) in enumerate(front.boundary_edges):
-        if ff_markers is not None and int(front.boundary_markers[e]) not in ff_markers:
-            continue
-        cell, n = front.boundary_normal(e)
-        if skip_region is not None and front.region_tags[cell] == skip_region:
-            continue
-        out.append((front.vertices[i], front.vertices[j], int(cell), n))
-    return out
 
 
 def _cell_intervals(a, b, mesh, min_len):
@@ -462,17 +475,26 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     pieces on or outside the outer background boundary are dropped.  Each
     segment stores its background parent cell on the background-fluid
     side, which must belong to the reduced mesh, plus the front parent,
-    the outward normal of the front domain and a 1D Gauss rule.
+    the outward normal of the front domain and a 1D Gauss rule.  Edges
+    with a marker outside ``ff_markers`` (if given) or on a
+    ``skip_region`` cell (the solid) are not coupled.
     """
     reduced = topo.reduced_mask
     xs, ws = seg_rule(order)
     segments = []
-    edges = _front_boundary_edges(front, ff_markers, skip_region)
-    if not edges:
+    edges = np.arange(len(front.boundary_edges))
+    if ff_markers is not None:
+        edges = edges[np.isin(front.boundary_markers, list(ff_markers))]
+    cells, normals = front.boundary_normals(edges)
+    if skip_region is not None:
+        keep = front.region_tags[cells] != skip_region
+        edges, cells, normals = edges[keep], cells[keep], normals[keep]
+    if not len(edges):
         return segments
-    starts, ends, _, normals = (np.array(col) for col in zip(*edges))
-    for (a, b, front_cell, normal), pieces in zip(
-            edges, _split_segments(starts, ends, normals, background)):
+    starts, ends = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
+    for a, b, front_cell, normal, pieces in zip(
+            starts, ends, cells.tolist(), normals,
+            _split_segments(starts, ends, normals, background)):
         d = b - a
         length = np.hypot(*d)
         for t0, t1, side in pieces:
@@ -498,19 +520,19 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     return segments
 
 
-def overlap_region_pairs(front, topo, order=2, fluid_tag=None):
+def overlap_region_pairs(front, topo, fluid_tag=None):
     """Intersections of front fluid cells with reduced background cells.
 
-    The union of the returned polygons tiles the overlap region (front
+    The covered polygons ``classify`` stored tile the overlap region (front
     fluid domain laid over the reduced background mesh) with no double
-    counting.  Pairs come from the covered polygons ``classify`` stored,
-    ordered by front cell, then background cell.
+    counting; their cells and areas come ordered by front cell, then
+    background cell.
     """
-    fluid = (np.ones(front.nc, dtype=bool) if fluid_tag is None
-             else front.region_tags == fluid_tag)
-    pairs = [OverlapPair(k, c, poly, polygon_rule(poly, order))
-             for c, polys in topo.covered.items() for k, poly in polys if fluid[k]]
-    return sorted(pairs, key=lambda p: (p.front_cell, p.bg_cell))
+    p = topo.polygons
+    rows = (np.arange(len(p)) if fluid_tag is None
+            else np.flatnonzero(front.region_tags[p.front_cell] == fluid_tag))
+    rows = rows[np.lexsort((p.bg_cell[rows], p.front_cell[rows]))]
+    return CellPairs(p.bg_cell[rows], p.front_cell[rows], p.area[rows])
 
 
 def build_topology(background, front, order=2, ff_markers=None,
@@ -518,15 +540,13 @@ def build_topology(background, front, order=2, ff_markers=None,
     """Classify, then build all cut rules, interface segments and pairs."""
     topo = classify(background, front, solid_tag)
     topo.order = order
-    for c in topo.class_partial:
-        c = int(c)
-        topo.cut_rules[c] = _subtractive_rule(background, c, topo.covered[c], order)
+    topo.cut_rules = subtractive_rules(background, topo.class_partial,
+                                       topo.polygons, order)
     skip = solid_tag if (front.region_tags == solid_tag).any() else None
     topo.interface_segments = interface_quadrature(front, background, topo,
                                                    order, ff_markers,
                                                    skip_region=skip)
-    topo.overlap_pairs = overlap_region_pairs(front, topo, order,
-                                              fluid_tag=fluid_tag)
+    topo.overlap_pairs = overlap_region_pairs(front, topo, fluid_tag=fluid_tag)
     return topo
 
 

@@ -93,10 +93,6 @@ class SparseSystem:
         out.constraints = dict(constraints)
         return out
 
-    def write_matrix_market(self, path):
-        from scipy.io import mmwrite
-        mmwrite(str(path), self.matrix().tocoo())
-
 
 def apply_dirichlet(system, dofs=None, values=None):
     """Symmetric elimination of Dirichlet constraints.

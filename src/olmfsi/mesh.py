@@ -261,24 +261,41 @@ class Mesh:
     def region_cells(self, tag):
         return np.flatnonzero(self.region_tags == tag)
 
+    def boundary_normals(self, edges):
+        """Adjacent cells and outward unit normals (E, 2) of the given
+        boundary edges, from one cached pass over all boundary edges;
+        errors if one of them is interior."""
+        cells, normals = self._cached("boundary_normals", self._boundary_normals)
+        edges = np.asarray(edges, dtype=np.int64)
+        bad = edges[cells[edges] < 0]
+        if len(bad):
+            raise MeshError(f"boundary edge {bad[0]} is not on the mesh boundary")
+        return cells[edges], normals[edges]
+
+    def _boundary_normals(self):
+        """Cell (-1 unless exactly one) and outward unit normal per boundary edge."""
+        key = np.sort(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) @ [self.nv, 1]
+        order = np.argsort(key, kind="stable")
+        want = np.sort(self.boundary_edges, axis=1) @ [self.nv, 1]
+        lo, hi = (np.searchsorted(key[order], want, side) for side in ("left", "right"))
+        one = hi - lo == 1
+        cells = np.full(len(want), -1, dtype=np.int64)
+        cells[one] = order[lo[one]] // 3
+        a, b = (self.vertices[self.boundary_edges[:, k]] for k in (0, 1))
+        ev = b - a
+        n = np.column_stack([ev[:, 1], -ev[:, 0]]) / np.hypot(ev[:, 1], -ev[:, 0])[:, None]
+        d = self.cell_points[cells[one]].mean(axis=1) - 0.5 * (a + b)[one]
+        n[np.flatnonzero(one)[(n[one] * d).sum(axis=1) > 0.0]] *= -1.0
+        return cells, n
+
     def boundary_cell_of_edge(self, edge_index):
         """Cell adjacent to a boundary edge (errors if the edge is interior)."""
-        i, j = self.boundary_edges[edge_index]
-        cells = self.edge_cells.get((min(i, j), max(i, j)), [])
-        if len(cells) != 1:
-            raise MeshError(f"boundary edge {edge_index} is not on the mesh boundary")
-        return cells[0]
+        return int(self.boundary_normals([edge_index])[0][0])
 
     def boundary_normal(self, edge_index):
         """Adjacent cell and outward unit normal of a boundary edge."""
-        i, j = self.boundary_edges[edge_index]
-        a, b = self.vertices[i], self.vertices[j]
-        cell = self.boundary_cell_of_edge(edge_index)
-        ev = b - a
-        n = np.array([ev[1], -ev[0]]) / np.hypot(ev[1], -ev[0])
-        if np.dot(n, self.cell_points[cell].mean(axis=0) - 0.5 * (a + b)) > 0.0:
-            n = -n
-        return cell, n
+        cells, normals = self.boundary_normals([edge_index])
+        return int(cells[0]), normals[0]
 
 
 def build_rect_mesh(nx, ny, bbox, region_fn=None):

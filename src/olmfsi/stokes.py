@@ -23,6 +23,7 @@ from .geometry import (
     tri_rule,
     seg_rule,
     triangle_rule,
+    subtractive_rules,
     uncovered_intervals_on_segment,
     exterior_intervals_on_segment,
 )
@@ -93,17 +94,6 @@ class CompositeSpace:
         if np.any(np.asarray(s) < 0):
             raise IndexError("inactive vertex")
         return base + 2 * s + comp
-
-    def p_dof(self, mesh_id, vertex):
-        if mesh_id == BG:
-            s = self.bg_vmap[vertex]
-            base = self.offset_p1
-        else:
-            s = self.fr_vmap[vertex]
-            base = self.offset_p2
-        if np.any(np.asarray(s) < 0):
-            raise IndexError("inactive vertex")
-        return base + s
 
     def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, interface_g, solid_tag):
         def add_edges(mesh, vmap, base, spec):
@@ -181,10 +171,6 @@ class FluidProblem:
             raise ValueError("interface weights must be convex")
 
 
-class AssemblyError(RuntimeError):
-    pass
-
-
 def _block(rows, cols, vals):
     """Triplets (S, a * b) of per-item blocks vals (S, a, b) on row dofs
     (S, a) and column dofs (S, b), row-major within an item.  Several blocks
@@ -235,31 +221,18 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
         sys.add_rhs(pdof.ravel(), rq.ravel())
 
 
-def _stack_rules(rules):
-    """Point counts, concatenated points and weights of the rules, and per
-    count n > 0 the rows of the rules with n points and their point indices
-    (g, n).  A stacked matmul over one group makes each rule's BLAS call."""
-    nq = np.array([len(r.weights) for r in rules], dtype=np.int64)
-    start = np.cumsum(nq) - nq
-    groups = []
-    for n in np.unique(nq[nq > 0]):
-        rows = np.flatnonzero(nq == n)
-        groups.append((rows, start[rows][:, None] + np.arange(n)))
-    return (nq, np.concatenate([np.zeros((0, 2))] + [r.points for r in rules]),
-            np.concatenate([np.zeros(0)] + [r.weights for r in rules]), groups)
-
-
 def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
                     f, jh_extension, order):
-    """Volume terms on partially covered background cells, one rule each."""
+    """Volume terms on partially covered background cells, one rule each
+    (CutRules in the order of ``cells``)."""
     if len(cells) == 0:
         return
     g = mesh.p1_grads[cells]
     slot = vmap[mesh.cells[cells]]
     udof = u_base + 2 * slot[:, :, None] + np.arange(2)
     pdof = p_base + slot
-    W = np.array([r.total for r in rules])
-    nq, pts, wts, groups = _stack_rules(rules)
+    W = rules.totals()
+    pts, wts, groups = rules.points, rules.weights, rules.groups()
     lam = np.empty((len(pts), 3))
     int_lam = np.zeros((len(cells), 3))
     for rows, idx in groups:
@@ -286,7 +259,7 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
     for rows, idx in groups:
         rv[rows] = np.einsum("cq,cqa,cqi->cai", wts[idx], lam[idx], fv[idx])
         rq[rows] = np.einsum("cq,cqi,cai->ca", wts[idx], fv[idx], g[rows])
-    has = nq > 0
+    has = np.diff(rules.offsets) > 0
     sys.add_rhs(udof[has].ravel(), rv[has].ravel())
     # rhs stabilization matches the j-term region
     if jh_extension:
@@ -338,12 +311,12 @@ def _interface_terms(sys, space, problem, segments):
 
 
 def _overlap_terms(sys, space, problem, pairs):
-    if not pairs:
+    """Gradient-jump terms on the overlap pairs, weighted by pair area."""
+    if not len(pairs):
         return
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     bg, fr = space.background, space.front
-    T, K = np.array([(p.bg_cell, p.front_cell) for p in pairs]).T
-    W = np.array([p.rule.total for p in pairs])
+    T, K, W = pairs.bg_cell, pairs.front_cell, pairs.area
     slotT = space.bg_vmap[bg.cells[T]]
     slotK = space.fr_vmap[fr.cells[K]]
     G = np.concatenate([bg.p1_grads[T], -fr.p1_grads[K]], axis=1)   # jump gradient
@@ -372,7 +345,7 @@ def _neumann_terms(sys, space, problem):
         if len(edges) == 0:
             continue
         a, b = mesh.vertices[ij[edges, 0]], mesh.vertices[ij[edges, 1]]
-        normals = np.array([mesh.boundary_normal(e)[1] for e in edges])
+        normals = mesh.boundary_normals(edges)[1]
         if mesh_id == BG:
             pieces = uncovered_intervals_on_segment(a, b, space.front)
         else:
@@ -415,11 +388,7 @@ def assemble(problem, space, topo):
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
                             space.offset_p1, nu_a, problem.delta, f, order)
     # partially covered cells: physical terms with cut rules
-    rules = [topo.cut_rules.get(int(c)) for c in topo.class_partial]
-    for c, rule in zip(topo.class_partial, rules):
-        if rule is None:
-            raise AssemblyError(f"missing cut rule for partial cell {c}")
-    _cut_cell_terms(sys, bg, topo.class_partial, rules, space.bg_vmap, 0,
+    _cut_cell_terms(sys, bg, topo.class_partial, topo.cut_rules, space.bg_vmap, 0,
                     space.offset_p1, nu_a, problem.delta, f,
                     problem.jh_extension, order)
     # front fluid cells: full rules
@@ -512,18 +481,20 @@ def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
         return sums(side, cells, rule.points, rule.weights, *fields(rule.points))
 
     partial = topo.class_partial
-    nq, pts, wts, groups = _stack_rules([topo.physical_rule(int(c), order)
-                                         for c in partial])
+    rules = (topo.cut_rules if order <= topo.order else
+             subtractive_rules(space.background, partial, topo.polygons, order))
+    pts, wts = rules.points, rules.weights
     part = np.zeros((len(partial), 4))
     if len(pts):
         ge, pe = fields(pts)
-        for rows, idx in groups:
+        for rows, idx in rules.groups():
             part[rows] = sums(on_bg, partial[rows], pts[idx], wts[idx], ge[idx], pe[idx])
 
     # grad err^2, p err^2, p err, area: a running sum over the cells in
     # order (not covered, partial with a nonempty rule, front fluid)
+    part = part[np.diff(rules.offsets) > 0]
     acc = np.cumsum(np.vstack([np.zeros((1, 4)), full_cells(on_bg, topo.class_not),
-                               part[nq > 0], full_cells(on_fr, space.fluid_cells)]),
+                               part, full_cells(on_fr, space.fluid_cells)]),
                     axis=0)[-1]
     p_sq = acc[1]
     if mean_shift and acc[3] > 0:

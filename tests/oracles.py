@@ -13,14 +13,14 @@ at a time) but none of its batching.
 
 import numpy as np
 
-from olmfsi.geometry import (exterior_intervals_on_segment, seg_rule,
-                             tri_rule, triangle_rule,
+from olmfsi.geometry import (EPS_GEOM, QuadRule, exterior_intervals_on_segment,
+                             seg_rule, tri_rule, triangle_rule,
                              uncovered_intervals_on_segment)
 from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import barycentric, eval_field
 from olmfsi.solid import (STVK, InvertedElementError, first_piola,
                           piola_tangent)
-from olmfsi.stokes import BG, FRONT, AssemblyError, _full_cell_volume_terms
+from olmfsi.stokes import BG, FRONT, _full_cell_volume_terms
 
 _I2 = np.eye(2)
 
@@ -191,6 +191,22 @@ def split_edges_brute_force(front, background):
     return pieces
 
 
+def boundary_normal_loop(mesh, e):
+    """Adjacent cell and outward unit normal of one boundary edge from the
+    mesh's edge-to-cells dictionary, or None if the edge is not on the
+    boundary: the per-edge reference for ``Mesh.boundary_normals``."""
+    i, j = mesh.boundary_edges[e]
+    cells = mesh.edge_cells.get((min(i, j), max(i, j)), [])
+    if len(cells) != 1:
+        return None
+    a, b = mesh.vertices[i], mesh.vertices[j]
+    ev = b - a
+    n = np.array([ev[1], -ev[0]]) / np.hypot(ev[1], -ev[0])
+    if np.dot(n, mesh.cell_points[cells[0]].mean(axis=0) - 0.5 * (a + b)) > 0.0:
+        n = -n
+    return cells[0], n
+
+
 def polygon_area_loop(poly):
     """Shoelace area of a polygon, one dot product per coordinate pair."""
     poly = np.asarray(poly, float)
@@ -276,6 +292,49 @@ def classify_loop(background, front, solid_tag, eps_rel=1e-12, rel_tol=1e-9):
         if polys and cls[c] != 1:
             covered[c] = polys
     return cls, covered
+
+
+def covered_dict(polygons):
+    """The covered polygons {cell: [(front cell, polygon)]} of a flat
+    CellPairs, in its order."""
+    out = {}
+    for i, (c, k) in enumerate(zip(polygons.bg_cell.tolist(), polygons.front_cell.tolist())):
+        out.setdefault(c, []).append((k, polygons.verts[i, :polygons.count[i]]))
+    return out
+
+
+EMPTY_RULE = QuadRule(np.zeros((0, 2)), np.zeros(0))
+
+
+def polygon_rule(poly, order):
+    """Rule on a convex CCW polygon via a fan triangulation."""
+    poly = np.asarray(poly, float)
+    if len(poly) < 3:
+        return EMPTY_RULE
+    pts, wts = [], []
+    for k in range(1, len(poly) - 1):
+        r = triangle_rule(poly[[0, k, k + 1]], order)
+        pts.append(r.points)
+        wts.append(r.weights)
+    return QuadRule(np.vstack(pts), np.concatenate(wts))
+
+
+def _subtractive_rule(background, cell, polys, order):
+    """Full-cell rule plus negatively weighted rules on the covered polygons;
+    the per-cell reference for ``geometry.subtractive_rules``."""
+    base = triangle_rule(background.cell_points[cell], order)
+    if not polys:
+        return base
+    pts = [base.points]
+    wts = [base.weights]
+    for _, poly in polys:
+        r = polygon_rule(poly, order)
+        pts.append(r.points)
+        wts.append(-r.weights)
+    rule = QuadRule(np.vstack(pts), np.concatenate(wts))
+    if rule.total <= EPS_GEOM * background.cell_areas[cell]:
+        return EMPTY_RULE
+    return rule
 
 
 def assemble_solid_loop(problem, u_current):
@@ -443,13 +502,13 @@ def _interface_terms_loop(sys, space, problem, segments):
 def _overlap_terms_loop(sys, space, problem, pairs):
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     bg, fr = space.background, space.front
-    for p in pairs:
-        gT = bg.p1_grads[p.bg_cell]
-        gK = fr.p1_grads[p.front_cell]
-        slotT = space.bg_vmap[bg.cells[p.bg_cell]]
-        slotK = space.fr_vmap[fr.cells[p.front_cell]]
+    for T, K, area in zip(pairs.bg_cell, pairs.front_cell, pairs.area):
+        gT = bg.p1_grads[T]
+        gK = fr.p1_grads[K]
+        slotT = space.bg_vmap[bg.cells[T]]
+        slotK = space.fr_vmap[fr.cells[K]]
         G = np.vstack([gT, -gK])                              # jump gradient
-        M = nu_a * p.rule.total * (G @ G.T)
+        M = nu_a * area * (G @ G.T)
         for comp in range(2):
             dofs = np.concatenate([2 * slotT + comp,
                                    space.offset_u2 + 2 * slotK + comp])
@@ -503,12 +562,8 @@ def stokes_item_terms_loop(problem, space, topo):
     order = problem.quad_order
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
                             space.offset_p1, nu_a, problem.delta, f, order)
-    for c in topo.class_partial:
-        c = int(c)
-        rule = topo.cut_rules.get(c)
-        if rule is None:
-            raise AssemblyError(f"missing cut rule for partial cell {c}")
-        _cut_cell_terms_loop(sys, bg, c, rule, space.bg_vmap, 0, space.offset_p1,
+    for i, c in enumerate(topo.class_partial.tolist()):
+        _cut_cell_terms_loop(sys, bg, c, topo.cut_rules[i], space.bg_vmap, 0, space.offset_p1,
                              nu_a, problem.delta, f, problem.jh_extension, order)
     _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
                             space.offset_u2, space.offset_p2, nu_a,
@@ -556,8 +611,11 @@ def error_norms_loop(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
     for c in topo.class_not:
         cell_contrib(bg, int(c), u_bg, p_bg,
                      triangle_rule(bg.cell_points[int(c)], order))
-    for c in topo.class_partial:
-        cell_contrib(bg, int(c), u_bg, p_bg, topo.physical_rule(int(c), order))
+    covered = covered_dict(topo.polygons)
+    for i, c in enumerate(topo.class_partial.tolist()):
+        rule = (topo.cut_rules[i] if order <= topo.order
+                else _subtractive_rule(bg, c, covered[c], order))
+        cell_contrib(bg, c, u_bg, p_bg, rule)
     for c in space.fluid_cells:
         cell_contrib(fr, int(c), u_fr, p_fr,
                      triangle_rule(fr.cell_points[int(c)], order))

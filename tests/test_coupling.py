@@ -6,7 +6,6 @@ from olmfsi.mesh import (Mesh, build_rect_mesh, FLUID, SOLID,
 from olmfsi.geometry import build_topology
 from olmfsi.stokes import CompositeSpace, FluidProblem, solve_stokes, BG, FRONT
 from olmfsi.coupling import (aitken_update, traction_functional,
-                             transfer_traction_to_reference,
                              TractionMappingError, FsiConfig,
                              fsi_fixed_point, fsi_outer_iteration,
                              FixedPointError)
@@ -182,24 +181,6 @@ def test_traction_matches_boundary_quadrature_oracle():
     errs = [run(lvl) for lvl in (0, 1)]
     assert errs[0] < 1e-4
     assert errs[1] < 0.6 * errs[0]
-
-
-def test_transfer_identity_and_permutation():
-    vals = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    nodes = np.array([7, 3, 9])
-    out = transfer_traction_to_reference(vals, nodes, nodes)
-    assert np.array_equal(out, vals)
-    # a permuted reference ordering reorders the rows accordingly
-    out = transfer_traction_to_reference(vals, nodes, np.array([9, 7, 3]))
-    assert np.array_equal(out, vals[[2, 0, 1]])
-
-
-def test_transfer_inconsistent_maps():
-    vals = np.zeros((2, 2))
-    with pytest.raises(TractionMappingError):
-        transfer_traction_to_reference(vals, [1, 2], [1])
-    with pytest.raises(TractionMappingError):
-        transfer_traction_to_reference(vals, [1, 1], [1, 2])
 
 
 # -- fixed-point driver ----------------------------------------------------------

@@ -5,8 +5,8 @@ from olmfsi.mesh import Mesh, build_rect_mesh, refine_uniform, FLUID, SOLID
 from olmfsi.geometry import (classify, build_topology, intersect_convex,
                              polygon_area, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
-                             polygon_rule, tri_rule,
-                             CoarseBackgroundError,
+                             subtractive_rules, fan_triangles, triangle_rule,
+                             tri_rule, CoarseBackgroundError,
                              covered_intervals_on_segment,
                              uncovered_intervals_on_segment)
 
@@ -14,7 +14,8 @@ from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,
                      halfplane_cut_area, clip_convex_loop, classify_loop,
-                     polygon_area_loop)
+                     polygon_area_loop, polygon_rule, _subtractive_rule,
+                     covered_dict)
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -276,7 +277,7 @@ def test_overlap_pairs_disjoint():
     bg = build_rect_mesh(3, 3, [(0, 0), (1, 1)])
     fr = build_rect_mesh(2, 2, [(4, 4), (5, 5)])
     topo = classify(bg, fr)
-    assert overlap_region_pairs(fr, topo) == []
+    assert len(overlap_region_pairs(fr, topo)) == 0
 
 
 def test_overlap_pair_cell_inside_one_background_cell():
@@ -285,9 +286,9 @@ def test_overlap_pair_cell_inside_one_background_cell():
     topo = classify(bg, fr)
     pairs = overlap_region_pairs(fr, topo)
     assert len(pairs) == 1
-    assert pairs[0].rule.total == pytest.approx(fr.cell_areas[0], abs=1e-13)
-    assert polygon_area(pairs[0].polygon) == pytest.approx(fr.cell_areas[0],
-                                                           abs=1e-13)
+    assert pairs.area[0] == pytest.approx(fr.cell_areas[0], abs=1e-13)
+    poly = topo.polygons.verts[0, :topo.polygons.count[0]]
+    assert polygon_area(poly) == pytest.approx(fr.cell_areas[0], abs=1e-13)
 
 
 def test_overlap_area_against_oracles():
@@ -295,7 +296,7 @@ def test_overlap_area_against_oracles():
     fr = build_rect_mesh(3, 3, [(0.23, 0.29), (0.71, 0.77)])
     topo = classify(bg, fr)
     pairs = overlap_region_pairs(fr, topo)
-    total = sum(p.rule.total for p in pairs)
+    total = pairs.area.sum()
     # scanline oracle for the overlap: front cells against reduced cells
     ref = 0.0
     for k in range(fr.nc):
@@ -304,10 +305,9 @@ def test_overlap_area_against_oracles():
                                               bg.cell_points[int(c)])
     assert total == pytest.approx(ref, abs=1e-10)
     # no double counting: every pair polygon is inside its two parents
-    for p in pairs:
-        ref_area = scanline_intersection_area(fr.cell_points[p.front_cell],
-                                              bg.cell_points[p.bg_cell])
-        assert polygon_area(p.polygon) == pytest.approx(ref_area, abs=1e-12)
+    for k, c, area in zip(pairs.front_cell, pairs.bg_cell, pairs.area):
+        ref_area = scanline_intersection_area(fr.cell_points[k], bg.cell_points[c])
+        assert area == pytest.approx(ref_area, abs=1e-12)
 
 
 # -- global invariants -------------------------------------------------------------
@@ -316,8 +316,7 @@ def test_partition_of_total_area():
     bg = build_rect_mesh(5, 4, [(0, 0), (1, 1)])
     fr = build_rect_mesh(4, 3, [(0.17, 0.23), (0.69, 0.78)])
     topo = build_topology(bg, fr)
-    omega1 = bg.cell_areas[topo.class_not].sum() + \
-        sum(topo.cut_rules[int(c)].total for c in topo.class_partial)
+    omega1 = bg.cell_areas[topo.class_not].sum() + topo.cut_rules.totals().sum()
     front_area = fr.cell_areas.sum()
     assert omega1 + front_area == pytest.approx(1.0, abs=1e-9)
 
@@ -332,9 +331,7 @@ def test_translation_equivariance():
     t0 = build_topology(bg, fr0)
     t1 = build_topology(bg1, fr1)
     assert np.array_equal(t0.class_partial, t1.class_partial)
-    for c in t0.class_partial:
-        assert t0.cut_rules[int(c)].total == pytest.approx(
-            t1.cut_rules[int(c)].total, abs=1e-10)
+    assert np.allclose(t0.cut_rules.totals(), t1.cut_rules.totals(), rtol=0, atol=1e-10)
     assert t0.interface_length() == pytest.approx(t1.interface_length(),
                                                   abs=1e-10)
     assert t0.overlap_area() == pytest.approx(t1.overlap_area(), abs=1e-10)
@@ -352,13 +349,22 @@ def test_grid_aligned_front():
         assert sg.bg_cell in reduced
 
 
-def test_polygon_rule_matches_area():
+@pytest.mark.parametrize("order", [1, 2, 4, 5])
+def test_fan_rules_match_per_polygon_oracle(order):
+    # polygons of 3 to 6 vertices from clipping random triangle pairs, padded
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        tri = rng.uniform(0, 1, (3, 2))
-        t = tri_mesh(tri)
-        r = polygon_rule(t.cell_points[0], 2)
-        assert r.total == pytest.approx(t.cell_areas[0], abs=1e-14)
+    a = np.array([tri_mesh(t).cell_points[0] for t in rng.uniform(0, 1, (200, 3, 2))])
+    b = np.array([tri_mesh(t).cell_points[0] for t in rng.uniform(0, 1, (200, 3, 2))])
+    verts, count = intersect_convex(a, b)
+    assert set(count[count > 0].tolist()) == {3, 4, 5, 6}
+    tris, poly = fan_triangles(verts, count)
+    rule = triangle_rule(tris, order)
+    for i, n in enumerate(count.tolist()):
+        ref = polygon_rule(verts[i, :n], order)
+        assert np.array_equal(rule.points[poly == i].reshape(-1, 2), ref.points)
+        assert np.array_equal(rule.weights[poly == i].ravel(), ref.weights)
+        if n:
+            assert ref.total == pytest.approx(polygon_area_loop(verts[i, :n]), rel=1e-12)
 
 
 def test_rotated_fronts_partition_and_consistency():
@@ -385,8 +391,7 @@ def test_rotated_fronts_partition_and_consistency():
         fr = Mesh(v, fr0.cells, fr0.boundary_edges, fr0.boundary_markers)
         bg = build_rect_mesh(7, 7, [(0, 0), (1, 1)])
         topo = build_topology(bg, fr)
-        omega1 = bg.cell_areas[topo.class_not].sum() + sum(
-            topo.cut_rules[int(cc)].total for cc in topo.class_partial)
+        omega1 = bg.cell_areas[topo.class_not].sum() + topo.cut_rules.totals().sum()
         assert omega1 + fr.cell_areas.sum() == pytest.approx(1.0, abs=1e-10)
         per = sum(np.hypot(*(fr.vertices[j] - fr.vertices[i]))
                   for i, j in fr.boundary_edges)
@@ -452,27 +457,51 @@ def test_topology_rules_match_standalone_cut_rules():
     for fr in _random_fronts(4, seed=5):
         topo = build_topology(bg, fr, fluid_tag=FLUID)
         assert len(topo.class_partial)
-        for c in topo.class_partial:
-            c = int(c)
-            for order, rule in ((2, topo.cut_rules[c]), (4, topo.physical_rule(c, 4))):
-                ref = cut_cell_quadrature(c, bg, fr, order)
-                assert np.array_equal(rule.points, ref.points)
-                assert np.array_equal(rule.weights, ref.weights)
+        covered = covered_dict(topo.polygons)
+        order4 = subtractive_rules(bg, topo.class_partial, topo.polygons, 4)
+        for i, c in enumerate(topo.class_partial.tolist()):
+            for order, rule in ((2, topo.cut_rules[i]), (4, order4[i])):
+                for ref in (cut_cell_quadrature(c, bg, fr, order),
+                            _subtractive_rule(bg, c, covered[c], order)):
+                    assert np.array_equal(rule.points, ref.points)
+                    assert np.array_equal(rule.weights, ref.weights)
+
+
+def _inside_length(a, b, lo, hi):
+    """Length of the segments [a[i], b[i]] inside the open box (lo, hi)."""
+    d = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.stack([(lo - a) / d, (hi - a) / d])
+    t0 = np.where(d != 0, t.min(axis=0), -np.inf).max(axis=1)
+    t1 = np.where(d != 0, t.max(axis=0), np.inf).min(axis=1)
+    flat_in = ((d != 0) | ((a > lo) & (a < hi))).all(axis=1)
+    return np.where(flat_in, np.clip(np.minimum(t1, 1) - np.maximum(t0, 0), 0, None), 0.0) \
+        * np.hypot(d[:, 0], d[:, 1])
 
 
 def test_covered_polygons_area_identities():
-    bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
-    for fr in _random_fronts(4, seed=9):
+    bg20 = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
+    cases = [("random", bg20, fr) for fr in _random_fronts(4, seed=9)]
+    cases += [c for c in _placements() if c[0] not in ("random", "coarse background")]
+    for name, bg, fr in cases:
         topo = build_topology(bg, fr, fluid_tag=FLUID)
-        assert set(topo.covered) <= set(topo.reduced_cells.tolist())
-        for c in topo.class_partial:
-            c = int(c)
-            covered = sum(polygon_area(p) for _, p in topo.covered[c])
-            assert covered + topo.cut_rules[c].total == pytest.approx(
-                bg.cell_areas[c], rel=1e-12)
-        fluid_area = sum(polygon_area(p) for polys in topo.covered.values()
-                         for k, p in polys if fr.region_tags[k] == FLUID)
-        assert topo.overlap_area() == pytest.approx(fluid_area, rel=1e-12)
+        p = topo.polygons
+        assert np.isin(p.bg_cell, topo.reduced_cells).all(), name
+        # uncovered plus covered area is the cell area, for every cut cell
+        covered = np.bincount(p.bg_cell, p.area, bg.nc)[topo.class_partial]
+        assert covered + topo.cut_rules.totals() == pytest.approx(
+            bg.cell_areas[topo.class_partial], rel=1e-12), name
+        # the overlap area is the front fluid area over the reduced mesh
+        fluid_area = sum(polygon_area_loop(p.verts[i, :p.count[i]]) for i in range(len(p))
+                         if fr.region_tags[p.front_cell[i]] == FLUID)
+        assert topo.overlap_area() == pytest.approx(fluid_area, rel=1e-12), name
+        # the interface length is the front boundary length inside the background
+        ij = fr.boundary_edges
+        cells, _ = fr.boundary_normals(np.arange(len(ij)))
+        ij = ij[fr.region_tags[cells] == FLUID]
+        lo, hi = bg.bbox
+        clipped = _inside_length(fr.vertices[ij[:, 0]], fr.vertices[ij[:, 1]], lo, hi).sum()
+        assert topo.interface_length() == pytest.approx(clipped, rel=1e-12), name
 
 
 def test_topology_clips_each_pair_once(monkeypatch):
@@ -523,7 +552,6 @@ def _placements():
 
 
 def test_batched_classify_matches_per_pair_reference():
-    from olmfsi.geometry import _subtractive_rule
     raised = 0
     for name, bg, fr in _placements():
         ref_cls, ref_cov = classify_loop(bg, fr, SOLID)
@@ -537,14 +565,18 @@ def test_batched_classify_matches_per_pair_reference():
         cls[topo.class_fully] = 1
         cls[topo.class_partial] = 2
         assert np.array_equal(cls, ref_cls), name
-        assert list(topo.covered) == list(ref_cov), name
+        covered = covered_dict(topo.polygons)
+        assert list(covered) == list(ref_cov), name
         for c, polys in ref_cov.items():
-            assert [k for k, _ in topo.covered[c]] == [k for k, _ in polys], name
-            for (_, p), (_, q) in zip(topo.covered[c], polys):
+            assert [k for k, _ in covered[c]] == [k for k, _ in polys], name
+            for (_, p), (_, q) in zip(covered[c], polys):
                 assert np.array_equal(p, q), name
-        for c in topo.class_partial:
-            c = int(c)
+        assert np.array_equal(topo.polygons.area,
+                              [polygon_area_loop(p) for polys in ref_cov.values()
+                               for _, p in polys]), name
+        assert len(topo.cut_rules) == len(topo.class_partial), name
+        for i, c in enumerate(topo.class_partial.tolist()):
             ref = _subtractive_rule(bg, c, ref_cov[c], topo.order)
-            assert np.array_equal(topo.cut_rules[c].points, ref.points), name
-            assert np.array_equal(topo.cut_rules[c].weights, ref.weights), name
+            assert np.array_equal(topo.cut_rules[i].points, ref.points), name
+            assert np.array_equal(topo.cut_rules[i].weights, ref.weights), name
     assert raised == 1

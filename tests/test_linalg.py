@@ -207,13 +207,3 @@ def test_condition_requires_symmetry():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         condition_estimate(system_from_dense(A))
-
-
-def test_matrix_market_dump(tmp_path):
-    import scipy.io
-    A = random_spd(5, seed=14)
-    sys = system_from_dense(A)
-    path = tmp_path / "mat.mtx"
-    sys.write_matrix_market(path)
-    back = scipy.io.mmread(path).toarray()
-    assert np.allclose(back, A, atol=1e-14)

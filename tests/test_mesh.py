@@ -7,6 +7,9 @@ from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
                          locate_points, barycentric, eval_p1, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
+from olmfsi.verification import flap_meshes
+
+from oracles import boundary_normal_loop
 
 
 def unit_right_triangle():
@@ -232,3 +235,27 @@ def test_immutability():
     m = build_rect_mesh(2, 2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 5.0
+
+
+def test_boundary_normals_match_per_edge_reference():
+    rng = np.random.default_rng(4)
+    rect = build_rect_mesh(5, 3, [(0, 0), (1, 0.6)])
+    th = 0.7
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    jitter = rect.vertices @ rot.T + rng.uniform(-0.02, 0.02, rect.vertices.shape)
+    meshes = [rect, Mesh(jitter, rect.cells, rect.boundary_edges, rect.boundary_markers),
+              *flap_meshes(30.0, 1)[:2]]
+    for m in meshes:
+        cells, normals = m.boundary_normals(np.arange(len(m.boundary_edges)))
+        for e in range(len(m.boundary_edges)):
+            c, n = boundary_normal_loop(m, e)
+            assert cells[e] == c == m.boundary_cell_of_edge(e)
+            assert np.array_equal(normals[e], n)
+            assert np.array_equal(m.boundary_normal(e)[1], n)
+    # an interior edge listed as a boundary edge has no single adjacent cell
+    inner = Mesh(rect.vertices, rect.cells, [rect.cells[0, [0, 2]]], validate=False)
+    assert boundary_normal_loop(inner, 0) is None
+    for call in (inner.boundary_cell_of_edge, inner.boundary_normal,
+                 lambda e: inner.boundary_normals([e])):
+        with pytest.raises(MeshError, match="boundary edge 0"):
+            call(0)

@@ -9,8 +9,10 @@ from olmfsi.verification import (build_manufactured, build_manufactured_stokes,
                                  interface_load_vector, eoc_sequence,
                                  ConvergenceReport, write_outputs,
                                  flap_meshes, stokes_patch_setup)
-from olmfsi.vtkio import write_vtk_mesh, parse_vtk
+from olmfsi.vtkio import write_vtk_mesh
 from olmfsi.cli import parse_config, load_config, ConfigError, main
+
+from vtkparse import parse_vtk
 
 
 # -- manufactured FSI fields ----------------------------------------------------

@@ -399,41 +399,40 @@ def cut_cell_quadrature(cell, background, front, order=2):
     return subtractive_rules(background, [cell], polygons, order)[0]
 
 
-def _segment_cell_interval(a, d, tri):
-    """Parameter interval [t0, t1] of segment a + t*d inside a CCW triangle."""
-    t0, t1 = 0.0, 1.0
-    dlen = np.hypot(*d)
-    for k in range(3):
-        p, q = tri[k], tri[(k + 1) % 3]
-        ex, ey = q[0] - p[0], q[1] - p[1]
-        elen = np.hypot(ex, ey)
-        denom = ex * d[1] - ey * d[0]
-        num = ex * (a[1] - p[1]) - ey * (a[0] - p[0])
-        if abs(denom) <= 1e-14 * max(elen * dlen, 1e-300):
-            # segment parallel to this edge: keep iff not strictly outside
-            if num < -1e-12 * max(elen * (np.hypot(*(a - p)) + dlen), 1e-300):
-                return None
-            continue
+def _segment_cell_intervals(a, d, tri):
+    """Parameter intervals [t0, t1] of segments a + t*d (stacked (m, 2))
+    inside CCW triangles (m, 3, 2); empty where t0 >= t1."""
+    e = np.roll(tri, -1, axis=1) - tri
+    elen = np.hypot(e[..., 0], e[..., 1])
+    dlen = np.hypot(d[:, 0], d[:, 1])[:, None]
+    denom = e[..., 0] * d[:, None, 1] - e[..., 1] * d[:, None, 0]
+    ap = a[:, None] - tri
+    num = e[..., 0] * ap[..., 1] - e[..., 1] * ap[..., 0]
+    parallel = np.abs(denom) <= 1e-14 * np.maximum(elen * dlen, 1e-300)
+    # a segment parallel to an edge is kept iff not strictly outside it
+    outside = (parallel & (num < -1e-12 * np.maximum(
+        elen * (np.hypot(ap[..., 0], ap[..., 1]) + dlen), 1e-300))).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         tc = -num / denom
-        if denom > 0.0:
-            t0 = max(t0, tc)
-        else:
-            t1 = min(t1, tc)
-        if t0 >= t1:
-            return None
-    return (t0, t1)
+    enter = ~parallel & (denom > 0.0)
+    # + 0.0 reads an entry at -0.0 as 0.0, the start value a running max keeps
+    t0 = np.where(enter, tc, 0.0).max(axis=1, initial=0.0) + 0.0
+    t1 = np.where(~parallel & ~enter, tc, 1.0).min(axis=1, initial=1.0)
+    t0[outside] = 1.0
+    return t0, t1
 
 
 def _cell_intervals(a, b, mesh, min_len):
     """Per segment [a[i], b[i]], the (t0, t1, cell) of the mesh cells it
     runs through for more than min_len in parameter, by ascending cell; one
-    grid query for all segments."""
+    grid query and one interval kernel for all segments."""
     seg, cand = mesh.cell_grid.query_boxes(np.minimum(a, b), np.maximum(a, b))
+    t0, t1 = _segment_cell_intervals(a[seg], b[seg] - a[seg], mesh.cell_points[cand])
+    keep = t1 - t0 > min_len
     out = [[] for _ in range(len(a))]
-    for i, c in zip(seg.tolist(), cand.tolist()):
-        iv = _segment_cell_interval(a[i], b[i] - a[i], mesh.cell_points[c])
-        if iv is not None and iv[1] - iv[0] > min_len:
-            out[i].append((iv[0], iv[1], c))
+    for i, lo, hi, c in zip(seg[keep].tolist(), t0[keep].tolist(), t1[keep].tolist(),
+                            cand[keep].tolist()):
+        out[i].append((lo, hi, c))
     return out
 
 

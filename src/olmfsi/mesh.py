@@ -230,16 +230,14 @@ class Mesh:
         return self._cached("cell_grid", lambda: CellGrid(self.cell_points))
 
     @property
-    def edge_cells(self):
-        """dict mapping a sorted vertex pair to the list of adjacent cells."""
+    def edge_keys(self):
+        """Key v_lo * nv + v_hi of cell edge 3 c + k (vertices k, k + 1),
+        the stable order sorting them, and the sorted keys."""
         def f():
-            adj = {}
-            for c, tri in enumerate(self.cells):
-                for k in range(3):
-                    key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-                    adj.setdefault(key, []).append(c)
-            return adj
-        return self._cached("edge_cells", f)
+            key = np.sort(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) @ [self.nv, 1]
+            order = np.argsort(key, kind="stable")
+            return key, order, key[order]
+        return self._cached("edge_keys", f)
 
     @property
     def vertex_cells(self):
@@ -274,10 +272,9 @@ class Mesh:
 
     def _boundary_normals(self):
         """Cell (-1 unless exactly one) and outward unit normal per boundary edge."""
-        key = np.sort(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) @ [self.nv, 1]
-        order = np.argsort(key, kind="stable")
+        _, order, skey = self.edge_keys
         want = np.sort(self.boundary_edges, axis=1) @ [self.nv, 1]
-        lo, hi = (np.searchsorted(key[order], want, side) for side in ("left", "right"))
+        lo, hi = (np.searchsorted(skey, want, side) for side in ("left", "right"))
         one = hi - lo == 1
         cells = np.full(len(want), -1, dtype=np.int64)
         cells[one] = order[lo[one]] // 3
@@ -476,23 +473,23 @@ def region_boundary_edges(mesh, tag):
     exterior boundary marker for edges on the mesh boundary and
     ``('interface', other_tag)`` for edges shared with another region.
     """
-    marker_of = {}
-    for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-        marker_of[(min(i, j), max(i, j))] = int(m)
-    out = []
-    for c in np.flatnonzero(mesh.region_tags == tag):
-        tri = mesh.cells[c]
-        for k in range(3):
-            i, j = tri[k], tri[(k + 1) % 3]
-            key = (min(i, j), max(i, j))
-            adj = mesh.edge_cells[key]
-            others = [d for d in adj if d != c]
-            if not others:
-                out.append((int(i), int(j), int(c), marker_of.get(key, 0)))
-            elif mesh.region_tags[others[0]] != tag:
-                out.append((int(i), int(j), int(c),
-                            ("interface", int(mesh.region_tags[others[0]]))))
-    return out
+    key, order, skey = mesh.edge_keys
+    edge = (3 * np.flatnonzero(mesh.region_tags == tag)[:, None] + np.arange(3)).ravel()
+    lo, hi = (np.searchsorted(skey, key[edge], side) for side in ("left", "right"))
+    # the first cell other than the edge's own along the sorted keys
+    cell, first = edge // 3, order[lo] // 3
+    other = np.where(first != cell, first, order[np.minimum(lo + 1, len(order) - 1)] // 3)
+    outer = hi - lo == 1
+    other_tag = mesh.region_tags[other]
+    keep = outer | (other_tag != tag)
+    marker_of = {min(i, j) * mesh.nv + max(i, j): m for (i, j), m in
+                 zip(mesh.boundary_edges.tolist(), mesh.boundary_markers.tolist())}
+    k = edge % 3
+    ij = np.column_stack([mesh.cells[cell, k], mesh.cells[cell, (k + 1) % 3]])
+    return [(i, j, c, marker_of.get(k, 0) if o else ("interface", t))
+            for (i, j), c, k, o, t in zip(ij[keep].tolist(), cell[keep].tolist(),
+                                          key[edge[keep]].tolist(), outer[keep].tolist(),
+                                          other_tag[keep].tolist())]
 
 
 # -- text format ----------------------------------------------------------

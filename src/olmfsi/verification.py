@@ -8,7 +8,8 @@ H(x) = Hs * 2 x (1 - x); the fluid map stretches the strip vertically,
 transform of a reference parabolic profile, which keeps it exactly
 divergence free on the deformed domain.  All forcing terms, the outflow
 traction and the auxiliary interface traction (compensating the stress
-jump the constructed fields leave behind) are derived symbolically.
+jump the constructed fields leave behind) are written in closed form
+through the chain rule in H, H' and J = 1 + H/Rf.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .mesh import (Mesh, build_rect_mesh, build_tensor_mesh, FLUID, SOLID,
                    LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
@@ -29,57 +29,29 @@ from .coupling import FsiProblem, FsiConfig, fsi_fixed_point
 from .vtkio import write_vtk_mesh, write_vtk_topology
 
 
-# -- symbolic helpers -------------------------------------------------------
+# -- closed-form field helpers ------------------------------------------------
 
 
-def _vec_field(xsym, ysym, exprs):
-    fns = [sp.lambdify((xsym, ysym), e, "numpy") for e in exprs]
-
-    def call(pts):
-        pts = np.asarray(pts, float).reshape(-1, 2)
-        cols = [np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), float),
-                                (len(pts),)) for f in fns]
-        return np.stack(cols, axis=-1)
-
-    call.vectorized = True
-    return call
+def _xy(pts):
+    pts = np.asarray(pts, float).reshape(-1, 2)
+    return pts[:, 0], pts[:, 1]
 
 
-def _mat_field(xsym, ysym, exprs2x2):
-    flat = [exprs2x2[i][j] for i in range(2) for j in range(2)]
-    fns = [sp.lambdify((xsym, ysym), e, "numpy") for e in flat]
-
-    def call(pts):
-        pts = np.asarray(pts, float).reshape(-1, 2)
-        cols = [np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), float),
-                                (len(pts),)) for f in fns]
-        return np.stack(cols, axis=-1).reshape(len(pts), 2, 2)
-
-    call.vectorized = True
-    return call
+def _vec(a, b):
+    """(n, 2) stack of the components a, b (arrays or scalars)."""
+    return np.stack(np.broadcast_arrays(a, b), axis=-1)
 
 
-def _scalar_field(xsym, ysym, expr):
-    fn = sp.lambdify((xsym, ysym), expr, "numpy")
-
-    def call(pts):
-        pts = np.asarray(pts, float).reshape(-1, 2)
-        return np.broadcast_to(np.asarray(fn(pts[:, 0], pts[:, 1]), float),
-                               (len(pts),)).copy()
-
-    call.vectorized = True
-    return call
+def _mat(a, b, c, d):
+    """(n, 2, 2) stack of [[a, b], [c, d]]."""
+    return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1).reshape(-1, 2, 2)
 
 
-def _traction_field(xsym, ysym, sigma):
-    """Callback (points, normal) -> sigma(points) . normal."""
-    mat = _mat_field(xsym, ysym, [[sigma[0, 0], sigma[0, 1]],
-                                  [sigma[1, 0], sigma[1, 1]]])
-
-    def call(pts, n):
-        return mat(pts) @ np.asarray(n, float)
-
-    return call
+def _vectorized(**fields):
+    """Mark callbacks of (n, 2) points as such (see mesh.eval_field)."""
+    for fn in fields.values():
+        fn.vectorized = True
+    return fields
 
 
 # -- fluid-only manufactured problem ---------------------------------------
@@ -96,23 +68,32 @@ class ManufacturedStokes2d:
 
 
 def build_manufactured_stokes(viscosity=1.0):
-    x, y = sp.symbols("x y", real=True)
-    pi = sp.pi
-    psi = sp.sin(pi * x) * sp.sin(pi * y) / pi
-    ux = sp.diff(psi, y)
-    uy = -sp.diff(psi, x)
-    p = sp.sin(pi * x) * sp.sin(pi * y) - sp.Rational(4) / pi ** 2
-    nu = sp.Float(viscosity)
-    fx = -nu * (sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
-    fy = -nu * (sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
-    grad = [[sp.diff(ux, x), sp.diff(ux, y)], [sp.diff(uy, x), sp.diff(uy, y)]]
-    return ManufacturedStokes2d(
-        viscosity=viscosity,
-        u=_vec_field(x, y, [ux, uy]),
-        grad_u=_mat_field(x, y, grad),
-        p=_scalar_field(x, y, p),
-        f=_vec_field(x, y, [fx, fy]),
-    )
+    """u = curl of psi = sin(pi x) sin(pi y) / pi, so -lap u = 2 pi^2 u;
+    p = sin(pi x) sin(pi y) - 4/pi^2 and f = 2 nu pi^2 u + grad p."""
+    pi = np.pi
+
+    def trig(pts):
+        x, y = _xy(pts)
+        return np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
+
+    def u(pts):
+        sx, cx, sy, cy = trig(pts)
+        return _vec(sx * cy, -cx * sy)
+
+    def grad_u(pts):
+        sx, cx, sy, cy = trig(pts)
+        return _mat(pi * cx * cy, -pi * sx * sy, pi * sx * sy, -pi * cx * cy)
+
+    def p(pts):
+        sx, _, sy, _ = trig(pts)
+        return sx * sy - 4.0 / pi ** 2
+
+    def f(pts):
+        sx, cx, sy, cy = trig(pts)
+        return 2.0 * viscosity * pi ** 2 * u(pts) + pi * _vec(cx * sy, sx * cy)
+
+    return ManufacturedStokes2d(viscosity=viscosity,
+                                **_vectorized(u=u, grad_u=grad_u, p=p, f=f))
 
 
 # -- coupled manufactured problem -------------------------------------------
@@ -146,60 +127,66 @@ def build_manufactured(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
     if min(L, Rf, R1, Hs, U0, viscosity, E_s) <= 0 or not 0 < nu_s < 0.5 \
             or R1 >= Rf:
         raise ValueError("need positive parameters, R1 < Rf and nu_s in (0, 0.5)")
-    x, y = sp.symbols("x y", real=True)
-    H = Hs * 2 * x * (1 - x)
-    Hp = sp.diff(H, x)
-    J = 1 + H / Rf
+    nu, Hpp = viscosity, -4.0 * Hs       # H'' (H is quadratic)
 
-    # velocity: Piola transform of the reference profile U0*(y(Rf-y), 0),
-    # written directly in physical coordinates
-    yr = y / J
-    ux = U0 * yr * (Rf - yr) / J
-    uy = ux * yr * Hp / Rf
-    p = 1 - x
-    nu = sp.Float(viscosity)
+    def bump(x):
+        """H, H' and a = 1/J, J = 1 + H/Rf, with its x-derivatives a', a''."""
+        H, Hp = Hs * 2 * x * (1 - x), 2 * Hs * (1 - 2 * x)
+        a = 1.0 / (1 + H / Rf)
+        return H, Hp, a, -Hp / Rf * a ** 2, -Hpp / Rf * a ** 2 + 2 * (Hp / Rf) ** 2 * a ** 3
 
-    grad_u = sp.Matrix([[sp.diff(ux, x), sp.diff(ux, y)],
-                        [sp.diff(uy, x), sp.diff(uy, y)]])
-    fx = -nu * (sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
-    fy = -nu * (sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
-    sigma = nu * grad_u - p * sp.eye(2)
-    div_u = sp.simplify(sp.diff(ux, x) + sp.diff(uy, y))
+    def flow(x, y):
+        """Velocity, its gradient and its Laplacian.  The velocity is the
+        Piola transform of U0 (y (Rf - y), 0) under (x, y) -> (x, y J):
+        u_x = U0 (Rf y a^2 - y^2 a^3) and u_y = u_x q with q = y H' a / Rf."""
+        _, Hp, a, ap, app = bump(x)
+        ux = U0 * (Rf * y * a ** 2 - y ** 2 * a ** 3)
+        ux_x = U0 * (2 * Rf * y * a - 3 * y ** 2 * a ** 2) * ap
+        ux_y = U0 * (Rf * a ** 2 - 2 * y * a ** 3)
+        lap_x = U0 * (2 * Rf * y * (ap ** 2 + a * app)
+                      - 3 * y ** 2 * (2 * a * ap ** 2 + a ** 2 * app) - 2 * a ** 3)
+        q, q_x, q_y = y * Hp * a / Rf, y * (Hpp * a + Hp * ap) / Rf, Hp * a / Rf
+        q_xx = y * (2 * Hpp * ap + Hp * app) / Rf
+        grad = _mat(ux_x, ux_y, ux_x * q + ux * q_x, ux_y * q + ux * q_y)
+        lap = _vec(lap_x, lap_x * q + 2 * (ux_x * q_x + ux_y * q_y) + ux * q_xx)
+        return _vec(ux, ux * q), grad, lap
 
-    # solid: vertical bump, St. Venant-Kirchhoff, plane strain
+    def sigma(x, y):
+        return nu * flow(x, y)[1] - (1 - x)[:, None, None] * np.eye(2)
+
+    # solid: vertical bump, St. Venant-Kirchhoff, plane strain; with
+    # F = [[1, 0], [H', 1]] the Green strain is [[H'^2, H'], [H', 0]] / 2
+    # and Pi = F S = [[c H'^2, mu H'], [c H'^3 + mu H', c H'^2]], c = mu + lam/2
     material = Material.from_young_poisson(E_s, nu_s, STVK)
-    mu, lam = material.mu, material.lam
-    F = sp.Matrix([[1, 0], [Hp, 1]])
-    E = (F.T * F - sp.eye(2)) / 2
-    S = 2 * mu * E + lam * E.trace() * sp.eye(2)
-    Pi = F * S
-    f_solid = [-sp.diff(Pi[i, 0], x) for i in range(2)]  # fields depend on x only
-    grad_us = [[sp.Integer(0), sp.Integer(0)], [Hp, sp.Integer(0)]]
+    mu, c = material.mu, material.mu + material.lam / 2
 
-    # auxiliary traction on the reference interface y = Rf with the
-    # solid-outward normal (0, -1); the fluid term uses the Nanson vector
-    # of the interface map, J F^{-T} n = (H', -1)
-    n_ref = sp.Matrix([0, -1])
-    nanson = sp.Matrix([Hp, -1])
-    sigma_iface = sigma.subs(y, Rf * J)
-    t_a = Pi * n_ref - sigma_iface * nanson
+    def f_solid(pts):                    # -d/dx Pi[:, 0]; fields depend on x only
+        Hp = bump(_xy(pts)[0])[1]
+        return _vec(-2 * c * Hp * Hpp, -(3 * c * Hp ** 2 + mu) * Hpp)
+
+    def t_a(pts):
+        # auxiliary traction on the reference interface y = Rf: Pi applied to
+        # the solid-outward normal (0, -1), minus sigma on the deformed
+        # interface y = Rf J applied to the Nanson vector J F^{-T} n = (H', -1)
+        x, _ = _xy(pts)
+        _, Hp, a, _, _ = bump(x)
+        return (-_vec(mu * Hp, c * Hp ** 2)
+                - np.einsum("nij,nj->ni", sigma(x, Rf / a), _vec(Hp, -1.0)))
 
     return ManufacturedFsi2d(
-        L=L, Rf=Rf, R1=R1, Hs=Hs, U0=U0, viscosity=viscosity,
-        material=material,
-        u=_vec_field(x, y, [ux, uy]),
-        grad_u=_mat_field(x, y, [[grad_u[0, 0], grad_u[0, 1]],
-                                 [grad_u[1, 0], grad_u[1, 1]]]),
-        p=_scalar_field(x, y, p),
-        f=_vec_field(x, y, [fx, fy]),
-        fluid_traction=_traction_field(x, y, sigma),
-        us=_vec_field(x, y, [sp.Integer(0), H]),
-        grad_us=_mat_field(x, y, grad_us),
-        f_solid=_vec_field(x, y, f_solid),
-        t_a=_vec_field(x, y, [t_a[0], t_a[1]]),
-        um=_vec_field(x, y, [sp.Integer(0), y * H / Rf]),
-        div_u=_scalar_field(x, y, div_u),
-    )
+        L=L, Rf=Rf, R1=R1, Hs=Hs, U0=U0, viscosity=viscosity, material=material,
+        fluid_traction=lambda pts, n: sigma(*_xy(pts)) @ np.asarray(n, float),
+        **_vectorized(
+            u=lambda pts: flow(*_xy(pts))[0],
+            grad_u=lambda pts: flow(*_xy(pts))[1],
+            p=lambda pts: 1 - _xy(pts)[0],
+            f=lambda pts: -nu * flow(*_xy(pts))[2] - [1.0, 0.0],
+            div_u=lambda pts: np.trace(flow(*_xy(pts))[1], axis1=1, axis2=2),
+            us=lambda pts: _vec(0.0, bump(_xy(pts)[0])[0]),
+            grad_us=lambda pts: _mat(0.0, 0.0, bump(_xy(pts)[0])[1], 0.0),
+            f_solid=f_solid,
+            t_a=t_a,
+            um=lambda pts: _vec(0.0, _xy(pts)[1] * bump(_xy(pts)[0])[0] / Rf)))
 
 
 def remark_edges(mesh, fn):

@@ -8,19 +8,23 @@ plain dense textbook implementation.  The ``*_loop`` functions are the
 per-item forms of batched package kernels: they share the package's
 formulas (the solid loop calls its constitutive laws on single 2x2
 matrices, the Stokes loops take one cell, segment, pair or boundary piece
-at a time) but none of its batching.
+at a time) but none of its batching.  The ``*_sympy`` builders derive the
+manufactured solutions symbolically (sympy.diff, then lambdify), the
+reference for the package's hand-written closed forms.
 """
 
 import numpy as np
+import sympy as sp
 
 from olmfsi.geometry import (EPS_GEOM, QuadRule, exterior_intervals_on_segment,
                              seg_rule, tri_rule, triangle_rule,
                              uncovered_intervals_on_segment)
 from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import barycentric, eval_field
-from olmfsi.solid import (STVK, InvertedElementError, first_piola,
+from olmfsi.solid import (STVK, InvertedElementError, Material, first_piola,
                           piola_tangent)
 from olmfsi.stokes import BG, FRONT, _full_cell_volume_terms
+from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
 _I2 = np.eye(2)
 
@@ -191,12 +195,81 @@ def split_edges_brute_force(front, background):
     return pieces
 
 
+def edge_cells_loop(mesh):
+    """dict mapping a sorted vertex pair to the list of adjacent cells."""
+    adj = {}
+    for c, tri in enumerate(mesh.cells):
+        for k in range(3):
+            key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
+            adj.setdefault(key, []).append(c)
+    return adj
+
+
+def region_boundary_edges_loop(mesh, tag):
+    """Per-cell-edge reference for ``mesh.region_boundary_edges``."""
+    edge_cells = edge_cells_loop(mesh)
+    marker_of = {}
+    for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
+        marker_of[(min(i, j), max(i, j))] = int(m)
+    out = []
+    for c in np.flatnonzero(mesh.region_tags == tag):
+        tri = mesh.cells[c]
+        for k in range(3):
+            i, j = tri[k], tri[(k + 1) % 3]
+            key = (min(i, j), max(i, j))
+            others = [d for d in edge_cells[key] if d != c]
+            if not others:
+                out.append((int(i), int(j), int(c), marker_of.get(key, 0)))
+            elif mesh.region_tags[others[0]] != tag:
+                out.append((int(i), int(j), int(c),
+                            ("interface", int(mesh.region_tags[others[0]]))))
+    return out
+
+
+def segment_cell_interval_loop(a, d, tri):
+    """Parameter interval [t0, t1] of segment a + t*d inside a CCW triangle,
+    or None: the per-pair reference for ``geometry._segment_cell_intervals``."""
+    t0, t1 = 0.0, 1.0
+    dlen = np.hypot(*d)
+    for k in range(3):
+        p, q = tri[k], tri[(k + 1) % 3]
+        ex, ey = q[0] - p[0], q[1] - p[1]
+        elen = np.hypot(ex, ey)
+        denom = ex * d[1] - ey * d[0]
+        num = ex * (a[1] - p[1]) - ey * (a[0] - p[0])
+        if abs(denom) <= 1e-14 * max(elen * dlen, 1e-300):
+            # segment parallel to this edge: keep iff not strictly outside
+            if num < -1e-12 * max(elen * (np.hypot(*(a - p)) + dlen), 1e-300):
+                return None
+            continue
+        tc = -num / denom
+        if denom > 0.0:
+            t0 = max(t0, tc)
+        else:
+            t1 = min(t1, tc)
+        if t0 >= t1:
+            return None
+    return (t0, t1)
+
+
+def cell_intervals_loop(a, b, mesh, min_len):
+    """``geometry._cell_intervals`` with one scalar interval per
+    (segment, candidate cell) pair."""
+    seg, cand = mesh.cell_grid.query_boxes(np.minimum(a, b), np.maximum(a, b))
+    out = [[] for _ in range(len(a))]
+    for i, c in zip(seg.tolist(), cand.tolist()):
+        iv = segment_cell_interval_loop(a[i], b[i] - a[i], mesh.cell_points[c])
+        if iv is not None and iv[1] - iv[0] > min_len:
+            out[i].append((iv[0], iv[1], c))
+    return out
+
+
 def boundary_normal_loop(mesh, e):
     """Adjacent cell and outward unit normal of one boundary edge from the
     mesh's edge-to-cells dictionary, or None if the edge is not on the
     boundary: the per-edge reference for ``Mesh.boundary_normals``."""
     i, j = mesh.boundary_edges[e]
-    cells = mesh.edge_cells.get((min(i, j), max(i, j)), [])
+    cells = edge_cells_loop(mesh).get((min(i, j), max(i, j)), [])
     if len(cells) != 1:
         return None
     a, b = mesh.vertices[i], mesh.vertices[j]
@@ -710,3 +783,140 @@ def dense_stokes_single_mesh(mesh, nu, delta, f=None):
                 rhs[2 * nv + conn[a]] += -delta * hT ** 2 * (area / 3.0) * sum(
                     vals[q] @ G[a] for q in range(3))
     return A, rhs
+
+
+# -- symbolic manufactured solutions -----------------------------------------
+
+
+def _vec_field(xsym, ysym, exprs):
+    fns = [sp.lambdify((xsym, ysym), e, "numpy") for e in exprs]
+
+    def call(pts):
+        pts = np.asarray(pts, float).reshape(-1, 2)
+        cols = [np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), float),
+                                (len(pts),)) for f in fns]
+        return np.stack(cols, axis=-1)
+
+    call.vectorized = True
+    return call
+
+
+def _mat_field(xsym, ysym, exprs2x2):
+    flat = [exprs2x2[i][j] for i in range(2) for j in range(2)]
+    fns = [sp.lambdify((xsym, ysym), e, "numpy") for e in flat]
+
+    def call(pts):
+        pts = np.asarray(pts, float).reshape(-1, 2)
+        cols = [np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1]), float),
+                                (len(pts),)) for f in fns]
+        return np.stack(cols, axis=-1).reshape(len(pts), 2, 2)
+
+    call.vectorized = True
+    return call
+
+
+def _scalar_field(xsym, ysym, expr):
+    fn = sp.lambdify((xsym, ysym), expr, "numpy")
+
+    def call(pts):
+        pts = np.asarray(pts, float).reshape(-1, 2)
+        return np.broadcast_to(np.asarray(fn(pts[:, 0], pts[:, 1]), float),
+                               (len(pts),)).copy()
+
+    call.vectorized = True
+    return call
+
+
+def _traction_field(xsym, ysym, sigma):
+    """Callback (points, normal) -> sigma(points) . normal."""
+    mat = _mat_field(xsym, ysym, [[sigma[0, 0], sigma[0, 1]],
+                                  [sigma[1, 0], sigma[1, 1]]])
+
+    def call(pts, n):
+        return mat(pts) @ np.asarray(n, float)
+
+    return call
+
+
+def build_manufactured_stokes_sympy(viscosity=1.0):
+    """Symbolic reference for ``verification.build_manufactured_stokes``."""
+    x, y = sp.symbols("x y", real=True)
+    pi = sp.pi
+    psi = sp.sin(pi * x) * sp.sin(pi * y) / pi
+    ux = sp.diff(psi, y)
+    uy = -sp.diff(psi, x)
+    p = sp.sin(pi * x) * sp.sin(pi * y) - sp.Rational(4) / pi ** 2
+    nu = sp.Float(viscosity)
+    fx = -nu * (sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
+    fy = -nu * (sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
+    grad = [[sp.diff(ux, x), sp.diff(ux, y)], [sp.diff(uy, x), sp.diff(uy, y)]]
+    return ManufacturedStokes2d(
+        viscosity=viscosity,
+        u=_vec_field(x, y, [ux, uy]),
+        grad_u=_mat_field(x, y, grad),
+        p=_scalar_field(x, y, p),
+        f=_vec_field(x, y, [fx, fy]),
+    )
+
+
+def build_manufactured_sympy(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
+                             viscosity=0.001, E_s=10.0, nu_s=0.3):
+    """Symbolic reference for ``verification.build_manufactured``: every
+    derivative by sympy.diff, evaluated through lambdify."""
+    if min(L, Rf, R1, Hs, U0, viscosity, E_s) <= 0 or not 0 < nu_s < 0.5 \
+            or R1 >= Rf:
+        raise ValueError("need positive parameters, R1 < Rf and nu_s in (0, 0.5)")
+    x, y = sp.symbols("x y", real=True)
+    H = Hs * 2 * x * (1 - x)
+    Hp = sp.diff(H, x)
+    J = 1 + H / Rf
+
+    # velocity: Piola transform of the reference profile U0*(y(Rf-y), 0),
+    # written directly in physical coordinates
+    yr = y / J
+    ux = U0 * yr * (Rf - yr) / J
+    uy = ux * yr * Hp / Rf
+    p = 1 - x
+    nu = sp.Float(viscosity)
+
+    grad_u = sp.Matrix([[sp.diff(ux, x), sp.diff(ux, y)],
+                        [sp.diff(uy, x), sp.diff(uy, y)]])
+    fx = -nu * (sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
+    fy = -nu * (sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
+    sigma = nu * grad_u - p * sp.eye(2)
+    div_u = sp.simplify(sp.diff(ux, x) + sp.diff(uy, y))
+
+    # solid: vertical bump, St. Venant-Kirchhoff, plane strain
+    material = Material.from_young_poisson(E_s, nu_s, STVK)
+    mu, lam = material.mu, material.lam
+    F = sp.Matrix([[1, 0], [Hp, 1]])
+    E = (F.T * F - sp.eye(2)) / 2
+    S = 2 * mu * E + lam * E.trace() * sp.eye(2)
+    Pi = F * S
+    f_solid = [-sp.diff(Pi[i, 0], x) for i in range(2)]  # fields depend on x only
+    grad_us = [[sp.Integer(0), sp.Integer(0)], [Hp, sp.Integer(0)]]
+
+    # auxiliary traction on the reference interface y = Rf with the
+    # solid-outward normal (0, -1); the fluid term uses the Nanson vector
+    # of the interface map, J F^{-T} n = (H', -1)
+    n_ref = sp.Matrix([0, -1])
+    nanson = sp.Matrix([Hp, -1])
+    sigma_iface = sigma.subs(y, Rf * J)
+    t_a = Pi * n_ref - sigma_iface * nanson
+
+    return ManufacturedFsi2d(
+        L=L, Rf=Rf, R1=R1, Hs=Hs, U0=U0, viscosity=viscosity,
+        material=material,
+        u=_vec_field(x, y, [ux, uy]),
+        grad_u=_mat_field(x, y, [[grad_u[0, 0], grad_u[0, 1]],
+                                 [grad_u[1, 0], grad_u[1, 1]]]),
+        p=_scalar_field(x, y, p),
+        f=_vec_field(x, y, [fx, fy]),
+        fluid_traction=_traction_field(x, y, sigma),
+        us=_vec_field(x, y, [sp.Integer(0), H]),
+        grad_us=_mat_field(x, y, grad_us),
+        f_solid=_vec_field(x, y, f_solid),
+        t_a=_vec_field(x, y, [t_a[0], t_a[1]]),
+        um=_vec_field(x, y, [sp.Integer(0), y * H / Rf]),
+        div_u=_scalar_field(x, y, div_u),
+    )

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from olmfsi.mesh import Mesh, build_rect_mesh, refine_uniform, FLUID, SOLID
-from olmfsi.geometry import (classify, build_topology, intersect_convex,
-                             polygon_area, cut_cell_quadrature,
+from olmfsi.geometry import (EPS_GEOM, _cell_intervals, classify, build_topology,
+                             intersect_convex, polygon_area, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
                              subtractive_rules, fan_triangles, triangle_rule,
                              tri_rule, CoarseBackgroundError,
@@ -15,7 +15,8 @@ from oracles import (sample_cell_fraction, scanline_intersection_area,
                      split_edges_brute_force, adaptive_tri_integral,
                      halfplane_cut_area, clip_convex_loop, classify_loop,
                      polygon_area_loop, polygon_rule, _subtractive_rule,
-                     covered_dict)
+                     covered_dict, cell_intervals_loop)
+from olmfsi.verification import flap_meshes, stokes_patch_setup
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -426,6 +427,36 @@ def test_covered_uncovered_intervals():
     assert cov[0][0] == pytest.approx(0.25, abs=1e-12)
     assert cov[0][1] == pytest.approx(0.75, abs=1e-12)
     assert sum(t1 - t0 for t0, t1 in unc) == pytest.approx(0.5, abs=1e-12)
+
+
+def _interval_bits(per_segment):
+    return [[(float(t0).hex(), float(t1).hex(), c) for t0, t1, c in ivs]
+            for ivs in per_segment]
+
+
+def test_batched_cell_intervals_match_scalar_reference():
+    cases = [flap_meshes(angle, res)[:2] for angle in (0.0, 65.0) for res in (1, 2)]
+    cases += [stokes_patch_setup(level) for level in range(4)]
+    # grid lines and diagonals of a background run along its cell edges
+    bg = stokes_patch_setup(1)[0]
+    s = np.linspace(0.0, 1.0, 17)
+    lines = [np.column_stack([np.zeros_like(s), s]), np.column_stack([s, np.zeros_like(s)]),
+             np.column_stack([s[:-1], np.zeros(16)])]
+    ends = [lines[0] + [1.0, 0.0], lines[1] + [0.0, 1.0], lines[2] + 1.0 / 16]
+    checked = 0
+    for bg_, fr in cases:
+        # front edges cut at background cells, background edges under the front
+        for edges_of, mesh, min_len in ((fr, bg_, EPS_GEOM), (bg_, fr, 1e-12)):
+            a, b = (edges_of.vertices[edges_of.boundary_edges[:, k]] for k in (0, 1))
+            got = _cell_intervals(a, b, mesh, min_len)
+            assert _interval_bits(got) == _interval_bits(
+                cell_intervals_loop(a, b, mesh, min_len))
+            checked += sum(map(len, got))
+    for a, b in zip(lines, ends):
+        got = _cell_intervals(a, b, bg, EPS_GEOM)
+        assert _interval_bits(got) == _interval_bits(cell_intervals_loop(a, b, bg, EPS_GEOM))
+        assert all(got)
+    assert checked > 1000
 
 
 # -- stored covered polygons -----------------------------------------------------

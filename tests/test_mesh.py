@@ -7,9 +7,9 @@ from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
                          locate_points, barycentric, eval_p1, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
-from olmfsi.verification import flap_meshes
+from olmfsi.verification import flap_meshes, manufactured_meshes
 
-from oracles import boundary_normal_loop
+from oracles import boundary_normal_loop, region_boundary_edges_loop
 
 
 def unit_right_triangle():
@@ -229,6 +229,22 @@ def test_region_boundary_edges_kinds():
     kinds = [k for (_, _, _, k) in edges]
     assert any(isinstance(k, tuple) and k[0] == "interface" for k in kinds)
     assert any(k == TOP for k in kinds if not isinstance(k, tuple))
+
+
+def test_region_boundary_edges_match_per_edge_reference():
+    rng = np.random.default_rng(5)
+    rect = build_rect_mesh(6, 4, [(0, 0), (1, 0.6)])
+    jitter = Mesh(rect.vertices + rng.uniform(-0.02, 0.02, rect.vertices.shape),
+                  rect.cells, rect.boundary_edges, rect.boundary_markers,
+                  rng.integers(0, 3, rect.nc))
+    meshes = [flap_meshes(angle, res)[1] for angle in (0.0, 65.0) for res in (1, 2)]
+    meshes += [manufactured_meshes(level)[1] for level in (0, 1)] + [jitter]
+    for m in meshes:
+        for tag in np.unique(m.region_tags).tolist():
+            edges = region_boundary_edges(m, tag)
+            assert edges == region_boundary_edges_loop(m, tag)
+            assert all(type(v) is int for e in edges for v in e[:3])
+            assert all(type(e[3]) is int or type(e[3][1]) is int for e in edges)
 
 
 def test_immutability():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from olmfsi.verification import (build_manufactured, build_manufactured_stokes,
 from olmfsi.vtkio import write_vtk_mesh
 from olmfsi.cli import parse_config, load_config, ConfigError, main
 
+from oracles import build_manufactured_stokes_sympy, build_manufactured_sympy
 from vtkparse import parse_vtk
 
 
@@ -125,6 +128,69 @@ def test_manufactured_stokes_force_consistency():
             (ms.p(np.array([p + [0, h]]))[0] - ms.p(np.array([p - [0, h]]))[0]) / (2 * h)])
         resid = -0.7 * lap + dp - ms.f(np.array([p]))[0]
         assert np.abs(resid).max() < 1e-4
+
+
+# -- closed forms against the symbolic references ---------------------------------
+
+FSI_FIELDS = ("u", "grad_u", "p", "f", "us", "grad_us", "f_solid", "t_a", "um",
+              "div_u")
+
+
+def _assert_fields_match(got, want, names, pts, scale_of=None):
+    for name in names:
+        fn = getattr(got, name)
+        assert fn.vectorized, name
+        a, b = fn(pts), getattr(want, name)(pts)
+        assert a.shape == b.shape, name
+        scale = np.abs(b if scale_of is None else scale_of.get(name, b)).max()
+        assert np.abs(a - b).max() <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("kw", [{}, dict(viscosity=0.7, E_s=25.0, nu_s=0.4,
+                                         Rf=0.5, Hs=0.05)])
+def test_manufactured_fsi_matches_sympy_reference(kw):
+    mf, ref = build_manufactured(**kw), build_manufactured_sympy(**kw)
+    for name in ("L", "Rf", "R1", "Hs", "U0", "viscosity", "material"):
+        assert getattr(mf, name) == getattr(ref, name), name
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(0.0, mf.L, 200),
+                           rng.uniform(0.0, mf.Rf + mf.Hs, 200)])
+    # the reference divergence is identically zero: compare at the scale
+    # of the velocity gradient it is summed from
+    _assert_fields_match(mf, ref, FSI_FIELDS, pts,
+                         scale_of={"div_u": ref.grad_u(pts)})
+    n = np.array([0.6, -0.8])
+    a, b = mf.fluid_traction(pts, n), ref.fluid_traction(pts, n)
+    assert a.shape == b.shape == (200, 2)
+    assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    assert mf.u(pts[0]).shape == (1, 2)
+
+
+@pytest.mark.parametrize("viscosity", [1.0, 0.7])
+def test_manufactured_stokes_matches_sympy_reference(viscosity):
+    ms = build_manufactured_stokes(viscosity)
+    ref = build_manufactured_stokes_sympy(viscosity)
+    assert ms.viscosity == ref.viscosity
+    pts = np.random.default_rng(8).uniform(0.0, 1.0, (200, 2))
+    _assert_fields_match(ms, ref, ("u", "grad_u", "p", "f"), pts)
+
+
+@pytest.mark.parametrize("kw", [dict(L=0.0), dict(Hs=-0.1), dict(viscosity=0.0),
+                                dict(E_s=-1.0), dict(R1=0.4), dict(nu_s=0.5),
+                                dict(nu_s=0.0)])
+def test_manufactured_fsi_rejects_like_reference(kw):
+    for build in (build_manufactured, build_manufactured_sympy):
+        with pytest.raises(ValueError):
+            build(**kw)
+
+
+def test_package_imports_without_sympy():
+    import olmfsi
+    code = ("import sys, olmfsi, olmfsi.verification, olmfsi.cli; "
+            "sys.exit('sympy' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(olmfsi.__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # -- reporting -------------------------------------------------------------------

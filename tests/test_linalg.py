@@ -70,6 +70,38 @@ def test_solve_numerically_singular():
         solve_direct(sys)
 
 
+def kkt_matrix(seed):
+    # [[K, B^T], [B, 0]] with a 30x30 SPD K and a zero 10x10 block
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((10, 30))
+    return np.block([[random_spd(30, seed), B.T], [B, np.zeros((10, 10))]])
+
+
+def weak_diagonal_nonsymmetric(n, seed):
+    # a scaled permutation carries the matrix; the diagonal is 1e-6
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    A[np.arange(n), rng.permutation(n)] = rng.uniform(1.0, 2.0, n)
+    noise = rng.standard_normal((n, n))
+    noise[rng.uniform(size=(n, n)) > 0.05] = 0.0
+    A += 0.1 * noise
+    np.fill_diagonal(A, 1e-6)
+    return A
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[1e-8, 1.0], [1.0, 1e-8]]),
+    kkt_matrix(seed=6),
+    weak_diagonal_nonsymmetric(60, seed=7),
+], ids=["2x2-weak-diagonal", "kkt-zero-block", "nonsymmetric-weak-diagonal"])
+def test_solve_needs_off_diagonal_pivots(A):
+    # the symmetric-mode LU must still swap in off-diagonal pivots
+    b = np.random.default_rng(8).standard_normal(len(A))
+    x = solve_direct(system_from_dense(A, b))
+    ref = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_dirichlet_all_zero():
     A = random_spd(8, seed=4)
     sys = system_from_dense(A, np.random.default_rng(5).standard_normal(8))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from olmfsi.mesh import (Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
@@ -7,7 +8,8 @@ from olmfsi.geometry import CutRules, build_topology
 from olmfsi.stokes import (CompositeSpace, FluidProblem, FluidSolution,
                            assemble, solve_stokes, error_norms)
 from olmfsi.linalg import apply_dirichlet, solve_direct, condition_estimate, \
-    SingularMatrixError
+    SingularMatrixError, _factor
+from olmfsi.verification import build_manufactured_stokes, stokes_patch_setup
 
 from oracles import (dense_stokes_single_mesh, error_norms_loop,
                      stokes_item_terms_loop)
@@ -199,6 +201,27 @@ def test_sliver_negative_control():
     stabilized = cond_for_offset(1e-6)
     control = cond_for_offset(1e-6, use_ih=False, jh_extension=False)
     assert control >= 100.0 * stabilized
+
+
+def test_lu_fill_guard_on_patch_study_system():
+    # second-finest system of the 4-level patch study (n = 3864): the
+    # symmetric-mode LU keeps well under the fill of stock COLAMD splu; a
+    # silent fall back into off-diagonal pivoting would exceed it
+    ms = build_manufactured_stokes(1.0)
+    bg, fr = stokes_patch_setup(2)
+    topo = build_topology(bg, fr)
+    g = lambda p: ms.u(p)[0]
+    space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: g for m in ALL_SIDES},
+                           interface_g=None, pin_pressure=True)
+    prob = FluidProblem(viscosity=1.0, body_force=ms.f, gamma=10.0, delta=0.5)
+    sys = apply_dirichlet(assemble(prob, space, topo))
+    assert sys.n == 3864
+    A = sys.matrix()
+    lu, stock = _factor(A), spla.splu(A.tocsc())
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (stock.L.nnz + stock.U.nnz)
+    ref = stock.solve(sys.rhs)
+    x = solve_direct(sys)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 # -- solver invariances ----------------------------------------------------------------

@@ -63,33 +63,29 @@ def traction_functional(solution, body_force, space, topo, interface_nodes):
     nu = solution.viscosity
     if nu is None:
         raise ValueError("solution carries no viscosity; use solve_stokes")
-    u2 = solution.velocity(FRONT)
-    p2 = solution.pressure(FRONT)
-    fluid_set = set(int(c) for c in space.fluid_cells)
-    lam_q, w_q = tri_rule(2)
-
-    out = np.zeros((len(interface_nodes), 2))
-    for idx, v in enumerate(interface_nodes):
-        ring = [c for c in front.vertex_cells[int(v)] if c in fluid_set]
-        if not ring:
-            raise TractionMappingError(
-                f"interface node {int(v)} has no adjacent fluid cell")
-        val = np.zeros(2)
-        for c in ring:
-            conn = front.cells[c]
-            g = front.p1_grads[c]
-            a = front.cell_areas[c]
-            local = int(np.flatnonzero(conn == v)[0])
-            gv = g[local]
-            gradu = np.einsum("ai,aj->ij", u2[conn], g)
-            sig = nu * gradu - np.mean(p2[conn]) * np.eye(2)
-            val -= a * (sig @ gv)
-            if body_force is not None:
-                pts = lam_q @ front.cell_points[c]
-                fv = _eval_vec(body_force, pts)
-                val += a * np.einsum("q,q,qi->i", w_q, lam_q[:, local], fv)
-        out[idx] = val
-    return out
+    nodes = np.asarray(interface_nodes, dtype=np.int64)
+    cells = space.fluid_cells
+    conn = front.cells[cells]
+    dry = nodes[~np.isin(nodes, conn)]
+    if len(dry):
+        raise TractionMappingError(
+            f"interface node {int(dry[0])} has no adjacent fluid cell")
+    G = front.p1_grads[cells]                                     # (c, a, j)
+    A = front.cell_areas[cells][:, None, None]
+    u2, p2 = solution.velocity(FRONT)[conn], solution.pressure(FRONT)[conn]
+    gradu = np.einsum("cai,caj->cij", u2, G)
+    sig = nu * gradu - p2.mean(axis=1)[:, None, None] * np.eye(2)
+    terms = [-(A * (sig[:, None] @ G[..., None])[..., 0])]      # (c, a, i)
+    if body_force is not None:
+        lam_q, w_q = tri_rule(2)
+        fv = _eval_vec(body_force, lam_q @ front.cell_points[cells])
+        fv = fv.reshape(len(cells), -1, 2)
+        terms.append(A * np.einsum("q,qa,cqi->cai", w_q, lam_q, fv))
+    # stress, then body term, cell after cell: every node sums its one-ring
+    # in the order of a loop over the ring
+    load = np.zeros((front.nv, 2))
+    np.add.at(load, np.repeat(conn[:, None], len(terms), axis=1), np.stack(terms, axis=1))
+    return load[nodes]
 
 
 @dataclass
@@ -105,11 +101,7 @@ class FsiConfig:
     max_outer: int = 50
     omega_max: float = 1.5
     omega0: float = 1.0
-    omega_min: float = 0.05
     use_aitken: bool = True
-    newton_tol: float = 1e-10
-    newton_maxit: int = 25
-    quad_order: int = 2
     load_ramp: int = 0
 
     def __post_init__(self):
@@ -167,7 +159,7 @@ def combined_displacement(front_ref, us, um, fluid_tag=FLUID, solid_tag=SOLID):
     return disp
 
 
-def fsi_outer_iteration(problem, config, us, um, load_scale=1.0):
+def fsi_outer_iteration(problem, us, um, load_scale=1.0):
     """One pass of the fixed-point loop body; returns the raw solid update
     and the solved fluid state on the current configuration."""
     front = deform_mesh(problem.front_ref, combined_displacement(
@@ -201,9 +193,8 @@ def fsi_outer_iteration(problem, config, us, um, load_scale=1.0):
                          body_force=problem.solid_body_force,
                          dirichlet=problem.solid_dirichlet,
                          dirichlet_nodes=problem.solid_dirichlet_nodes or (),
-                         interface_load=load,
-                         quad_order=config.quad_order)
-    ssol = _solve_solid(solid, config, us)
+                         interface_load=load)
+    ssol = _solve_solid(solid, us)
     return ssol, sol, front, topo, space, iface
 
 
@@ -223,7 +214,7 @@ def _scaled_loads(solid, s):
                         solid.dirichlet_nodes, scaled_n, load, solid.quad_order)
 
 
-def _solve_solid(solid, config, warm_start):
+def _solve_solid(solid, warm_start):
     """Newton solve warm-started at the current outer iterate.
 
     If a full Newton step inverts an element, the loads are ramped by
@@ -231,9 +222,7 @@ def _solve_solid(solid, config, warm_start):
     intermediate load factor starting from the last good state.
     """
     try:
-        return solve_newton(solid, tol=config.newton_tol,
-                            maxit=config.newton_maxit, rtol=1e-12,
-                            u0=warm_start)
+        return solve_newton(solid, rtol=1e-12, u0=warm_start)
     except InvertedElementError:
         pass
     u = warm_start
@@ -244,8 +233,7 @@ def _solve_solid(solid, config, warm_start):
     while targets:
         s = targets[-1]
         try:
-            sol = solve_newton(_scaled_loads(solid, s), tol=config.newton_tol,
-                               maxit=config.newton_maxit, rtol=1e-12, u0=u)
+            sol = solve_newton(_scaled_loads(solid, s), rtol=1e-12, u0=u)
         except InvertedElementError:
             if s - s_done < 1.0 / 64.0:
                 raise
@@ -285,12 +273,11 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     for k in range(1, config.max_outer + 1):
         alpha = 1.0 if config.load_ramp == 0 else min(1.0, k / config.load_ramp)
         ssol, fluid_sol, front, topo, space, iface = fsi_outer_iteration(
-            problem, config, us, um, load_scale=alpha)
+            problem, us, um, load_scale=alpha)
         newton_iters.append(ssol.iterations)
         r = (ssol.displacement - us).ravel()
         if config.use_aitken and r_prev is not None:
-            omega = aitken_update(omega, r_prev, r, config.omega_max,
-                                  config.omega_min)
+            omega = aitken_update(omega, r_prev, r, config.omega_max)
         elif not config.use_aitken:
             omega = 1.0
         us_new = us + omega * r.reshape(-1, 2)

@@ -15,6 +15,29 @@ class ConstraintConflictError(ValueError):
     """The same dof was constrained to two different values."""
 
 
+def merge_constraints(dofs, values):
+    """Ascending unique dofs and the first value given for each.
+
+    A repeated dof must repeat its first value to within 1e-12 relative
+    (absolute below one); otherwise ConstraintConflictError names the dof
+    and both values.
+    """
+    dofs = np.asarray(dofs, dtype=np.int64).ravel()
+    values = np.asarray(values, dtype=float).ravel()
+    if len(dofs) != len(values):
+        raise ValueError("constraint dofs and values must have equal length")
+    unique, first, inverse = np.unique(dofs, return_index=True, return_inverse=True)
+    kept = values[first]
+    ref = kept[inverse]
+    bad = np.flatnonzero(np.abs(values - ref) > 1e-12 * np.maximum(
+        1.0, np.maximum(np.abs(values), np.abs(ref))))
+    if len(bad):
+        k = bad[0]
+        raise ConstraintConflictError(
+            f"dof {int(dofs[k])} constrained to both {ref[k]} and {values[k]}")
+    return unique, kept
+
+
 class SparseSystem:
     """Triplet-accumulated sparse matrix with right-hand side and constraints.
 
@@ -57,18 +80,14 @@ class SparseSystem:
 
     def set_dirichlet(self, dofs, values):
         dofs = np.asarray(dofs, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        for d, v in zip(dofs, values):
-            d = int(d)
-            if d < 0 or d >= self.n:
-                raise IndexError(f"constrained dof {d} out of range")
-            if d in self.constraints:
-                old = self.constraints[d]
-                if abs(old - v) > 1e-12 * max(1.0, abs(old), abs(v)):
-                    raise ConstraintConflictError(
-                        f"dof {d} constrained to both {old} and {v}")
-            else:
-                self.constraints[d] = float(v)
+        out = dofs[(dofs < 0) | (dofs >= self.n)]
+        if len(out):
+            raise IndexError(f"constrained dof {int(out[0])} out of range")
+        old = self.constraints
+        dofs, values = merge_constraints(
+            np.append(np.fromiter(old, np.int64, len(old)), dofs),
+            np.append(np.fromiter(old.values(), float, len(old)), values))
+        self.constraints = dict(zip(dofs.tolist(), values.tolist()))
 
     # -- access -----------------------------------------------------------
 

@@ -239,16 +239,6 @@ class Mesh:
             return key, order, key[order]
         return self._cached("edge_keys", f)
 
-    @property
-    def vertex_cells(self):
-        def f():
-            vc = [[] for _ in range(self.nv)]
-            for c, tri in enumerate(self.cells):
-                for v in tri:
-                    vc[v].append(c)
-            return vc
-        return self._cached("vertex_cells", f)
-
     # -- convenience -----------------------------------------------------
 
     def translated(self, vec):

@@ -57,13 +57,9 @@ class MeshMotionProblem:
 
 def solve_mesh_motion(problem):
     """Nodal mesh displacement, exactly matching the data at interface nodes."""
-    nodes = problem.interface_nodes
-    values = problem.interface_values
-    if len(problem.extra_nodes):
-        known = set(nodes.tolist())
-        keep = [k for k, v in enumerate(problem.extra_nodes) if int(v) not in known]
-        nodes = np.concatenate([nodes, problem.extra_nodes[keep]])
-        values = np.vstack([values, problem.extra_values[keep]])
+    keep = ~np.isin(problem.extra_nodes, problem.interface_nodes)
+    nodes = np.concatenate([problem.interface_nodes, problem.extra_nodes[keep]])
+    values = np.vstack([problem.interface_values, problem.extra_values[keep]])
     solid = SolidProblem(
         mesh=problem.mesh,
         material=Material(LINEAR, problem.mu, problem.lam),

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, region_boundary_edges, eval_field
 from .geometry import tri_rule, seg_rule
-from .linalg import SparseSystem, apply_dirichlet, solve_direct
+from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
 STVK = "stvk"
 LINEAR = "linear"
@@ -103,8 +103,10 @@ class SolidProblem:
 
     ``interface_load`` is a nodal functional over mesh vertices, (nv, 2),
     typically produced by the fluid traction transfer; ``dirichlet`` maps
-    exterior boundary markers to displacement callbacks and wins over any
-    nodal data at shared vertices.  ``dirichlet_nodes`` prescribes values
+    exterior boundary markers to displacement callbacks (see
+    ``mesh.eval_field``) and wins over any nodal data at shared vertices;
+    two markers giving one vertex different values raise
+    ConstraintConflictError.  ``dirichlet_nodes`` prescribes values
     directly at vertices (used by the mesh-motion problem).
     """
     mesh: Mesh
@@ -132,35 +134,31 @@ class SolidProblem:
         self._collect_bcs()
 
     def _collect_bcs(self):
-        cdofs = {}
         if self.region_tag is None:
-            edges = [(int(i), int(j), None, int(m))
-                     for (i, j), m in zip(self.mesh.boundary_edges,
-                                          self.mesh.boundary_markers)]
+            ij, kinds = self.mesh.boundary_edges, self.mesh.boundary_markers.tolist()
         else:
             edges = region_boundary_edges(self.mesh, self.region_tag)
-        self._neumann_edges = []
-        for i, j, _cell, kind in edges:
-            if isinstance(kind, tuple):
-                continue  # interface with another region: Neumann side
-            g = self.dirichlet.get(kind)
-            if g is not None:
-                for v in (i, j):
-                    val = np.asarray(g(self.mesh.vertices[v]), float)
-                    for c in range(2):
-                        cdofs[2 * self.vmap[v] + c] = val[c]
-            t = self.neumann.get(kind)
-            if t is not None:
-                self._neumann_edges.append((i, j, t))
+            ij = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+            kinds = [e[3] for e in edges]   # a tuple marks an interface (Neumann side)
+        self._neumann_edges = [(i, j, self.neumann[k])
+                               for (i, j), k in zip(ij.tolist(), kinds) if k in self.neumann]
+        dofs, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        for m, g in self.dirichlet.items():
+            verts = np.unique(ij[np.array([k == m for k in kinds], dtype=bool)])
+            dofs.append((2 * self.vmap[verts][:, None] + np.arange(2)).ravel())
+            vals.append(eval_field(g, self.mesh.vertices[verts]).ravel())
         if self.dirichlet_nodes:
             nodes, values = self.dirichlet_nodes
-            for v, val in zip(nodes, values):
-                if self.vmap[v] < 0:
-                    raise ValueError(f"dirichlet node {v} not in the solid region")
-                for c in range(2):
-                    cdofs.setdefault(2 * self.vmap[v] + c, float(val[c]))
-        self.constrained_dofs = np.array(sorted(cdofs), dtype=np.int64)
-        self.constrained_values = np.array([cdofs[d] for d in self.constrained_dofs])
+            nodes = np.asarray(nodes, dtype=np.int64)
+            off = nodes[self.vmap[nodes] < 0]
+            if len(off):
+                raise ValueError(f"dirichlet node {off[0]} not in the solid region")
+            nodal = (2 * self.vmap[nodes][:, None] + np.arange(2)).ravel()
+            keep = ~np.isin(nodal, np.concatenate(dofs))   # marker data wins
+            dofs.append(nodal[keep])
+            vals.append(np.asarray(values, float).ravel()[keep])
+        self.constrained_dofs, self.constrained_values = merge_constraints(
+            np.concatenate(dofs), np.concatenate(vals))
 
     def scatter(self, U):
         """Active dof vector -> full (nv, 2) nodal field (zeros off-region)."""

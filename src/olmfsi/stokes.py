@@ -27,7 +27,7 @@ from .geometry import (
     uncovered_intervals_on_segment,
     exterior_intervals_on_segment,
 )
-from .linalg import SparseSystem, apply_dirichlet, solve_direct
+from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
 BG, FRONT = 0, 1
 
@@ -37,7 +37,9 @@ class CompositeSpace:
     front fluid mesh, with Dirichlet sets and optional pressure pinning.
 
     Dof layout: background velocity, front velocity, background pressure,
-    front pressure.  No dof is shared between the meshes.
+    front pressure.  No dof is shared between the meshes.  The Dirichlet
+    callbacks follow ``mesh.eval_field``; ``dirichlet_dofs`` (ascending) and
+    ``dirichlet_values`` are their merged data (``linalg.merge_constraints``).
     """
 
     def __init__(self, background, front, topo, fluid_tag=None,
@@ -69,9 +71,6 @@ class CompositeSpace:
         self.offset_p2 = self.offset_p1 + self.n1
         self.ndof = 3 * (self.n1 + self.n2)
 
-        self._dirichlet = {}
-        self._collect_dirichlet(bg_dirichlet or {}, front_dirichlet or {},
-                                interface_g, solid_tag)
         self.pin_dof = None
         if pin_pressure:
             if self.n1:
@@ -80,7 +79,9 @@ class CompositeSpace:
                 self.pin_dof = int(self.offset_p2)
             else:
                 raise ValueError("no pressure dof available to pin")
-            self._dirichlet[self.pin_dof] = float(pin_value)
+        self.dirichlet_dofs, self.dirichlet_values = self._collect_dirichlet(
+            bg_dirichlet or {}, front_dirichlet or {}, interface_g, solid_tag,
+            pin_value)
 
     # -- dof helpers -------------------------------------------------------
 
@@ -95,48 +96,30 @@ class CompositeSpace:
             raise IndexError("inactive vertex")
         return base + 2 * s + comp
 
-    def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, interface_g, solid_tag):
-        def add_edges(mesh, vmap, base, spec):
-            for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-                g = spec.get(int(m))
-                if g is None:
-                    continue
-                for v in (i, j):
-                    if vmap[v] < 0:
-                        continue
-                    val = np.asarray(g(mesh.vertices[v]), float)
-                    for c in range(2):
-                        self._set(base + 2 * vmap[v] + c, val[c])
+    def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, interface_g,
+                           solid_tag, pin_value):
+        """Merged Dirichlet dofs and values: marked boundary edges of both
+        meshes, the fluid-solid interface and the pressure pin."""
+        pin = [] if self.pin_dof is None else [self.pin_dof]
+        dofs, vals = [np.array(pin, dtype=np.int64)], [np.full(len(pin), float(pin_value))]
 
-        add_edges(self.background, self.bg_vmap, 0, bg_dirichlet)
-        add_edges(self.front, self.fr_vmap, self.offset_u2, front_dirichlet)
+        def add(mesh, vmap, base, verts, g):
+            verts = verts[vmap[verts] >= 0]
+            dofs.append((base + 2 * vmap[verts][:, None] + np.arange(2)).ravel())
+            vals.append(np.zeros(2 * len(verts)) if g is None
+                        else _eval_vec(g, mesh.vertices[verts]).ravel())
 
+        for mesh, vmap, base, spec in (
+                (self.background, self.bg_vmap, 0, bg_dirichlet),
+                (self.front, self.fr_vmap, self.offset_u2, front_dirichlet)):
+            for m, g in spec.items():
+                add(mesh, vmap, base,
+                    np.unique(mesh.boundary_edges[mesh.boundary_markers == m]), g)
         if interface_g is not None and self.fluid_tag is not None:
-            iverts = region_interface_vertices(self.front, self.fluid_tag, solid_tag)
-            for v in iverts:
-                if self.fr_vmap[v] < 0:
-                    continue
-                if interface_g == "zero":
-                    val = np.zeros(2)
-                else:
-                    val = np.asarray(interface_g(self.front.vertices[v]), float)
-                for c in range(2):
-                    self._set(self.offset_u2 + 2 * self.fr_vmap[v] + c, val[c])
-
-    def _set(self, dof, value):
-        dof = int(dof)
-        old = self._dirichlet.get(dof)
-        if old is not None and abs(old - value) > 1e-12 * max(1.0, abs(old), abs(value)):
-            raise ValueError(f"conflicting Dirichlet values at dof {dof}: {old} vs {value}")
-        self._dirichlet[dof] = float(value)
-
-    @property
-    def dirichlet_dofs(self):
-        return np.fromiter(self._dirichlet.keys(), dtype=np.int64)
-
-    @property
-    def dirichlet_values(self):
-        return np.fromiter(self._dirichlet.values(), dtype=float)
+            add(self.front, self.fr_vmap, self.offset_u2,
+                region_interface_vertices(self.front, self.fluid_tag, solid_tag),
+                None if interface_g == "zero" else interface_g)
+        return merge_constraints(np.concatenate(dofs), np.concatenate(vals))
 
 
 @dataclass

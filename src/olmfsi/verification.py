@@ -189,14 +189,10 @@ def build_manufactured(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
             um=lambda pts: _vec(0.0, _xy(pts)[1] * bump(_xy(pts)[0])[0] / Rf)))
 
 
-def remark_edges(mesh, fn):
-    """New mesh with boundary markers fn(old_marker, v0, v1, adjacent_cell)."""
-    markers = []
-    for e, ((i, j), m) in enumerate(zip(mesh.boundary_edges, mesh.boundary_markers)):
-        cell = mesh.boundary_cell_of_edge(e)
-        markers.append(int(fn(int(m), int(i), int(j), cell)))
+def remark_edges(mesh, markers):
+    """The mesh with new boundary markers, one per boundary edge."""
     return Mesh(mesh.vertices, mesh.cells, mesh.boundary_edges,
-                np.array(markers, dtype=np.int64), mesh.region_tags, validate=False)
+                np.asarray(markers, dtype=np.int64), mesh.region_tags, validate=False)
 
 
 def manufactured_meshes(level, mf=None, bg_nx=8, bg_ny=4, front_nx=8,
@@ -210,7 +206,8 @@ def manufactured_meshes(level, mf=None, bg_nx=8, bg_ny=4, front_nx=8,
                          np.linspace(mf.Rf, mf.Rf + mf.Hs, front_ns * s + 1)[1:]])
     front = build_tensor_mesh(xs, ys,
                               region_fn=lambda c: SOLID if c[1] > mf.Rf else FLUID)
-    front = remark_edges(front, lambda m, i, j, c: GAMMA_FF if m == BOTTOM else m)
+    m = front.boundary_markers
+    front = remark_edges(front, np.where(m == BOTTOM, GAMMA_FF, m))
     return bg, front
 
 
@@ -242,12 +239,6 @@ def manufactured_fsi_problem(mf, level, **mesh_kw):
         neumann=((BG, RIGHT, mf.fluid_traction), (FRONT, RIGHT, mf.fluid_traction)),
     )
 
-    def g_fluid(xv):
-        return mf.u(xv)[0]
-
-    def g_solid(xv):
-        return mf.us(xv)[0]
-
     extra = interface_load_vector(front, mf.t_a)
     # pin the moving mesh at the channel ends: the exact stretching keeps
     # the inlet/outlet planes fixed, and letting them drift would punch
@@ -263,11 +254,11 @@ def manufactured_fsi_problem(mf, level, **mesh_kw):
         front_ref=front,
         fluid=fluid,
         solid_material=mf.material,
-        bg_dirichlet={LEFT: g_fluid, BOTTOM: g_fluid},
-        front_dirichlet={LEFT: g_fluid},
+        bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
+        front_dirichlet={LEFT: mf.u},
         ff_markers=None,
         solid_body_force=mf.f_solid,
-        solid_dirichlet={LEFT: g_solid, RIGHT: g_solid, TOP: g_solid},
+        solid_dirichlet={LEFT: mf.us, RIGHT: mf.us, TOP: mf.us},
         solid_extra_load=extra,
         motion_extra_dirichlet=pins,
         pin_pressure=False,
@@ -353,16 +344,13 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
         raise ValueError("need at least 2 levels")
     ms = build_manufactured_stokes(viscosity)
 
-    def g_of(pt):
-        return ms.u(pt)[0]
-
     report = ConvergenceReport()
     last = None
     for lvl in range(levels):
         bg, fr = stokes_patch_setup(lvl)
         topo = build_topology(bg, fr)
         space = CompositeSpace(bg, fr, topo,
-                               bg_dirichlet={m: g_of for m in (LEFT, RIGHT, BOTTOM, TOP)},
+                               bg_dirichlet={m: ms.u for m in (LEFT, RIGHT, BOTTOM, TOP)},
                                interface_g=None, pin_pressure=True)
         prob = FluidProblem(viscosity=viscosity, body_force=ms.f,
                             gamma=gamma, delta=delta)
@@ -469,11 +457,9 @@ def flap_meshes(angle_deg=0.0, res=1, margin=0.08):
     clamp = np.flatnonzero((np.abs(box.vertices[:, 1]) < 1e-12)
                            & (np.abs(box.vertices[:, 0] - cx) < Ws / 2 + 1e-12))
 
-    def mark(m, i, j, cell):
-        if m == BOTTOM and angle_deg == 0.0:
-            return BOTTOM        # flush with the channel floor
-        return GAMMA_FF
-    box = remark_edges(box, mark)
+    # upright, the box bottom is flush with the channel floor
+    flush = (box.boundary_markers == BOTTOM) & (angle_deg == 0.0)
+    box = remark_edges(box, np.where(flush, BOTTOM, GAMMA_FF))
 
     if angle_deg != 0.0:
         box = Mesh(_rotate(box.vertices, angle_deg, np.array([cx, cy])),

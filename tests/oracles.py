@@ -16,6 +16,7 @@ reference for the package's hand-written closed forms.
 import numpy as np
 import sympy as sp
 
+from olmfsi.coupling import TractionMappingError
 from olmfsi.geometry import (EPS_GEOM, QuadRule, exterior_intervals_on_segment,
                              seg_rule, tri_rule, triangle_rule,
                              uncovered_intervals_on_segment)
@@ -920,3 +921,41 @@ def build_manufactured_sympy(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
         um=_vec_field(x, y, [sp.Integer(0), y * H / Rf]),
         div_u=_scalar_field(x, y, div_u),
     )
+
+
+def traction_functional_loop(solution, body_force, space, topo, interface_nodes):
+    """Per-node form of ``coupling.traction_functional``: for each
+    interface node, the stress and body terms of its fluid one-ring, cell
+    by cell in ascending order."""
+    front = space.front
+    nu = solution.viscosity
+    if nu is None:
+        raise ValueError("solution carries no viscosity; use solve_stokes")
+    u2 = solution.velocity(FRONT)
+    p2 = solution.pressure(FRONT)
+    fluid_set = set(int(c) for c in space.fluid_cells)
+    lam_q, w_q = tri_rule(2)
+
+    out = np.zeros((len(interface_nodes), 2))
+    for idx, v in enumerate(interface_nodes):
+        ring = [c for c in np.flatnonzero((front.cells == v).any(axis=1))
+                if c in fluid_set]
+        if not ring:
+            raise TractionMappingError(
+                f"interface node {int(v)} has no adjacent fluid cell")
+        val = np.zeros(2)
+        for c in ring:
+            conn = front.cells[c]
+            g = front.p1_grads[c]
+            a = front.cell_areas[c]
+            local = int(np.flatnonzero(conn == v)[0])
+            gv = g[local]
+            gradu = np.einsum("ai,aj->ij", u2[conn], g)
+            sig = nu * gradu - np.mean(p2[conn]) * np.eye(2)
+            val -= a * (sig @ gv)
+            if body_force is not None:
+                pts = lam_q @ front.cell_points[c]
+                fv = eval_field(body_force, pts)
+                val += a * np.einsum("q,q,qi->i", w_q, lam_q[:, local], fv)
+        out[idx] = val
+    return out

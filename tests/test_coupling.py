@@ -10,6 +10,7 @@ from olmfsi.coupling import (aitken_update, traction_functional,
                              fsi_fixed_point, fsi_outer_iteration,
                              FixedPointError)
 from olmfsi.solid import l2_norm
+from oracles import traction_functional_loop
 from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
                                  flap_problem)
 
@@ -105,6 +106,23 @@ def test_traction_translation_invariant():
     out2 = traction_functional(sol2, None, space2, topo2, wall)
     assert np.abs(out2 - base).max() < 1e-12
 
+
+
+@pytest.mark.parametrize("case", [("flap", 0.0), ("flap", 65.0),
+                                  ("manufactured", 0), ("manufactured", 1)])
+def test_traction_matches_per_node_loop(case):
+    # the batched scatter sums every node's ring cell by cell, stress then
+    # body term, as the per-node loop does: equal to the last bit
+    mf = build_manufactured()
+    kind, arg = case
+    problem = (flap_problem(arg, res=1) if kind == "flap"
+               else manufactured_fsi_problem(mf, arg))
+    zero = np.zeros((problem.front_ref.nv, 2))
+    _, sol, _, topo, space, iface = fsi_outer_iteration(problem, zero, zero)
+    for force in (None, mf.f, lambda p: mf.f(p)[0]):
+        new = traction_functional(sol, force, space, topo, iface)
+        ref = traction_functional_loop(sol, force, space, topo, iface)
+        assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 def test_traction_missing_node_error():
     sol, space, topo, front = poiseuille_channel(8, 4)
@@ -218,7 +236,7 @@ def test_fixed_point_manufactured_converges_and_is_idempotent():
     assert all(0.05 <= w <= config.omega_max for w in state.omegas)
 
     # one more full outer pass changes the displacement by less than TOL
-    ssol, _, _, _, _, _ = fsi_outer_iteration(problem, config,
+    ssol, _, _, _, _, _ = fsi_outer_iteration(problem,
                                               state.solid_displacement,
                                               state.mesh_displacement)
     mesh = problem.front_ref
@@ -292,14 +310,13 @@ def test_geometry_bookkeeping_every_iteration():
 
     mf = build_manufactured()
     problem = manufactured_fsi_problem(mf, 0)
-    cfg = FsiConfig(tol=1e-3)
     us = np.zeros((problem.front_ref.nv, 2))
     um = np.zeros((problem.front_ref.nv, 2))
     for k in range(3):
         front = deform_mesh(problem.front_ref, combined_displacement(
             problem.front_ref, us, um))
         ssol, _, front, topo, space, iface = fsi_outer_iteration(
-            problem, cfg, us, um)
+            problem, us, um)
         nc = problem.background.nc
         union = np.concatenate([topo.class_not, topo.class_fully,
                                 topo.class_partial])

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from olmfsi.linalg import (SparseSystem, apply_dirichlet, solve_direct,
                            condition_estimate, SingularMatrixError,
-                           ConstraintConflictError)
+                           ConstraintConflictError, merge_constraints)
 
 
 def system_from_dense(A, b=None):
@@ -203,6 +203,17 @@ def test_dirichlet_conflict_error():
     with pytest.raises(ConstraintConflictError):
         sys.set_dirichlet([1], [3.0])
     sys.set_dirichlet([1], [2.0])  # same value is fine
+
+
+def test_merge_constraints_keeps_first_value_and_names_conflicts():
+    dofs, vals = merge_constraints([], [])
+    assert dofs.dtype == np.int64 and vals.dtype == float and len(dofs) == len(vals) == 0
+    # repeats within 1e-12 relative keep the first value; dofs come out ascending
+    dofs, vals = merge_constraints([7, 2, 7, 2], [1e6, 0.5, 1e6 * (1 + 1e-13), 0.5 + 1e-13])
+    assert dofs.tolist() == [2, 7] and vals.tolist() == [0.5, 1e6]
+    with pytest.raises(ConstraintConflictError,
+                       match="dof 3 constrained to both 1.0 and 1.5"):
+        merge_constraints([3, 4, 3], [1.0, 0.0, 1.5])
 
 
 def test_condition_identity():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import assemble_solid_loop
-from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, FLUID, SOLID
+from olmfsi.linalg import ConstraintConflictError
+from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, FLUID, SOLID
 from olmfsi.solid import (Material, SolidProblem, first_piola, piola_tangent,
                           strain_energy, assemble_solid, solve_newton,
                           InvertedElementError, NewtonError, STVK, LINEAR,
@@ -332,3 +333,49 @@ def test_batched_error_norms_sum_over_cells():
     parts = sum(p1_mass_matrix(mesh, [c]).toarray() for c in cells)
     assert np.abs(M - parts).max() <= 1e-15 * np.abs(parts).max()
     assert p1_mass_matrix(mesh, []).shape == (mesh.nv, mesh.nv)
+
+
+# -- Dirichlet data ---------------------------------------------------------------
+
+def test_conflicting_corner_values_raise():
+    mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
+    with pytest.raises(ConstraintConflictError):
+        SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: np.array([0.1, 0.0]),
+                                            BOTTOM: zero_g})
+    SolidProblem(mesh, MAT1, dirichlet={LEFT: zero_g, BOTTOM: zero_g})
+
+
+def test_nodal_dirichlet_data_loses_to_marker_data():
+    mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
+    left = np.flatnonzero(mesh.vertices[:, 0] < 1e-12)
+    inner = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) < 1e-12)
+    nodes = np.concatenate([inner, left])
+    prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: np.array([0.1, 0.2])},
+                        dirichlet_nodes=(nodes, np.tile([0.3, -0.4], (len(nodes), 1))))
+    U = np.zeros(prob.ndof)
+    U[prob.constrained_dofs] = prob.constrained_values
+    field = prob.scatter(U)
+    assert len(prob.constrained_dofs) == 2 * len(nodes)
+    assert (field[left] == [0.1, 0.2]).all() and (field[inner] == [0.3, -0.4]).all()
+
+    # a marker without edges adds nothing; a node off the region is rejected
+    layered = build_rect_mesh(4, 4, [(0, 0), (1, 1)],
+                              region_fn=lambda c: SOLID if c[1] > 0.5 else FLUID)
+    prob = SolidProblem(layered, MAT1, region_tag=SOLID, dirichlet={BOTTOM: zero_g},
+                        dirichlet_nodes=([layered.nv - 1], [[0.0, 0.0]]))
+    assert prob.constrained_dofs.dtype == np.int64 and len(prob.constrained_dofs) == 2
+    with pytest.raises(ValueError, match="dirichlet node 0 not in the solid region"):
+        SolidProblem(layered, MAT1, region_tag=SOLID, dirichlet_nodes=([0], [[0.0, 0.0]]))
+
+
+def test_vectorized_dirichlet_callback_matches_pointwise():
+    mesh = build_rect_mesh(5, 2, [(0, 0), (1, 0.3)])
+
+    def g(pts):
+        return np.column_stack([np.sin(pts[:, 1]), pts[:, 0] * pts[:, 1]])
+    g.vectorized = True
+    vec = SolidProblem(mesh, MAT1, dirichlet={LEFT: g, RIGHT: g})
+    point = SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: g(x[None])[0],
+                                                RIGHT: lambda x: g(x[None])[0]})
+    assert np.array_equal(vec.constrained_dofs, point.constrained_dofs)
+    assert vec.constrained_values.tobytes() == point.constrained_values.tobytes()

@@ -8,7 +8,7 @@ from olmfsi.geometry import CutRules, build_topology
 from olmfsi.stokes import (CompositeSpace, FluidProblem, FluidSolution,
                            assemble, solve_stokes, error_norms)
 from olmfsi.linalg import apply_dirichlet, solve_direct, condition_estimate, \
-    SingularMatrixError, _factor
+    SingularMatrixError, ConstraintConflictError, _factor
 from olmfsi.verification import build_manufactured_stokes, stokes_patch_setup
 
 from oracles import (dense_stokes_single_mesh, error_norms_loop,
@@ -437,3 +437,37 @@ def test_batched_assembly_matches_per_item_reference(jh_extension, use_ih, force
                  (new.rhs, ref.rhs)):
         assert x.shape == y.shape and np.array_equal(x, y)
     assert new.constraints == ref.constraints
+
+
+# -- Dirichlet data ---------------------------------------------------------------
+
+def test_conflicting_background_markers_raise():
+    # LEFT and BOTTOM meet at the corner (0, 0) with different velocities
+    bg, fr, topo = patch_setup([(0.3, 0.3), (0.6, 0.55)])
+    with pytest.raises(ConstraintConflictError, match="constrained to both 1.0 and 0.0"):
+        CompositeSpace(bg, fr, topo, interface_g=None,
+                       bg_dirichlet={LEFT: lambda p: np.array([1.0, 0.0]),
+                                     BOTTOM: lambda p: np.zeros(2)})
+    # equal values at the shared corner are consistent
+    zero = lambda p: np.zeros(2)
+    CompositeSpace(bg, fr, topo, interface_g=None, bg_dirichlet={LEFT: zero, BOTTOM: zero})
+
+
+def test_vectorized_dirichlet_callbacks_match_pointwise_wrappers():
+    # boundary markers of both meshes and the fluid-solid interface, each
+    # evaluated once per marker on the whole vertex array
+    ms = build_manufactured_stokes()
+    topo, space = _overlap_case(fluid_tag=FLUID)
+
+    def build(g):
+        return CompositeSpace(space.background, space.front, topo, fluid_tag=FLUID,
+                              bg_dirichlet={m: g for m in ALL_SIDES},
+                              front_dirichlet={LEFT: g, TOP: g}, interface_g=g,
+                              pin_pressure=True, pin_value=0.25)
+
+    vec, point = build(ms.u), build(lambda p: ms.u(p)[0])
+    assert vec.dirichlet_dofs.dtype == np.int64
+    assert np.array_equal(vec.dirichlet_dofs, point.dirichlet_dofs)
+    assert vec.dirichlet_values.tobytes() == point.dirichlet_values.tobytes()
+    assert np.all(np.diff(vec.dirichlet_dofs) > 0)
+    assert vec.dirichlet_values[vec.dirichlet_dofs == vec.pin_dof].tolist() == [0.25]

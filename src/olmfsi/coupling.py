@@ -50,7 +50,7 @@ def aitken_update(omega_prev, du_k, du_next, omega_max, omega_min=0.05):
     return float(min(max(omega, omega_min), omega_max))
 
 
-def traction_functional(solution, body_force, space, topo, interface_nodes):
+def traction_functional(solution, body_force, space, interface_nodes):
     """Nodal fluid load on the structure at the interface nodes.
 
     Each interface node's hat function on the front fluid mesh acts as the
@@ -181,8 +181,7 @@ def fsi_outer_iteration(problem, us, um, load_scale=1.0):
     iface = region_interface_vertices(problem.front_ref, problem.fluid_tag,
                                       problem.solid_tag)
     load = np.zeros((problem.front_ref.nv, 2))
-    load[iface] = traction_functional(sol, problem.fluid.body_force, space, topo,
-                                      iface)
+    load[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
     if problem.solid_extra_load is not None:
         load = load + problem.solid_extra_load
     if load_scale != 1.0:

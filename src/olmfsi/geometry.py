@@ -228,25 +228,30 @@ def intersect_convex(poly_a, poly_b, eps=None):
 # -- topology ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterfaceSegment:
-    """One sub-segment of the fluid-fluid interface with two-sided parents.
-
-    The normal is the unit outward normal of the front domain, i.e. it
-    points from the overlapping fluid region into the background fluid.
-    Quadrature weights sum to the segment length.
-    """
+@dataclass
+class InterfaceSegments:
+    """Sub-segments of the fluid-fluid interface with two-sided parents, one
+    per row: end points (S, 2), background and front parent cells, the unit
+    outward normal of the front domain (it points from the overlapping
+    fluid region into the background fluid) and a 1D rule, points
+    (S, nq, 2) and weights (S, nq) summing to the segment length.
+    ``dropped_corner_length`` sums the corner slivers left out."""
     start: np.ndarray
     end: np.ndarray
-    bg_cell: int
-    front_cell: int
+    bg_cell: np.ndarray
+    front_cell: np.ndarray
     normal: np.ndarray
     points: np.ndarray
     weights: np.ndarray
+    dropped_corner_length: float = 0.0
+
+    def __len__(self):
+        return len(self.bg_cell)
 
     @property
     def length(self):
-        return float(np.hypot(*(self.end - self.start)))
+        d = self.end - self.start
+        return np.hypot(d[:, 0], d[:, 1])
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,7 @@ class OverlapTopology:
     reduced_cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     polygons: CellPairs = None
     cut_rules: CutRules = None
-    interface_segments: list = field(default_factory=list)
+    interface_segments: InterfaceSegments = None
     overlap_pairs: CellPairs = None
     order: int = 2
 
@@ -296,7 +301,11 @@ class OverlapTopology:
         return m
 
     def interface_length(self):
-        return sum(s.length for s in self.interface_segments)
+        return float(self.interface_segments.length.sum())
+
+    @property
+    def dropped_corner_length(self):
+        return self.interface_segments.dropped_corner_length
 
     def overlap_area(self):
         return float(self.overlap_pairs.area.sum())
@@ -422,46 +431,61 @@ def _segment_cell_intervals(a, d, tri):
     return t0, t1
 
 
-def _cell_intervals(a, b, mesh, min_len):
-    """Per segment [a[i], b[i]], the (t0, t1, cell) of the mesh cells it
-    runs through for more than min_len in parameter, by ascending cell; one
-    grid query and one interval kernel for all segments."""
+def _pieces(a, b, mesh, min_len):
+    """Piece table of the segments [a[i], b[i]] (stacked (E, 2)) cut at the
+    mesh cells they run through for more than min_len in parameter.
+
+    The cuts of segment i are 0, 1 and its interval ends, sorted; pieces
+    (segment, t0, t1) join consecutive cuts more than 1e-12 apart, by
+    segment, then t.  ``cell`` is the lowest cell whose interval holds the
+    piece midpoint, -1 if none.  One grid query and one interval kernel
+    serve all segments.
+    """
     seg, cand = mesh.cell_grid.query_boxes(np.minimum(a, b), np.maximum(a, b))
     t0, t1 = _segment_cell_intervals(a[seg], b[seg] - a[seg], mesh.cell_points[cand])
     keep = t1 - t0 > min_len
-    out = [[] for _ in range(len(a))]
-    for i, lo, hi, c in zip(seg[keep].tolist(), t0[keep].tolist(), t1[keep].tolist(),
-                            cand[keep].tolist()):
-        out[i].append((lo, hi, c))
-    return out
+    seg, cand, t0, t1 = seg[keep], cand[keep], t0[keep], t1[keep]
+    n = len(a)
+    cut_seg = np.concatenate([np.arange(n), np.arange(n), seg, seg])
+    cut_t = np.concatenate([np.zeros(n), np.ones(n), t0, t1])
+    order = np.lexsort((cut_t, cut_seg))
+    cut_seg, cut_t = cut_seg[order], cut_t[order]
+    piece = np.flatnonzero((cut_seg[1:] == cut_seg[:-1]) & (cut_t[1:] - cut_t[:-1] > 1e-12))
+    pseg, p0, p1 = cut_seg[piece], cut_t[piece], cut_t[piece + 1]
+    # every piece against the intervals of its segment, ascending cell
+    first = np.searchsorted(seg, pseg)
+    row, off = _ranges(np.searchsorted(seg, pseg, "right") - first)
+    iv, tm = first[row] + off, 0.5 * (p0 + p1)
+    hit = (t0[iv] <= tm[row]) & (tm[row] <= t1[iv])
+    rows, at = np.unique(row[hit], return_index=True)
+    cell = np.full(len(piece), -1, dtype=np.int64)
+    cell[rows] = cand[iv[hit][at]]
+    return pseg, p0, p1, cell
+
+
+def _merge(seg, t0, t1):
+    """Join neighbouring pieces of a segment that meet within 1e-12."""
+    if not len(seg):
+        return seg, t0, t1
+    cut = np.flatnonzero((seg[1:] != seg[:-1]) | (np.abs(t0[1:] - t1[:-1]) > 1e-12)) + 1
+    start, end = np.append(0, cut), np.append(cut, len(seg)) - 1
+    return seg[start], t0[start], t1[end]
 
 
 def _split_segments(a, b, normal, background):
-    """Pieces (t0, t1, side) of each segment [a[i], b[i]] (stacked (E, 2))
-    cut at background cell edges.
-
-    ``side`` lists the background cells containing the point 1e-7 h off the
-    piece midpoint along ``normal[i]``; it is empty for pieces outside the
-    background mesh or on its outer boundary.
+    """Pieces (segment, t0, t1) of the segments [a[i], b[i]] (stacked (E, 2))
+    cut at background cell edges, and the (piece, cell) pairs of the
+    background cells containing the point 1e-7 h off each piece midpoint
+    along ``normal[i]``, sorted; pieces outside the background mesh or on
+    its outer boundary have none.
     """
-    pieces, probes = [], []
-    for i, intervals in enumerate(_cell_intervals(a, b, background, EPS_GEOM)):
-        d = b[i] - a[i]
-        cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
-        seg_pieces = []
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            if t1 - t0 <= 1e-12:
-                continue
-            tm = 0.5 * (t0 + t1)
-            inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
-            if inside:
-                eps_n = 1e-7 * background.cell_diameters[inside[0]]
-                probes.append(a[i] + tm * d + eps_n * normal[i])
-            seg_pieces.append((t0, t1, len(probes) - 1 if inside else None))
-        pieces.append(seg_pieces)
-    side = containing_cells(background, np.array(probes).reshape(-1, 2), 1e-9)
-    return [[(t0, t1, [] if k is None else side[k]) for t0, t1, k in seg_pieces]
-            for seg_pieces in pieces]
+    seg, t0, t1, cell = _pieces(a, b, background, EPS_GEOM)
+    probed = np.flatnonzero(cell >= 0)
+    s, tm = seg[probed], 0.5 * (t0[probed] + t1[probed])
+    eps_n = 1e-7 * background.cell_diameters[cell[probed]]
+    probes = a[s] + tm[:, None] * (b - a)[s] + eps_n[:, None] * normal[s]
+    k, side = containing_cells(background, probes, 1e-9)
+    return seg, t0, t1, probed[k], side
 
 
 def interface_quadrature(front, background, topo, order=2, ff_markers=None,
@@ -473,14 +497,12 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     the part of the front boundary interior to the background domain);
     pieces on or outside the outer background boundary are dropped.  Each
     segment stores its background parent cell on the background-fluid
-    side, which must belong to the reduced mesh, plus the front parent,
-    the outward normal of the front domain and a 1D Gauss rule.  Edges
-    with a marker outside ``ff_markers`` (if given) or on a
+    side, the first one that belongs to the reduced mesh, plus the front
+    parent, the outward normal of the front domain and a 1D Gauss rule.
+    Edges with a marker outside ``ff_markers`` (if given) or on a
     ``skip_region`` cell (the solid) are not coupled.
     """
-    reduced = topo.reduced_mask
     xs, ws = seg_rule(order)
-    segments = []
     edges = np.arange(len(front.boundary_edges))
     if ff_markers is not None:
         edges = edges[np.isin(front.boundary_markers, list(ff_markers))]
@@ -488,35 +510,29 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     if skip_region is not None:
         keep = front.region_tags[cells] != skip_region
         edges, cells, normals = edges[keep], cells[keep], normals[keep]
-    if not len(edges):
-        return segments
-    starts, ends = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
-    for a, b, front_cell, normal, pieces in zip(
-            starts, ends, cells.tolist(), normals,
-            _split_segments(starts, ends, normals, background)):
-        d = b - a
-        length = np.hypot(*d)
-        for t0, t1, side in pieces:
-            if not side:
-                continue  # outside the background mesh or on its boundary
-            parents = [c for c in side if reduced[c]]
-            if not parents:
-                # corner slivers below the classification tolerance may end
-                # up facing a cell counted as fully covered; their weight is
-                # negligible and they are dropped
-                if (t1 - t0) * length <= 1e-4 * background.cell_diameters[side[0]]:
-                    continue
-                raise GeometryError(
-                    "interface segment parent cell is fully covered "
-                    f"(background cells {side})")
-            parent = parents[0]
-            p0 = a + t0 * d
-            p1 = a + t1 * d
-            seg_len = (t1 - t0) * length
-            pts = p0[None, :] + xs[:, None] * (p1 - p0)[None, :]
-            segments.append(InterfaceSegment(p0, p1, parent, front_cell,
-                                             normal.copy(), pts, ws * seg_len))
-    return segments
+    a, b = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
+    seg, t0, t1, piece, side = _split_segments(a, b, normals, background)
+    sided, first = np.unique(piece, return_index=True)
+    reduced = topo.reduced_mask[side]
+    kept, at = np.unique(piece[reduced], return_index=True)
+    d = b - a
+    seg_len = (t1 - t0) * np.hypot(d[:, 0], d[:, 1])[seg]
+    # corner slivers below the classification tolerance may end up facing
+    # only cells counted as fully covered; their weight is negligible and
+    # they are dropped
+    orphan = ~np.isin(sided, kept)
+    sliver = seg_len[sided] <= 1e-4 * background.cell_diameters[side[first]]
+    if (orphan & ~sliver).any():
+        p = sided[orphan & ~sliver][0]
+        raise GeometryError("interface segment parent cell is fully covered "
+                            f"(background cells {side[piece == p].tolist()})")
+    seg, t0, t1 = seg[kept], t0[kept], t1[kept]
+    p0 = a[seg] + t0[:, None] * d[seg]
+    p1 = a[seg] + t1[:, None] * d[seg]
+    return InterfaceSegments(p0, p1, side[reduced][at], cells[seg], normals[seg],
+                             p0[:, None] + xs[:, None] * (p1 - p0)[:, None],
+                             ws * seg_len[kept][:, None],
+                             float(seg_len[sided[orphan]].sum()))
 
 
 def overlap_region_pairs(front, topo, fluid_tag=None):
@@ -549,57 +565,19 @@ def build_topology(background, front, order=2, ff_markers=None,
     return topo
 
 
-def exterior_intervals_on_segment(a, b, n_out, background):
-    """Sub-intervals of a front boundary edge that face the outside of the
-    background mesh (the complement of the Nitsche-coupled pieces).  Stacked
-    edges (E, 2) give one list per edge."""
-    a, b, n_out = (np.asarray(v, float) for v in (a, b, n_out))
-    out = []
-    for pieces in _split_segments(np.atleast_2d(a), np.atleast_2d(b),
-                                  np.atleast_2d(n_out), background):
-        merged = []
-        for t0, t1, side in pieces:
-            if side:
-                continue
-            if merged and abs(merged[-1][1] - t0) <= 1e-12:
-                merged[-1] = (merged[-1][0], t1)
-            else:
-                merged.append((t0, t1))
-        out.append(merged)
-    return out if a.ndim == 2 else out[0]
+def exterior_pieces(a, b, n_out, background):
+    """Merged pieces (segment, t0, t1) of the front boundary edges [a[i],
+    b[i]] (stacked (E, 2)) that face the outside of the background mesh:
+    the complement of the Nitsche-coupled pieces."""
+    seg, t0, t1, piece, _ = _split_segments(a, b, n_out, background)
+    out = ~np.isin(np.arange(len(seg)), piece)
+    return _merge(seg[out], t0[out], t1[out])
 
 
-def covered_intervals_on_segment(a, b, front):
-    """Merged parameter intervals of segment [a, b] covered by the front mesh.
-
-    Used to restrict boundary integrals on background edges to their
-    physical (uncovered) part.  Stacked segments (E, 2) give one list per
-    segment.
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    out = []
-    for ivs in _cell_intervals(np.atleast_2d(a), np.atleast_2d(b), front, 1e-12):
-        merged = []
-        for t0, t1, _ in sorted(ivs):
-            if merged and t0 <= merged[-1][1] + 1e-12:
-                merged[-1][1] = max(merged[-1][1], t1)
-            else:
-                merged.append([t0, t1])
-        out.append([(t0, t1) for t0, t1 in merged])
-    return out if a.ndim == 2 else out[0]
-
-
-def uncovered_intervals_on_segment(a, b, front):
-    """Complement of covered_intervals_on_segment within [0, 1]."""
-    out = []
-    for covered in covered_intervals_on_segment(np.atleast_2d(a), np.atleast_2d(b), front):
-        pieces, t = [], 0.0
-        for t0, t1 in covered:
-            if t0 > t + 1e-12:
-                pieces.append((t, t0))
-            t = max(t, t1)
-        if t < 1.0 - 1e-12:
-            pieces.append((t, 1.0))
-        out.append(pieces)
-    return out if np.ndim(a) == 2 else out[0]
+def uncovered_pieces(a, b, front):
+    """Merged pieces (segment, t0, t1) of the segments [a[i], b[i]] (stacked
+    (E, 2)) not covered by the front mesh: boundary integrals on background
+    edges are restricted to these physical parts."""
+    seg, t0, t1, cell = _pieces(a, b, front, 1e-12)
+    out = cell < 0
+    return _merge(seg[out], t0[out], t1[out])

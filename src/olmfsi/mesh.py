@@ -275,15 +275,6 @@ class Mesh:
         n[np.flatnonzero(one)[(n[one] * d).sum(axis=1) > 0.0]] *= -1.0
         return cells, n
 
-    def boundary_cell_of_edge(self, edge_index):
-        """Cell adjacent to a boundary edge (errors if the edge is interior)."""
-        return int(self.boundary_normals([edge_index])[0][0])
-
-    def boundary_normal(self, edge_index):
-        """Adjacent cell and outward unit normal of a boundary edge."""
-        cells, normals = self.boundary_normals([edge_index])
-        return int(cells[0]), normals[0]
-
 
 def build_rect_mesh(nx, ny, bbox, region_fn=None):
     """Structured triangulation of a rectangle with 2*nx*ny cells.
@@ -387,23 +378,23 @@ def refine_uniform(mesh):
 
 
 def containing_cells(mesh, points, tol=1e-10):
-    """Per point (n, 2), the cells whose closure contains it (barycentric
-    coordinates >= -tol), ascending; one query of the cached bucket grid
-    for all points."""
+    """(point, cell) pairs, sorted, of the cells whose closure contains one
+    of the points (n, 2) (barycentric coordinates >= -tol); one query of
+    the cached bucket grid for all points."""
     k, cand = mesh.cell_grid.query_boxes(points, points)
     inside = (barycentric(mesh, cand, points[k][:, None]) >= -tol).all(axis=(1, 2))
-    out = [[] for _ in range(len(points))]
-    for i, c in zip(k[inside].tolist(), cand[inside].tolist()):
-        out[i].append(c)
-    return out
+    return k[inside], cand[inside]
 
 
 def locate_points(mesh, points, tol=1e-10):
     """Containing cell index for each point (-1 if outside); the lowest
     numbered one where several cells contain it."""
     points = np.atleast_2d(np.asarray(points, float))
-    return np.array([cells[0] if cells else -1
-                     for cells in containing_cells(mesh, points, tol)], dtype=np.int64)
+    k, cells = containing_cells(mesh, points, tol)
+    first, at = np.unique(k, return_index=True)
+    out = np.full(len(points), -1, dtype=np.int64)
+    out[first] = cells[at]
+    return out
 
 
 def barycentric(mesh, cell, pts):

@@ -24,8 +24,8 @@ from .geometry import (
     seg_rule,
     triangle_rule,
     subtractive_rules,
-    uncovered_intervals_on_segment,
-    exterior_intervals_on_segment,
+    uncovered_pieces,
+    exterior_pieces,
 )
 from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
@@ -254,15 +254,13 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
 
 
 def _interface_terms(sys, space, problem, segments):
-    if not segments:
+    if not len(segments):
         return
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     a1, a2 = problem.alpha
     bg, fr = space.background, space.front
-    T, K = np.array([(s.bg_cell, s.front_cell) for s in segments]).T
-    pts = np.stack([s.points for s in segments])              # (S, nq, 2)
-    w = np.stack([s.weights for s in segments])
-    n = np.stack([s.normal for s in segments])
+    T, K, n = segments.bg_cell, segments.front_cell, segments.normal
+    pts, w = segments.points, segments.weights                 # (S, nq, 2), (S, nq)
     gT, gK = bg.p1_grads[T], fr.p1_grads[K]
     lamT, lamK = _bary(bg, T, pts), _bary(fr, K, pts)
     h = bg.cell_diameters[T]
@@ -325,33 +323,31 @@ def _neumann_terms(sys, space, problem):
         ij = mesh.boundary_edges
         edges = np.flatnonzero((mesh.boundary_markers == marker)
                                & (vmap[ij] >= 0).all(axis=1))
-        if len(edges) == 0:
-            continue
         a, b = mesh.vertices[ij[edges, 0]], mesh.vertices[ij[edges, 1]]
         normals = mesh.boundary_normals(edges)[1]
         if mesh_id == BG:
-            pieces = uncovered_intervals_on_segment(a, b, space.front)
+            seg, t0, t1 = uncovered_pieces(a, b, space.front)
         else:
             # keep only pieces on the true union boundary: parts of a
             # front edge that drifted into the background interior are
             # Nitsche-coupled instead
-            pieces = exterior_intervals_on_segment(a, b, normals, space.background)
-        dofs, loads = [], []
-        for e, a_e, ev, n, edge_pieces in zip(edges, a, b - a, normals, pieces):
-            length = np.hypot(*ev)
-            vdofs = base + 2 * vmap[ij[e]][:, None] + np.arange(2)
-            for t0, t1 in edge_pieces:
-                ts = t0 + xs * (t1 - t0)
-                pts = a_e + ts[:, None] * ev
-                w = ws * (t1 - t0) * length
-                tv = np.asarray(traction(pts, n), float).reshape(-1, 2)
-                lam = np.column_stack([1.0 - ts, ts])  # hats of i, j
-                # (vertex, component, point): each load sums its own row
-                terms = (w[:, None] * lam)[:, :, None] * tv[:, None]
-                loads.append(np.sum(np.ascontiguousarray(terms.transpose(1, 2, 0)), axis=2))
-                dofs.append(vdofs)
-        if dofs:
-            sys.add_rhs(np.concatenate(dofs), np.concatenate(loads))
+            seg, t0, t1 = exterior_pieces(a, b, normals, space.background)
+        if len(seg) == 0:
+            continue
+        ev = b - a
+        ts = t0[:, None] + xs * (t1 - t0)[:, None]                # (P, nq)
+        pts = a[seg, None] + ts[..., None] * ev[seg, None]
+        w = ws * (t1 - t0)[:, None] * np.hypot(ev[:, 0], ev[:, 1])[seg, None]
+        # one callback per piece: each receives its edge's normal
+        tv = np.stack([np.broadcast_to(np.asarray(traction(p, normals[e]), float)
+                                       .reshape(-1, 2), p.shape)
+                       for p, e in zip(pts, seg)])
+        lam = np.stack([1.0 - ts, ts], axis=2)  # hats of i, j
+        # (piece, vertex, component, point): each load sums its own row
+        terms = (w[..., None] * lam)[..., None] * tv[:, :, None]
+        loads = np.sum(np.ascontiguousarray(terms.transpose(0, 2, 3, 1)), axis=3)
+        vdofs = base + 2 * vmap[ij[edges[seg]]][..., None] + np.arange(2)
+        sys.add_rhs(vdofs.ravel(), loads.ravel())
 
 
 def assemble(problem, space, topo):

@@ -51,11 +51,9 @@ def write_vtk_topology(path, topo, title="cut geometry"):
     points = cut.verts[np.arange(cut.verts.shape[1]) < cut.count[:, None]].tolist()
     ends = np.cumsum(cut.count).tolist()
     poly_conn = [list(range(e - n, e)) for e, n in zip(ends, cut.count.tolist())]
-    line_conn = []
-    for seg in topo.interface_segments:
-        start = len(points)
-        points.extend([seg.start.tolist(), seg.end.tolist()])
-        line_conn.append([start, start + 1])
+    segs = topo.interface_segments
+    line_conn = (len(points) + np.arange(2 * len(segs)).reshape(-1, 2)).tolist()
+    points += np.stack([segs.start, segs.end], axis=1).reshape(-1, 2).tolist()
 
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")

@@ -17,9 +17,9 @@ import numpy as np
 import sympy as sp
 
 from olmfsi.coupling import TractionMappingError
-from olmfsi.geometry import (EPS_GEOM, QuadRule, exterior_intervals_on_segment,
-                             seg_rule, tri_rule, triangle_rule,
-                             uncovered_intervals_on_segment)
+from olmfsi.geometry import (EPS_GEOM, GeometryError, InterfaceSegments, QuadRule,
+                             exterior_pieces, seg_rule, tri_rule, triangle_rule,
+                             uncovered_pieces)
 from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import barycentric, eval_field
 from olmfsi.solid import (STVK, InvertedElementError, Material, first_piola,
@@ -263,6 +263,143 @@ def cell_intervals_loop(a, b, mesh, min_len):
         if iv is not None and iv[1] - iv[0] > min_len:
             out[i].append((iv[0], iv[1], c))
     return out
+
+
+def pieces_loop(a, b, mesh, min_len):
+    """Rows (segment, t0, t1, cell) of ``geometry._pieces`` from the sorted
+    cut set of each segment's ``cell_intervals_loop`` intervals."""
+    rows = []
+    for i, intervals in enumerate(cell_intervals_loop(a, b, mesh, min_len)):
+        cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if t1 - t0 > 1e-12:
+                tm = 0.5 * (t0 + t1)
+                inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
+                rows.append((i, t0, t1, inside[0] if inside else -1))
+    return rows
+
+
+def containing_cells_loop(mesh, points, tol):
+    """Per point, the ascending list of cells whose closure contains it."""
+    k, cand = mesh.cell_grid.query_boxes(points, points)
+    inside = (barycentric(mesh, cand, points[k][:, None]) >= -tol).all(axis=(1, 2))
+    out = [[] for _ in range(len(points))]
+    for i, c in zip(k[inside].tolist(), cand[inside].tolist()):
+        out[i].append(c)
+    return out
+
+
+def _split_segments_loop(a, b, normal, background):
+    """Per segment, the pieces (t0, t1, side cells) of the former list-based
+    ``geometry._split_segments``."""
+    pieces, probes = [], []
+    for i, intervals in enumerate(cell_intervals_loop(a, b, background, EPS_GEOM)):
+        d = b[i] - a[i]
+        cuts = sorted({0.0, 1.0} | {t for t0, t1, _ in intervals for t in (t0, t1)})
+        seg_pieces = []
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if t1 - t0 <= 1e-12:
+                continue
+            tm = 0.5 * (t0 + t1)
+            inside = [c for lo_t, hi_t, c in intervals if lo_t <= tm <= hi_t]
+            if inside:
+                eps_n = 1e-7 * background.cell_diameters[inside[0]]
+                probes.append(a[i] + tm * d + eps_n * normal[i])
+            seg_pieces.append((t0, t1, len(probes) - 1 if inside else None))
+        pieces.append(seg_pieces)
+    side = containing_cells_loop(background, np.array(probes).reshape(-1, 2), 1e-9)
+    return [[(t0, t1, [] if k is None else side[k]) for t0, t1, k in seg_pieces]
+            for seg_pieces in pieces]
+
+
+def interface_quadrature_loop(front, background, topo, order=2, ff_markers=None,
+                              skip_region=None):
+    """Per-piece reference for ``geometry.interface_quadrature``: the former
+    loop, one segment appended at a time, stacked at the end."""
+    reduced = topo.reduced_mask
+    xs, ws = seg_rule(order)
+    segments, dropped = [], 0.0
+    edges = np.arange(len(front.boundary_edges))
+    if ff_markers is not None:
+        edges = edges[np.isin(front.boundary_markers, list(ff_markers))]
+    cells, normals = front.boundary_normals(edges)
+    if skip_region is not None:
+        keep = front.region_tags[cells] != skip_region
+        edges, cells, normals = edges[keep], cells[keep], normals[keep]
+    starts, ends = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
+    for a, b, front_cell, normal, pieces in zip(
+            starts, ends, cells.tolist(), normals,
+            _split_segments_loop(starts, ends, normals, background)):
+        d = b - a
+        length = np.hypot(*d)
+        for t0, t1, side in pieces:
+            if not side:
+                continue  # outside the background mesh or on its boundary
+            parents = [c for c in side if reduced[c]]
+            if not parents:
+                if (t1 - t0) * length <= 1e-4 * background.cell_diameters[side[0]]:
+                    dropped += (t1 - t0) * length
+                    continue
+                raise GeometryError(
+                    "interface segment parent cell is fully covered "
+                    f"(background cells {side})")
+            parent = parents[0]
+            p0 = a + t0 * d
+            p1 = a + t1 * d
+            seg_len = (t1 - t0) * length
+            pts = p0[None, :] + xs[:, None] * (p1 - p0)[None, :]
+            segments.append((p0, p1, parent, front_cell, normal.copy(), pts, ws * seg_len))
+    shapes = [(-1, 2), (-1, 2), -1, -1, (-1, 2), (-1, len(xs), 2), (-1, len(xs))]
+    cols = [np.array([s[k] for s in segments], np.int64 if k in (2, 3) else float).reshape(shape)
+            for k, shape in enumerate(shapes)]
+    return InterfaceSegments(*cols, dropped)
+
+
+def _piece_table(per_segment):
+    """(segment, t0, t1) arrays of per-segment (t0, t1) lists."""
+    rows = [(i, t0, t1) for i, pieces in enumerate(per_segment) for t0, t1 in pieces]
+    return (np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[1] for r in rows], dtype=float),
+            np.array([r[2] for r in rows], dtype=float))
+
+
+def exterior_intervals_loop(a, b, n_out, background):
+    """Reference for ``geometry.exterior_pieces``: pieces without a side
+    cell, merged one at a time."""
+    out = []
+    for pieces in _split_segments_loop(a, b, n_out, background):
+        merged = []
+        for t0, t1, side in pieces:
+            if side:
+                continue
+            if merged and abs(merged[-1][1] - t0) <= 1e-12:
+                merged[-1] = (merged[-1][0], t1)
+            else:
+                merged.append((t0, t1))
+        out.append(merged)
+    return _piece_table(out)
+
+
+def uncovered_intervals_loop(a, b, front):
+    """Reference for ``geometry.uncovered_pieces``: the gaps between the
+    merged covered intervals of each segment."""
+    out = []
+    for ivs in cell_intervals_loop(a, b, front, 1e-12):
+        covered = []
+        for t0, t1, _ in sorted(ivs):
+            if covered and t0 <= covered[-1][1] + 1e-12:
+                covered[-1][1] = max(covered[-1][1], t1)
+            else:
+                covered.append([t0, t1])
+        pieces, t = [], 0.0
+        for t0, t1 in covered:
+            if t0 > t + 1e-12:
+                pieces.append((t, t0))
+            t = max(t, t1)
+        if t < 1.0 - 1e-12:
+            pieces.append((t, 1.0))
+        out.append(pieces)
+    return _piece_table(out)
 
 
 def boundary_normal_loop(mesh, e):
@@ -534,17 +671,16 @@ def _interface_terms_loop(sys, space, problem, segments):
     nu_a = problem.viscosity if problem.nu_scale_a else 1.0
     a1, a2 = problem.alpha
     bg, fr = space.background, space.front
-    for s in segments:
-        gT = bg.p1_grads[s.bg_cell]
-        gK = fr.p1_grads[s.front_cell]
-        lamT = barycentric(bg, s.bg_cell, s.points)
-        lamK = barycentric(fr, s.front_cell, s.points)
-        n = s.normal
-        w = s.weights
-        h = bg.cell_diameters[s.bg_cell]
+    for T, K, pts, w, n in zip(segments.bg_cell.tolist(), segments.front_cell.tolist(),
+                               segments.points, segments.weights, segments.normal):
+        gT = bg.p1_grads[T]
+        gK = fr.p1_grads[K]
+        lamT = barycentric(bg, T, pts)
+        lamK = barycentric(fr, K, pts)
+        h = bg.cell_diameters[T]
 
-        connT = bg.cells[s.bg_cell]
-        connK = fr.cells[s.front_cell]
+        connT = bg.cells[T]
+        connK = fr.cells[K]
         slotT = space.bg_vmap[connT]
         slotK = space.fr_vmap[connK]
         udofs = [np.concatenate([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
@@ -604,14 +740,14 @@ def _neumann_terms_loop(sys, space, problem):
             if vmap[i] < 0 or vmap[j] < 0:
                 continue
             a, b = mesh.vertices[i], mesh.vertices[j]
-            _, n = mesh.boundary_normal(e)
+            _, n = boundary_normal_loop(mesh, e)
             if mesh_id == BG:
-                pieces = uncovered_intervals_on_segment(a, b, space.front)
+                _, t0s, t1s = uncovered_pieces(a[None], b[None], space.front)
             else:
-                pieces = exterior_intervals_on_segment(a, b, n, space.background)
+                _, t0s, t1s = exterior_pieces(a[None], b[None], n[None], space.background)
             ev = b - a
             length = np.hypot(*ev)
-            for t0, t1 in pieces:
+            for t0, t1 in zip(t0s.tolist(), t1s.tolist()):
                 ts = t0 + xs * (t1 - t0)
                 pts = a[None, :] + ts[:, None] * ev[None, :]
                 w = ws * (t1 - t0) * length
@@ -923,7 +1059,7 @@ def build_manufactured_sympy(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
     )
 
 
-def traction_functional_loop(solution, body_force, space, topo, interface_nodes):
+def traction_functional_loop(solution, body_force, space, interface_nodes):
     """Per-node form of ``coupling.traction_functional``: for each
     interface node, the stress and body terms of its fluid one-ring, cell
     by cell in ascending order."""

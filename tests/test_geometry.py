@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from olmfsi.mesh import Mesh, build_rect_mesh, refine_uniform, FLUID, SOLID
-from olmfsi.geometry import (EPS_GEOM, _cell_intervals, classify, build_topology,
+from olmfsi.geometry import (EPS_GEOM, _pieces, classify, build_topology,
                              intersect_convex, polygon_area, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
                              subtractive_rules, fan_triangles, triangle_rule,
-                             tri_rule, CoarseBackgroundError,
-                             covered_intervals_on_segment,
-                             uncovered_intervals_on_segment)
+                             tri_rule, CoarseBackgroundError, GeometryError,
+                             exterior_pieces, uncovered_pieces)
 
 from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,
                      halfplane_cut_area, clip_convex_loop, classify_loop,
                      polygon_area_loop, polygon_rule, _subtractive_rule,
-                     covered_dict, cell_intervals_loop)
+                     covered_dict, pieces_loop, interface_quadrature_loop,
+                     exterior_intervals_loop, uncovered_intervals_loop)
 from olmfsi.verification import flap_meshes, stokes_patch_setup
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -216,15 +216,15 @@ def test_interface_square_in_one_cell():
     topo = classify(bg, fr)
     segs = interface_quadrature(fr, bg, topo)
     assert len(segs) == 4
-    assert sum(sg.length for sg in segs) == pytest.approx(4 * s, abs=1e-12)
+    assert segs.length.sum() == pytest.approx(4 * s, abs=1e-12)
     # right edge of the square has outward normal (+1, 0)
-    right = [sg for sg in segs
-             if np.allclose([sg.start[0], sg.end[0]], 0.55 + s)]
+    right = np.flatnonzero(np.isclose(segs.start[:, 0], 0.55 + s)
+                           & np.isclose(segs.end[:, 0], 0.55 + s))
     assert len(right) == 1
-    assert np.allclose(right[0].normal, [1.0, 0.0], atol=1e-14)
+    assert np.allclose(segs.normal[right[0]], [1.0, 0.0], atol=1e-14)
     # weights sum to each segment length
-    for sg in segs:
-        assert sg.weights.sum() == pytest.approx(sg.length, abs=1e-13)
+    for w, length in zip(segs.weights, segs.length):
+        assert w.sum() == pytest.approx(length, abs=1e-13)
 
 
 def test_interface_against_brute_force_splitting():
@@ -234,11 +234,11 @@ def test_interface_against_brute_force_splitting():
     topo = classify(bg, fr)
     segs = interface_quadrature(fr, bg, topo)
     ref = split_edges_brute_force(fr, bg)
-    assert sum(sg.length for sg in segs) == pytest.approx(4 * s, abs=1e-10)
+    assert segs.length.sum() == pytest.approx(4 * s, abs=1e-10)
     assert len(segs) == len(ref)
     # match pieces by midpoint
-    mids = sorted((tuple(np.round(0.5 * (sg.start + sg.end), 9)), sg.length)
-                  for sg in segs)
+    mids = sorted((tuple(np.round(0.5 * (a + b), 9)), length)
+                  for a, b, length in zip(segs.start, segs.end, segs.length))
     refm = sorted((tuple(np.round(m, 9)), l) for m, l in ref)
     for (ma, la), (mb, lb) in zip(mids, refm):
         assert np.allclose(ma, mb, atol=1e-9)
@@ -250,11 +250,9 @@ def test_interface_parents_in_reduced_mesh():
     fr = build_rect_mesh(4, 4, [(0.18, 0.22), (0.73, 0.81)])
     topo = classify(bg, fr)
     segs = interface_quadrature(fr, bg, topo)
-    reduced = set(topo.reduced_cells.tolist())
-    for sg in segs:
-        assert sg.bg_cell in reduced
-        assert 0 <= sg.front_cell < fr.nc
-    total = sum(sg.length for sg in segs)
+    assert np.isin(segs.bg_cell, topo.reduced_cells).all()
+    assert ((0 <= segs.front_cell) & (segs.front_cell < fr.nc)).all()
+    total = segs.length.sum()
     assert total == pytest.approx(2 * (0.55 + 0.59), abs=1e-10)
 
 
@@ -264,12 +262,40 @@ def test_interface_outside_background_dropped():
     topo = classify(bg, fr)
     segs = interface_quadrature(fr, bg, topo)
     # only the parts of the front boundary inside the unit square remain
-    total = sum(sg.length for sg in segs)
+    total = segs.length.sum()
     assert total == pytest.approx(2 * 0.55, abs=1e-10)
-    for sg in segs:
-        mid = 0.5 * (sg.start + sg.end)
-        assert -1e-12 <= mid[0] <= 1 + 1e-12
-        assert -1e-12 <= mid[1] <= 1 + 1e-12
+    mid = 0.5 * (segs.start + segs.end)
+    assert ((-1e-12 <= mid) & (mid <= 1 + 1e-12)).all()
+
+
+def test_interface_corner_slivers_counted():
+    # the front edge x + y = 1 + eta cuts two corners of area eta^2 / 4 off
+    # the cells above (0.5, 0.5), which classify as fully covered: their
+    # pieces face no reduced cell and are dropped, but counted
+    bg = build_rect_mesh(2, 2, [(0, 0), (1, 1)])
+    eta = 1e-5
+    fr = Mesh([[-0.5, 1.5 + eta], [1.5 + eta, -0.5], [1.5, 1.5]], [[0, 1, 2]],
+              [[0, 1], [1, 2], [2, 0]])
+    topo = build_topology(bg, fr)
+    assert len(topo.class_fully) == 2
+    assert topo.dropped_corner_length == pytest.approx(np.sqrt(2) * eta, rel=1e-9)
+    assert topo.interface_length() + topo.dropped_corner_length == pytest.approx(
+        np.sqrt(2) * (1 - eta), rel=1e-12)
+    assert topo.dropped_corner_length == interface_quadrature_loop(
+        fr, bg, topo).dropped_corner_length
+
+
+def test_interface_parent_fully_covered_raises():
+    # a second front square inside the first: its edges face covered cells
+    a = build_rect_mesh(2, 2, [(0.1, 0.1), (0.9, 0.9)])
+    b = build_rect_mesh(1, 1, [(0.3, 0.3), (0.6, 0.6)])
+    fr = Mesh(np.vstack([a.vertices, b.vertices]), np.vstack([a.cells, b.cells + a.nv]),
+              np.vstack([a.boundary_edges, b.boundary_edges + a.nv]), validate=False)
+    bg = build_rect_mesh(8, 8, [(0, 0), (1, 1)])
+    topo = classify(bg, fr)
+    for build in (interface_quadrature, interface_quadrature_loop):
+        with pytest.raises(GeometryError, match=r"fully covered \(background cells \[36\]\)"):
+            build(fr, bg, topo)
 
 
 # -- overlap pairs ---------------------------------------------------------------
@@ -345,9 +371,7 @@ def test_grid_aligned_front():
     topo = build_topology(bg, fr)
     assert len(topo.class_partial) == 0
     assert topo.interface_length() == pytest.approx(4 * 0.5, abs=1e-10)
-    reduced = set(topo.reduced_cells.tolist())
-    for sg in topo.interface_segments:
-        assert sg.bg_cell in reduced
+    assert np.isin(topo.interface_segments.bg_cell, topo.reduced_cells).all()
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 5])
@@ -420,43 +444,91 @@ def test_rotated_fronts_partition_and_consistency():
 
 def test_covered_uncovered_intervals():
     fr = build_rect_mesh(2, 2, [(0.25, -1.0), (0.75, 2.0)])
-    a, b = np.array([0.0, 0.5]), np.array([1.0, 0.5])
-    cov = covered_intervals_on_segment(a, b, fr)
-    unc = uncovered_intervals_on_segment(a, b, fr)
-    assert len(cov) == 1
-    assert cov[0][0] == pytest.approx(0.25, abs=1e-12)
-    assert cov[0][1] == pytest.approx(0.75, abs=1e-12)
-    assert sum(t1 - t0 for t0, t1 in unc) == pytest.approx(0.5, abs=1e-12)
+    a, b = np.array([[0.0, 0.5]]), np.array([[1.0, 0.5]])
+    seg, t0, t1 = uncovered_pieces(a, b, fr)
+    # the one covered interval [0.25, 0.75] lies between the two pieces
+    assert seg.tolist() == [0, 0]
+    assert t1[0] == pytest.approx(0.25, abs=1e-12)
+    assert t0[1] == pytest.approx(0.75, abs=1e-12)
+    assert (t1 - t0).sum() == pytest.approx(0.5, abs=1e-12)
 
 
-def _interval_bits(per_segment):
-    return [[(float(t0).hex(), float(t1).hex(), c) for t0, t1, c in ivs]
-            for ivs in per_segment]
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
-def test_batched_cell_intervals_match_scalar_reference():
+def _loop_bits(rows, like):
+    """_bits of the columns of reference rows, with the dtypes of ``like``."""
+    return _bits(*(np.array([r[k] for r in rows], a.dtype) for k, a in enumerate(like)))
+
+
+def _splitter_cases():
+    """(background, front) of the flap, manufactured and patch studies."""
+    from olmfsi.verification import build_manufactured, manufactured_fsi_problem
     cases = [flap_meshes(angle, res)[:2] for angle in (0.0, 65.0) for res in (1, 2)]
-    cases += [stokes_patch_setup(level) for level in range(4)]
-    # grid lines and diagonals of a background run along its cell edges
-    bg = stokes_patch_setup(1)[0]
+    mf = build_manufactured()
+    cases += [(p.background, p.front_ref) for p in
+              (manufactured_fsi_problem(mf, level) for level in range(3))]
+    return cases + [stokes_patch_setup(level) for level in range(4)]
+
+
+def _grid_segments():
+    """Grid lines and diagonals of a 16 x 16 background along its cell edges."""
     s = np.linspace(0.0, 1.0, 17)
     lines = [np.column_stack([np.zeros_like(s), s]), np.column_stack([s, np.zeros_like(s)]),
              np.column_stack([s[:-1], np.zeros(16)])]
     ends = [lines[0] + [1.0, 0.0], lines[1] + [0.0, 1.0], lines[2] + 1.0 / 16]
+    return list(zip(lines, ends))
+
+
+def test_batched_cell_intervals_match_scalar_reference():
+    # the piece table of one batched interval kernel call against the cut
+    # sets of the per-pair intervals
+    bg = stokes_patch_setup(1)[0]
     checked = 0
-    for bg_, fr in cases:
+    for bg_, fr in _splitter_cases():
         # front edges cut at background cells, background edges under the front
         for edges_of, mesh, min_len in ((fr, bg_, EPS_GEOM), (bg_, fr, 1e-12)):
             a, b = (edges_of.vertices[edges_of.boundary_edges[:, k]] for k in (0, 1))
-            got = _cell_intervals(a, b, mesh, min_len)
-            assert _interval_bits(got) == _interval_bits(
-                cell_intervals_loop(a, b, mesh, min_len))
-            checked += sum(map(len, got))
-    for a, b in zip(lines, ends):
-        got = _cell_intervals(a, b, bg, EPS_GEOM)
-        assert _interval_bits(got) == _interval_bits(cell_intervals_loop(a, b, bg, EPS_GEOM))
-        assert all(got)
+            got = _pieces(a, b, mesh, min_len)
+            assert _bits(*got) == _loop_bits(pieces_loop(a, b, mesh, min_len), got)
+            checked += (got[3] >= 0).sum()
+    for a, b in _grid_segments():
+        got = _pieces(a, b, bg, EPS_GEOM)
+        assert _bits(*got) == _loop_bits(pieces_loop(a, b, bg, EPS_GEOM), got)
+        assert (got[3] >= 0).all()
     assert checked > 1000
+
+
+def test_piece_tables_match_loop_references():
+    # coupling segments and both Neumann piece tables, byte for byte
+    bg16 = stokes_patch_setup(1)[0]
+    rows = 0
+    for bg, fr in _splitter_cases():
+        topo = build_topology(bg, fr)
+        skip = SOLID if (fr.region_tags == SOLID).any() else None
+        ref = interface_quadrature_loop(fr, bg, topo, skip_region=skip)
+        got = topo.interface_segments
+        fields = ("start", "end", "bg_cell", "front_cell", "normal", "points", "weights")
+        assert _bits(*(getattr(got, f) for f in fields)) == \
+            _bits(*(getattr(ref, f) for f in fields))
+        assert got.dropped_corner_length == pytest.approx(ref.dropped_corner_length,
+                                                          rel=1e-12, abs=0.0)
+        rows += len(got)
+        a, b = (fr.vertices[fr.boundary_edges[:, k]] for k in (0, 1))
+        n = fr.boundary_normals(np.arange(len(a)))[1]
+        assert _bits(*exterior_pieces(a, b, n, bg)) == _bits(*exterior_intervals_loop(a, b, n, bg))
+        for a, b, mesh in ((bg.vertices[bg.boundary_edges[:, 0]],
+                            bg.vertices[bg.boundary_edges[:, 1]], fr), (a, b, bg)):
+            assert _bits(*uncovered_pieces(a, b, mesh)) == \
+                _bits(*uncovered_intervals_loop(a, b, mesh))
+    for a, b in _grid_segments():
+        n = np.tile([0.0, 1.0], (len(a), 1))
+        assert _bits(*exterior_pieces(a, b, n, bg16)) == \
+            _bits(*exterior_intervals_loop(a, b, n, bg16))
+        assert _bits(*uncovered_pieces(a, b, bg16)) == \
+            _bits(*uncovered_intervals_loop(a, b, bg16))
+    assert rows > 1000
 
 
 # -- stored covered polygons -----------------------------------------------------

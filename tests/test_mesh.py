@@ -265,13 +265,10 @@ def test_boundary_normals_match_per_edge_reference():
         cells, normals = m.boundary_normals(np.arange(len(m.boundary_edges)))
         for e in range(len(m.boundary_edges)):
             c, n = boundary_normal_loop(m, e)
-            assert cells[e] == c == m.boundary_cell_of_edge(e)
+            assert cells[e] == c
             assert np.array_equal(normals[e], n)
-            assert np.array_equal(m.boundary_normal(e)[1], n)
     # an interior edge listed as a boundary edge has no single adjacent cell
     inner = Mesh(rect.vertices, rect.cells, [rect.cells[0, [0, 2]]], validate=False)
     assert boundary_normal_loop(inner, 0) is None
-    for call in (inner.boundary_cell_of_edge, inner.boundary_normal,
-                 lambda e: inner.boundary_normals([e])):
-        with pytest.raises(MeshError, match="boundary edge 0"):
-            call(0)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        inner.boundary_normals([0])

@@ -129,6 +129,7 @@ def cmd_cutdump(args):
     write_vtk_mesh(os.path.join(args.out, "front.vtk"), fr)
     print(f"classified {len(topo.class_not)} / {len(topo.class_fully)} / "
           f"{len(topo.class_partial)} cells (not/fully/partially covered); "
+          f"{topo.clipped_pairs} cell pairs clipped; "
           f"{len(topo.interface_segments)} interface segments; "
           f"{topo.dropped_corner_length:.3e} corner sliver length dropped")
     return 0

@@ -3,9 +3,12 @@ fluid-fluid interface segments and overlap-region pairs.
 
 The moving composite mesh (the "front") is laid over a fixed background
 mesh.  Background cells are classified as not / fully / partially covered
-by the front domain; partially covered cells receive subtractive cut
-quadrature rules (full-cell rule minus rules on all front-cell
-intersections), so every geometric primitive is a convex-convex clip.
+by the front domain.  Only the band of cells whose boxes meet the boxes of
+front boundary edges is clipped against the front cells; every other cell
+is fully covered if a front cell holds its centroid and not covered
+otherwise.  Partially covered cells receive subtractive cut quadrature
+rules (full-cell rule minus rules on all front-cell intersections), so
+every geometric primitive is a convex-convex clip.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, SOLID, _ranges, containing_cells
+from .mesh import Mesh, SOLID, _ranges, containing_cells, locate_points
 
 
 class GeometryError(RuntimeError):
@@ -258,7 +261,8 @@ class InterfaceSegments:
 class CellPairs:
     """Intersections of background with front cells, one per row: the two
     cells, the area and, where kept, the convex CCW polygon as the first
-    count[i] of the padded vertices verts (P, m, 2)."""
+    count[i] of the padded vertices verts (P, m, 2).  The padded width m
+    is not part of the format."""
     bg_cell: np.ndarray
     front_cell: np.ndarray
     area: np.ndarray
@@ -277,9 +281,10 @@ class OverlapTopology:
     """Classification of a background mesh against a moving composite mesh.
 
     ``classify`` keeps the covered polygons of the reduced cells, by
-    background cell, then front cell; cut rules (in ``class_partial``
-    order) and overlap pairs (by front cell, then background cell) are
-    built from them.
+    background cell, then front cell, and counts the cell pairs it handed
+    to the clip kernel in ``clipped_pairs``; cut rules (in
+    ``class_partial`` order) and overlap pairs (by front cell, then
+    background cell) are built from the polygons.
     """
     background: Mesh
     front: Mesh
@@ -293,6 +298,7 @@ class OverlapTopology:
     interface_segments: InterfaceSegments = None
     overlap_pairs: CellPairs = None
     order: int = 2
+    clipped_pairs: int = 0
 
     @property
     def reduced_mask(self):
@@ -311,23 +317,20 @@ class OverlapTopology:
         return float(self.overlap_pairs.area.sum())
 
 
-def _covered_pairs(background, front, cells=None):
-    """Nonempty intersections of background cells (all, or the given ones)
+def _covered_pairs(background, front, cells):
+    """Nonempty intersections of the given background cells (ascending)
     with front cells as CellPairs, sorted by background cell, then front
-    cell.
+    cell, and the number of pairs clipped.
 
-    One grid query with all front cell boxes finds the pairs whose bounding
-    boxes meet; the kernel clips them in chunks, each with its background
-    cell's eps.
+    One query of the front's grid with the cell boxes finds the pairs whose
+    bounding boxes meet; the kernel clips them in chunks, each with its
+    background cell's eps.
     """
     bp, fp = background.cell_points, front.cell_points
-    lo, hi = fp.min(axis=1), fp.max(axis=1)
-    ks, cs = background.cell_grid.query_boxes(lo, hi)
-    meet = ((bp[cs].min(axis=1) <= hi[ks]) & (bp[cs].max(axis=1) >= lo[ks])).all(axis=1)
-    if cells is not None:
-        meet &= np.isin(cs, cells)
-    order = np.lexsort((ks[meet], cs[meet]))
-    cs, ks = cs[meet][order], ks[meet][order]
+    lo, hi = bp[cells].min(axis=1), bp[cells].max(axis=1)
+    cs, ks = front.cell_grid.query_boxes(lo, hi)
+    meet = ((fp[ks].min(axis=1) <= hi[cs]) & (fp[ks].max(axis=1) >= lo[cs])).all(axis=1)
+    cs, ks = np.asarray(cells)[cs[meet]], ks[meet]
     eps = EPS_GEOM * background.cell_diameters[cs]
     chunks = [intersect_convex(bp[cs[s:s + CLIP_CHUNK]], fp[ks[s:s + CLIP_CHUNK]],
                                eps[s:s + CLIP_CHUNK])
@@ -337,25 +340,48 @@ def _covered_pairs(background, front, cells=None):
                             for p, c in chunks])
     hit = np.concatenate([c for _, c in chunks]) > 0
     cnt = np.concatenate([c[c > 0] for _, c in chunks])
-    return CellPairs(cs[hit], ks[hit], _areas(verts, cnt), verts, cnt)
+    return CellPairs(cs[hit], ks[hit], _areas(verts, cnt), verts, cnt), len(cs)
+
+
+def _band(background, front):
+    """Ascending background cells whose bounding box meets the box of a
+    front boundary edge (an edge of exactly one front cell)."""
+    _, order, skey = front.edge_keys
+    starts = np.diff(skey, prepend=-1, append=-1) != 0
+    slot = order[starts[:-1] & starts[1:]]
+    fp = front.cell_points
+    a, b = fp[slot // 3, slot % 3], fp[slot // 3, (slot + 1) % 3]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    ks, cs = background.cell_grid.query_boxes(lo, hi)
+    bp = background.cell_points[cs]
+    return np.unique(cs[((bp.min(axis=1) <= hi[ks]) & (bp.max(axis=1) >= lo[ks])).all(axis=1)])
 
 
 def classify(background, front, solid_region_tag=SOLID):
     """Partition background cells into not / fully / partially covered sets.
 
-    A cell's covered fraction is the sum of its pair areas.  The covered
-    polygons of the reduced (not and partially covered) cells are kept on
-    the topology.  A partially covered cell intersecting the solid
-    subdomain means the background mesh cannot resolve the fluid-fluid
-    interface and raises CoarseBackgroundError.
+    Only the band (see ``_band``) is clipped: a band cell's covered
+    fraction is the sum of its pair areas.  Every other cell lies wholly
+    inside or wholly outside the front domain, about its inradius or more
+    from the front boundary, so it is fully covered if a front cell holds
+    its centroid and not covered otherwise; only the cells in the grid
+    buckets the front's box meets are located.  The covered polygons of
+    the reduced (not and partially covered) cells are kept on the
+    topology.  A partially covered cell intersecting the solid subdomain
+    means the background mesh cannot resolve the fluid-fluid interface
+    and raises CoarseBackgroundError.
     """
     topo = OverlapTopology(background, front, solid_region_tag)
     nc, areas = background.nc, background.cell_areas
-    pairs = _covered_pairs(background, front)
+    band = _band(background, front)
+    pairs, topo.clipped_pairs = _covered_pairs(background, front, band)
     cells, pair_area = pairs.bg_cell, pairs.area
     rel_tol = 1e-9
     frac = np.bincount(cells, pair_area, nc) / areas
     cls = np.where(frac <= rel_tol, 0, np.where(frac >= 1.0 - rel_tol, 1, 2))
+    _, near = background.cell_grid.query_boxes(*front.bbox)
+    rest = np.setdiff1d(near, band, assume_unique=True)
+    cls[rest] = locate_points(front, background.cell_points[rest].mean(axis=1)) >= 0
     solid = front.region_tags[pairs.front_cell] == solid_region_tag
     solid_area = np.bincount(cells[solid], pair_area[solid], nc)
     bad = np.flatnonzero((cls == 2) & (solid_area > rel_tol * areas))
@@ -404,7 +430,7 @@ def cut_cell_quadrature(cell, background, front, order=2):
     |T| - |T intersect front domain| and the rule is exact for polynomials
     up to ``order`` on the cut region.
     """
-    polygons = _covered_pairs(background, front, [cell])
+    polygons, _ = _covered_pairs(background, front, [cell])
     return subtractive_rules(background, [cell], polygons, order)[0]
 
 

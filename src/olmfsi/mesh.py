@@ -301,36 +301,19 @@ def build_tensor_mesh(xs, ys, region_fn=None):
     nx, ny = len(xs) - 1, len(ys) - 1
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.array(cells, dtype=np.int64)
-
-    edges, markers = [], []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        markers.append(BOTTOM)
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        markers.append(TOP)
-    for j in range(ny):
-        edges.append((vid(0, j), vid(0, j + 1)))
-        markers.append(LEFT)
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        markers.append(RIGHT)
+    vid = np.arange(len(verts)).reshape(nx + 1, ny + 1)
+    v00, v10, v01, v11 = vid[:-1, :-1], vid[1:, :-1], vid[:-1, 1:], vid[1:, 1:]
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    # BOTTOM, TOP by i, then LEFT, RIGHT by j
+    edges = np.concatenate([np.stack([vid[:-1, [0, -1]], vid[1:, [0, -1]]], axis=-1),
+                            np.stack([vid[[0, -1], :-1].T, vid[[0, -1], 1:].T], axis=-1)])
+    markers = np.concatenate([np.tile([BOTTOM, TOP], nx), np.tile([LEFT, RIGHT], ny)])
 
     tags = None
     if region_fn is not None:
         centroids = verts[cells].mean(axis=1)
         tags = np.array([region_fn(c) for c in centroids], dtype=np.int64)
-    return Mesh(verts, cells, np.array(edges), np.array(markers), tags)
+    return Mesh(verts, cells, edges.reshape(-1, 2), markers, tags)
 
 
 def element_diameter(mesh, cell):

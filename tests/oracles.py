@@ -21,7 +21,7 @@ from olmfsi.geometry import (EPS_GEOM, GeometryError, InterfaceSegments, QuadRul
                              exterior_pieces, seg_rule, tri_rule, triangle_rule,
                              uncovered_pieces)
 from olmfsi.linalg import SparseSystem
-from olmfsi.mesh import barycentric, eval_field
+from olmfsi.mesh import BOTTOM, LEFT, RIGHT, TOP, Mesh, barycentric, eval_field
 from olmfsi.solid import (STVK, InvertedElementError, Material, first_piola,
                           piola_tangent)
 from olmfsi.stokes import BG, FRONT, _full_cell_volume_terms
@@ -1095,3 +1095,113 @@ def traction_functional_loop(solution, body_force, space, interface_nodes):
                 val += a * np.einsum("q,q,qi->i", w_q, lam_q[:, local], fv)
         out[idx] = val
     return out
+
+
+def build_tensor_mesh_loop(xs, ys, region_fn=None):
+    """``build_tensor_mesh`` with cells and boundary edges built cell by
+    cell and edge by edge."""
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    nx, ny = len(xs) - 1, len(ys) - 1
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    cells = np.array(cells, dtype=np.int64)
+
+    edges, markers = [], []
+    for i in range(nx):
+        edges.append((vid(i, 0), vid(i + 1, 0)))
+        markers.append(BOTTOM)
+        edges.append((vid(i, ny), vid(i + 1, ny)))
+        markers.append(TOP)
+    for j in range(ny):
+        edges.append((vid(0, j), vid(0, j + 1)))
+        markers.append(LEFT)
+        edges.append((vid(nx, j), vid(nx, j + 1)))
+        markers.append(RIGHT)
+
+    tags = None
+    if region_fn is not None:
+        centroids = verts[cells].mean(axis=1)
+        tags = np.array([region_fn(c) for c in centroids], dtype=np.int64)
+    return Mesh(verts, cells, np.array(edges), np.array(markers), tags)
+
+
+def write_vtk_mesh_loop(path, mesh, point_data=None, title="mesh"):
+    """Unstructured-grid file with optional per-vertex fields.
+
+    ``point_data`` maps a field name to either an (nv,) scalar array or an
+    (nv, 2) vector array (padded with a zero z-component).
+    """
+    point_data = point_data or {}
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write(f"{title}\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.nv} double\n")
+        for x, y in mesh.vertices:
+            f.write(f"{x} {y} 0.0\n")
+        f.write(f"CELLS {mesh.nc} {4 * mesh.nc}\n")
+        for i, j, k in mesh.cells:
+            f.write(f"3 {i} {j} {k}\n")
+        f.write(f"CELL_TYPES {mesh.nc}\n")
+        for _ in range(mesh.nc):
+            f.write("5\n")
+        if mesh.nc:
+            f.write(f"CELL_DATA {mesh.nc}\n")
+            f.write("SCALARS region int\nLOOKUP_TABLE default\n")
+            for t in mesh.region_tags:
+                f.write(f"{int(t)}\n")
+        if point_data:
+            f.write(f"POINT_DATA {mesh.nv}\n")
+            for name, data in point_data.items():
+                data = np.asarray(data, float)
+                if data.ndim == 1:
+                    f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+                    for v in data:
+                        f.write(f"{v}\n")
+                else:
+                    f.write(f"VECTORS {name} double\n")
+                    for vx, vy in data:
+                        f.write(f"{vx} {vy} 0.0\n")
+
+
+def write_vtk_topology_loop(path, topo, title="cut geometry"):
+    """Polydata dump of the cut polygons and interface segments."""
+    cut = topo.polygons.take(np.isin(topo.polygons.bg_cell, topo.class_partial))
+    points = cut.verts[np.arange(cut.verts.shape[1]) < cut.count[:, None]].tolist()
+    ends = np.cumsum(cut.count).tolist()
+    poly_conn = [list(range(e - n, e)) for e, n in zip(ends, cut.count.tolist())]
+    segs = topo.interface_segments
+    line_conn = (len(points) + np.arange(2 * len(segs)).reshape(-1, 2)).tolist()
+    points += np.stack([segs.start, segs.end], axis=1).reshape(-1, 2).tolist()
+
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write(f"{title}\n")
+        f.write("ASCII\n")
+        f.write("DATASET POLYDATA\n")
+        f.write(f"POINTS {len(points)} double\n")
+        for x, y in points:
+            f.write(f"{x} {y} 0.0\n")
+        if poly_conn:
+            total = sum(len(p) + 1 for p in poly_conn)
+            f.write(f"POLYGONS {len(poly_conn)} {total}\n")
+            for p in poly_conn:
+                f.write(" ".join(str(v) for v in [len(p)] + p) + "\n")
+        if line_conn:
+            total = sum(len(p) + 1 for p in line_conn)
+            f.write(f"LINES {len(line_conn)} {total}\n")
+            for p in line_conn:
+                f.write(" ".join(str(v) for v in [len(p)] + p) + "\n")

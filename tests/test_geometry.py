@@ -608,26 +608,34 @@ def test_covered_polygons_area_identities():
 
 
 def test_topology_clips_each_pair_once(monkeypatch):
-    # pairs clipped = batch sizes summed over the kernel calls
+    # classify clips the box-meeting pairs of the band cells, the cells whose
+    # box meets the box of a front boundary edge, each once and in (background,
+    # front) order; build_topology clips nothing more
     import olmfsi.geometry as geometry
-    pairs = [0]
+    clipped = []
     clip = geometry.intersect_convex
 
-    def counted(poly_a, poly_b, eps=None):
-        pairs[0] += len(poly_a) if np.ndim(poly_a) == 3 else 1
+    def recorded(poly_a, poly_b, eps=None):
+        clipped.append((poly_a, poly_b))
         return clip(poly_a, poly_b, eps)
 
-    monkeypatch.setattr(geometry, "intersect_convex", counted)
+    monkeypatch.setattr(geometry, "intersect_convex", recorded)
     bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
     fr = _random_fronts(1, seed=2)[0]
-    classify(bg, fr)
-    n_classify, pairs[0] = pairs[0], 0
-    topo = build_topology(bg, fr, fluid_tag=FLUID)
-    assert len(topo.class_partial) and len(topo.overlap_pairs)
+    topo = classify(bg, fr)
+    n_classify = sum(len(a) for a, _ in clipped)
+    assert build_topology(bg, fr, fluid_tag=FLUID).clipped_pairs == topo.clipped_pairs
+    assert sum(len(a) for a, _ in clipped) == 2 * n_classify
     bp, fp = bg.cell_points, fr.cell_points
-    meet = ((bp.min(axis=1)[:, None] <= fp.max(axis=1)[None])
-            & (fp.min(axis=1)[None] <= bp.max(axis=1)[:, None])).all(axis=2)
-    assert pairs[0] == n_classify == meet.sum()
+    edges = fr.vertices[fr.boundary_edges]
+    box_meets = lambda p, q: ((p.min(axis=1)[:, None] <= q.max(axis=1)[None])
+                              & (q.min(axis=1)[None] <= p.max(axis=1)[:, None])).all(axis=2)
+    band = box_meets(bp, edges).any(axis=1)
+    c, k = np.nonzero(box_meets(bp, fp) & band[:, None])
+    assert topo.clipped_pairs == n_classify == len(c) < box_meets(bp, fp).sum()
+    assert np.array_equal(np.concatenate([a for a, _ in clipped[:len(clipped) // 2]]), bp[c])
+    assert np.array_equal(np.concatenate([b for _, b in clipped[:len(clipped) // 2]]), fp[k])
+    assert set(topo.class_partial) <= set(np.flatnonzero(band))
 
 
 def _placements():
@@ -683,3 +691,77 @@ def test_batched_classify_matches_per_pair_reference():
             assert np.array_equal(topo.cut_rules[i].points, ref.points), name
             assert np.array_equal(topo.cut_rules[i].weights, ref.weights), name
     assert raised == 1
+
+
+def _fuzz_placements(family, n, seed):
+    """n seeded fronts over a 12 x 12 unit-square background, of one placement
+    family: random rigid motions, grid-aligned vertex on vertex, near-aligned
+    (1e-12 to 1e-6 h offsets, 1e-9 or 1e-7 rad rotations) and crossing the
+    background boundary."""
+    h, rng, out = 1 / 12, np.random.default_rng(seed), []
+    core = lambda lo, hi: (lambda p: SOLID if (np.abs(p - 0.5 * (lo + hi)) < 0.1 * (hi - lo)).all()
+                           else FLUID)
+    for _ in range(n):
+        if family in ("aligned", "near-aligned"):
+            lo = h * rng.integers(1, 5, 2)
+            m = rng.integers(2, 5, 2)
+            hi = lo + h * m * rng.integers(1, 3)
+            fr = build_rect_mesh(*m, [lo, hi], region_fn=core(lo, hi))
+            th, shift = 0.0, np.zeros(2)
+            if family == "near-aligned":
+                th = rng.choice([1e-9, 1e-7]) * rng.choice([-1, 1])
+                shift = 10 ** rng.uniform(-12, -6) * h * rng.standard_normal(2)
+        else:
+            size = rng.uniform(0.2, 0.45, 2)
+            c = rng.uniform(0.3, 0.7, 2) if family == "random" else rng.uniform(-0.05, 1.05, 2)
+            lo, hi = c - size / 2, c + size / 2
+            fr = build_rect_mesh(*rng.integers(2, 6, 2), [lo, hi], region_fn=core(lo, hi))
+            th, shift = rng.uniform(0, np.pi), np.zeros(2)
+        c = 0.5 * (lo + hi)
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        out.append(Mesh((fr.vertices - c) @ R.T + c + shift, fr.cells, fr.boundary_edges,
+                        fr.boundary_markers, fr.region_tags))
+    return out
+
+
+def _assert_classify_matches_loop(bg, fr, name):
+    ref_cls, ref_cov = classify_loop(bg, fr, SOLID)
+    if ref_cls is None:
+        with pytest.raises(CoarseBackgroundError):
+            classify(bg, fr)
+        return
+    topo = classify(bg, fr)
+    cls = np.zeros(bg.nc, dtype=np.int64)
+    cls[topo.class_fully] = 1
+    cls[topo.class_partial] = 2
+    assert np.array_equal(cls, ref_cls), name
+    covered = covered_dict(topo.polygons)
+    assert list(covered) == list(ref_cov), name
+    for c, polys in ref_cov.items():
+        assert [k for k, _ in covered[c]] == [k for k, _ in polys], name
+        for (_, p), (_, q) in zip(covered[c], polys):
+            assert np.array_equal(p, q), name
+
+
+@pytest.mark.parametrize("family, seed", [("random", 11), ("aligned", 12),
+                                          ("near-aligned", 13), ("boundary", 14)])
+def test_band_classify_matches_clip_all_loop(family, seed):
+    # the band clips and the centroid location agree with clipping every
+    # box-meeting pair, one cell at a time
+    bg = build_rect_mesh(12, 12, [(0, 0), (1, 1)])
+    for i, fr in enumerate(_fuzz_placements(family, 20, seed)):
+        _assert_classify_matches_loop(bg, fr, f"{family} {i}")
+
+
+def test_classify_without_boundary_edges_or_front_cells():
+    bg = build_rect_mesh(12, 12, [(0, 0), (1, 1)])
+    for i, fr in enumerate(_fuzz_placements("random", 3, seed=4)):
+        bare = Mesh(fr.vertices, fr.cells, region_tags=fr.region_tags)
+        assert len(bare.boundary_edges) == 0
+        a, b = classify(bg, fr), classify(bg, bare)
+        for name in ("class_not", "class_fully", "class_partial"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (i, name)
+        _assert_classify_matches_loop(bg, bare, f"bare {i}")
+    empty = classify(bg, Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int)))
+    assert np.array_equal(empty.class_not, np.arange(bg.nc))
+    assert len(empty.class_fully) == len(empty.class_partial) == empty.clipped_pairs == 0

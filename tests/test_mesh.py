@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
-                         build_rect_mesh, element_diameter,
+                         build_rect_mesh, build_tensor_mesh, element_diameter,
                          p1_gradients, refine_uniform, read_mesh, write_mesh,
                          locate_points, barycentric, eval_p1, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
 from olmfsi.verification import flap_meshes, manufactured_meshes
 
-from oracles import boundary_normal_loop, region_boundary_edges_loop
+from oracles import boundary_normal_loop, build_tensor_mesh_loop, region_boundary_edges_loop
 
 
 def unit_right_triangle():
@@ -23,6 +23,21 @@ def test_rect_mesh_1x1_counts():
     assert m.nv == 4
     assert m.cell_areas.sum() == pytest.approx(1.0, abs=1e-15)
 
+
+
+@pytest.mark.parametrize("xs, ys, region_fn", [
+    ([0, 1], [0, 1], None),
+    ([0, 1], np.linspace(0, 1, 6), None),
+    (np.linspace(-1, 2, 8), np.linspace(0, 0.5, 4), None),
+    ([0, 0.1, 0.35, 0.4, 1], [-2, -1.5, 0, 3], None),
+    (np.linspace(0, 1, 6), [0, 0.2, 0.3, 1], lambda c: SOLID if c[0] > c[1] else FLUID),
+])
+def test_tensor_mesh_matches_loop_construction(xs, ys, region_fn):
+    m, ref = build_tensor_mesh(xs, ys, region_fn), build_tensor_mesh_loop(xs, ys, region_fn)
+    for name in ("vertices", "cells", "boundary_edges", "boundary_markers", "region_tags"):
+        a, b = getattr(m, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 def test_rect_mesh_2x2_counts():
     m = build_rect_mesh(2, 2, [(0, 0), (1, 1)])

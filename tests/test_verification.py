@@ -253,6 +253,39 @@ def test_vtk_roundtrip(tmp_path):
     assert np.allclose(data["point_data"]["pressure"], pre, atol=1e-6)
 
 
+
+def _vtk_cases():
+    from olmfsi.geometry import build_topology
+    from olmfsi.mesh import Mesh, build_rect_mesh
+    tagged = build_rect_mesh(3, 2, [(0, 0), (1, 0.5)],
+                             region_fn=lambda c: SOLID if c[0] > 0.5 else FLUID)
+    vals = np.resize([0.0, -0.0, 1e-5, 1e16, 1 / 3, np.nan], 2 * tagged.nv)
+    # the meshes of `olmfsi cutdump --n 6` (front turned by 15 degrees)
+    bg = build_rect_mesh(6, 6, [(0.0, 0.0), (1.0, 1.0)])
+    fr = build_rect_mesh(3, 3, [(0.31, 0.27), (0.83, 0.71)])
+    th, c = np.deg2rad(15.0), np.array([0.57, 0.49])
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    fr = Mesh((fr.vertices - c) @ R.T + c, fr.cells, fr.boundary_edges,
+              fr.boundary_markers, fr.region_tags)
+    return ([("fields", tagged, {"velocity": vals.reshape(-1, 2), "pressure": vals[::-1][:tagged.nv]}),
+             ("no point data", bg, None),
+             ("no cells", Mesh(bg.vertices, np.zeros((0, 3), dtype=int)), {"p": bg.vertices[:, 0]})],
+            build_topology(bg, fr))
+
+
+def test_vtk_writers_match_line_by_line_writers(tmp_path):
+    from olmfsi.vtkio import write_vtk_topology
+    from oracles import write_vtk_mesh_loop, write_vtk_topology_loop
+    meshes, topo = _vtk_cases()
+    for name, mesh, data in meshes:
+        write_vtk_mesh(tmp_path / "a.vtk", mesh, data, title=name)
+        write_vtk_mesh_loop(tmp_path / "b.vtk", mesh, data, title=name)
+        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes(), name
+    assert len(topo.class_partial) and len(topo.interface_segments)
+    write_vtk_topology(tmp_path / "a.vtk", topo)
+    write_vtk_topology_loop(tmp_path / "b.vtk", topo)
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+
 def test_write_outputs_report_only(tmp_path):
     rep = ConvergenceReport()
     rep.add(0.2, 1.0, 0.1, 0.01, 4)
@@ -367,9 +400,12 @@ def test_cli_unknown_key_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_cutdump(tmp_path):
+def test_cli_cutdump(tmp_path, capsys):
     out = tmp_path / "dump"
     assert main(["cutdump", "--n", "6", "--out", str(out)]) == 0
+    topo = _vtk_cases()[1]
+    assert 0 < topo.clipped_pairs
+    assert f"; {topo.clipped_pairs} cell pairs clipped;" in capsys.readouterr().out
     data = parse_vtk(out / "cut_geometry.vtk")
     assert data["dataset"] == "POLYDATA"
     assert len(data["polygons"]) > 0

@@ -11,8 +11,6 @@ from .mesh import (
     Mesh,
     build_rect_mesh,
     build_tensor_mesh,
-    element_diameter,
-    p1_gradients,
     refine_uniform,
     read_mesh,
     write_mesh,
@@ -21,9 +19,7 @@ from .geometry import (
     OverlapTopology,
     classify,
     intersect_convex,
-    cut_cell_quadrature,
     interface_quadrature,
-    overlap_region_pairs,
     build_topology,
 )
 from .linalg import SparseSystem, apply_dirichlet, solve_direct, condition_estimate
@@ -42,17 +38,13 @@ __all__ = [
     "Mesh",
     "build_rect_mesh",
     "build_tensor_mesh",
-    "element_diameter",
-    "p1_gradients",
     "refine_uniform",
     "read_mesh",
     "write_mesh",
     "OverlapTopology",
     "classify",
     "intersect_convex",
-    "cut_cell_quadrature",
     "interface_quadrature",
-    "overlap_region_pairs",
     "build_topology",
     "SparseSystem",
     "apply_dirichlet",

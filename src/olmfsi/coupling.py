@@ -34,11 +34,11 @@ class TractionMappingError(RuntimeError):
     pass
 
 
-def aitken_update(omega_prev, du_k, du_next, omega_max, omega_min=0.05):
+def aitken_update(omega_prev, du_k, du_next, omega_max):
     """Dynamic relaxation factor from two successive displacement increments.
 
     Degenerate increments keep the previous factor; the result is clamped
-    into [omega_min, omega_max].
+    into [0.05, omega_max].
     """
     du_k = np.asarray(du_k, float).ravel()
     du_next = np.asarray(du_next, float).ravel()
@@ -47,7 +47,7 @@ def aitken_update(omega_prev, du_k, du_next, omega_max, omega_min=0.05):
     if denom == 0.0 or not np.isfinite(denom):
         return float(omega_prev)
     omega = -float(omega_prev) * float(du_k @ diff) / denom
-    return float(min(max(omega, omega_min), omega_max))
+    return float(min(max(omega, 0.05), omega_max))
 
 
 def traction_functional(solution, body_force, space, interface_nodes):
@@ -115,24 +115,20 @@ class FsiConfig:
 
 @dataclass
 class FsiProblem:
-    """Geometry and physics inputs of one stationary FSI problem."""
+    """Geometry and physics inputs of one stationary FSI problem.  All fluid
+    boundary edges of the FLUID/SOLID front may couple, the fluid has no
+    pressure pin and the mesh motion has a unit pseudo-material."""
     background: Mesh
     front_ref: Mesh
     fluid: FluidProblem
     solid_material: Material
     bg_dirichlet: dict = field(default_factory=dict)
     front_dirichlet: dict = field(default_factory=dict)
-    ff_markers: object = None
     solid_body_force: object = None
     solid_dirichlet: dict = field(default_factory=dict)
     solid_dirichlet_nodes: tuple = None      # (node_ids, values (k, 2))
     solid_extra_load: np.ndarray | None = None
-    motion_mu: float = 1.0
-    motion_lam: float = 1.0
     motion_extra_dirichlet: tuple = None     # (node_ids, values (k, 2))
-    fluid_tag: int = FLUID
-    solid_tag: int = SOLID
-    pin_pressure: bool = False
 
 
 @dataclass
@@ -150,11 +146,11 @@ class FsiState:
     solid_newton_iters: list = field(default_factory=list)
 
 
-def combined_displacement(front_ref, us, um, fluid_tag=FLUID, solid_tag=SOLID):
+def combined_displacement(front_ref, us, um):
     """Per-vertex composite displacement: solid values on solid vertices,
     mesh-motion values elsewhere (they agree at the interface)."""
     disp = np.array(um, float, copy=True)
-    solid_verts = np.unique(front_ref.cells[front_ref.region_tags == solid_tag])
+    solid_verts = np.unique(front_ref.cells[front_ref.region_tags == SOLID])
     disp[solid_verts] = us[solid_verts]
     return disp
 
@@ -162,33 +158,25 @@ def combined_displacement(front_ref, us, um, fluid_tag=FLUID, solid_tag=SOLID):
 def fsi_outer_iteration(problem, us, um, load_scale=1.0):
     """One pass of the fixed-point loop body; returns the raw solid update
     and the solved fluid state on the current configuration."""
-    front = deform_mesh(problem.front_ref, combined_displacement(
-        problem.front_ref, us, um, problem.fluid_tag, problem.solid_tag))
+    front = deform_mesh(problem.front_ref,
+                        combined_displacement(problem.front_ref, us, um))
     topo = build_topology(problem.background, front,
-                          order=problem.fluid.quad_order,
-                          ff_markers=problem.ff_markers,
-                          solid_tag=problem.solid_tag,
-                          fluid_tag=problem.fluid_tag)
-    space = CompositeSpace(problem.background, front, topo,
-                           fluid_tag=problem.fluid_tag,
+                          order=problem.fluid.quad_order, fluid_tag=FLUID)
+    space = CompositeSpace(problem.background, front, topo, fluid_tag=FLUID,
                            bg_dirichlet=problem.bg_dirichlet,
                            front_dirichlet=problem.front_dirichlet,
-                           interface_g="zero",
-                           solid_tag=problem.solid_tag,
-                           pin_pressure=problem.pin_pressure)
+                           interface_g="zero")
     sol = solve_stokes(problem.fluid, space, topo)
 
-    iface = region_interface_vertices(problem.front_ref, problem.fluid_tag,
-                                      problem.solid_tag)
+    iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
     load = np.zeros((problem.front_ref.nv, 2))
     load[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
     if problem.solid_extra_load is not None:
         load = load + problem.solid_extra_load
-    if load_scale != 1.0:
-        load = load_scale * load
+    load = load_scale * load
 
     solid = SolidProblem(problem.front_ref, problem.solid_material,
-                         region_tag=problem.solid_tag,
+                         region_tag=SOLID,
                          body_force=problem.solid_body_force,
                          dirichlet=problem.solid_dirichlet,
                          dirichlet_nodes=problem.solid_dirichlet_nodes or (),
@@ -255,7 +243,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     """
     config = config or FsiConfig()
     mesh = problem.front_ref
-    solid_cells = mesh.region_cells(problem.solid_tag)
+    solid_cells = mesh.region_cells(SOLID)
     mass = p1_mass_matrix(mesh, solid_cells)
 
     def mnorm(fld):
@@ -287,12 +275,9 @@ def fsi_fixed_point(problem, config=None, log_path=None):
         rel = 0.0 if denom <= 1e-300 else mnorm(inc) / denom
         increments.append(rel)
 
-        extra_nodes = extra_vals = None
-        if problem.motion_extra_dirichlet is not None:
-            extra_nodes, extra_vals = problem.motion_extra_dirichlet
+        extra_nodes, extra_vals = problem.motion_extra_dirichlet or (None, None)
         motion = MeshMotionProblem(mesh, iface, us_new[iface],
-                                   region_tag=problem.fluid_tag,
-                                   mu=problem.motion_mu, lam=problem.motion_lam,
+                                   region_tag=FLUID,
                                    extra_nodes=extra_nodes,
                                    extra_values=extra_vals)
         um = solve_mesh_motion(motion)

@@ -288,7 +288,6 @@ class OverlapTopology:
     """
     background: Mesh
     front: Mesh
-    solid_tag: int = SOLID
     class_not: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     class_fully: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     class_partial: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -327,9 +326,10 @@ def _covered_pairs(background, front, cells):
     background cell's eps.
     """
     bp, fp = background.cell_points, front.cell_points
-    lo, hi = bp[cells].min(axis=1), bp[cells].max(axis=1)
+    lo, hi = (c[cells] for c in background.cell_boxes)
+    flo, fhi = front.cell_boxes
     cs, ks = front.cell_grid.query_boxes(lo, hi)
-    meet = ((fp[ks].min(axis=1) <= hi[cs]) & (fp[ks].max(axis=1) >= lo[cs])).all(axis=1)
+    meet = ((flo[ks] <= hi[cs]) & (fhi[ks] >= lo[cs])).all(axis=1)
     cs, ks = np.asarray(cells)[cs[meet]], ks[meet]
     eps = EPS_GEOM * background.cell_diameters[cs]
     chunks = [intersect_convex(bp[cs[s:s + CLIP_CHUNK]], fp[ks[s:s + CLIP_CHUNK]],
@@ -353,11 +353,11 @@ def _band(background, front):
     a, b = fp[slot // 3, slot % 3], fp[slot // 3, (slot + 1) % 3]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     ks, cs = background.cell_grid.query_boxes(lo, hi)
-    bp = background.cell_points[cs]
-    return np.unique(cs[((bp.min(axis=1) <= hi[ks]) & (bp.max(axis=1) >= lo[ks])).all(axis=1)])
+    blo, bhi = background.cell_boxes
+    return np.unique(cs[((blo[cs] <= hi[ks]) & (bhi[cs] >= lo[ks])).all(axis=1)])
 
 
-def classify(background, front, solid_region_tag=SOLID):
+def classify(background, front):
     """Partition background cells into not / fully / partially covered sets.
 
     Only the band (see ``_band``) is clipped: a band cell's covered
@@ -371,7 +371,7 @@ def classify(background, front, solid_region_tag=SOLID):
     means the background mesh cannot resolve the fluid-fluid interface
     and raises CoarseBackgroundError.
     """
-    topo = OverlapTopology(background, front, solid_region_tag)
+    topo = OverlapTopology(background, front)
     nc, areas = background.nc, background.cell_areas
     band = _band(background, front)
     pairs, topo.clipped_pairs = _covered_pairs(background, front, band)
@@ -382,7 +382,7 @@ def classify(background, front, solid_region_tag=SOLID):
     _, near = background.cell_grid.query_boxes(*front.bbox)
     rest = np.setdiff1d(near, band, assume_unique=True)
     cls[rest] = locate_points(front, background.cell_points[rest].mean(axis=1)) >= 0
-    solid = front.region_tags[pairs.front_cell] == solid_region_tag
+    solid = front.region_tags[pairs.front_cell] == SOLID
     solid_area = np.bincount(cells[solid], pair_area[solid], nc)
     bad = np.flatnonzero((cls == 2) & (solid_area > rel_tol * areas))
     if len(bad):
@@ -576,17 +576,15 @@ def overlap_region_pairs(front, topo, fluid_tag=None):
     return CellPairs(p.bg_cell[rows], p.front_cell[rows], p.area[rows])
 
 
-def build_topology(background, front, order=2, ff_markers=None,
-                   solid_tag=SOLID, fluid_tag=None):
+def build_topology(background, front, order=2, fluid_tag=None):
     """Classify, then build all cut rules, interface segments and pairs."""
-    topo = classify(background, front, solid_tag)
+    topo = classify(background, front)
     topo.order = order
     topo.cut_rules = subtractive_rules(background, topo.class_partial,
                                        topo.polygons, order)
-    skip = solid_tag if (front.region_tags == solid_tag).any() else None
+    skip = SOLID if (front.region_tags == SOLID).any() else None
     topo.interface_segments = interface_quadrature(front, background, topo,
-                                                   order, ff_markers,
-                                                   skip_region=skip)
+                                                   order, skip_region=skip)
     topo.overlap_pairs = overlap_region_pairs(front, topo, fluid_tag=fluid_tag)
     return topo
 

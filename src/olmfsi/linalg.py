@@ -43,7 +43,8 @@ class SparseSystem:
 
     Constraints registered via set_dirichlet are kept symbolic until
     apply_dirichlet is called, so the raw operator stays inspectable (e.g.
-    for symmetry checks).
+    for symmetry checks).  The eliminated system holds only its CSR and
+    takes no more triplets.
     """
 
     def __init__(self, n):
@@ -58,17 +59,13 @@ class SparseSystem:
     # -- assembly ---------------------------------------------------------
 
     def add(self, rows, cols, vals):
+        if self._rows is None:
+            raise ValueError("cannot add triplets to an eliminated system")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=float).ravel()
         if not (len(rows) == len(cols) == len(vals)):
             raise ValueError("triplet arrays must have equal length")
-        if self._csr is not None and not self._rows:
-            # an eliminated system holds only its CSR: it becomes the first triplets
-            coo = self._csr.tocoo()
-            self._rows.append(coo.row.astype(np.int64))
-            self._cols.append(coo.col.astype(np.int64))
-            self._vals.append(coo.data)
         self._rows.append(rows)
         self._cols.append(cols)
         self._vals.append(vals)
@@ -108,6 +105,7 @@ class SparseSystem:
     def _from_csr(self, A, rhs, constraints):
         out = SparseSystem(self.n)
         out._csr = A.tocsr()
+        out._rows = None
         out.rhs = rhs
         out.constraints = dict(constraints)
         return out
@@ -200,27 +198,26 @@ def solve_direct(system):
     return x
 
 
-def _power_norm(matvec, n, tol=1e-3, maxit=400, seed=1234):
-    """Largest singular value of a symmetric operator by power iteration."""
+def _power_norm(matvec, n, seed):
+    """Largest singular value of a symmetric operator by seeded power iteration."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     est = 0.0
-    for _ in range(maxit):
+    for _ in range(400):
         y = matvec(x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
-        new = ny
         x = y / ny
-        if est > 0.0 and abs(new - est) <= tol * est:
-            return new
-        est = new
+        if est > 0.0 and abs(ny - est) <= 1e-3 * est:
+            return ny
+        est = ny
     return est
 
 
-def condition_estimate(system, tol=1e-3, maxit=400, seed=1234):
-    """sigma_max/sigma_min estimate via power iteration on A and A^{-1}.
+def condition_estimate(system):
+    """sigma_max/sigma_min estimate by seeded power iteration on A and A^{-1}.
 
     Requires a symmetric matrix; accuracy within a factor of two is
     sufficient for the interface-position robustness checks.
@@ -232,9 +229,9 @@ def condition_estimate(system, tol=1e-3, maxit=400, seed=1234):
     asym = abs(A - A.T).max() if A.nnz else 0.0
     if asym > 1e-8 * max(abs(A).max(), 1e-300):
         raise ValueError("condition_estimate requires a symmetric matrix")
-    smax = _power_norm(lambda v: A @ v, n, tol, maxit, seed)
+    smax = _power_norm(lambda v: A @ v, n, 1234)
     lu = _factor(A)
-    inv_norm = _power_norm(lu.solve, n, tol, maxit, seed + 1)
+    inv_norm = _power_norm(lu.solve, n, 1235)
     if inv_norm == 0.0 or not np.isfinite(inv_norm):
         raise SingularMatrixError("singular matrix in condition estimate")
     return float(smax * inv_norm)

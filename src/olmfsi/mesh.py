@@ -47,14 +47,13 @@ def _ranges(counts):
 
 
 class CellGrid:
-    """Uniform bucket grid over the cell bounding boxes of a mesh.
+    """Uniform bucket grid over the cell bounding boxes [los[c], his[c]].
 
     Bucket ``b = i * n + j`` holds ``cells[start[b]:start[b + 1]]``,
     ascending (CSR), so the buckets of one grid row ``i`` are contiguous.
     """
 
-    def __init__(self, cell_points):
-        los, his = cell_points.min(axis=1), cell_points.max(axis=1)
+    def __init__(self, los, his):
         self.nc = len(los)
         self.lo = los.min(axis=0) if self.nc else np.zeros(2)
         hi = his.max(axis=0) if self.nc else np.ones(2)
@@ -217,6 +216,14 @@ class Mesh:
         return self._cached("p1_grads", f)
 
     @property
+    def cell_boxes(self):
+        """Lower and upper corners (nc, 2) of the cell bounding boxes."""
+        def f():
+            a, b, c = self.cell_points.transpose(1, 0, 2)
+            return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        return self._cached("cell_boxes", f)
+
+    @property
     def bbox(self):
         def f():
             if self.nv == 0:
@@ -227,7 +234,7 @@ class Mesh:
     @property
     def cell_grid(self):
         """Bucket grid over the cell bounding boxes, for candidate queries."""
-        return self._cached("cell_grid", lambda: CellGrid(self.cell_points))
+        return self._cached("cell_grid", lambda: CellGrid(*self.cell_boxes))
 
     @property
     def edge_keys(self):
@@ -314,16 +321,6 @@ def build_tensor_mesh(xs, ys, region_fn=None):
         centroids = verts[cells].mean(axis=1)
         tags = np.array([region_fn(c) for c in centroids], dtype=np.int64)
     return Mesh(verts, cells, edges.reshape(-1, 2), markers, tags)
-
-
-def element_diameter(mesh, cell):
-    """Longest edge of a cell."""
-    return float(mesh.cell_diameters[cell])
-
-
-def p1_gradients(mesh, cell):
-    """Constant gradients of the three P1 basis functions on a cell, (3, 2)."""
-    return mesh.p1_grads[cell].copy()
 
 
 def refine_uniform(mesh):

@@ -26,15 +26,14 @@ class MeshMotionProblem:
     The outer boundary is traction free by default; ``extra_nodes`` can pin
     additional vertices (e.g. to keep a channel inlet plane in place) and
     lose against interface data at shared nodes.  The pseudo-material is
-    homogeneous; stiffening small cells (scaling the local parameters by
-    1/|T|) is a known extension if severe distortions ever require it.
+    homogeneous linear elasticity with mu = lam = 1; stiffening small cells
+    (scaling the local parameters by 1/|T|) is a known extension if severe
+    distortions ever require it.
     """
     mesh: Mesh
     interface_nodes: np.ndarray
     interface_values: np.ndarray        # (k, 2)
     region_tag: int | None = None
-    mu: float = 1.0
-    lam: float = 1.0
     extra_nodes: np.ndarray = None
     extra_values: np.ndarray = None
 
@@ -45,8 +44,6 @@ class MeshMotionProblem:
             raise ValueError("mesh motion requires Dirichlet interface nodes")
         if len(self.interface_nodes) != len(self.interface_values):
             raise ValueError("interface nodes/values length mismatch")
-        if self.mu <= 0.0 or self.lam <= 0.0:
-            raise ValueError("pseudo-material parameters must be positive")
         if self.extra_nodes is None:
             self.extra_nodes = np.zeros(0, dtype=np.int64)
             self.extra_values = np.zeros((0, 2))
@@ -62,7 +59,7 @@ def solve_mesh_motion(problem):
     values = np.vstack([problem.interface_values, problem.extra_values[keep]])
     solid = SolidProblem(
         mesh=problem.mesh,
-        material=Material(LINEAR, problem.mu, problem.lam),
+        material=Material(LINEAR, 1.0, 1.0),
         region_tag=problem.region_tag,
         dirichlet_nodes=(nodes, values),
     )

@@ -44,8 +44,7 @@ class CompositeSpace:
 
     def __init__(self, background, front, topo, fluid_tag=None,
                  bg_dirichlet=None, front_dirichlet=None,
-                 interface_g="zero", solid_tag=SOLID,
-                 pin_pressure=False, pin_value=0.0):
+                 interface_g="zero", pin_pressure=False, pin_value=0.0):
         self.background = background
         self.front = front
         self.topo = topo
@@ -80,24 +79,10 @@ class CompositeSpace:
             else:
                 raise ValueError("no pressure dof available to pin")
         self.dirichlet_dofs, self.dirichlet_values = self._collect_dirichlet(
-            bg_dirichlet or {}, front_dirichlet or {}, interface_g, solid_tag,
-            pin_value)
-
-    # -- dof helpers -------------------------------------------------------
-
-    def u_dof(self, mesh_id, vertex, comp):
-        if mesh_id == BG:
-            s = self.bg_vmap[vertex]
-            base = 0
-        else:
-            s = self.fr_vmap[vertex]
-            base = self.offset_u2
-        if np.any(np.asarray(s) < 0):
-            raise IndexError("inactive vertex")
-        return base + 2 * s + comp
+            bg_dirichlet or {}, front_dirichlet or {}, interface_g, pin_value)
 
     def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, interface_g,
-                           solid_tag, pin_value):
+                           pin_value):
         """Merged Dirichlet dofs and values: marked boundary edges of both
         meshes, the fluid-solid interface and the pressure pin."""
         pin = [] if self.pin_dof is None else [self.pin_dof]
@@ -117,7 +102,7 @@ class CompositeSpace:
                     np.unique(mesh.boundary_edges[mesh.boundary_markers == m]), g)
         if interface_g is not None and self.fluid_tag is not None:
             add(self.front, self.fr_vmap, self.offset_u2,
-                region_interface_vertices(self.front, self.fluid_tag, solid_tag),
+                region_interface_vertices(self.front, self.fluid_tag, SOLID),
                 None if interface_g == "zero" else interface_g)
         return merge_constraints(np.concatenate(dofs), np.concatenate(vals))
 
@@ -126,6 +111,7 @@ class CompositeSpace:
 class FluidProblem:
     """Stokes problem data and stabilization parameters.
 
+    Viscous, Nitsche and overlap terms all scale with ``viscosity``.
     ``neumann`` lists (mesh_id, boundary marker, traction callback) triples;
     background Neumann edges are automatically restricted to their physical
     (uncovered) part.  ``use_ih`` and ``jh_extension`` exist so robustness
@@ -139,7 +125,6 @@ class FluidProblem:
     neumann: tuple = ()
     use_ih: bool = True
     jh_extension: bool = True
-    nu_scale_a: bool = True
     quad_order: int = 2
 
     def __post_init__(self):
@@ -164,7 +149,7 @@ def _block(rows, cols, vals):
             np.tile(cols, (1, rows.shape[1])), vals.reshape(len(vals), -1))
 
 
-def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
+def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu,
                             delta, f, order):
     """Vectorized P1-P1 Stokes volume terms over full (uncut) cells."""
     cells = np.asarray(cells, dtype=np.int64)
@@ -178,7 +163,7 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
     udof = (u_base + 2 * uslot[:, :, None] + np.arange(2)[None, None, :])
     pdof = p_base + uslot
 
-    M = nu_a * A[:, None, None] * np.einsum("cad,cbd->cab", G, G)
+    M = nu * A[:, None, None] * np.einsum("cad,cbd->cab", G, G)
     for comp in range(2):
         sys.add(*_block(udof[..., comp], udof[..., comp], M))
 
@@ -204,7 +189,7 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu_a,
         sys.add_rhs(pdof.ravel(), rq.ravel())
 
 
-def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
+def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu, delta,
                     f, jh_extension, order):
     """Volume terms on partially covered background cells, one rule each
     (CutRules in the order of ``cells``)."""
@@ -225,7 +210,7 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
     gg = g @ g.transpose(0, 2, 1)
     h2 = mesh.cell_diameters[cells] ** 2
     area_j = mesh.cell_areas[cells] if jh_extension else W
-    trip = [_block(udof[..., comp], udof[..., comp], (nu_a * W)[:, None, None] * gg)
+    trip = [_block(udof[..., comp], udof[..., comp], (nu * W)[:, None, None] * gg)
             for comp in range(2)]
     for comp in range(2):
         # -(div v, q) with int lambda_b over the cut region
@@ -256,7 +241,7 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu_a, delta,
 def _interface_terms(sys, space, problem, segments):
     if not len(segments):
         return
-    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    nu = problem.viscosity
     a1, a2 = problem.alpha
     bg, fr = space.background, space.front
     T, K, n = segments.bg_cell, segments.front_cell, segments.normal
@@ -278,8 +263,8 @@ def _interface_terms(sys, space, problem, segments):
 
     jw = (w[:, None] @ jco)[:, 0]                              # (S, 6)
     jTw = jco.transpose(0, 2, 1) * w[:, None]                  # (S, 6, nq)
-    pen = ((problem.gamma * nu_a / h)[:, None, None] * jTw) @ jco
-    consist = -nu_a * (jw[:, :, None] * mco[:, None] + mco[:, :, None] * jw[:, None])
+    pen = ((problem.gamma * nu / h)[:, None, None] * jTw) @ jco
+    consist = -nu * (jw[:, :, None] * mco[:, None] + mco[:, :, None] * jw[:, None])
     Avv = pen + consist
     Bjp = jTw @ mp                                             # jump x mean
 
@@ -295,13 +280,13 @@ def _overlap_terms(sys, space, problem, pairs):
     """Gradient-jump terms on the overlap pairs, weighted by pair area."""
     if not len(pairs):
         return
-    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    nu = problem.viscosity
     bg, fr = space.background, space.front
     T, K, W = pairs.bg_cell, pairs.front_cell, pairs.area
     slotT = space.bg_vmap[bg.cells[T]]
     slotK = space.fr_vmap[fr.cells[K]]
     G = np.concatenate([bg.p1_grads[T], -fr.p1_grads[K]], axis=1)   # jump gradient
-    M = (nu_a * W)[:, None, None] * (G @ G.transpose(0, 2, 1))
+    M = (nu * W)[:, None, None] * (G @ G.transpose(0, 2, 1))
     dofs = [np.hstack([2 * slotT + comp, space.offset_u2 + 2 * slotK + comp])
             for comp in range(2)]
     sys.add(*map(np.hstack, zip(*[_block(d, d, M) for d in dofs])))
@@ -359,20 +344,19 @@ def assemble(problem, space, topo):
     sys = SparseSystem(space.ndof)
     bg, fr = space.background, space.front
     nu = problem.viscosity
-    nu_a = nu if problem.nu_scale_a else 1.0
     f = problem.body_force
     order = problem.quad_order
 
     # background: fully uncovered cells carry everything with full rules
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
-                            space.offset_p1, nu_a, problem.delta, f, order)
+                            space.offset_p1, nu, problem.delta, f, order)
     # partially covered cells: physical terms with cut rules
     _cut_cell_terms(sys, bg, topo.class_partial, topo.cut_rules, space.bg_vmap, 0,
-                    space.offset_p1, nu_a, problem.delta, f,
+                    space.offset_p1, nu, problem.delta, f,
                     problem.jh_extension, order)
     # front fluid cells: full rules
     _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
-                            space.offset_u2, space.offset_p2, nu_a,
+                            space.offset_u2, space.offset_p2, nu,
                             problem.delta, f, order)
     _interface_terms(sys, space, problem, topo.interface_segments)
     if problem.use_ih:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import (Mesh, build_rect_mesh, build_tensor_mesh, FLUID, SOLID,
-                   LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
+from .mesh import (Mesh, build_rect_mesh, build_tensor_mesh, region_boundary_edges,
+                   FLUID, SOLID, LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
 from .geometry import build_topology, seg_rule
 from .stokes import CompositeSpace, FluidProblem, solve_stokes, error_norms, BG, FRONT
 from .solid import Material, STVK, h1_error
@@ -195,15 +195,15 @@ def remark_edges(mesh, markers):
                 np.asarray(markers, dtype=np.int64), mesh.region_tags, validate=False)
 
 
-def manufactured_meshes(level, mf=None, bg_nx=8, bg_ny=4, front_nx=8,
-                        front_nf=2, front_ns=2, bg_top=0.38):
-    """Background and composite moving meshes, uniformly refined per level."""
+def manufactured_meshes(level, mf=None):
+    """Background (8 s x 4 s squares on (0, L) x (0, 0.38), s = 2^level) and
+    composite front (8 s columns, 2 s fluid rows on (R1, Rf), 2 s solid above)."""
     mf = mf or build_manufactured()
     s = 2 ** level
-    bg = build_rect_mesh(bg_nx * s, bg_ny * s, [(0.0, 0.0), (mf.L, bg_top)])
-    xs = np.linspace(0.0, mf.L, front_nx * s + 1)
-    ys = np.concatenate([np.linspace(mf.R1, mf.Rf, front_nf * s + 1),
-                         np.linspace(mf.Rf, mf.Rf + mf.Hs, front_ns * s + 1)[1:]])
+    bg = build_rect_mesh(8 * s, 4 * s, [(0.0, 0.0), (mf.L, 0.38)])
+    xs = np.linspace(0.0, mf.L, 8 * s + 1)
+    ys = np.concatenate([np.linspace(mf.R1, mf.Rf, 2 * s + 1),
+                         np.linspace(mf.Rf, mf.Rf + mf.Hs, 2 * s + 1)[1:]])
     front = build_tensor_mesh(xs, ys,
                               region_fn=lambda c: SOLID if c[1] > mf.Rf else FLUID)
     m = front.boundary_markers
@@ -211,13 +211,12 @@ def manufactured_meshes(level, mf=None, bg_nx=8, bg_ny=4, front_nx=8,
     return bg, front
 
 
-def interface_load_vector(mesh, traction_fn, fluid_tag=FLUID, solid_tag=SOLID,
-                          order=4):
-    """Nodal load from a traction prescribed on the reference interface."""
-    from .mesh import region_boundary_edges
+def interface_load_vector(mesh, traction_fn, order=4):
+    """Nodal load from a traction prescribed on the reference interface
+    (the solid region's edges shared with another region)."""
     xs, ws = seg_rule(order)
     load = np.zeros((mesh.nv, 2))
-    for i, j, _cell, kind in region_boundary_edges(mesh, solid_tag):
+    for i, j, _cell, kind in region_boundary_edges(mesh, SOLID):
         if not isinstance(kind, tuple):
             continue
         a, b = mesh.vertices[i], mesh.vertices[j]
@@ -230,9 +229,9 @@ def interface_load_vector(mesh, traction_fn, fluid_tag=FLUID, solid_tag=SOLID,
     return load
 
 
-def manufactured_fsi_problem(mf, level, **mesh_kw):
+def manufactured_fsi_problem(mf, level):
     """Assemble the FsiProblem for one refinement level."""
-    bg, front = manufactured_meshes(level, mf, **mesh_kw)
+    bg, front = manufactured_meshes(level, mf)
     fluid = FluidProblem(
         viscosity=mf.viscosity,
         body_force=mf.f,
@@ -256,12 +255,10 @@ def manufactured_fsi_problem(mf, level, **mesh_kw):
         solid_material=mf.material,
         bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
         front_dirichlet={LEFT: mf.u},
-        ff_markers=None,
         solid_body_force=mf.f_solid,
         solid_dirichlet={LEFT: mf.us, RIGHT: mf.us, TOP: mf.us},
         solid_extra_load=extra,
         motion_extra_dirichlet=pins,
-        pin_pressure=False,
     )
 
 
@@ -324,12 +321,13 @@ class ConvergenceReport:
 # -- runners ------------------------------------------------------------------
 
 
-def stokes_patch_setup(level, patch=(0.2731, 0.3231, 0.6331, 0.6831),
-                       bg_n0=8, fr_n0=4):
+def stokes_patch_setup(level, patch=(0.2731, 0.3231, 0.6331, 0.6831)):
+    """The unit-square background (8 s x 8 s squares, s = 2^level) and the
+    patch (x0, y0, x1, y1) meshed with 4 s x 4 s squares."""
     s = 2 ** level
-    bg = build_rect_mesh(bg_n0 * s, bg_n0 * s, [(0.0, 0.0), (1.0, 1.0)])
+    bg = build_rect_mesh(8 * s, 8 * s, [(0.0, 0.0), (1.0, 1.0)])
     x0, y0, x1, y1 = patch
-    fr = build_rect_mesh(fr_n0 * s, fr_n0 * s, [(x0, y0), (x1, y1)])
+    fr = build_rect_mesh(4 * s, 4 * s, [(x0, y0), (x1, y1)])
     return bg, fr
 
 
@@ -374,7 +372,7 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
 
 
 def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
-                    mf=None, **mesh_kw):
+                    mf=None):
     """Full FSI manufactured convergence study (one fixed-point run per level)."""
     if levels < 2:
         raise ValueError("need at least 2 levels")
@@ -387,11 +385,8 @@ def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
     report = ConvergenceReport()
     state = None
     for lvl in range(levels):
-        problem = manufactured_fsi_problem(mf, lvl, **mesh_kw)
-        try:
-            state = fsi_fixed_point(problem, config, log_path=log_path)
-        except Exception as exc:
-            raise RuntimeError(f"FSI solve failed at level {lvl}: {exc}") from exc
+        problem = manufactured_fsi_problem(mf, lvl)
+        state = fsi_fixed_point(problem, config, log_path=log_path)
         eu, ep = error_norms(state.fluid, mf.u, mf.grad_u, mf.p, state.topo,
                              order=4)
         es = h1_error(problem.front_ref,
@@ -413,6 +408,8 @@ def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
 FLAP_CHANNEL = (2.5, 0.41)
 FLAP_SIZE = (0.06, 0.24)
 FLAP_BASE = (1.25, 0.0)
+FLAP_MARGIN = 0.08       # width of the fluid collar of the box around the flap
+FLAP_UBAR = 0.45         # mean inflow velocity
 
 
 def _rotate(points, angle_deg, center):
@@ -421,7 +418,7 @@ def _rotate(points, angle_deg, center):
     return (np.asarray(points) - center) @ R.T + center
 
 
-def flap_meshes(angle_deg=0.0, res=1, margin=0.08):
+def flap_meshes(angle_deg=0.0, res=1):
     """Channel background mesh and the composite box around the flap.
 
     Upright (angle 0) the flap stands on the channel floor and the box
@@ -434,21 +431,21 @@ def flap_meshes(angle_deg=0.0, res=1, margin=0.08):
     Lc, Hc = FLAP_CHANNEL
     Ws, Hs = FLAP_SIZE
     cx, cy = FLAP_BASE
+    margin = FLAP_MARGIN
     bg = build_rect_mesh(72 * res, 12 * res, [(0.0, 0.0), (Lc, Hc)])
 
     x0, x1 = cx - Ws / 2 - margin, cx + Ws / 2 + margin
-    nxm = max(2, int(np.ceil(margin / 0.03)) * res)
+    nm = max(2, int(np.ceil(margin / 0.03)) * res)      # cells across the collar
     nxf = max(2, int(np.ceil(Ws / 0.03)) * res)
     nyf = max(6, int(np.ceil(Hs / 0.03)) * res)
-    nym = max(2, int(np.ceil(margin / 0.03)) * res)
-    xs = np.concatenate([np.linspace(x0, cx - Ws / 2, nxm + 1),
+    xs = np.concatenate([np.linspace(x0, cx - Ws / 2, nm + 1),
                          np.linspace(cx - Ws / 2, cx + Ws / 2, nxf + 1)[1:],
-                         np.linspace(cx + Ws / 2, x1, nxm + 1)[1:]])
+                         np.linspace(cx + Ws / 2, x1, nm + 1)[1:]])
     ys = np.concatenate([np.linspace(0.0, Hs, nyf + 1),
-                         np.linspace(Hs, Hs + margin, nym + 1)[1:]])
+                         np.linspace(Hs, Hs + margin, nm + 1)[1:]])
     if angle_deg != 0.0:
         # immersed mount: fluid collar below the flap base as well
-        ys = np.concatenate([np.linspace(-margin, 0.0, nym + 1)[:-1], ys])
+        ys = np.concatenate([np.linspace(-margin, 0.0, nm + 1)[:-1], ys])
 
     def region(c):
         return SOLID if (abs(c[0] - cx) < Ws / 2 and 0.0 < c[1] < Hs) else FLUID
@@ -469,14 +466,14 @@ def flap_meshes(angle_deg=0.0, res=1, margin=0.08):
 
 
 def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
-                 ubar=0.45, res=1, gamma=10.0, delta=0.5):
+                 res=1, gamma=10.0, delta=0.5):
     """Channel flow around an elastic flap, optionally rotated."""
     bg, box, clamp = flap_meshes(angle_deg, res)
     Lc, Hc = FLAP_CHANNEL
 
     def inflow(xv):
         yv = xv[1]
-        return np.array([ubar * 4.0 * yv * (Hc - yv) / Hc ** 2, 0.0])
+        return np.array([FLAP_UBAR * 4.0 * yv * (Hc - yv) / Hc ** 2, 0.0])
 
     def noslip(xv):
         return np.zeros(2)
@@ -497,12 +494,11 @@ def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
         front_ref=box,
         fluid=fluid,
         solid_material=Material.from_young_poisson(E_s, nu_s, STVK),
+        # the do-nothing outlet on the right fixes the pressure level
         bg_dirichlet={LEFT: inflow, BOTTOM: noslip, TOP: noslip},
         front_dirichlet=front_dirichlet,
-        ff_markers=None,
         solid_dirichlet_nodes=(clamp, np.zeros((len(clamp), 2))),
         motion_extra_dirichlet=pins,
-        pin_pressure=False,        # do-nothing outlet fixes the pressure level
     )
 
 

@@ -668,7 +668,7 @@ def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
 
 
 def _interface_terms_loop(sys, space, problem, segments):
-    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    nu_a = problem.viscosity
     a1, a2 = problem.alpha
     bg, fr = space.background, space.front
     for T, K, pts, w, n in zip(segments.bg_cell.tolist(), segments.front_cell.tolist(),
@@ -710,7 +710,7 @@ def _interface_terms_loop(sys, space, problem, segments):
 
 
 def _overlap_terms_loop(sys, space, problem, pairs):
-    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    nu_a = problem.viscosity
     bg, fr = space.background, space.front
     for T, K, area in zip(pairs.bg_cell, pairs.front_cell, pairs.area):
         gT = bg.p1_grads[T]
@@ -767,7 +767,7 @@ def stokes_item_terms_loop(problem, space, topo):
     the package's batched volume kernel, as the package always did."""
     sys = SparseSystem(space.ndof)
     bg, fr = space.background, space.front
-    nu_a = problem.viscosity if problem.nu_scale_a else 1.0
+    nu_a = problem.viscosity
     f = problem.body_force
     order = problem.quad_order
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,

@@ -162,7 +162,7 @@ def test_traction_matches_boundary_quadrature_oracle():
         sv[front0.cells[front0.region_tags == SOLID].ravel()] = True
         disp[:, 1] = np.where(sv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
-        topo = build_topology(bg, front, ff_markers=None, fluid_tag=FLUID)
+        topo = build_topology(bg, front, fluid_tag=FLUID)
         g = lambda p: mf.u(p)[0]
         space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
                                bg_dirichlet={LEFT: g, BOTTOM: g},
@@ -214,7 +214,6 @@ def zero_fsi_problem():
     problem.solid_body_force = None
     problem.solid_dirichlet = {LEFT: zero, RIGHT: zero, TOP: zero}
     problem.solid_extra_load = None
-    problem.pin_pressure = True
     return problem
 
 
@@ -355,7 +354,7 @@ def test_interpolated_exact_solution_residual_decays():
         solidv[front0.cells[front0.region_tags == SOLID].ravel()] = True
         disp[:, 1] = np.where(solidv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
-        topo = build_topology(bg, front, ff_markers=None, fluid_tag=FLUID)
+        topo = build_topology(bg, front, fluid_tag=FLUID)
         g = lambda p: mf.u(p)[0]
         space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
                                bg_dirichlet={LEFT: g, BOTTOM: g},

@@ -594,15 +594,17 @@ def test_covered_polygons_area_identities():
         covered = np.bincount(p.bg_cell, p.area, bg.nc)[topo.class_partial]
         assert covered + topo.cut_rules.totals() == pytest.approx(
             bg.cell_areas[topo.class_partial], rel=1e-12), name
-        # the overlap area is the front fluid area over the reduced mesh
-        fluid_area = sum(polygon_area_loop(p.verts[i, :p.count[i]]) for i in range(len(p))
-                         if fr.region_tags[p.front_cell[i]] == FLUID)
-        assert topo.overlap_area() == pytest.approx(fluid_area, rel=1e-12), name
+        # the solid lies over fully covered cells only, so the overlap area
+        # and the fully covered cells tile the front inside the background
+        lo, hi = bg.bbox
+        box = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+        inside = sum(polygon_area_loop(clip_convex_loop(t, box, 0.0)) for t in fr.cell_points)
+        assert topo.overlap_area() + bg.cell_areas[topo.class_fully].sum() == pytest.approx(
+            inside, rel=1e-12), name
         # the interface length is the front boundary length inside the background
         ij = fr.boundary_edges
         cells, _ = fr.boundary_normals(np.arange(len(ij)))
         ij = ij[fr.region_tags[cells] == FLUID]
-        lo, hi = bg.bbox
         clipped = _inside_length(fr.vertices[ij[:, 0]], fr.vertices[ij[:, 1]], lo, hi).sum()
         assert topo.interface_length() == pytest.approx(clipped, rel=1e-12), name
 

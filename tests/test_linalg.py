@@ -186,14 +186,15 @@ def test_dirichlet_matches_diagonal_scaling_bitwise():
     assert sys.matrix() is M and M[3, 4] != 0.0   # the input stays unconstrained
 
 
-def test_add_after_elimination_sums_into_eliminated_matrix():
+def test_add_after_elimination_raises():
+    # an eliminated system holds only its CSR; triplets added to it would
+    # be dropped by matrix(), so they are refused
     A = random_spd(7, seed=13)
     out = apply_dirichlet(system_from_dense(A, np.ones(7)), [1, 4], [0.5, -2.0])
     before = out.matrix().toarray()
-    out.add([0, 1, 6, 6], [0, 3, 2, 2], [1.5, -2.0, 0.25, 0.5])
-    extra = np.zeros((7, 7))
-    extra[0, 0], extra[1, 3], extra[6, 2] = 1.5, -2.0, 0.75
-    assert np.array_equal(out.matrix().toarray(), before + extra)
+    with pytest.raises(ValueError):
+        out.add([0, 1, 6, 6], [0, 3, 2, 2], [1.5, -2.0, 0.25, 0.5])
+    assert np.array_equal(out.matrix().toarray(), before)
     assert out.constraints == {1: 0.5, 4: -2.0}
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
-                         build_rect_mesh, build_tensor_mesh, element_diameter,
-                         p1_gradients, refine_uniform, read_mesh, write_mesh,
+                         build_rect_mesh, build_tensor_mesh, refine_uniform, read_mesh, write_mesh,
                          locate_points, barycentric, eval_p1, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
@@ -87,14 +86,14 @@ def test_ccw_enforced():
 
 def test_element_diameter_right_triangle():
     m = unit_right_triangle()
-    assert element_diameter(m, 0) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert m.cell_diameters[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_element_diameter_equilateral():
     s = 1.0
     m = Mesh(np.array([[0, 0], [s, 0], [s / 2, s * np.sqrt(3) / 2]]),
              np.array([[0, 1, 2]]))
-    assert element_diameter(m, 0) == pytest.approx(1.0, abs=1e-14)
+    assert m.cell_diameters[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_diameters_scale_affinely():
@@ -105,7 +104,7 @@ def test_diameters_scale_affinely():
 
 def test_p1_gradients_unit_right_triangle():
     m = unit_right_triangle()
-    g = p1_gradients(m, 0)
+    g = m.p1_grads[0]
     assert np.allclose(g[0], [-1.0, -1.0], atol=1e-14)
     assert np.allclose(g[1], [1.0, 0.0], atol=1e-14)
     assert np.allclose(g[2], [0.0, 1.0], atol=1e-14)

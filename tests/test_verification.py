@@ -10,7 +10,8 @@ from olmfsi.verification import (build_manufactured, build_manufactured_stokes,
                                  manufactured_meshes, manufactured_fsi_problem,
                                  interface_load_vector, eoc_sequence,
                                  ConvergenceReport, write_outputs,
-                                 flap_meshes, stokes_patch_setup)
+                                 flap_meshes, stokes_patch_setup, run_convergence)
+from olmfsi.coupling import FixedPointError, FsiConfig
 from olmfsi.vtkio import write_vtk_mesh
 from olmfsi.cli import parse_config, load_config, ConfigError, main
 
@@ -109,6 +110,12 @@ def test_manufactured_problem_geometry(mf):
     assert np.allclose(front.vertices[iface, 1], mf.Rf)
     problem = manufactured_fsi_problem(mf, 0)
     assert problem.solid_extra_load is not None
+
+
+def test_run_convergence_raises_typed_solver_errors(mf):
+    # the coupled study lets the fixed point's own error through
+    with pytest.raises(FixedPointError):
+        run_convergence(levels=2, config=FsiConfig(max_outer=1), mf=mf)
 
 
 # -- fluid-only manufactured problem ------------------------------------------

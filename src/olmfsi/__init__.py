@@ -7,14 +7,7 @@ problem is driven by a Dirichlet-Neumann fixed-point iteration with Aitken
 relaxation.
 """
 
-from .mesh import (
-    Mesh,
-    build_rect_mesh,
-    build_tensor_mesh,
-    refine_uniform,
-    read_mesh,
-    write_mesh,
-)
+from .mesh import Mesh, build_rect_mesh, build_tensor_mesh
 from .geometry import (
     OverlapTopology,
     classify,
@@ -38,9 +31,6 @@ __all__ = [
     "Mesh",
     "build_rect_mesh",
     "build_tensor_mesh",
-    "refine_uniform",
-    "read_mesh",
-    "write_mesh",
     "OverlapTopology",
     "classify",
     "intersect_convex",

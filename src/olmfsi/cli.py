@@ -65,8 +65,11 @@ def load_config(path, **defaults):
 
 
 def _fsi_config(cfg):
-    return FsiConfig(tol=cfg["tol"], max_outer=cfg["max_outer"],
-                     omega_max=cfg["omega_max"], omega0=cfg["omega0"])
+    try:
+        return FsiConfig(tol=cfg["tol"], max_outer=cfg["max_outer"],
+                         omega_max=cfg["omega_max"], omega0=cfg["omega0"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_convergence(args):

@@ -18,7 +18,7 @@ import numpy as np
 from .mesh import Mesh, FLUID, SOLID, region_interface_vertices
 from .geometry import build_topology, tri_rule
 from .stokes import (CompositeSpace, FluidProblem, solve_stokes,
-                     FluidSolution, FRONT, _eval_vec)
+                     FluidSolution, FRONT, QUAD_ORDER, _eval_vec)
 from .solid import (Material, SolidProblem, solve_newton, p1_mass_matrix,
                     InvertedElementError)
 from .motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
@@ -107,6 +107,8 @@ class FsiConfig:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
         if not (0.0 < self.omega0 <= self.omega_max):
             raise ValueError("need 0 < omega0 <= omega_max")
         if self.load_ramp < 0:
@@ -161,7 +163,7 @@ def fsi_outer_iteration(problem, us, um, load_scale=1.0):
     front = deform_mesh(problem.front_ref,
                         combined_displacement(problem.front_ref, us, um))
     topo = build_topology(problem.background, front,
-                          order=problem.fluid.quad_order, fluid_tag=FLUID)
+                          order=QUAD_ORDER, fluid_tag=FLUID)
     space = CompositeSpace(problem.background, front, topo, fluid_tag=FLUID,
                            bg_dirichlet=problem.bg_dirichlet,
                            front_dirichlet=problem.front_dirichlet,
@@ -188,9 +190,7 @@ def fsi_outer_iteration(problem, us, um, load_scale=1.0):
 def _scaled(fn, s):
     if fn is None:
         return None
-    wrapped = lambda x, _f=fn, _s=s: _s * np.asarray(_f(x))
-    wrapped.vectorized = getattr(fn, "vectorized", False)
-    return wrapped
+    return lambda x, _f=fn, _s=s: _s * np.asarray(_f(x))
 
 
 def _scaled_loads(solid, s):
@@ -198,7 +198,7 @@ def _scaled_loads(solid, s):
     load = None if solid.interface_load is None else s * solid.interface_load
     return SolidProblem(solid.mesh, solid.material, solid.region_tag,
                         _scaled(solid.body_force, s), solid.dirichlet,
-                        solid.dirichlet_nodes, scaled_n, load, solid.quad_order)
+                        solid.dirichlet_nodes, scaled_n, load)
 
 
 def _solve_solid(solid, warm_start):

@@ -8,13 +8,6 @@ Boundary marker conventions (small integer tags):
 
 Cell region tags: 0 = fluid, 1 = solid.  All cells are stored with
 counterclockwise vertex order; constructors flip inverted cells.
-
-Mesh text format (ASCII, whitespace separated)::
-
-    mesh2d <nv> <nc> <nbe>
-    v x y                 (nv lines)
-    c i j k [tag]         (nc lines)
-    b i j marker          (nbe lines)
 """
 
 from __future__ import annotations
@@ -34,10 +27,6 @@ class MeshError(ValueError):
 
 class DegenerateCellError(MeshError):
     """A cell has (numerically) zero area."""
-
-
-class MeshFormatError(MeshError):
-    """Malformed mesh text file."""
 
 
 def _ranges(counts):
@@ -248,11 +237,6 @@ class Mesh:
 
     # -- convenience -----------------------------------------------------
 
-    def translated(self, vec):
-        return Mesh(self.vertices + np.asarray(vec, dtype=float), self.cells,
-                    self.boundary_edges, self.boundary_markers, self.region_tags,
-                    validate=False)
-
     def region_cells(self, tag):
         return np.flatnonzero(self.region_tags == tag)
 
@@ -323,37 +307,6 @@ def build_tensor_mesh(xs, ys, region_fn=None):
     return Mesh(verts, cells, edges.reshape(-1, 2), markers, tags)
 
 
-def refine_uniform(mesh):
-    """Quadrisect every triangle; boundary edges split in two, tags inherited."""
-    verts = [mesh.vertices]
-    midpoint = {}
-    extra = []
-
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            midpoint[key] = mesh.nv + len(extra)
-            extra.append(0.5 * (mesh.vertices[i] + mesh.vertices[j]))
-        return midpoint[key]
-
-    cells = []
-    tags = []
-    for c, (a, b, d) in enumerate(mesh.cells):
-        mab, mbd, mda = mid(a, b), mid(b, d), mid(d, a)
-        cells.extend([(a, mab, mda), (mab, b, mbd), (mda, mbd, d), (mab, mbd, mda)])
-        tags.extend([mesh.region_tags[c]] * 4)
-
-    edges, markers = [], []
-    for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-        k = mid(i, j)
-        edges.extend([(i, k), (k, j)])
-        markers.extend([m, m])
-
-    vertices = np.vstack([mesh.vertices, np.array(extra).reshape(-1, 2)])
-    return Mesh(vertices, np.array(cells), np.array(edges) if edges else None,
-                np.array(markers) if markers else None, np.array(tags))
-
-
 # -- point location / field evaluation ----------------------------------
 
 
@@ -391,28 +344,15 @@ def barycentric(mesh, cell, pts):
 def eval_field(fn, pts):
     """Evaluate a field callback at (n, 2) points.
 
-    Callbacks flagged with ``vectorized = True`` are called once with the
-    whole point array; everything else is evaluated point by point.
+    Every field callback (Dirichlet data, body force, exact solution, solid
+    edge traction) takes the whole point array and returns one row per point.
     """
     pts = np.asarray(pts, float).reshape(-1, 2)
-    if getattr(fn, "vectorized", False):
-        return np.asarray(fn(pts), float)
-    return np.array([fn(p) for p in pts], dtype=float)
-
-
-def eval_p1(mesh, nodal, points, cells=None):
-    """Evaluate a nodal P1 field (nv,) or (nv, k) at points inside the mesh."""
-    points = np.atleast_2d(np.asarray(points, float))
-    nodal = np.asarray(nodal, float)
-    if cells is None:
-        cells = locate_points(mesh, points)
-    if (np.asarray(cells) < 0).any():
-        raise MeshError("point outside mesh in eval_p1")
-    vals = []
-    for pt, c in zip(points, cells):
-        lam = barycentric(mesh, c, pt[None])[0]
-        vals.append(lam @ nodal[mesh.cells[c]])
-    return np.array(vals)
+    out = np.asarray(fn(pts), float)
+    if out.shape[:1] != (len(pts),):
+        raise ValueError(f"field callback returned shape {out.shape} for "
+                         f"{len(pts)} points; it must return one row per point")
+    return out
 
 
 # -- region / interface helpers ------------------------------------------
@@ -452,57 +392,3 @@ def region_boundary_edges(mesh, tag):
                                           key[edge[keep]].tolist(), outer[keep].tolist(),
                                           other_tag[keep].tolist())]
 
-
-# -- text format ----------------------------------------------------------
-
-
-def write_mesh(mesh, path):
-    with open(path, "w") as f:
-        f.write(f"mesh2d {mesh.nv} {mesh.nc} {len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            f.write(f"v {float(x)!r} {float(y)!r}\n")
-        for c, (i, j, k) in enumerate(mesh.cells):
-            f.write(f"c {i} {j} {k} {mesh.region_tags[c]}\n")
-        for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-            f.write(f"b {i} {j} {m}\n")
-
-
-def read_mesh(path):
-    with open(path) as f:
-        tokens = f.read().split()
-    if not tokens or tokens[0] != "mesh2d":
-        raise MeshFormatError("missing mesh2d header")
-    try:
-        nv, nc, nbe = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except (IndexError, ValueError) as exc:
-        raise MeshFormatError("bad header counts") from exc
-    pos = 4
-    verts = np.empty((nv, 2))
-    cells = np.empty((nc, 3), dtype=np.int64)
-    tags = np.zeros(nc, dtype=np.int64)
-    edges = np.empty((nbe, 2), dtype=np.int64)
-    markers = np.empty(nbe, dtype=np.int64)
-    try:
-        for n in range(nv):
-            if tokens[pos] != "v":
-                raise MeshFormatError(f"expected vertex line {n}")
-            verts[n] = float(tokens[pos + 1]), float(tokens[pos + 2])
-            pos += 3
-        for n in range(nc):
-            if tokens[pos] != "c":
-                raise MeshFormatError(f"expected cell line {n}")
-            cells[n] = int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])
-            pos += 4
-            # optional region tag: next token is numeric (not a line keyword)
-            if pos < len(tokens) and tokens[pos] not in ("v", "c", "b"):
-                tags[n] = int(tokens[pos])
-                pos += 1
-        for n in range(nbe):
-            if tokens[pos] != "b":
-                raise MeshFormatError(f"expected boundary line {n}")
-            edges[n] = int(tokens[pos + 1]), int(tokens[pos + 2])
-            markers[n] = int(tokens[pos + 3])
-            pos += 4
-    except (IndexError, ValueError) as exc:
-        raise MeshFormatError("truncated or malformed mesh file") from exc
-    return Mesh(verts, cells, edges, markers, tags)

@@ -18,6 +18,7 @@ from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constrain
 
 STVK = "stvk"
 LINEAR = "linear"
+QUAD_ORDER = 2           # body-force and edge-traction quadrature order
 
 _I2 = np.eye(2)
 
@@ -117,7 +118,6 @@ class SolidProblem:
     dirichlet_nodes: tuple = ()          # (node_ids, values (k, 2))
     neumann: dict = field(default_factory=dict)
     interface_load: np.ndarray | None = None
-    quad_order: int = 2
 
     def __post_init__(self):
         if self.region_tag is None:
@@ -213,13 +213,13 @@ def assemble_solid(problem, u_current):
 
     # external loads enter the residual with a minus sign
     if problem.body_force is not None:
-        lam, w = tri_rule(problem.quad_order)
+        lam, w = tri_rule(QUAD_ORDER)
         fv = eval_field(problem.body_force, lam @ mesh.cell_points[cells])
         fv = fv.reshape(nc, len(w), 2)
         np.add.at(R, dofs, -(A * np.einsum("q,qa,cqi->cai", w, lam, fv)))
 
     if problem._neumann_edges:
-        xs, ws = seg_rule(max(problem.quad_order, 2))
+        xs, ws = seg_rule(QUAD_ORDER)
         for i, j, t in problem._neumann_edges:
             a, b = mesh.vertices[i], mesh.vertices[j]
             length = np.hypot(*(b - a))

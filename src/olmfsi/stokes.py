@@ -30,6 +30,7 @@ from .geometry import (
 from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
 BG, FRONT = 0, 1
+QUAD_ORDER = 2           # volume, cut-cell and boundary quadrature order
 
 
 class CompositeSpace:
@@ -125,7 +126,6 @@ class FluidProblem:
     neumann: tuple = ()
     use_ih: bool = True
     jh_extension: bool = True
-    quad_order: int = 2
 
     def __post_init__(self):
         if self.viscosity <= 0.0:
@@ -300,7 +300,7 @@ def _neumann_terms(sys, space, problem):
     """
     if not problem.neumann:
         return
-    xs, ws = seg_rule(max(problem.quad_order, 2))
+    xs, ws = seg_rule(QUAD_ORDER)
     for mesh_id, marker, traction in problem.neumann:
         mesh = space.background if mesh_id == BG else space.front
         vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
@@ -345,7 +345,7 @@ def assemble(problem, space, topo):
     bg, fr = space.background, space.front
     nu = problem.viscosity
     f = problem.body_force
-    order = problem.quad_order
+    order = QUAD_ORDER
 
     # background: fully uncovered cells carry everything with full rules
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,

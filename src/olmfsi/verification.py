@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (Mesh, build_rect_mesh, build_tensor_mesh, region_boundary_edges,
-                   FLUID, SOLID, LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
+                   eval_field, FLUID, SOLID, LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
 from .geometry import build_topology, seg_rule
 from .stokes import CompositeSpace, FluidProblem, solve_stokes, error_norms, BG, FRONT
 from .solid import Material, STVK, h1_error
@@ -45,13 +45,6 @@ def _vec(a, b):
 def _mat(a, b, c, d):
     """(n, 2, 2) stack of [[a, b], [c, d]]."""
     return np.stack(np.broadcast_arrays(a, b, c, d), axis=-1).reshape(-1, 2, 2)
-
-
-def _vectorized(**fields):
-    """Mark callbacks of (n, 2) points as such (see mesh.eval_field)."""
-    for fn in fields.values():
-        fn.vectorized = True
-    return fields
 
 
 # -- fluid-only manufactured problem ---------------------------------------
@@ -92,8 +85,7 @@ def build_manufactured_stokes(viscosity=1.0):
         sx, cx, sy, cy = trig(pts)
         return 2.0 * viscosity * pi ** 2 * u(pts) + pi * _vec(cx * sy, sx * cy)
 
-    return ManufacturedStokes2d(viscosity=viscosity,
-                                **_vectorized(u=u, grad_u=grad_u, p=p, f=f))
+    return ManufacturedStokes2d(viscosity=viscosity, u=u, grad_u=grad_u, p=p, f=f)
 
 
 # -- coupled manufactured problem -------------------------------------------
@@ -176,17 +168,16 @@ def build_manufactured(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
     return ManufacturedFsi2d(
         L=L, Rf=Rf, R1=R1, Hs=Hs, U0=U0, viscosity=viscosity, material=material,
         fluid_traction=lambda pts, n: sigma(*_xy(pts)) @ np.asarray(n, float),
-        **_vectorized(
-            u=lambda pts: flow(*_xy(pts))[0],
-            grad_u=lambda pts: flow(*_xy(pts))[1],
-            p=lambda pts: 1 - _xy(pts)[0],
-            f=lambda pts: -nu * flow(*_xy(pts))[2] - [1.0, 0.0],
-            div_u=lambda pts: np.trace(flow(*_xy(pts))[1], axis1=1, axis2=2),
-            us=lambda pts: _vec(0.0, bump(_xy(pts)[0])[0]),
-            grad_us=lambda pts: _mat(0.0, 0.0, bump(_xy(pts)[0])[1], 0.0),
-            f_solid=f_solid,
-            t_a=t_a,
-            um=lambda pts: _vec(0.0, _xy(pts)[1] * bump(_xy(pts)[0])[0] / Rf)))
+        u=lambda pts: flow(*_xy(pts))[0],
+        grad_u=lambda pts: flow(*_xy(pts))[1],
+        p=lambda pts: 1 - _xy(pts)[0],
+        f=lambda pts: -nu * flow(*_xy(pts))[2] - [1.0, 0.0],
+        div_u=lambda pts: np.trace(flow(*_xy(pts))[1], axis1=1, axis2=2),
+        us=lambda pts: _vec(0.0, bump(_xy(pts)[0])[0]),
+        grad_us=lambda pts: _mat(0.0, 0.0, bump(_xy(pts)[0])[1], 0.0),
+        f_solid=f_solid,
+        t_a=t_a,
+        um=lambda pts: _vec(0.0, _xy(pts)[1] * bump(_xy(pts)[0])[0] / Rf))
 
 
 def remark_edges(mesh, markers):
@@ -211,10 +202,13 @@ def manufactured_meshes(level, mf=None):
     return bg, front
 
 
-def interface_load_vector(mesh, traction_fn, order=4):
+LOAD_ORDER = 4           # quadrature order of the interface load
+
+
+def interface_load_vector(mesh, traction_fn):
     """Nodal load from a traction prescribed on the reference interface
     (the solid region's edges shared with another region)."""
-    xs, ws = seg_rule(order)
+    xs, ws = seg_rule(LOAD_ORDER)
     load = np.zeros((mesh.nv, 2))
     for i, j, _cell, kind in region_boundary_edges(mesh, SOLID):
         if not isinstance(kind, tuple):
@@ -222,7 +216,7 @@ def interface_load_vector(mesh, traction_fn, order=4):
         a, b = mesh.vertices[i], mesh.vertices[j]
         length = np.hypot(*(b - a))
         pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-        tv = np.asarray(traction_fn(pts), float).reshape(-1, 2)
+        tv = eval_field(traction_fn, pts)
         lam = np.column_stack([1.0 - xs, xs])
         for vloc, v in enumerate((i, j)):
             load[v] += length * np.einsum("q,q,qi->i", ws, lam[:, vloc], tv)
@@ -378,9 +372,7 @@ def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
         raise ValueError("need at least 2 levels")
     mf = mf or build_manufactured()
     config = config or FsiConfig()
-    log_path = os.path.join(out_dir, "iterations.csv") if out_dir else None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    log_path = _fresh_log(out_dir)
 
     report = ConvergenceReport()
     state = None
@@ -471,12 +463,12 @@ def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
     bg, box, clamp = flap_meshes(angle_deg, res)
     Lc, Hc = FLAP_CHANNEL
 
-    def inflow(xv):
-        yv = xv[1]
-        return np.array([FLAP_UBAR * 4.0 * yv * (Hc - yv) / Hc ** 2, 0.0])
+    def inflow(pts):
+        y = pts[:, 1]
+        return _vec(FLAP_UBAR * 4.0 * y * (Hc - y) / Hc ** 2, 0.0)
 
-    def noslip(xv):
-        return np.zeros(2)
+    def noslip(pts):
+        return np.zeros((len(pts), 2))
 
     fluid = FluidProblem(viscosity=viscosity, body_force=None,
                          gamma=gamma, delta=delta)
@@ -511,17 +503,25 @@ def flap2d(angle_deg=0.0, config=None, out_dir=None, **kw):
     """
     problem = flap_problem(angle_deg, **kw)
     config = config or FsiConfig(load_ramp=4)
-    log_path = None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "iterations.csv")
-    state = fsi_fixed_point(problem, config, log_path=log_path)
+    state = fsi_fixed_point(problem, config, log_path=_fresh_log(out_dir))
     if out_dir:
         write_outputs(state, None, out_dir)
     return state, problem
 
 
 # -- output -------------------------------------------------------------------
+
+
+def _fresh_log(out_dir):
+    """Path of the iteration log in out_dir (None without one), with the log
+    of any earlier run removed: fsi_fixed_point appends to it."""
+    if not out_dir:
+        return None
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "iterations.csv")
+    if os.path.exists(path):
+        os.remove(path)
+    return path
 
 
 def write_outputs(state, report, out_dir):

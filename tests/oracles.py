@@ -22,9 +22,9 @@ from olmfsi.geometry import (EPS_GEOM, GeometryError, InterfaceSegments, QuadRul
                              uncovered_pieces)
 from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import BOTTOM, LEFT, RIGHT, TOP, Mesh, barycentric, eval_field
-from olmfsi.solid import (STVK, InvertedElementError, Material, first_piola,
-                          piola_tangent)
-from olmfsi.stokes import BG, FRONT, _full_cell_volume_terms
+from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, STVK, InvertedElementError, Material,
+                          first_piola, piola_tangent)
+from olmfsi.stokes import BG, FRONT, QUAD_ORDER as FLUID_ORDER, _full_cell_volume_terms
 from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
 _I2 = np.eye(2)
@@ -588,7 +588,7 @@ def assemble_solid_loop(problem, u_current):
 
     # external loads enter the residual with a minus sign
     if problem.body_force is not None:
-        lam, w = tri_rule(problem.quad_order)
+        lam, w = tri_rule(SOLID_ORDER)
         for cell in problem.cells:
             cell = int(cell)
             pts = lam @ mesh.cell_points[cell]
@@ -601,7 +601,7 @@ def assemble_solid_loop(problem, u_current):
             np.add.at(R, dofs.ravel(), -rv.ravel())
 
     if problem._neumann_edges:
-        xs, ws = seg_rule(max(problem.quad_order, 2))
+        xs, ws = seg_rule(SOLID_ORDER)
         for i, j, t in problem._neumann_edges:
             a, b = mesh.vertices[i], mesh.vertices[j]
             length = np.hypot(*(b - a))
@@ -728,7 +728,7 @@ def _overlap_terms_loop(sys, space, problem, pairs):
 def _neumann_terms_loop(sys, space, problem):
     if not problem.neumann:
         return
-    xs, ws = seg_rule(max(problem.quad_order, 2))
+    xs, ws = seg_rule(FLUID_ORDER)
     for mesh_id, marker, traction in problem.neumann:
         mesh = space.background if mesh_id == BG else space.front
         vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
@@ -769,7 +769,7 @@ def stokes_item_terms_loop(problem, space, topo):
     bg, fr = space.background, space.front
     nu_a = problem.viscosity
     f = problem.body_force
-    order = problem.quad_order
+    order = FLUID_ORDER
     _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
                             space.offset_p1, nu_a, problem.delta, f, order)
     for i, c in enumerate(topo.class_partial.tolist()):
@@ -910,7 +910,7 @@ def dense_stokes_single_mesh(mesh, nu, delta, f=None):
             # production rule on purpose; equal for polynomial data)
             mids = [(tri[0] + tri[1]) / 2, (tri[1] + tri[2]) / 2,
                     (tri[2] + tri[0]) / 2]
-            vals = [np.asarray(f(m), float) for m in mids]
+            vals = eval_field(f, np.array(mids))
             lam_at_mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
                                    [0.5, 0.0, 0.5]])
             for a in range(3):
@@ -934,7 +934,6 @@ def _vec_field(xsym, ysym, exprs):
                                 (len(pts),)) for f in fns]
         return np.stack(cols, axis=-1)
 
-    call.vectorized = True
     return call
 
 
@@ -948,7 +947,6 @@ def _mat_field(xsym, ysym, exprs2x2):
                                 (len(pts),)) for f in fns]
         return np.stack(cols, axis=-1).reshape(len(pts), 2, 2)
 
-    call.vectorized = True
     return call
 
 
@@ -960,7 +958,6 @@ def _scalar_field(xsym, ysym, expr):
         return np.broadcast_to(np.asarray(fn(pts[:, 0], pts[:, 1]), float),
                                (len(pts),)).copy()
 
-    call.vectorized = True
     return call
 
 

@@ -22,6 +22,7 @@ from olmfsi.coupling import aitken_update, traction_functional, FsiConfig, \
 from olmfsi.verification import (run_stokes_convergence, run_convergence,
                                  flap_problem)
 
+from fixtures import constant
 from oracles import (scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      halfplane_cut_area)
 
@@ -62,7 +63,7 @@ def _condition_for(offset_frac, use_ih=True, jh_extension=True, N=8):
     bg = build_rect_mesh(N, N, [(0, 0), (1, 1)])
     fr = build_rect_mesh(4, 4, [(0.25 + d, 0.25 + d), (0.75 + d, 0.75 + d)])
     topo = build_topology(bg, fr)
-    zero = lambda p: np.zeros(2)
+    zero = constant([0.0, 0.0])
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, use_ih=use_ih, jh_extension=jh_extension)
@@ -88,7 +89,7 @@ def test_criterion_4_consistency_patch_test():
         A[1, 1] = -A[0, 0]
         b = rng.standard_normal(2)
         c = float(rng.standard_normal())
-        u = lambda p: A @ p + b
+        u = lambda p: (A @ p[..., None])[..., 0] + b
         x0, y0 = rng.uniform(0.05, 0.45, 2)
         w, h = rng.uniform(0.25, 0.45, 2)
         bg = build_rect_mesh(6, 6, [(0, 0), (1, 1)])
@@ -194,7 +195,7 @@ def test_criterion_6_solid_gradient_checks():
         checked += 1
 
     mesh = build_rect_mesh(8, 2, [(0, 0), (1, 0.2)])
-    prob = SolidProblem(mesh, mat, dirichlet={LEFT: lambda x: np.zeros(2)})
+    prob = SolidProblem(mesh, mat, dirichlet={LEFT: constant([0.0, 0.0])})
     U = 0.01 * rng.standard_normal(prob.ndof)
     _, K = assemble_solid(prob, U)
     dU = rng.standard_normal(prob.ndof)
@@ -204,8 +205,8 @@ def test_criterion_6_solid_gradient_checks():
     tangent_err = np.linalg.norm((Rp - Rm) / (2 * h) - K.matrix() @ dU) \
         / np.linalg.norm(K.matrix() @ dU)
 
-    strip = SolidProblem(mesh, mat, dirichlet={LEFT: lambda x: np.zeros(2)},
-                         neumann={RIGHT: lambda x: np.array([0.0, 0.02])})
+    strip = SolidProblem(mesh, mat, dirichlet={LEFT: constant([0.0, 0.0])},
+                         neumann={RIGHT: constant([0.0, 0.02])})
     sol = solve_newton(strip, tol=1e-10)
     tail = [v for v in sol.residuals if v > 1e-13]
     ratio = np.log(tail[-1]) / np.log(tail[-2])
@@ -221,7 +222,7 @@ def test_criterion_6_solid_gradient_checks():
 def test_criterion_7_traction_drag():
     L, H, nu, c = 1.0, 0.5, 1.0, 1.0
     exact = nu * c * H * L
-    u = lambda p: np.array([c * p[1] * (H - p[1]), 0.0])
+    u = lambda p: np.column_stack([c * p[:, 1] * (H - p[:, 1]), np.zeros(len(p))])
     errs = []
     for n in (24, 48, 96):
         front = build_rect_mesh(2 * n, n, [(0, 0), (L, H)])

@@ -10,6 +10,7 @@ from olmfsi.coupling import (aitken_update, traction_functional,
                              fsi_fixed_point, fsi_outer_iteration,
                              FixedPointError)
 from olmfsi.solid import l2_norm
+from fixtures import constant, rowwise, translated
 from oracles import traction_functional_loop
 from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
                                  flap_problem)
@@ -54,7 +55,7 @@ def test_aitken_lower_clamp():
 # -- traction functional ------------------------------------------------------
 
 def poiseuille_channel(nx, ny, L=1.0, H=0.5, nu=1.0, c=1.0):
-    u = lambda p: np.array([c * p[1] * (H - p[1]), 0.0])
+    u = lambda p: np.column_stack([c * p[:, 1] * (H - p[:, 1]), np.zeros(len(p))])
     front = build_rect_mesh(nx, ny, [(0, 0), (L, H)])
     bg = build_rect_mesh(2, 2, [(0.4, 0.2), (0.6, 0.3)])  # fully covered
     topo = build_topology(bg, front)
@@ -96,7 +97,7 @@ def test_traction_translation_invariant():
     base = traction_functional(sol, None, space, wall)
 
     shift = np.array([3.0, -2.0])
-    front2 = front.translated(shift)
+    front2 = translated(front, shift)
     bg2 = Mesh(space.background.vertices + shift, space.background.cells,
                space.background.boundary_edges, space.background.boundary_markers)
     topo2 = build_topology(bg2, front2)
@@ -119,7 +120,7 @@ def test_traction_matches_per_node_loop(case):
                else manufactured_fsi_problem(mf, arg))
     zero = np.zeros((problem.front_ref.nv, 2))
     _, sol, _, topo, space, iface = fsi_outer_iteration(problem, zero, zero)
-    for force in (None, mf.f, lambda p: mf.f(p)[0]):
+    for force in (None, mf.f, rowwise(lambda p: mf.f(p)[0])):
         new = traction_functional(sol, force, space, iface)
         ref = traction_functional_loop(sol, force, space, iface)
         assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
@@ -163,10 +164,9 @@ def test_traction_matches_boundary_quadrature_oracle():
         disp[:, 1] = np.where(sv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
         topo = build_topology(bg, front, fluid_tag=FLUID)
-        g = lambda p: mf.u(p)[0]
         space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
-                               bg_dirichlet={LEFT: g, BOTTOM: g},
-                               front_dirichlet={LEFT: g}, interface_g="zero")
+                               bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
+                               front_dirichlet={LEFT: mf.u}, interface_g="zero")
         prob = FluidProblem(viscosity=mf.viscosity, body_force=mf.f,
                             neumann=((BG, RIGHT, mf.fluid_traction),
                                      (FRONT, RIGHT, mf.fluid_traction)))
@@ -207,7 +207,7 @@ def zero_fsi_problem():
     mf = build_manufactured()
     problem = manufactured_fsi_problem(mf, 0)
     # strip all data: zero inflow, no forces, no auxiliary traction
-    zero = lambda p: np.zeros(2)
+    zero = constant([0.0, 0.0])
     problem.fluid = FluidProblem(viscosity=mf.viscosity, body_force=None)
     problem.bg_dirichlet = {LEFT: zero, BOTTOM: zero}
     problem.front_dirichlet = {LEFT: zero}
@@ -296,6 +296,10 @@ def test_config_validation():
         FsiConfig(omega0=2.0, omega_max=1.5)
     with pytest.raises(ValueError):
         FsiConfig(load_ramp=-1)
+    # without one outer iteration there is no increment to report
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            FsiConfig(max_outer=bad)
 
 
 def test_geometry_bookkeeping_every_iteration():
@@ -355,10 +359,9 @@ def test_interpolated_exact_solution_residual_decays():
         disp[:, 1] = np.where(solidv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
         topo = build_topology(bg, front, fluid_tag=FLUID)
-        g = lambda p: mf.u(p)[0]
         space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
-                               bg_dirichlet={LEFT: g, BOTTOM: g},
-                               front_dirichlet={LEFT: g}, interface_g="zero")
+                               bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
+                               front_dirichlet={LEFT: mf.u}, interface_g="zero")
         prob = FluidProblem(viscosity=mf.viscosity, body_force=mf.f,
                             neumann=((BG, RIGHT, mf.fluid_traction),
                                      (FRONT, RIGHT, mf.fluid_traction)))

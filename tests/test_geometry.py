@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from olmfsi.mesh import Mesh, build_rect_mesh, refine_uniform, FLUID, SOLID
+from olmfsi.mesh import Mesh, build_rect_mesh, FLUID, SOLID
 from olmfsi.geometry import (EPS_GEOM, _pieces, classify, build_topology,
                              intersect_convex, polygon_area, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
@@ -9,6 +9,7 @@ from olmfsi.geometry import (EPS_GEOM, _pieces, classify, build_topology,
                              tri_rule, CoarseBackgroundError, GeometryError,
                              exterior_pieces, uncovered_pieces)
 
+from fixtures import refine_uniform, translated
 from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,
@@ -352,7 +353,7 @@ def test_translation_equivariance():
     bg = build_rect_mesh(6, 6, [(0, 0), (2, 2)])
     fr0 = build_rect_mesh(3, 3, [(0.37, 0.43), (1.01, 1.13)])
     shift = np.array([0.31, 0.17])
-    fr1 = fr0.translated(shift)
+    fr1 = translated(fr0, shift)
     bg1 = Mesh(bg.vertices + shift, bg.cells, bg.boundary_edges,
                bg.boundary_markers)
     t0 = build_topology(bg, fr0)
@@ -422,7 +423,7 @@ def test_rotated_fronts_partition_and_consistency():
                   for i, j in fr.boundary_edges)
         assert topo.interface_length() == pytest.approx(per, abs=1e-10)
 
-        u = lambda p: A @ p + b
+        u = lambda p: (A @ p[..., None])[..., 0] + b
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={m: u for m in (1, 2, 3, 4)},
                                interface_g=None, pin_pressure=True, pin_value=c)
@@ -650,8 +651,8 @@ def _placements():
     out += [
         ("vertex on vertex", bg, build_rect_mesh(4, 4, [(2 * h, 2 * h), (6 * h, 6 * h)],
                                                  region_fn=core)),
-        ("vertex on vertex, shifted 3h", bg, refine_uniform(refine_uniform(
-            tri_mesh([[h, h], [5 * h, h], [h, 5 * h]]))).translated([3 * h, h])),
+        ("vertex on vertex, shifted 3h", bg, translated(refine_uniform(refine_uniform(
+            tri_mesh([[h, h], [5 * h, h], [h, 5 * h]]))), [3 * h, h])),
         ("edge on edge", bg, build_rect_mesh(3, 3, [(2 * h, 2 * h), (0.61, 0.7)])),
         ("across the background boundary", bg,
          build_rect_mesh(3, 4, [(0.71, 0.23), (1.3, 0.81)])),

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError, MeshFormatError,
-                         build_rect_mesh, build_tensor_mesh, refine_uniform, read_mesh, write_mesh,
-                         locate_points, barycentric, eval_p1, region_interface_vertices,
+from olmfsi.mesh import (Mesh, MeshError, DegenerateCellError,
+                         build_rect_mesh, build_tensor_mesh,
+                         locate_points, barycentric, region_interface_vertices,
                          region_boundary_edges, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID)
 from olmfsi.verification import flap_meshes, manufactured_meshes
 
+from fixtures import refine_uniform
 from oracles import boundary_normal_loop, build_tensor_mesh_loop, region_boundary_edges_loop
 
 
@@ -122,14 +123,18 @@ def test_p1_gradients_degenerate_cell_error():
 
 
 def test_affine_reproduction():
-    # interpolating a globally affine function reproduces it pointwise
+    # interpolating a globally affine function reproduces it pointwise:
+    # located cells and barycentric weights recombine the nodal values
     m = build_rect_mesh(5, 4, [(0, 0), (1.3, 0.9)])
     A = np.array([[0.7, -0.2], [1.1, 0.4]])
     b = np.array([0.3, -0.8])
     nodal = m.vertices @ A.T + b
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0.01, 1.29, 40), rng.uniform(0.01, 0.89, 40)])
-    vals = eval_p1(m, nodal, pts)
+    cells = locate_points(m, pts)
+    assert (cells >= 0).all()
+    lam = barycentric(m, cells, pts[:, None])[:, 0]
+    vals = np.einsum("na,nai->ni", lam, nodal[m.cells[cells]])
     assert np.abs(vals - (pts @ A.T + b)).max() < 1e-13
 
 
@@ -188,31 +193,6 @@ def test_barycentric_over_cells_matches_single_cell_calls():
     # a vertex lies in several closed cells: the lowest-numbered one is returned
     first = [min(np.flatnonzero((m.cells == v).any(axis=1))) for v in range(m.nv)]
     assert locate_points(m, m.vertices).tolist() == first
-
-
-def test_mesh_text_roundtrip(tmp_path):
-    m = build_rect_mesh(3, 2, [(0, 0), (1, 0.7)],
-                        region_fn=lambda c: SOLID if c[0] > 0.5 else FLUID)
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    first = open(path).readline().split()
-    assert first[0] == "mesh2d"
-    assert [int(t) for t in first[1:]] == [m.nv, m.nc, len(m.boundary_edges)]
-    m2 = read_mesh(path)
-    assert np.array_equal(m.cells, m2.cells)
-    assert np.allclose(m.vertices, m2.vertices)
-    assert np.array_equal(m.boundary_markers, m2.boundary_markers)
-    assert np.array_equal(m.region_tags, m2.region_tags)
-
-
-def test_mesh_text_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("nope 1 2 3\n")
-    with pytest.raises(MeshFormatError):
-        read_mesh(p)
-    p.write_text("mesh2d 2 0 0\nv 0 0\n")  # truncated
-    with pytest.raises(MeshFormatError):
-        read_mesh(p)
 
 
 def test_cell_index_out_of_range():

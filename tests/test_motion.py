@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from olmfsi.mesh import (Mesh, build_rect_mesh, refine_uniform, locate_points,
+from olmfsi.mesh import (Mesh, build_rect_mesh, locate_points,
                          FLUID, SOLID, region_interface_vertices)
 from olmfsi.motion import (MeshMotionProblem, solve_mesh_motion, deform_mesh,
                            MeshTangleError)
+
+from fixtures import refine_uniform
 
 
 def interface_nodes_on_top(mesh, y_top):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixtures import constant, rowwise
 from oracles import assemble_solid_loop
 from olmfsi.linalg import ConstraintConflictError
 from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, FLUID, SOLID
@@ -13,8 +14,7 @@ from olmfsi.solid import (Material, SolidProblem, first_piola, piola_tangent,
 MAT1 = Material(STVK, 1.0, 1.0)
 
 
-def zero_g(x):
-    return np.zeros(2)
+zero_g = constant([0.0, 0.0])
 
 
 def strip_problem(mat, traction, nx=10, ny=2):
@@ -149,7 +149,7 @@ def test_newton_zero_data_one_iteration():
 
 def test_newton_linear_single_step():
     mat = Material.from_young_poisson(10.0, 0.3, LINEAR)
-    prob = strip_problem(mat, lambda x: np.array([0.0, 0.01]))
+    prob = strip_problem(mat, constant([0.0, 0.01]))
     sol = solve_newton(prob, tol=1e-10)
     assert sol.iterations == 1
 
@@ -157,7 +157,7 @@ def test_newton_linear_single_step():
 def test_newton_small_load_matches_linear_model():
     mu = Material.from_young_poisson(10.0, 0.3).mu
     t = 1e-4 * mu
-    tr = lambda x: np.array([0.0, t])
+    tr = constant([0.0, t])
     sols = {}
     for model in (STVK, LINEAR):
         mat = Material.from_young_poisson(10.0, 0.3, model)
@@ -171,7 +171,7 @@ def test_newton_small_load_matches_linear_model():
 
 def test_newton_clamped_strip_quadratic_convergence():
     mat = Material.from_young_poisson(10.0, 0.3)
-    prob = strip_problem(mat, lambda x: np.array([0.0, 0.02]))
+    prob = strip_problem(mat, constant([0.0, 0.02]))
     sol = solve_newton(prob, tol=1e-10)
     assert sol.iterations <= 8
     r = sol.residuals
@@ -184,7 +184,7 @@ def test_newton_clamped_strip_quadratic_convergence():
 
 def test_newton_nonconvergence_reports_history():
     mat = Material.from_young_poisson(10.0, 0.3)
-    prob = strip_problem(mat, lambda x: np.array([0.0, 0.02]))
+    prob = strip_problem(mat, constant([0.0, 0.02]))
     with pytest.raises(NewtonError) as err:
         solve_newton(prob, tol=1e-30, maxit=2)
     assert len(err.value.residuals) >= 2
@@ -196,12 +196,12 @@ def test_translation_invariance():
     # small shift: the first Newton iterate interpolates between shifted
     # boundary values and an unshifted interior, which must stay untangled
     c = np.array([0.009, -0.006])
-    tr = lambda x: np.array([0.0, 0.01])
+    tr = constant([0.0, 0.01])
     base = SolidProblem(mesh, mat, dirichlet={LEFT: zero_g, RIGHT: zero_g},
-                        body_force=lambda x: np.array([0.0, 0.05]))
+                        body_force=constant([0.0, 0.05]))
     shifted = SolidProblem(mesh, mat,
-                           dirichlet={LEFT: lambda x: c, RIGHT: lambda x: c},
-                           body_force=lambda x: np.array([0.0, 0.05]))
+                           dirichlet={LEFT: constant(c), RIGHT: constant(c)},
+                           body_force=constant([0.0, 0.05]))
     u0 = solve_newton(base, tol=1e-12).displacement
     u1 = solve_newton(shifted, tol=1e-12).displacement
     assert np.abs(u1 - (u0 + c)).max() < 1e-9
@@ -243,8 +243,6 @@ def _vec_force(x):
     return np.column_stack([np.sin(3.0 * x[:, 0]), x[:, 1] ** 2 - 0.2])
 
 
-_vec_force.vectorized = True
-
 
 @pytest.mark.parametrize("model", [STVK, LINEAR])
 @pytest.mark.parametrize("region", [None, SOLID])
@@ -254,8 +252,10 @@ def test_batched_assembly_matches_per_cell_reference(model, region, force):
     rng = np.random.default_rng(4)
     prob = SolidProblem(
         mesh, Material.from_young_poisson(10.0, 0.3, model), region_tag=region,
-        body_force=_vec_force if force == "vectorized" else lambda x: _vec_force(x[None])[0],
-        dirichlet={LEFT: zero_g}, neumann={RIGHT: lambda x: np.array([0.1, x[1]])},
+        body_force=(_vec_force if force == "vectorized"
+                    else rowwise(lambda x: _vec_force(x[None])[0])),
+        dirichlet={LEFT: zero_g},
+        neumann={RIGHT: lambda x: np.column_stack([np.full(len(x), 0.1), x[:, 1]])},
         interface_load=rng.standard_normal((mesh.nv, 2)))
     assert 0 < len(prob.cells) and len(prob._neumann_edges)
     U = 0.005 * rng.standard_normal(prob.ndof)
@@ -305,7 +305,7 @@ def test_stacked_constitutive_laws_match_2x2_calls_bitwise():
         first_piola(F, MAT1)
 
 
-@pytest.mark.parametrize("force", [None, _vec_force, lambda x: np.array([0.0, 1.0])])
+@pytest.mark.parametrize("force", [None, _vec_force, constant([0.0, 1.0])])
 def test_assembly_on_empty_region(force):
     mesh = build_rect_mesh(3, 2, [(0, 0), (1, 1)], region_fn=lambda c: FLUID)
     prob = SolidProblem(mesh, MAT1, region_tag=SOLID, body_force=force)
@@ -319,14 +319,15 @@ def test_batched_error_norms_sum_over_cells():
     rng = np.random.default_rng(7)
     fld = rng.standard_normal((mesh.nv, 2))
     cells = np.arange(3, mesh.nc, 2)
-    exact = lambda x: np.array([np.cos(x[0]), x[0] * x[1]])
-    grad = lambda x: np.array([[-np.sin(x[0]), 0.0], [x[1], x[0]]])
+    exact = lambda x: np.column_stack([np.cos(x[:, 0]), x[:, 0] * x[:, 1]])
+    grad = lambda x: np.stack([-np.sin(x[:, 0]), np.zeros(len(x)), x[:, 1], x[:, 0]],
+                              axis=-1).reshape(-1, 2, 2)
     for err, fn in ((l2_error, exact), (h1_seminorm_error, grad)):
         whole = err(mesh, cells, fld, fn) ** 2
         parts = sum(err(mesh, [c], fld, fn) ** 2 for c in cells)
         assert whole == pytest.approx(parts, rel=1e-13)
     # P1 fields are integrated exactly by the order-4 rule and the mass matrix
-    zero = lambda x: np.zeros(2)
+    zero = constant([0.0, 0.0])
     assert l2_error(mesh, cells, fld, zero) == pytest.approx(
         l2_norm(mesh, cells, fld), rel=1e-13)
     M = p1_mass_matrix(mesh, cells).toarray()
@@ -340,7 +341,7 @@ def test_batched_error_norms_sum_over_cells():
 def test_conflicting_corner_values_raise():
     mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
     with pytest.raises(ConstraintConflictError):
-        SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: np.array([0.1, 0.0]),
+        SolidProblem(mesh, MAT1, dirichlet={LEFT: constant([0.1, 0.0]),
                                             BOTTOM: zero_g})
     SolidProblem(mesh, MAT1, dirichlet={LEFT: zero_g, BOTTOM: zero_g})
 
@@ -350,7 +351,7 @@ def test_nodal_dirichlet_data_loses_to_marker_data():
     left = np.flatnonzero(mesh.vertices[:, 0] < 1e-12)
     inner = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) < 1e-12)
     nodes = np.concatenate([inner, left])
-    prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: np.array([0.1, 0.2])},
+    prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: constant([0.1, 0.2])},
                         dirichlet_nodes=(nodes, np.tile([0.3, -0.4], (len(nodes), 1))))
     U = np.zeros(prob.ndof)
     U[prob.constrained_dofs] = prob.constrained_values
@@ -368,14 +369,24 @@ def test_nodal_dirichlet_data_loses_to_marker_data():
         SolidProblem(layered, MAT1, region_tag=SOLID, dirichlet_nodes=([0], [[0.0, 0.0]]))
 
 
+def test_per_point_callbacks_rejected():
+    # a callback written for one point returns one row for the whole array
+    per_point = lambda x: np.zeros(2)
+    mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 3 points"):
+        SolidProblem(mesh, MAT1, dirichlet={LEFT: per_point})
+    prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: zero_g}, body_force=per_point)
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 48 points"):
+        assemble_solid(prob, np.zeros(prob.ndof))
+
+
 def test_vectorized_dirichlet_callback_matches_pointwise():
     mesh = build_rect_mesh(5, 2, [(0, 0), (1, 0.3)])
 
     def g(pts):
         return np.column_stack([np.sin(pts[:, 1]), pts[:, 0] * pts[:, 1]])
-    g.vectorized = True
     vec = SolidProblem(mesh, MAT1, dirichlet={LEFT: g, RIGHT: g})
-    point = SolidProblem(mesh, MAT1, dirichlet={LEFT: lambda x: g(x[None])[0],
-                                                RIGHT: lambda x: g(x[None])[0]})
+    point = SolidProblem(mesh, MAT1, dirichlet={LEFT: rowwise(lambda x: g(x[None])[0]),
+                                                RIGHT: rowwise(lambda x: g(x[None])[0])})
     assert np.array_equal(vec.constrained_dofs, point.constrained_dofs)
     assert vec.constrained_values.tobytes() == point.constrained_values.tobytes()

@@ -11,6 +11,7 @@ from olmfsi.linalg import apply_dirichlet, solve_direct, condition_estimate, \
     SingularMatrixError, ConstraintConflictError, _factor
 from olmfsi.verification import build_manufactured_stokes, stokes_patch_setup
 
+from fixtures import constant, rowwise
 from oracles import (dense_stokes_single_mesh, error_norms_loop,
                      stokes_item_terms_loop)
 
@@ -30,10 +31,10 @@ def interpolate(space, u_fn, p_fn):
         act = vmap >= 0
         if not act.any():
             continue
-        vals = np.array([u_fn(v) for v in mesh.vertices[act]])
+        vals = u_fn(mesh.vertices[act])
         x[ubase + 2 * vmap[act]] = vals[:, 0]
         x[ubase + 2 * vmap[act] + 1] = vals[:, 1]
-        x[pbase + vmap[act]] = [p_fn(v) for v in mesh.vertices[act]]
+        x[pbase + vmap[act]] = p_fn(mesh.vertices[act])
     return x
 
 
@@ -55,7 +56,7 @@ def test_empty_front_reduces_to_single_mesh_assembler():
     assert space.n2 == 0 and space.n1 == bg.nv
 
     def f(p):
-        return np.array([1.0 + 2.0 * p[0] - p[1], -0.5 + p[1]])  # linear
+        return np.column_stack([1.0 + 2.0 * p[:, 0] - p[:, 1], -0.5 + p[:, 1]])  # linear
 
     prob = FluidProblem(viscosity=nu, body_force=f, delta=delta)
     sys = assemble(prob, space, topo)
@@ -70,8 +71,8 @@ def test_empty_front_reduces_to_single_mesh_assembler():
 def test_linear_shear_field_consistency():
     # u = (y, x) is divergence free with zero Laplacian; its interpolant
     # must satisfy the discrete equations exactly for any front position
-    u = lambda p: np.array([p[1], p[0]])
-    pr = lambda p: 0.0
+    u = lambda p: p[:, ::-1]
+    pr = constant(0.0)
     bg, fr, topo = patch_setup([(0.23, 0.31), (0.68, 0.77)])
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: u for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True, pin_value=0.0)
@@ -90,8 +91,8 @@ def test_patch_test_random_front_positions(seed):
     A[1, 1] = -A[0, 0]  # divergence free
     b = rng.standard_normal(2)
     c = float(rng.standard_normal())
-    u = lambda p: A @ p + b
-    pr = lambda p: c
+    u = lambda p: (A @ p[..., None])[..., 0] + b
+    pr = constant(c)
 
     x0, y0 = rng.uniform(0.05, 0.45, 2)
     w, h = rng.uniform(0.25, 0.45, 2)
@@ -121,7 +122,7 @@ def test_matrix_symmetry():
 
 def test_zero_data_zero_solution():
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.7, 0.7)])
-    zero = lambda p: np.zeros(2)
+    zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True)
     sol = solve_stokes(FluidProblem(viscosity=1.0), space, topo)
@@ -130,7 +131,7 @@ def test_zero_data_zero_solution():
 
 def test_unpinned_pure_dirichlet_is_singular():
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.7, 0.7)])
-    zero = lambda p: np.zeros(2)
+    zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
                            interface_g=None, pin_pressure=False)
     sys = assemble(FluidProblem(viscosity=1.0), space, topo)
@@ -144,13 +145,15 @@ def poiseuille_solution(L=1.0, H=0.5, nu=1.0, c=1.0):
     # u = (c y (H - y), 0), p = 2 nu c (L - x): satisfies the momentum
     # balance and the zero-traction outflow of the full-gradient form
     def u(p):
-        return np.array([c * p[1] * (H - p[1]), 0.0])
+        return np.column_stack([c * p[:, 1] * (H - p[:, 1]), np.zeros(len(p))])
 
     def grad_u(p):
-        return np.array([[0.0, c * (H - 2 * p[1])], [0.0, 0.0]])
+        g = np.zeros((len(p), 2, 2))
+        g[:, 0, 1] = c * (H - 2 * p[:, 1])
+        return g
 
     def pr(p):
-        return 2.0 * nu * c * (L - p[0])
+        return 2.0 * nu * c * (L - p[:, 0])
 
     return u, grad_u, pr
 
@@ -185,7 +188,7 @@ def cond_for_offset(offset_frac, use_ih=True, jh_extension=True, N=8):
     bg = build_rect_mesh(N, N, [(0, 0), (1, 1)])
     fr = build_rect_mesh(4, 4, [(0.25 + d, 0.25 + d), (0.75 + d, 0.75 + d)])
     topo = build_topology(bg, fr)
-    zero = lambda p: np.zeros(2)
+    zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, use_ih=use_ih, jh_extension=jh_extension)
@@ -210,8 +213,7 @@ def test_lu_fill_guard_on_patch_study_system():
     ms = build_manufactured_stokes(1.0)
     bg, fr = stokes_patch_setup(2)
     topo = build_topology(bg, fr)
-    g = lambda p: ms.u(p)[0]
-    space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: g for m in ALL_SIDES},
+    space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: ms.u for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, body_force=ms.f, gamma=10.0, delta=0.5)
     sys = apply_dirichlet(assemble(prob, space, topo))
@@ -227,8 +229,8 @@ def test_lu_fill_guard_on_patch_study_system():
 # -- solver invariances ----------------------------------------------------------------
 
 def test_solution_invariant_under_cell_permutation():
-    u = lambda p: np.array([np.sin(p[0]), -np.cos(p[1])])
-    f = lambda p: np.array([p[0] * p[1], 1.0 - p[0]])
+    u = lambda p: np.column_stack([np.sin(p[:, 0]), -np.cos(p[:, 1])])
+    f = lambda p: np.column_stack([p[:, 0] * p[:, 1], 1.0 - p[:, 0]])
     bg0 = build_rect_mesh(5, 5, [(0, 0), (1, 1)])
     rng = np.random.default_rng(0)
     perm = rng.permutation(bg0.nc)
@@ -250,10 +252,10 @@ def test_solution_invariant_under_cell_permutation():
 # -- error norms --------------------------------------------------------------------
 
 def test_error_norm_zero_for_interpolated_linear_field():
-    u = lambda p: np.array([0.3 * p[0] + 0.7 * p[1] - 0.2,
-                            -0.5 * p[0] - 0.3 * p[1] + 1.0])
-    gu = lambda p: np.array([[0.3, 0.7], [-0.5, -0.3]])
-    pr = lambda p: 0.25
+    u = lambda p: np.column_stack([0.3 * p[:, 0] + 0.7 * p[:, 1] - 0.2,
+                                   -0.5 * p[:, 0] - 0.3 * p[:, 1] + 1.0])
+    gu = constant([[0.3, 0.7], [-0.5, -0.3]])
+    pr = constant(0.25)
     bg, fr, topo = patch_setup([(0.22, 0.28), (0.69, 0.76)])
     space = CompositeSpace(bg, fr, topo, interface_g=None)
     x = interpolate(space, u, pr)
@@ -271,9 +273,9 @@ def test_error_norm_analytic_value():
     topo = build_topology(bg, fr)
     space = CompositeSpace(bg, fr, topo, interface_g=None)
     sol = FluidSolution(space, np.zeros(space.ndof), viscosity=1.0)
-    u = lambda p: np.array([p[1], 0.0])
-    gu = lambda p: np.array([[0.0, 1.0], [0.0, 0.0]])
-    pr = lambda p: 0.0
+    u = lambda p: np.column_stack([p[:, 1], np.zeros(len(p))])
+    gu = constant([[0.0, 1.0], [0.0, 0.0]])
+    pr = constant(0.0)
     eu, ep = error_norms(sol, u, gu, pr, topo)
     assert eu == pytest.approx(1.0, abs=1e-12)
     assert ep == pytest.approx(0.0, abs=1e-14)
@@ -282,10 +284,10 @@ def test_error_norm_analytic_value():
 def test_error_norm_against_refined_quadrature_oracle():
     # smooth field on an overlapping configuration: the physically-integrated
     # error must match re-integration on uniformly refined quadrature
-    u = lambda p: np.array([np.sin(p[0] + p[1]), np.cos(p[0])])
-    gu = lambda p: np.array([[np.cos(p[0] + p[1]), np.cos(p[0] + p[1])],
-                             [-np.sin(p[0]), 0.0]])
-    pr = lambda p: p[0] ** 2 - p[1]
+    u = lambda p: np.column_stack([np.sin(p[:, 0] + p[:, 1]), np.cos(p[:, 0])])
+    gu = lambda p: np.stack([np.cos(p[:, 0] + p[:, 1]), np.cos(p[:, 0] + p[:, 1]),
+                             -np.sin(p[:, 0]), np.zeros(len(p))], axis=-1).reshape(-1, 2, 2)
+    pr = lambda p: p[:, 0] ** 2 - p[:, 1]
     bg, fr, topo = patch_setup([(0.22, 0.28), (0.69, 0.76)])
     space = CompositeSpace(bg, fr, topo, interface_g=None)
     rng = np.random.default_rng(4)
@@ -331,13 +333,6 @@ def test_problem_validation():
 
 # -- batched kernels against their per-item references ----------------------------
 
-def _vectorized(fn):
-    def call(pts):
-        return fn(np.asarray(pts, float))
-    call.vectorized = True
-    return call
-
-
 def _grad_u(p):
     x, y = p[..., 0], p[..., 1]
     return np.stack([np.cos(x) * y, np.sin(y), x * x - y, -np.cos(x) * y],
@@ -380,7 +375,8 @@ def _overlap_case(fluid_tag=None, aligned=False, empty_cut=False):
         topo.cut_rules = CutRules(np.delete(r.points, drop, axis=0), np.delete(r.weights, drop),
                                   np.append(r.offsets[:2], r.offsets[2:] - len(drop)))
     space = CompositeSpace(bg, fr, topo, fluid_tag=fluid_tag,
-                           bg_dirichlet={LEFT: lambda p: np.array([p[1], 0.0])},
+                           bg_dirichlet={LEFT: lambda p: np.column_stack(
+                               [p[:, 1], np.zeros(len(p))])},
                            interface_g=None if fluid_tag is None else "zero",
                            pin_pressure=True)
     return topo, space
@@ -401,7 +397,7 @@ def test_batched_error_norms_match_per_cell_reference(case):
     if case.get("fluid_tag") is not None:
         assert len(space.fluid_cells) < space.front.nc
     sol = FluidSolution(space, np.random.default_rng(5).standard_normal(space.ndof))
-    gu, pr = (_grad_u, _pres) if pointwise else (_vectorized(_grad_u), _vectorized(_pres))
+    gu, pr = (rowwise(_grad_u), rowwise(_pres)) if pointwise else (_grad_u, _pres)
     args = (sol, None, gu, pr, topo, order, mean_shift)
     # same cells, same per-cell sums in the same order: equal to the last bit
     assert error_norms(*args) == error_norms_loop(*args)
@@ -412,7 +408,7 @@ def test_batched_error_norms_match_per_cell_reference(case):
 @pytest.mark.parametrize("jh_extension", [True, False])
 def test_batched_assembly_matches_per_item_reference(jh_extension, use_ih, force):
     topo, space = _overlap_case(fluid_tag=FLUID, empty_cut=True)
-    f = {None: None, "vectorized": _vectorized(_force), "pointwise": _force}[force]
+    f = {None: None, "vectorized": _force, "pointwise": rowwise(_force)}[force]
     prob = FluidProblem(viscosity=0.3, body_force=f, use_ih=use_ih,
                         jh_extension=jh_extension,
                         neumann=((0, RIGHT, _traction), (1, RIGHT, _traction),
@@ -433,10 +429,10 @@ def test_conflicting_background_markers_raise():
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.6, 0.55)])
     with pytest.raises(ConstraintConflictError, match="constrained to both 1.0 and 0.0"):
         CompositeSpace(bg, fr, topo, interface_g=None,
-                       bg_dirichlet={LEFT: lambda p: np.array([1.0, 0.0]),
-                                     BOTTOM: lambda p: np.zeros(2)})
+                       bg_dirichlet={LEFT: constant([1.0, 0.0]),
+                                     BOTTOM: constant([0.0, 0.0])})
     # equal values at the shared corner are consistent
-    zero = lambda p: np.zeros(2)
+    zero = constant(np.zeros(2))
     CompositeSpace(bg, fr, topo, interface_g=None, bg_dirichlet={LEFT: zero, BOTTOM: zero})
 
 
@@ -452,7 +448,7 @@ def test_vectorized_dirichlet_callbacks_match_pointwise_wrappers():
                               front_dirichlet={LEFT: g, TOP: g}, interface_g=g,
                               pin_pressure=True, pin_value=0.25)
 
-    vec, point = build(ms.u), build(lambda p: ms.u(p)[0])
+    vec, point = build(ms.u), build(rowwise(lambda p: ms.u(p)[0]))
     assert vec.dirichlet_dofs.dtype == np.int64
     assert np.array_equal(vec.dirichlet_dofs, point.dirichlet_dofs)
     assert vec.dirichlet_values.tobytes() == point.dirichlet_values.tobytes()

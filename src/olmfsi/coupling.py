@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, FLUID, SOLID, region_interface_vertices
+from .mesh import Mesh, FLUID, SOLID, region_interface_vertices, eval_field
 from .geometry import build_topology, tri_rule
 from .stokes import (CompositeSpace, FluidProblem, solve_stokes,
-                     FluidSolution, FRONT, QUAD_ORDER, _eval_vec)
+                     FluidSolution, FRONT, QUAD_ORDER)
 from .solid import (Material, SolidProblem, solve_newton, p1_mass_matrix,
                     InvertedElementError)
 from .motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
@@ -78,7 +78,7 @@ def traction_functional(solution, body_force, space, interface_nodes):
     terms = [-(A * (sig[:, None] @ G[..., None])[..., 0])]      # (c, a, i)
     if body_force is not None:
         lam_q, w_q = tri_rule(2)
-        fv = _eval_vec(body_force, lam_q @ front.cell_points[cells])
+        fv = eval_field(body_force, lam_q @ front.cell_points[cells], (2,))
         fv = fv.reshape(len(cells), -1, 2)
         terms.append(A * np.einsum("q,qa,cqi->cai", w_q, lam_q, fv))
     # stress, then body term, cell after cell: every node sums its one-ring
@@ -148,20 +148,10 @@ class FsiState:
     solid_newton_iters: list = field(default_factory=list)
 
 
-def combined_displacement(front_ref, us, um):
-    """Per-vertex composite displacement: solid values on solid vertices,
-    mesh-motion values elsewhere (they agree at the interface)."""
-    disp = np.array(um, float, copy=True)
-    solid_verts = np.unique(front_ref.cells[front_ref.region_tags == SOLID])
-    disp[solid_verts] = us[solid_verts]
-    return disp
-
-
-def fsi_outer_iteration(problem, us, um, load_scale=1.0):
-    """One pass of the fixed-point loop body; returns the raw solid update
-    and the solved fluid state on the current configuration."""
-    front = deform_mesh(problem.front_ref,
-                        combined_displacement(problem.front_ref, us, um))
+def fsi_outer_iteration(problem, front, iface, us, load_scale=1.0):
+    """One pass of the fixed-point loop body on the deformed front mesh;
+    returns the raw solid update (warm-started at us) and the solved fluid
+    state on the current configuration."""
     topo = build_topology(problem.background, front,
                           order=QUAD_ORDER, fluid_tag=FLUID)
     space = CompositeSpace(problem.background, front, topo, fluid_tag=FLUID,
@@ -170,7 +160,6 @@ def fsi_outer_iteration(problem, us, um, load_scale=1.0):
                            interface_g="zero")
     sol = solve_stokes(problem.fluid, space, topo)
 
-    iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
     load = np.zeros((problem.front_ref.nv, 2))
     load[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
     if problem.solid_extra_load is not None:
@@ -184,7 +173,7 @@ def fsi_outer_iteration(problem, us, um, load_scale=1.0):
                          dirichlet_nodes=problem.solid_dirichlet_nodes or (),
                          interface_load=load)
     ssol = _solve_solid(solid, us)
-    return ssol, sol, front, topo, space, iface
+    return ssol, sol, topo, space
 
 
 def _scaled(fn, s):
@@ -214,9 +203,8 @@ def _solve_solid(solid, warm_start):
         pass
     u = warm_start
     s_done = 0.0
-    targets = [1.0]
+    targets = [1.0, 0.5]         # the full load has just failed from u
     total_iters = 0
-    sol = None
     while targets:
         s = targets[-1]
         try:
@@ -239,12 +227,18 @@ def fsi_fixed_point(problem, config=None, log_path=None):
 
     Starts from zero displacements, rebuilds the overlap geometry on every
     pass and stops when the relative L2 increment of the solid displacement
-    drops below config.tol.
+    drops below config.tol.  The interface vertices, the solid vertices and
+    the factored mesh-motion operator are set up once per run.  The
+    iteration log gets the completed iterations also when the run fails.
     """
     config = config or FsiConfig()
     mesh = problem.front_ref
     solid_cells = mesh.region_cells(SOLID)
     mass = p1_mass_matrix(mesh, solid_cells)
+    solid_verts = np.unique(mesh.cells[solid_cells])
+    iface = region_interface_vertices(mesh, FLUID, SOLID)
+    motion = MeshMotionProblem(mesh, iface, FLUID,
+                               *(problem.motion_extra_dirichlet or ()))
 
     def mnorm(fld):
         return float(np.sqrt(sum(col @ (mass @ col) for col in fld.T)))
@@ -255,49 +249,43 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     r_prev = None
     omegas, increments, newton_iters = [], [], []
     log_rows = []
-    state = None
 
-    for k in range(1, config.max_outer + 1):
-        alpha = 1.0 if config.load_ramp == 0 else min(1.0, k / config.load_ramp)
-        ssol, fluid_sol, front, topo, space, iface = fsi_outer_iteration(
-            problem, us, um, load_scale=alpha)
-        newton_iters.append(ssol.iterations)
-        r = (ssol.displacement - us).ravel()
-        if config.use_aitken and r_prev is not None:
-            omega = aitken_update(omega, r_prev, r, config.omega_max)
-        elif not config.use_aitken:
-            omega = 1.0
-        us_new = us + omega * r.reshape(-1, 2)
-        omegas.append(omega)
+    try:
+        for k in range(1, config.max_outer + 1):
+            alpha = 1.0 if config.load_ramp == 0 else min(1.0, k / config.load_ramp)
+            disp = um.copy()             # mesh motion, solid values on the solid
+            disp[solid_verts] = us[solid_verts]
+            front = deform_mesh(mesh, disp)
+            ssol, fluid_sol, topo, space = fsi_outer_iteration(
+                problem, front, iface, us, load_scale=alpha)
+            newton_iters.append(ssol.iterations)
+            r = (ssol.displacement - us).ravel()
+            if config.use_aitken and r_prev is not None:
+                omega = aitken_update(omega, r_prev, r, config.omega_max)
+            elif not config.use_aitken:
+                omega = 1.0
+            us_new = us + omega * r.reshape(-1, 2)
+            omegas.append(omega)
 
-        inc = us_new - us
-        denom = mnorm(us_new)
-        rel = 0.0 if denom <= 1e-300 else mnorm(inc) / denom
-        increments.append(rel)
+            inc = us_new - us
+            denom = mnorm(us_new)
+            rel = 0.0 if denom <= 1e-300 else mnorm(inc) / denom
+            increments.append(rel)
 
-        extra_nodes, extra_vals = problem.motion_extra_dirichlet or (None, None)
-        motion = MeshMotionProblem(mesh, iface, us_new[iface],
-                                   region_tag=FLUID,
-                                   extra_nodes=extra_nodes,
-                                   extra_values=extra_vals)
-        um = solve_mesh_motion(motion)
-        r_prev = r
-        us = us_new
-        log_rows.append((k, omega, rel, space.ndof, len(topo.class_partial)))
+            um = solve_mesh_motion(motion, us_new[iface])
+            r_prev = r
+            us = us_new
+            log_rows.append((k, omega, rel, space.ndof, len(topo.class_partial)))
 
-        state = FsiState(us, um, fluid_sol, omegas, increments, k,
-                         front_current=front, topo=topo, space=space,
-                         solid_newton_iters=newton_iters)
-        if rel <= config.tol and alpha >= 1.0:
-            break
-    else:
-        _write_log(log_path, log_rows)
+            if rel <= config.tol and alpha >= 1.0:
+                return FsiState(us, um, fluid_sol, omegas, increments, k,
+                                front_current=front, topo=topo, space=space,
+                                solid_newton_iters=newton_iters)
         raise FixedPointError(
             f"fixed point did not converge in {config.max_outer} iterations "
             f"(last relative increment {increments[-1]:.3e})", increments)
-
-    _write_log(log_path, log_rows)
-    return state
+    finally:
+        _write_log(log_path, log_rows)
 
 
 def _write_log(log_path, rows):
@@ -308,5 +296,4 @@ def _write_log(log_path, rows):
         w = csv.writer(f)
         if new:
             w.writerow(["k", "omega", "increment", "fluid_dofs", "cut_cells"])
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)

@@ -138,11 +138,6 @@ def fan_triangles(verts, count):
 CLIP_CHUNK = 4096
 
 
-def polygon_area(poly):
-    poly = np.asarray(poly, float)
-    return float(_areas(poly[None], np.array([len(poly)]))[0])
-
-
 def _areas(pts, cnt):
     """Areas of padded polygons: the first cnt[i] vertices of pts[i]."""
     area = np.zeros(len(cnt))

@@ -125,13 +125,10 @@ def apply_dirichlet(system, dofs=None, values=None):
     if not system.constraints:
         return system._from_csr(system.matrix(), system.rhs.copy(), {})
 
-    cdofs = np.fromiter(system.constraints.keys(), dtype=np.int64)
-    cvals = np.fromiter(system.constraints.values(), dtype=float)
+    cdofs, cvals = _constraint_arrays(system)
     A = system.matrix()
     n = system.n
-    x0 = np.zeros(n)
-    x0[cdofs] = cvals
-    rhs = system.rhs - A @ x0
+    rhs = dirichlet_lift(A, system.rhs, cdofs, cvals)
 
     mask = np.zeros(n, dtype=bool)
     mask[cdofs] = True
@@ -142,8 +139,24 @@ def apply_dirichlet(system, dofs=None, values=None):
     A.eliminate_zeros()
     A = A + sp.csr_matrix((np.ones(len(cdofs)), (cdofs, cdofs)), shape=(n, n))
     A.sort_indices()
-    rhs[cdofs] = cvals
     return system._from_csr(A, rhs, system.constraints)
+
+
+def _constraint_arrays(system):
+    c = system.constraints
+    return (np.fromiter(c.keys(), dtype=np.int64, count=len(c)),
+            np.fromiter(c.values(), dtype=float, count=len(c)))
+
+
+def dirichlet_lift(A, rhs, cdofs, cvals):
+    """Right-hand side of the eliminated system for the unconstrained
+    operator A: the prescribed values move to the right of the free
+    equations and stand in the constrained rows."""
+    x0 = np.zeros(A.shape[0])
+    x0[cdofs] = cvals
+    out = rhs - A @ x0
+    out[cdofs] = cvals
+    return out
 
 
 def _factor(A):
@@ -166,36 +179,45 @@ def _factor(A):
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
 
+class DirectSolver:
+    """Sparse LU of a square matrix, checked once when it is factored and
+    on every solve, so one factorization can serve many right-hand sides."""
+
+    def __init__(self, A):
+        # structural deficiency: name the first empty row
+        empty = np.flatnonzero(np.diff(A.indptr) == 0)
+        if len(empty):
+            raise SingularMatrixError(
+                f"structurally singular: zero pivot at dof {int(empty[0])} (empty row)")
+        self._A = A
+        self._lu = _factor(A)
+        diag = np.abs(self._lu.U.diagonal())
+        if diag.min() <= 1e-13 * diag.max():
+            raise SingularMatrixError(
+                f"numerically singular: zero pivot at factor position "
+                f"{int(np.argmin(diag))}")
+        self._norm_a = abs(A).sum(axis=1).max() if A.nnz else 0.0
+
+    def solve(self, rhs, cdofs, cvals):
+        """Solution for rhs; the constrained entries cdofs reproduce their
+        values cvals exactly."""
+        x = self._lu.solve(rhs)
+        if not np.isfinite(x).all():
+            raise SingularMatrixError("solve produced non-finite values (zero pivot)")
+        x[cdofs] = cvals
+        resid = np.linalg.norm(self._A @ x - rhs)
+        bound = 1e-10 * (self._norm_a * np.linalg.norm(x) + np.linalg.norm(rhs))
+        if resid > max(bound, 1e-300) and resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
+            raise SingularMatrixError(
+                f"large solve residual {resid:.3e} (near-singular matrix)")
+        return x
+
+
 def solve_direct(system):
     """Direct sparse LU solve; constrained entries reproduce their values exactly."""
-    A = system.matrix()
-    n = system.n
-    if n == 0:
+    if system.n == 0:
         return np.zeros(0)
-    # structural deficiency: name the first empty row
-    empty = np.flatnonzero(np.diff(A.indptr) == 0)
-    if len(empty):
-        raise SingularMatrixError(
-            f"structurally singular: zero pivot at dof {int(empty[0])} (empty row)")
-    lu = _factor(A)
-    diag = np.abs(lu.U.diagonal())
-    if diag.min() <= 1e-13 * diag.max():
-        raise SingularMatrixError(
-            f"numerically singular: zero pivot at factor position "
-            f"{int(np.argmin(diag))}")
-    x = lu.solve(system.rhs)
-    if not np.isfinite(x).all():
-        raise SingularMatrixError("solve produced non-finite values (zero pivot)")
-    if system.constraints:
-        cdofs = np.fromiter(system.constraints.keys(), dtype=np.int64)
-        x[cdofs] = np.fromiter(system.constraints.values(), dtype=float)
-    norm_a = abs(A).sum(axis=1).max() if A.nnz else 0.0
-    resid = np.linalg.norm(A @ x - system.rhs)
-    bound = 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(system.rhs))
-    if resid > max(bound, 1e-300) and resid > 1e-8 * max(np.linalg.norm(system.rhs), 1.0):
-        raise SingularMatrixError(
-            f"large solve residual {resid:.3e} (near-singular matrix)")
-    return x
+    return DirectSolver(system.matrix()).solve(system.rhs, *_constraint_arrays(system))
 
 
 def _power_norm(matvec, n, seed):

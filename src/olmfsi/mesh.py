@@ -341,17 +341,19 @@ def barycentric(mesh, cell, pts):
     return lam / (2.0 * np.asarray(mesh.cell_areas[cell]))[..., None, None]
 
 
-def eval_field(fn, pts):
+def eval_field(fn, pts, shape):
     """Evaluate a field callback at (n, 2) points.
 
     Every field callback (Dirichlet data, body force, exact solution, solid
-    edge traction) takes the whole point array and returns one row per point.
+    edge traction) takes the whole point array and returns one row per point;
+    ``shape`` is the shape of a row: () for scalar, (2,) for vector and
+    (2, 2) for matrix data.
     """
     pts = np.asarray(pts, float).reshape(-1, 2)
     out = np.asarray(fn(pts), float)
-    if out.shape[:1] != (len(pts),):
-        raise ValueError(f"field callback returned shape {out.shape} for "
-                         f"{len(pts)} points; it must return one row per point")
+    if out.shape != (len(pts), *shape):
+        raise ValueError(f"field callback returned shape {out.shape} for {len(pts)} "
+                         f"points; it must return one row per point of shape {shape}")
     return out
 
 

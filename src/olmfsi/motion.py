@@ -2,17 +2,22 @@
 
 The interface displacement is extended into the surrounding fluid mesh by
 solving a linear elasticity problem with Dirichlet data at the interface
-nodes and zero traction everywhere else; the outer boundary floats.
+nodes and zero traction everywhere else; the outer boundary floats.  The
+operator and its constrained nodes do not change between outer iterations,
+so it is assembled, eliminated and factored once per fixed-point run; each
+solve lifts the new interface values into a right-hand side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh
-from .solid import Material, SolidProblem, solve_newton, LINEAR
+from .linalg import DirectSolver, apply_dirichlet, dirichlet_lift
+from .solid import Material, SolidProblem, assemble_solid, LINEAR
+from .solid import solve_newton  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 
 class MeshTangleError(RuntimeError):
@@ -21,55 +26,52 @@ class MeshTangleError(RuntimeError):
 
 @dataclass
 class MeshMotionProblem:
-    """Extension of given interface displacements into a mesh region.
+    """Extension of interface displacements into a mesh region, factored
+    once for all interface values.
 
-    The outer boundary is traction free by default; ``extra_nodes`` can pin
-    additional vertices (e.g. to keep a channel inlet plane in place) and
-    lose against interface data at shared nodes.  The pseudo-material is
-    homogeneous linear elasticity with mu = lam = 1; stiffening small cells
-    (scaling the local parameters by 1/|T|) is a known extension if severe
-    distortions ever require it.
+    The outer boundary is traction free; ``extra_nodes`` can pin additional
+    vertices to ``extra_values`` (e.g. to keep a channel inlet plane in
+    place) and lose against interface data at shared nodes.  The
+    pseudo-material is homogeneous linear elasticity with mu = lam = 1;
+    stiffening small cells (scaling the local parameters by 1/|T|) is a
+    known extension if severe distortions ever require it.
     """
     mesh: Mesh
     interface_nodes: np.ndarray
-    interface_values: np.ndarray        # (k, 2)
     region_tag: int | None = None
-    extra_nodes: np.ndarray = None
-    extra_values: np.ndarray = None
+    extra_nodes: np.ndarray = ()
+    extra_values: np.ndarray = ()
 
     def __post_init__(self):
         self.interface_nodes = np.asarray(self.interface_nodes, dtype=np.int64)
-        self.interface_values = np.asarray(self.interface_values, float).reshape(-1, 2)
         if len(self.interface_nodes) == 0:
             raise ValueError("mesh motion requires Dirichlet interface nodes")
-        if len(self.interface_nodes) != len(self.interface_values):
-            raise ValueError("interface nodes/values length mismatch")
-        if self.extra_nodes is None:
-            self.extra_nodes = np.zeros(0, dtype=np.int64)
-            self.extra_values = np.zeros((0, 2))
-        else:
-            self.extra_nodes = np.asarray(self.extra_nodes, dtype=np.int64)
-            self.extra_values = np.asarray(self.extra_values, float).reshape(-1, 2)
+        self.extra_nodes = np.asarray(self.extra_nodes, dtype=np.int64)
+        self.extra_values = np.asarray(self.extra_values, float).reshape(-1, 2)
+        nodes = np.union1d(self.interface_nodes, self.extra_nodes)
+        self._elasticity = SolidProblem(
+            self.mesh, Material(LINEAR, 1.0, 1.0), self.region_tag,
+            dirichlet_nodes=(nodes, np.zeros((len(nodes), 2))))
+        cdofs = self._elasticity.constrained_dofs
+        _, K = assemble_solid(self._elasticity, np.zeros(self._elasticity.ndof))
+        self._solver = DirectSolver(apply_dirichlet(K, cdofs).matrix())
+        self._operator = K.matrix()
 
 
-def solve_mesh_motion(problem):
+def solve_mesh_motion(problem, interface_values):
     """Nodal mesh displacement, exactly matching the data at interface nodes."""
-    keep = ~np.isin(problem.extra_nodes, problem.interface_nodes)
-    nodes = np.concatenate([problem.interface_nodes, problem.extra_nodes[keep]])
-    values = np.vstack([problem.interface_values, problem.extra_values[keep]])
-    solid = SolidProblem(
-        mesh=problem.mesh,
-        material=Material(LINEAR, 1.0, 1.0),
-        region_tag=problem.region_tag,
-        dirichlet_nodes=(nodes, values),
-    )
-    # linear problem: one Newton update reaches machine precision; the
-    # absolute floor keeps near-zero data (nearly rigid couplings) converging
-    scale = float(np.abs(values).max()) if len(values) else 0.0
-    sol = solve_newton(solid, tol=1e-15 * (1.0 + scale), rtol=1e-8, maxit=3)
-    u = sol.displacement
-    # nodal Dirichlet data is reproduced exactly
-    u[nodes] = values
+    values = np.asarray(interface_values, float).reshape(-1, 2)
+    if len(values) != len(problem.interface_nodes):
+        raise ValueError("interface nodes/values length mismatch")
+    elasticity = problem._elasticity
+    data = np.zeros((problem.mesh.nv, 2))
+    data[problem.extra_nodes] = problem.extra_values
+    data[problem.interface_nodes] = values          # interface data wins
+    cdofs = elasticity.constrained_dofs
+    cvals = elasticity.gather(data)[cdofs]
+    rhs = dirichlet_lift(problem._operator, np.zeros(elasticity.ndof), cdofs, cvals)
+    u = elasticity.scatter(problem._solver.solve(rhs, cdofs, cvals))
+    u[problem.interface_nodes] = values
     return u
 
 

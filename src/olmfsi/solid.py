@@ -146,7 +146,7 @@ class SolidProblem:
         for m, g in self.dirichlet.items():
             verts = np.unique(ij[np.array([k == m for k in kinds], dtype=bool)])
             dofs.append((2 * self.vmap[verts][:, None] + np.arange(2)).ravel())
-            vals.append(eval_field(g, self.mesh.vertices[verts]).ravel())
+            vals.append(eval_field(g, self.mesh.vertices[verts], (2,)).ravel())
         if self.dirichlet_nodes:
             nodes, values = self.dirichlet_nodes
             nodes = np.asarray(nodes, dtype=np.int64)
@@ -214,7 +214,7 @@ def assemble_solid(problem, u_current):
     # external loads enter the residual with a minus sign
     if problem.body_force is not None:
         lam, w = tri_rule(QUAD_ORDER)
-        fv = eval_field(problem.body_force, lam @ mesh.cell_points[cells])
+        fv = eval_field(problem.body_force, lam @ mesh.cell_points[cells], (2,))
         fv = fv.reshape(nc, len(w), 2)
         np.add.at(R, dofs, -(A * np.einsum("q,qa,cqi->cai", w, lam, fv)))
 
@@ -224,7 +224,7 @@ def assemble_solid(problem, u_current):
             a, b = mesh.vertices[i], mesh.vertices[j]
             length = np.hypot(*(b - a))
             pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-            tv = eval_field(t, pts)
+            tv = eval_field(t, pts, (2,))
             lam = np.column_stack([1.0 - xs, xs])
             for vloc, v in enumerate((i, j)):
                 for c in range(2):
@@ -269,9 +269,7 @@ def solve_newton(problem, tol=1e-10, maxit=25, rtol=0.0, u0=None):
         if updates >= maxit:
             break
         K.rhs = -R
-        K.set_dirichlet(problem.constrained_dofs,
-                        np.zeros(len(problem.constrained_dofs)))
-        delta = solve_direct(apply_dirichlet(K))
+        delta = solve_direct(apply_dirichlet(K, problem.constrained_dofs))
         U = U + delta
         updates += 1
     raise NewtonError(
@@ -291,15 +289,6 @@ def p1_mass_matrix(mesh, cells=None):
                          shape=(mesh.nv, mesh.nv)).tocsr()
 
 
-def l2_norm(mesh, cells, field_nodal):
-    """L2 norm of a nodal vector field over the given cells."""
-    M = p1_mass_matrix(mesh, cells)
-    field_nodal = np.asarray(field_nodal, float)
-    if field_nodal.ndim == 1:
-        field_nodal = field_nodal[:, None]
-    return float(np.sqrt(sum(col @ (M @ col) for col in field_nodal.T)))
-
-
 def _cell_sum(mesh, cells, w, sq):
     """sqrt of sum_c |T_c| sum_q w_q sq[c, q].  The cells are summed one
     after the other (a running sum, where np.sum would pair them up), so the
@@ -315,7 +304,7 @@ def h1_seminorm_error(mesh, cells, field_nodal, exact_grad, order=4):
     pts = lam @ mesh.cell_points[cells]
     gradu = np.einsum("cai,caj->cij", field_nodal[mesh.cells[cells]],
                       mesh.p1_grads[cells])
-    diff = gradu[:, None] - eval_field(exact_grad, pts).reshape(*pts.shape, 2)
+    diff = gradu[:, None] - eval_field(exact_grad, pts, (2, 2)).reshape(*pts.shape, 2)
     return _cell_sum(mesh, cells, w, np.einsum("cqij,cqij->cq", diff, diff))
 
 
@@ -324,7 +313,7 @@ def l2_error(mesh, cells, field_nodal, exact, order=4):
     cells = np.asarray(cells, dtype=np.int64)
     lam, w = tri_rule(order)
     pts = lam @ mesh.cell_points[cells]
-    diff = lam @ field_nodal[mesh.cells[cells]] - eval_field(exact, pts).reshape(pts.shape)
+    diff = lam @ field_nodal[mesh.cells[cells]] - eval_field(exact, pts, (2,)).reshape(pts.shape)
     return _cell_sum(mesh, cells, w, np.einsum("cqi,cqi->cq", diff, diff))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (SOLID, region_interface_vertices, barycentric as _bary,
-                   eval_field as _eval_vec)
+                   eval_field)
 from .geometry import (
     tri_rule,
     seg_rule,
@@ -93,7 +93,7 @@ class CompositeSpace:
             verts = verts[vmap[verts] >= 0]
             dofs.append((base + 2 * vmap[verts][:, None] + np.arange(2)).ravel())
             vals.append(np.zeros(2 * len(verts)) if g is None
-                        else _eval_vec(g, mesh.vertices[verts]).ravel())
+                        else eval_field(g, mesh.vertices[verts], (2,)).ravel())
 
         for mesh, vmap, base, spec in (
                 (self.background, self.bg_vmap, 0, bg_dirichlet),
@@ -180,7 +180,7 @@ def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu,
     if f is not None:
         lam, w = tri_rule(order)
         pts = np.einsum("qa,cax->cqx", lam, mesh.cell_points[cells])
-        fv = _eval_vec(f, pts.reshape(-1, 2)).reshape(len(cells), -1, 2)
+        fv = eval_field(f, pts, (2,)).reshape(len(cells), -1, 2)
         # (f, v)
         rv = np.einsum("q,qa,cqi->cai", w, lam, fv) * A[:, None, None]
         sys.add_rhs(udof.ravel(), rv.ravel())
@@ -221,7 +221,7 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu, delta,
 
     if f is None:
         return
-    fv = _eval_vec(f, pts).reshape(-1, 2) if len(pts) else None
+    fv = eval_field(f, pts, (2,)) if len(pts) else None
     rv = np.zeros((len(cells), 3, 2))
     rq = np.zeros((len(cells), 3))
     for rows, idx in groups:
@@ -232,7 +232,7 @@ def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu, delta,
     # rhs stabilization matches the j-term region
     if jh_extension:
         full = triangle_rule(mesh.cell_points[cells], order)
-        fv = _eval_vec(f, full.points).reshape(len(cells), -1, 2)
+        fv = eval_field(f, full.points, (2,)).reshape(len(cells), -1, 2)
         rq = np.einsum("cq,cqi,cai->ca", full.weights, fv, g)
     has |= jh_extension
     sys.add_rhs(pdof[has].ravel(), ((-delta * h2)[:, None] * rq)[has].ravel())
@@ -421,8 +421,8 @@ def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
 
     def fields(pts):
         shape = pts.shape[:-1]
-        return (_eval_vec(exact_grad_u, pts).reshape(*shape, 2, 2),
-                _eval_vec(exact_p, pts).reshape(shape))
+        return (eval_field(exact_grad_u, pts, (2, 2)).reshape(*shape, 2, 2),
+                eval_field(exact_p, pts, ()).reshape(shape))
 
     def sums(side, cells, pts, w, ge, pe):
         """Per-cell (grad err^2, p err^2, p err, weight) sums of rules with

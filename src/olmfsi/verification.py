@@ -216,7 +216,7 @@ def interface_load_vector(mesh, traction_fn):
         a, b = mesh.vertices[i], mesh.vertices[j]
         length = np.hypot(*(b - a))
         pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-        tv = eval_field(traction_fn, pts)
+        tv = eval_field(traction_fn, pts, (2,))
         lam = np.column_stack([1.0 - xs, xs])
         for vloc, v in enumerate((i, j)):
             load[v] += length * np.einsum("q,q,qi->i", ws, lam[:, vloc], tv)

@@ -1,4 +1,4 @@
-"""Meshes and field callbacks that tests build; the package needs none of them.
+"""Meshes, field callbacks and norms that tests use; the package needs none of them.
 
 Field callbacks follow ``mesh.eval_field``: one call with an (n, 2) point
 array, one result row per point.
@@ -6,7 +6,9 @@ array, one result row per point.
 
 import numpy as np
 
+from olmfsi.geometry import _areas
 from olmfsi.mesh import Mesh
+from olmfsi.solid import p1_mass_matrix
 
 
 def constant(value):
@@ -55,3 +57,18 @@ def refine_uniform(mesh):
     vertices = np.vstack([mesh.vertices, np.array(extra).reshape(-1, 2)])
     return Mesh(vertices, np.array(cells), np.array(edges) if edges else None,
                 np.array(markers) if markers else None, np.array(tags))
+
+
+def polygon_area(poly):
+    """Area of one polygon by the package's batched polygon-area kernel."""
+    poly = np.asarray(poly, float)
+    return float(_areas(poly[None], np.array([len(poly)]))[0])
+
+
+def l2_norm(mesh, cells, field_nodal):
+    """L2 norm of a nodal vector field over the given cells."""
+    M = p1_mass_matrix(mesh, cells)
+    field_nodal = np.asarray(field_nodal, float)
+    if field_nodal.ndim == 1:
+        field_nodal = field_nodal[:, None]
+    return float(np.sqrt(sum(col @ (M @ col) for col in field_nodal.T)))

@@ -592,7 +592,7 @@ def assemble_solid_loop(problem, u_current):
         for cell in problem.cells:
             cell = int(cell)
             pts = lam @ mesh.cell_points[cell]
-            fv = eval_field(problem.body_force, pts)
+            fv = eval_field(problem.body_force, pts, (2,))
             conn = mesh.cells[cell]
             slots = problem.vmap[conn]
             A = mesh.cell_areas[cell]
@@ -606,7 +606,7 @@ def assemble_solid_loop(problem, u_current):
             a, b = mesh.vertices[i], mesh.vertices[j]
             length = np.hypot(*(b - a))
             pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-            tv = eval_field(t, pts)
+            tv = eval_field(t, pts, (2,))
             lam = np.column_stack([1.0 - xs, xs])
             for vloc, v in enumerate((i, j)):
                 for c in range(2):
@@ -652,7 +652,7 @@ def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
 
     if f is not None:
         if len(rule.points):
-            fv = eval_field(f, rule.points)
+            fv = eval_field(f, rule.points, (2,))
             rv = np.einsum("q,qa,qi->ai", rule.weights, lam, fv)
             sys.add_rhs(udof.ravel(), rv.ravel())
         # rhs stabilization matches the j-term region
@@ -662,7 +662,7 @@ def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
         else:
             fpts, fw = rule.points, rule.weights
         if len(fpts):
-            fv = eval_field(f, fpts)
+            fv = eval_field(f, fpts, (2,))
             rq = -delta * h2 * np.einsum("q,qi,ai->a", fw, fv, g)
             sys.add_rhs(pdof, rq)
 
@@ -809,8 +809,8 @@ def error_norms_loop(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
         gradu = np.einsum("ai,aj->ij", u_nodal[conn], g)
         lam = barycentric(mesh, cell, rule.points)
         ph = lam @ p_nodal[conn]
-        ge = eval_field(exact_grad_u, rule.points)
-        pe = eval_field(exact_p, rule.points).reshape(-1)
+        ge = eval_field(exact_grad_u, rule.points, (2, 2))
+        pe = eval_field(exact_p, rule.points, ())
         diff = gradu[None, :, :] - ge
         acc[0] += np.sum(rule.weights * np.einsum("qij,qij->q", diff, diff))
         dp = ph - pe
@@ -910,7 +910,7 @@ def dense_stokes_single_mesh(mesh, nu, delta, f=None):
             # production rule on purpose; equal for polynomial data)
             mids = [(tri[0] + tri[1]) / 2, (tri[1] + tri[2]) / 2,
                     (tri[2] + tri[0]) / 2]
-            vals = eval_field(f, np.array(mids))
+            vals = eval_field(f, np.array(mids), (2,))
             lam_at_mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
                                    [0.5, 0.0, 0.5]])
             for a in range(3):
@@ -1088,7 +1088,7 @@ def traction_functional_loop(solution, body_force, space, interface_nodes):
             val -= a * (sig @ gv)
             if body_force is not None:
                 pts = lam_q @ front.cell_points[c]
-                fv = eval_field(body_force, pts)
+                fv = eval_field(body_force, pts, (2,))
                 val += a * np.einsum("q,q,qi->i", w_q, lam_q[:, local], fv)
         out[idx] = val
     return out

@@ -1,19 +1,34 @@
 import numpy as np
 import pytest
 
+from olmfsi import coupling, motion
 from olmfsi.mesh import (Mesh, build_rect_mesh, FLUID, SOLID,
-                         LEFT, RIGHT, BOTTOM, TOP)
+                         LEFT, RIGHT, BOTTOM, TOP, region_interface_vertices)
 from olmfsi.geometry import build_topology
 from olmfsi.stokes import CompositeSpace, FluidProblem, solve_stokes, BG, FRONT
 from olmfsi.coupling import (aitken_update, traction_functional,
                              TractionMappingError, FsiConfig,
                              fsi_fixed_point, fsi_outer_iteration,
                              FixedPointError)
-from olmfsi.solid import l2_norm
-from fixtures import constant, rowwise, translated
+from olmfsi.motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
+from olmfsi.solid import (Material, SolidProblem, assemble_solid, solve_newton,
+                          InvertedElementError, NewtonError)
+from fixtures import constant, rowwise, translated, l2_norm
 from oracles import traction_functional_loop
 from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
-                                 flap_problem)
+                                 flap_problem, flap2d)
+
+
+def outer_pass(problem, us, um):
+    """fsi_outer_iteration at the composite configuration of (us, um)."""
+    mesh = problem.front_ref
+    solid_verts = np.unique(mesh.cells[mesh.region_tags == SOLID])
+    iface = region_interface_vertices(mesh, FLUID, SOLID)
+    disp = um.copy()
+    disp[solid_verts] = us[solid_verts]
+    front = deform_mesh(mesh, disp)
+    ssol, sol, topo, space = fsi_outer_iteration(problem, front, iface, us)
+    return ssol, sol, front, topo, space, iface
 
 
 # -- Aitken relaxation --------------------------------------------------------
@@ -119,7 +134,7 @@ def test_traction_matches_per_node_loop(case):
     problem = (flap_problem(arg, res=1) if kind == "flap"
                else manufactured_fsi_problem(mf, arg))
     zero = np.zeros((problem.front_ref.nv, 2))
-    _, sol, _, topo, space, iface = fsi_outer_iteration(problem, zero, zero)
+    _, sol, _, topo, space, iface = outer_pass(problem, zero, zero)
     for force in (None, mf.f, rowwise(lambda p: mf.f(p)[0])):
         new = traction_functional(sol, force, space, iface)
         ref = traction_functional_loop(sol, force, space, iface)
@@ -235,9 +250,8 @@ def test_fixed_point_manufactured_converges_and_is_idempotent():
     assert all(0.05 <= w <= config.omega_max for w in state.omegas)
 
     # one more full outer pass changes the displacement by less than TOL
-    ssol, _, _, _, _, _ = fsi_outer_iteration(problem,
-                                              state.solid_displacement,
-                                              state.mesh_displacement)
+    ssol, _, _, _, _, _ = outer_pass(problem, state.solid_displacement,
+                                     state.mesh_displacement)
     mesh = problem.front_ref
     cells = mesh.region_cells(SOLID)
     rel = l2_norm(mesh, cells, ssol.displacement - state.solid_displacement) \
@@ -289,6 +303,85 @@ def test_iteration_log_written(tmp_path):
     assert len(lines) == 2
 
 
+def test_failed_run_keeps_its_iteration_log(tmp_path):
+    # the soft flap's solid Newton fails in outer iteration 4; the three
+    # completed iterations stay in the log
+    with pytest.raises(NewtonError):
+        flap2d(0.0, res=1, E_s=7.5, out_dir=str(tmp_path))
+    lines = (tmp_path / "iterations.csv").read_text().strip().splitlines()
+    assert lines[0] == "k,omega,increment,fluid_dofs,cut_cells"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+
+def test_mesh_motion_factored_once_per_run(monkeypatch):
+    # one assembly and one factorization of the motion operator serve every
+    # outer iteration; no motion solve goes through Newton
+    counts = dict.fromkeys(("assemble", "factor", "newton", "solve"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(motion, "assemble_solid", counting("assemble", motion.assemble_solid))
+    monkeypatch.setattr(motion, "DirectSolver", counting("factor", motion.DirectSolver))
+    monkeypatch.setattr(motion, "solve_newton", counting("newton", motion.solve_newton))
+    monkeypatch.setattr(coupling, "solve_mesh_motion",
+                        counting("solve", coupling.solve_mesh_motion))
+    problem = manufactured_fsi_problem(build_manufactured(), 0)
+    state = fsi_fixed_point(problem)
+    assert state.iterations >= 3
+    assert counts == {"assemble": 1, "factor": 1, "newton": 0,
+                      "solve": state.iterations}
+    iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
+    assert np.array_equal(state.mesh_displacement[iface],
+                          state.solid_displacement[iface])
+
+
+def column_under_top_load(force):
+    """A 1 x 2 column clamped at the bottom and pressed down at the top."""
+    mesh = build_rect_mesh(2, 4, [(0, 0), (1, 2)])
+    top = np.flatnonzero(np.isclose(mesh.vertices[:, 1], 2.0))
+    load = np.zeros((mesh.nv, 2))
+    load[top, 1] = -force / len(top)
+    return SolidProblem(mesh, Material.from_young_poisson(1.0, 0.3),
+                        dirichlet={BOTTOM: constant([0.0, 0.0])},
+                        interface_load=load)
+
+
+def load_factors(monkeypatch, solid):
+    """The load factor of every Newton solve the solid solve starts."""
+    factors = []
+
+    def newton(stage, **kwargs):
+        factors.append(stage.interface_load.sum() / solid.interface_load.sum())
+        return solve_newton(stage, **kwargs)
+    monkeypatch.setattr(coupling, "solve_newton", newton)
+    return factors
+
+
+def test_solid_continuation_reaches_equilibrium(monkeypatch):
+    solid = column_under_top_load(0.1)
+    zero = np.zeros((solid.mesh.nv, 2))
+    with pytest.raises(InvertedElementError):
+        solve_newton(solid, rtol=1e-12, u0=zero)
+    factors = load_factors(monkeypatch, solid)
+    sol = coupling._solve_solid(solid, zero)
+    assert factors == [1.0, 0.5, 1.0]
+    R, _ = assemble_solid(solid, solid.gather(sol.displacement))
+    free = np.ones(solid.ndof, dtype=bool)
+    free[solid.constrained_dofs] = False
+    assert np.linalg.norm(R[free]) <= 1e-10       # solve_newton's tolerance
+
+
+def test_solid_continuation_gives_up_below_a_64th(monkeypatch):
+    solid = column_under_top_load(100.0)
+    factors = load_factors(monkeypatch, solid)
+    with pytest.raises(InvertedElementError):
+        coupling._solve_solid(solid, np.zeros((solid.mesh.nv, 2)))
+    assert factors == [2.0 ** -k for k in range(8)]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FsiConfig(tol=0.0)
@@ -308,18 +401,16 @@ def test_geometry_bookkeeping_every_iteration():
     # the marked interface edges on the current configuration
     from olmfsi.mesh import GAMMA_FF
     from olmfsi.geometry import interface_quadrature
-    from olmfsi.motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
-    from olmfsi.coupling import combined_displacement
 
     mf = build_manufactured()
     problem = manufactured_fsi_problem(mf, 0)
     us = np.zeros((problem.front_ref.nv, 2))
     um = np.zeros((problem.front_ref.nv, 2))
+    iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
+    mesh_motion = MeshMotionProblem(problem.front_ref, iface, FLUID,
+                                    *problem.motion_extra_dirichlet)
     for k in range(3):
-        front = deform_mesh(problem.front_ref, combined_displacement(
-            problem.front_ref, us, um))
-        ssol, _, front, topo, space, iface = fsi_outer_iteration(
-            problem, us, um)
+        ssol, _, front, topo, space, iface = outer_pass(problem, us, um)
         nc = problem.background.nc
         union = np.concatenate([topo.class_not, topo.class_fully,
                                 topo.class_partial])
@@ -332,11 +423,7 @@ def test_geometry_bookkeeping_every_iteration():
                                        ff_markers={GAMMA_FF})
         assert ff_only.length.sum() == pytest.approx(perim, abs=1e-10)
         us = ssol.displacement
-        motion = MeshMotionProblem(problem.front_ref, iface, us[iface],
-                                   region_tag=FLUID,
-                                   extra_nodes=problem.motion_extra_dirichlet[0],
-                                   extra_values=problem.motion_extra_dirichlet[1])
-        um = solve_mesh_motion(motion)
+        um = solve_mesh_motion(mesh_motion, us[iface])
 
 
 def test_interpolated_exact_solution_residual_decays():

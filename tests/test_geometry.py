@@ -3,13 +3,13 @@ import pytest
 
 from olmfsi.mesh import Mesh, build_rect_mesh, FLUID, SOLID
 from olmfsi.geometry import (EPS_GEOM, _pieces, classify, build_topology,
-                             intersect_convex, polygon_area, cut_cell_quadrature,
+                             intersect_convex, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
                              subtractive_rules, fan_triangles, triangle_rule,
                              tri_rule, CoarseBackgroundError, GeometryError,
                              exterior_pieces, uncovered_pieces)
 
-from fixtures import refine_uniform, translated
+from fixtures import polygon_area, refine_uniform, translated
 from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,

@@ -17,7 +17,7 @@ def interface_nodes_on_top(mesh, y_top):
 def test_zero_interface_displacement():
     mesh = build_rect_mesh(6, 3, [(0, 0), (1, 0.5)])
     nodes = interface_nodes_on_top(mesh, 0.5)
-    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes, np.zeros((len(nodes), 2))))
+    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes), np.zeros((len(nodes), 2)))
     assert np.abs(u).max() == 0.0
 
 
@@ -25,15 +25,14 @@ def test_rigid_translation_is_exact():
     mesh = build_rect_mesh(5, 4, [(0, 0), (1, 0.6)])
     nodes = interface_nodes_on_top(mesh, 0.6)
     c = np.array([0.3, -0.7])
-    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes,
-                                            np.tile(c, (len(nodes), 1))))
+    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes), np.tile(c, (len(nodes), 1)))
     assert np.abs(u - c).max() < 1e-10
 
 
 def test_requires_interface_nodes():
     mesh = build_rect_mesh(3, 3, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        MeshMotionProblem(mesh, np.zeros(0, dtype=int), np.zeros((0, 2)))
+        MeshMotionProblem(mesh, np.zeros(0, dtype=int))
 
 
 def test_vertical_bump_matches_fine_mesh_oracle():
@@ -47,7 +46,7 @@ def test_vertical_bump_matches_fine_mesh_oracle():
         nodes = interface_nodes_on_top(mesh, 0.5)
         vals = np.zeros((len(nodes), 2))
         vals[:, 1] = H(mesh.vertices[nodes, 0])
-        return mesh, solve_mesh_motion(MeshMotionProblem(mesh, nodes, vals))
+        return mesh, solve_mesh_motion(MeshMotionProblem(mesh, nodes), vals)
 
     ref_mesh, ref_u = run(4)
     errs = []
@@ -127,8 +126,7 @@ def test_interface_preservation_between_solid_and_mesh_maps():
     iface = region_interface_vertices(mesh, FLUID, SOLID)
     us = np.zeros((mesh.nv, 2))
     us[:, 1] = 0.05 * np.sin(np.pi * mesh.vertices[:, 0])
-    um = solve_mesh_motion(MeshMotionProblem(mesh, iface, us[iface],
-                                             region_tag=FLUID))
+    um = solve_mesh_motion(MeshMotionProblem(mesh, iface, region_tag=FLUID), us[iface])
     solid_side = mesh.vertices[iface] + us[iface]
     fluid_side = mesh.vertices[iface] + um[iface]
     assert np.abs(solid_side - fluid_side).max() <= 1e-14
@@ -139,5 +137,5 @@ def test_maximum_principle_proxy():
     nodes = interface_nodes_on_top(mesh, 0.5)
     vals = np.zeros((len(nodes), 2))
     vals[:, 1] = 0.08 * np.sin(np.pi * mesh.vertices[nodes, 0]) ** 2
-    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes, vals))
+    u = solve_mesh_motion(MeshMotionProblem(mesh, nodes), vals)
     assert np.abs(u).max() <= 3.0 * np.abs(vals).max()

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from fixtures import constant, rowwise
+from fixtures import constant, rowwise, l2_norm
 from oracles import assemble_solid_loop
 from olmfsi.linalg import ConstraintConflictError
 from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, FLUID, SOLID
 from olmfsi.solid import (Material, SolidProblem, first_piola, piola_tangent,
                           strain_energy, assemble_solid, solve_newton,
                           InvertedElementError, NewtonError, STVK, LINEAR,
-                          p1_mass_matrix, l2_norm, l2_error, h1_seminorm_error)
+                          p1_mass_matrix, l2_error, h1_seminorm_error)
 
 
 MAT1 = Material(STVK, 1.0, 1.0)
@@ -378,6 +378,10 @@ def test_per_point_callbacks_rejected():
     prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: zero_g}, body_force=per_point)
     with pytest.raises(ValueError, match=r"shape \(2,\) for 48 points"):
         assemble_solid(prob, np.zeros(prob.ndof))
+    # at exactly two points the one row has the length of a column
+    narrow = build_rect_mesh(4, 1, [(0, 0), (1, 0.2)])
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 2 points"):
+        SolidProblem(narrow, MAT1, dirichlet={LEFT: per_point})
 
 
 def test_vectorized_dirichlet_callback_matches_pointwise():

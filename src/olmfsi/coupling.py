@@ -101,7 +101,6 @@ class FsiConfig:
     max_outer: int = 50
     omega_max: float = 1.5
     omega0: float = 1.0
-    use_aitken: bool = True
     load_ramp: int = 0
 
     def __post_init__(self):
@@ -260,10 +259,8 @@ def fsi_fixed_point(problem, config=None, log_path=None):
                 problem, front, iface, us, load_scale=alpha)
             newton_iters.append(ssol.iterations)
             r = (ssol.displacement - us).ravel()
-            if config.use_aitken and r_prev is not None:
+            if r_prev is not None:
                 omega = aitken_update(omega, r_prev, r, config.omega_max)
-            elif not config.use_aitken:
-                omega = 1.0
             us_new = us + omega * r.reshape(-1, 2)
             omegas.append(omega)
 

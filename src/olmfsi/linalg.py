@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -39,12 +41,11 @@ def merge_constraints(dofs, values):
 
 
 class SparseSystem:
-    """Triplet-accumulated sparse matrix with right-hand side and constraints.
+    """Triplet-accumulated sparse matrix with a right-hand side.
 
-    Constraints registered via set_dirichlet are kept symbolic until
-    apply_dirichlet is called, so the raw operator stays inspectable (e.g.
-    for symmetry checks).  The eliminated system holds only its CSR and
-    takes no more triplets.
+    Dirichlet data is not kept here: ``apply_dirichlet`` takes the merged
+    arrays and leaves the system as assembled, so the raw operator stays
+    inspectable (e.g. for symmetry checks).
     """
 
     def __init__(self, n):
@@ -53,14 +54,9 @@ class SparseSystem:
         self._cols = []
         self._vals = []
         self.rhs = np.zeros(self.n)
-        self.constraints = {}
         self._csr = None
 
-    # -- assembly ---------------------------------------------------------
-
     def add(self, rows, cols, vals):
-        if self._rows is None:
-            raise ValueError("cannot add triplets to an eliminated system")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=float).ravel()
@@ -74,19 +70,6 @@ class SparseSystem:
     def add_rhs(self, dofs, vals):
         np.add.at(self.rhs, np.asarray(dofs, dtype=np.int64).ravel(),
                   np.asarray(vals, dtype=float).ravel())
-
-    def set_dirichlet(self, dofs, values):
-        dofs = np.asarray(dofs, dtype=np.int64).ravel()
-        out = dofs[(dofs < 0) | (dofs >= self.n)]
-        if len(out):
-            raise IndexError(f"constrained dof {int(out[0])} out of range")
-        old = self.constraints
-        dofs, values = merge_constraints(
-            np.append(np.fromiter(old, np.int64, len(old)), dofs),
-            np.append(np.fromiter(old.values(), float, len(old)), values))
-        self.constraints = dict(zip(dofs.tolist(), values.tolist()))
-
-    # -- access -----------------------------------------------------------
 
     def matrix(self):
         """Unconstrained operator as CSR (duplicate triplets summed)."""
@@ -102,50 +85,49 @@ class SparseSystem:
                                       shape=(self.n, self.n)).tocsr()
         return self._csr
 
-    def _from_csr(self, A, rhs, constraints):
-        out = SparseSystem(self.n)
-        out._csr = A.tocsr()
-        out._rows = None
-        out.rhs = rhs
-        out.constraints = dict(constraints)
-        return out
+
+@dataclass(frozen=True)
+class Constrained:
+    """An eliminated system: CSR matrix, lifted right-hand side and the
+    constrained dofs with their values."""
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    dofs: np.ndarray
+    values: np.ndarray
 
 
-def apply_dirichlet(system, dofs=None, values=None):
-    """Symmetric elimination of Dirichlet constraints.
+def apply_dirichlet(system, dofs, values):
+    """Symmetric elimination of the Dirichlet constraints ``dofs`` (unique,
+    as ``merge_constraints`` gives them) with ``values``.
 
     Constrained rows and columns are zeroed, the diagonal set to one and
     the right-hand side lifted so unconstrained equations see the
-    prescribed values.  Symmetry of a symmetric input is preserved.  If
-    dofs/values are omitted, the constraints already registered on the
-    system are applied.
+    prescribed values.  Symmetry of a symmetric input is preserved, and the
+    input system is left as it was.
     """
-    if dofs is not None:
-        system.set_dirichlet(dofs, values if values is not None else np.zeros(len(dofs)))
-    if not system.constraints:
-        return system._from_csr(system.matrix(), system.rhs.copy(), {})
-
-    cdofs, cvals = _constraint_arrays(system)
-    A = system.matrix()
+    dofs = np.asarray(dofs, dtype=np.int64).ravel()
+    values = np.asarray(values, dtype=float).ravel()
     n = system.n
-    rhs = dirichlet_lift(A, system.rhs, cdofs, cvals)
+    if len(dofs) != len(values):
+        raise ValueError("constraint dofs and values must have equal length")
+    out = dofs[(dofs < 0) | (dofs >= n)]
+    if len(out):
+        raise IndexError(f"constrained dof {int(out[0])} out of range")
+    count = np.bincount(dofs, minlength=n)
+    if (count > 1).any():
+        raise ValueError(f"constrained dof {int(np.argmax(count > 1))} repeated")
+    A = system.matrix()
+    rhs = dirichlet_lift(A, system.rhs, dofs, values)
 
-    mask = np.zeros(n, dtype=bool)
-    mask[cdofs] = True
     # zero constrained rows and columns, then put ones on the diagonal
+    mask = count > 0
     A = A.copy()
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     A.data[mask[rows] | mask[A.indices]] = 0.0
     A.eliminate_zeros()
-    A = A + sp.csr_matrix((np.ones(len(cdofs)), (cdofs, cdofs)), shape=(n, n))
+    A = A + sp.csr_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=(n, n))
     A.sort_indices()
-    return system._from_csr(A, rhs, system.constraints)
-
-
-def _constraint_arrays(system):
-    c = system.constraints
-    return (np.fromiter(c.keys(), dtype=np.int64, count=len(c)),
-            np.fromiter(c.values(), dtype=float, count=len(c)))
+    return Constrained(A, rhs, dofs, values)
 
 
 def dirichlet_lift(A, rhs, cdofs, cvals):
@@ -213,11 +195,12 @@ class DirectSolver:
         return x
 
 
-def solve_direct(system):
-    """Direct sparse LU solve; constrained entries reproduce their values exactly."""
-    if system.n == 0:
+def solve_direct(c):
+    """Direct sparse LU solve of a ``Constrained`` system; constrained
+    entries reproduce their values exactly."""
+    if c.matrix.shape[0] == 0:
         return np.zeros(0)
-    return DirectSolver(system.matrix()).solve(system.rhs, *_constraint_arrays(system))
+    return DirectSolver(c.matrix).solve(c.rhs, c.dofs, c.values)
 
 
 def _power_norm(matvec, n, seed):
@@ -238,14 +221,15 @@ def _power_norm(matvec, n, seed):
     return est
 
 
-def condition_estimate(system):
-    """sigma_max/sigma_min estimate by seeded power iteration on A and A^{-1}.
+def condition_estimate(A):
+    """sigma_max/sigma_min estimate of a sparse matrix by seeded power
+    iteration on A and A^{-1}.
 
     Requires a symmetric matrix; accuracy within a factor of two is
     sufficient for the interface-position robustness checks.
     """
-    A = system.matrix().tocsc()
-    n = system.n
+    A = A.tocsc()
+    n = A.shape[0]
     if n == 0:
         raise SingularMatrixError("empty system")
     asym = abs(A - A.T).max() if A.nnz else 0.0

@@ -370,11 +370,12 @@ def region_interface_vertices(mesh, tag_a=FLUID, tag_b=SOLID):
 
 
 def region_boundary_edges(mesh, tag):
-    """Boundary of the subdomain with a given region tag.
+    """Boundary of the subdomain with a given region tag, as arrays.
 
-    Returns a list of (v0, v1, adjacent_cell, kind) where ``kind`` is the
-    exterior boundary marker for edges on the mesh boundary and
-    ``('interface', other_tag)`` for edges shared with another region.
+    Returns ``(edges (E, 2), cells (E,), markers (E,), other (E,))``: each
+    edge's vertex pair in the orientation of its adjacent cell, its
+    exterior boundary marker (0 if unmarked, -1 off the mesh boundary) and
+    the region tag of the cell across it (-1 on the mesh boundary).
     """
     key, order, skey = mesh.edge_keys
     edge = (3 * np.flatnonzero(mesh.region_tags == tag)[:, None] + np.arange(3)).ravel()
@@ -383,14 +384,14 @@ def region_boundary_edges(mesh, tag):
     cell, first = edge // 3, order[lo] // 3
     other = np.where(first != cell, first, order[np.minimum(lo + 1, len(order) - 1)] // 3)
     outer = hi - lo == 1
-    other_tag = mesh.region_tags[other]
+    other_tag = np.where(outer, -1, mesh.region_tags[other])
     keep = outer | (other_tag != tag)
+    edge, cell, outer, other_tag = edge[keep], cell[keep], outer[keep], other_tag[keep]
     marker_of = {min(i, j) * mesh.nv + max(i, j): m for (i, j), m in
                  zip(mesh.boundary_edges.tolist(), mesh.boundary_markers.tolist())}
+    markers = np.array([marker_of.get(k, 0) if o else -1
+                        for k, o in zip(key[edge].tolist(), outer.tolist())], dtype=np.int64)
     k = edge % 3
     ij = np.column_stack([mesh.cells[cell, k], mesh.cells[cell, (k + 1) % 3]])
-    return [(i, j, c, marker_of.get(k, 0) if o else ("interface", t))
-            for (i, j), c, k, o, t in zip(ij[keep].tolist(), cell[keep].tolist(),
-                                          key[edge[keep]].tolist(), outer[keep].tolist(),
-                                          other_tag[keep].tolist())]
+    return ij, cell, markers, other_tag
 

@@ -54,7 +54,7 @@ class MeshMotionProblem:
             dirichlet_nodes=(nodes, np.zeros((len(nodes), 2))))
         cdofs = self._elasticity.constrained_dofs
         _, K = assemble_solid(self._elasticity, np.zeros(self._elasticity.ndof))
-        self._solver = DirectSolver(apply_dirichlet(K, cdofs).matrix())
+        self._solver = DirectSolver(apply_dirichlet(K, cdofs, np.zeros(len(cdofs))).matrix)
         self._operator = K.matrix()
 
 

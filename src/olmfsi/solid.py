@@ -135,16 +135,15 @@ class SolidProblem:
 
     def _collect_bcs(self):
         if self.region_tag is None:
-            ij, kinds = self.mesh.boundary_edges, self.mesh.boundary_markers.tolist()
-        else:
-            edges = region_boundary_edges(self.mesh, self.region_tag)
-            ij = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
-            kinds = [e[3] for e in edges]   # a tuple marks an interface (Neumann side)
+            ij, markers = self.mesh.boundary_edges, self.mesh.boundary_markers
+        else:   # interface edges carry marker -1 (the Neumann side)
+            ij, _, markers, _ = region_boundary_edges(self.mesh, self.region_tag)
         self._neumann_edges = [(i, j, self.neumann[k])
-                               for (i, j), k in zip(ij.tolist(), kinds) if k in self.neumann]
+                               for (i, j), k in zip(ij.tolist(), markers.tolist())
+                               if k in self.neumann]
         dofs, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for m, g in self.dirichlet.items():
-            verts = np.unique(ij[np.array([k == m for k in kinds], dtype=bool)])
+            verts = np.unique(ij[markers == m])
             dofs.append((2 * self.vmap[verts][:, None] + np.arange(2)).ravel())
             vals.append(eval_field(g, self.mesh.vertices[verts], (2,)).ravel())
         if self.dirichlet_nodes:
@@ -269,7 +268,8 @@ def solve_newton(problem, tol=1e-10, maxit=25, rtol=0.0, u0=None):
         if updates >= maxit:
             break
         K.rhs = -R
-        delta = solve_direct(apply_dirichlet(K, problem.constrained_dofs))
+        cdofs = problem.constrained_dofs
+        delta = solve_direct(apply_dirichlet(K, cdofs, np.zeros(len(cdofs))))
         U = U + delta
         updates += 1
     raise NewtonError(

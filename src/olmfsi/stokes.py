@@ -31,6 +31,9 @@ from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constrain
 
 BG, FRONT = 0, 1
 QUAD_ORDER = 2           # volume, cut-cell and boundary quadrature order
+# weights of the background and front fluxes in the interface mean: the
+# front mesh is never cut, so its side carries the whole flux
+ALPHA = (0.0, 1.0)
 
 
 class CompositeSpace:
@@ -122,7 +125,6 @@ class FluidProblem:
     body_force: object = None
     gamma: float = 10.0
     delta: float = 0.5
-    alpha: tuple = (0.0, 1.0)
     neumann: tuple = ()
     use_ih: bool = True
     jh_extension: bool = True
@@ -134,9 +136,6 @@ class FluidProblem:
             raise ValueError("gamma must be positive")
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        a1, a2 = self.alpha
-        if a1 < 0 or a2 < 0 or abs(a1 + a2 - 1.0) > 1e-12:
-            raise ValueError("interface weights must be convex")
 
 
 def _block(rows, cols, vals):
@@ -242,7 +241,7 @@ def _interface_terms(sys, space, problem, segments):
     if not len(segments):
         return
     nu = problem.viscosity
-    a1, a2 = problem.alpha
+    a1, a2 = ALPHA
     bg, fr = space.background, space.front
     T, K, n = segments.bg_cell, segments.front_cell, segments.normal
     pts, w = segments.points, segments.weights                 # (S, nq, 2), (S, nq)
@@ -338,8 +337,8 @@ def _neumann_terms(sys, space, problem):
 def assemble(problem, space, topo):
     """Assemble the coupled velocity-pressure system.
 
-    Returns a SparseSystem with Dirichlet constraints registered but not yet
-    applied, so the raw operator can be checked for symmetry.
+    Returns the unconstrained SparseSystem, so the raw operator can be
+    checked for symmetry; the space holds the Dirichlet data.
     """
     sys = SparseSystem(space.ndof)
     bg, fr = space.background, space.front
@@ -362,9 +361,6 @@ def assemble(problem, space, topo):
     if problem.use_ih:
         _overlap_terms(sys, space, problem, topo.overlap_pairs)
     _neumann_terms(sys, space, problem)
-
-    if len(space.dirichlet_dofs):
-        sys.set_dirichlet(space.dirichlet_dofs, space.dirichlet_values)
     return sys
 
 
@@ -400,7 +396,8 @@ class FluidSolution:
 def solve_stokes(problem, space, topo):
     """Assemble, constrain and solve; Dirichlet values are exact in the result."""
     # nested, so the unconstrained system is freed before the factorization
-    x = solve_direct(apply_dirichlet(assemble(problem, space, topo)))
+    x = solve_direct(apply_dirichlet(assemble(problem, space, topo),
+                                     space.dirichlet_dofs, space.dirichlet_values))
     return FluidSolution(space, x, viscosity=problem.viscosity)
 
 

@@ -210,9 +210,8 @@ def interface_load_vector(mesh, traction_fn):
     (the solid region's edges shared with another region)."""
     xs, ws = seg_rule(LOAD_ORDER)
     load = np.zeros((mesh.nv, 2))
-    for i, j, _cell, kind in region_boundary_edges(mesh, SOLID):
-        if not isinstance(kind, tuple):
-            continue
+    edges, _, _, other = region_boundary_edges(mesh, SOLID)
+    for i, j in edges[other >= 0].tolist():
         a, b = mesh.vertices[i], mesh.vertices[j]
         length = np.hypot(*(b - a))
         pts = a[None, :] + xs[:, None] * (b - a)[None, :]

@@ -24,7 +24,7 @@ from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import BOTTOM, LEFT, RIGHT, TOP, Mesh, barycentric, eval_field
 from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, STVK, InvertedElementError, Material,
                           first_piola, piola_tangent)
-from olmfsi.stokes import BG, FRONT, QUAD_ORDER as FLUID_ORDER, _full_cell_volume_terms
+from olmfsi.stokes import ALPHA, BG, FRONT, QUAD_ORDER as FLUID_ORDER, _full_cell_volume_terms
 from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
 _I2 = np.eye(2)
@@ -207,12 +207,13 @@ def edge_cells_loop(mesh):
 
 
 def region_boundary_edges_loop(mesh, tag):
-    """Per-cell-edge reference for ``mesh.region_boundary_edges``."""
+    """Per-cell-edge reference for ``mesh.region_boundary_edges``: the same
+    (edges, cells, markers, other tags) arrays, built one edge at a time."""
     edge_cells = edge_cells_loop(mesh)
     marker_of = {}
     for (i, j), m in zip(mesh.boundary_edges, mesh.boundary_markers):
         marker_of[(min(i, j), max(i, j))] = int(m)
-    out = []
+    rows = []
     for c in np.flatnonzero(mesh.region_tags == tag):
         tri = mesh.cells[c]
         for k in range(3):
@@ -220,11 +221,11 @@ def region_boundary_edges_loop(mesh, tag):
             key = (min(i, j), max(i, j))
             others = [d for d in edge_cells[key] if d != c]
             if not others:
-                out.append((int(i), int(j), int(c), marker_of.get(key, 0)))
+                rows.append((i, j, c, marker_of.get(key, 0), -1))
             elif mesh.region_tags[others[0]] != tag:
-                out.append((int(i), int(j), int(c),
-                            ("interface", int(mesh.region_tags[others[0]]))))
-    return out
+                rows.append((i, j, c, -1, mesh.region_tags[others[0]]))
+    out = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    return out[:, :2], out[:, 2], out[:, 3], out[:, 4]
 
 
 def segment_cell_interval_loop(a, d, tri):
@@ -669,7 +670,7 @@ def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
 
 def _interface_terms_loop(sys, space, problem, segments):
     nu_a = problem.viscosity
-    a1, a2 = problem.alpha
+    a1, a2 = ALPHA
     bg, fr = space.background, space.front
     for T, K, pts, w, n in zip(segments.bg_cell.tolist(), segments.front_cell.tolist(),
                                segments.points, segments.weights, segments.normal):
@@ -782,8 +783,6 @@ def stokes_item_terms_loop(problem, space, topo):
     if problem.use_ih:
         _overlap_terms_loop(sys, space, problem, topo.overlap_pairs)
     _neumann_terms_loop(sys, space, problem)
-    if len(space.dirichlet_dofs):
-        sys.set_dirichlet(space.dirichlet_dofs, space.dirichlet_values)
     return sys
 
 

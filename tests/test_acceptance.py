@@ -67,7 +67,9 @@ def _condition_for(offset_frac, use_ih=True, jh_extension=True, N=8):
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
                            interface_g=None, pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, use_ih=use_ih, jh_extension=jh_extension)
-    return condition_estimate(apply_dirichlet(assemble(prob, space, topo)))
+    sys = apply_dirichlet(assemble(prob, space, topo), space.dirichlet_dofs,
+                          space.dirichlet_values)
+    return condition_estimate(sys.matrix)
 
 
 def test_criterion_3_interface_position_robustness():

@@ -6,6 +6,8 @@ from olmfsi.linalg import (SparseSystem, apply_dirichlet, solve_direct,
                            condition_estimate, SingularMatrixError,
                            ConstraintConflictError, merge_constraints)
 
+NONE = (np.zeros(0, dtype=np.int64), np.zeros(0))     # no constrained dofs
+
 
 def system_from_dense(A, b=None):
     A = np.asarray(A, float)
@@ -27,12 +29,12 @@ def random_spd(n, seed, density=0.5):
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.5])
     sys = system_from_dense(np.eye(3), b)
-    assert np.allclose(solve_direct(sys), b, atol=1e-14)
+    assert np.allclose(solve_direct(apply_dirichlet(sys, *NONE)), b, atol=1e-14)
 
 
 def test_solve_diagonal():
     sys = system_from_dense(np.diag([1.0, 2.0, 4.0]), [1.0, 2.0, 4.0])
-    assert np.allclose(solve_direct(sys), [1.0, 1.0, 1.0], atol=1e-14)
+    assert np.allclose(solve_direct(apply_dirichlet(sys, *NONE)), [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_solve_matches_dense_oracle():
@@ -40,7 +42,7 @@ def test_solve_matches_dense_oracle():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(50)
     sys = system_from_dense(A, b)
-    x = solve_direct(sys)
+    x = solve_direct(apply_dirichlet(sys, *NONE))
     ref = np.linalg.solve(A, b)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -49,7 +51,7 @@ def test_solve_residual_contract():
     A = random_spd(30, seed=2)
     b = np.random.default_rng(3).standard_normal(30)
     sys = system_from_dense(A, b)
-    x = solve_direct(sys)
+    x = solve_direct(apply_dirichlet(sys, *NONE))
     resid = np.linalg.norm(A @ x - b)
     norm_a = np.abs(A).sum(axis=1).max()
     assert resid <= 1e-10 * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
@@ -60,14 +62,14 @@ def test_solve_structural_singular_names_pivot():
     A[2, 2] = 0.0
     sys = system_from_dense(A, np.ones(4))
     with pytest.raises(SingularMatrixError, match="dof 2"):
-        solve_direct(sys)
+        solve_direct(apply_dirichlet(sys, *NONE))
 
 
 def test_solve_numerically_singular():
     A = np.ones((3, 3))
     sys = system_from_dense(A, np.ones(3))
     with pytest.raises(SingularMatrixError):
-        solve_direct(sys)
+        solve_direct(apply_dirichlet(sys, *NONE))
 
 
 def kkt_matrix(seed):
@@ -97,7 +99,7 @@ def weak_diagonal_nonsymmetric(n, seed):
 def test_solve_needs_off_diagonal_pivots(A):
     # the symmetric-mode LU must still swap in off-diagonal pivots
     b = np.random.default_rng(8).standard_normal(len(A))
-    x = solve_direct(system_from_dense(A, b))
+    x = solve_direct(apply_dirichlet(system_from_dense(A, b), *NONE))
     ref = np.linalg.solve(A, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -142,7 +144,7 @@ def test_dirichlet_preserves_symmetry():
     A = random_spd(12, seed=8)
     sys = system_from_dense(A, np.zeros(12))
     out = apply_dirichlet(sys, [0, 5], [1.0, -2.0])
-    M = out.matrix().toarray()
+    M = out.matrix.toarray()
     assert np.abs(M - M.T).max() < 1e-14
 
 
@@ -178,7 +180,7 @@ def test_dirichlet_matches_diagonal_scaling_bitwise():
     ref = (D @ M @ D).tolil()
     ref[cdofs, cdofs] = 1.0
     ref = ref.tocsr()
-    got = out.matrix()
+    got = out.matrix
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
@@ -186,24 +188,32 @@ def test_dirichlet_matches_diagonal_scaling_bitwise():
     assert sys.matrix() is M and M[3, 4] != 0.0   # the input stays unconstrained
 
 
-def test_add_after_elimination_raises():
-    # an eliminated system holds only its CSR; triplets added to it would
-    # be dropped by matrix(), so they are refused
+def test_dirichlet_leaves_input_unchanged():
     A = random_spd(7, seed=13)
-    out = apply_dirichlet(system_from_dense(A, np.ones(7)), [1, 4], [0.5, -2.0])
-    before = out.matrix().toarray()
-    with pytest.raises(ValueError):
-        out.add([0, 1, 6, 6], [0, 3, 2, 2], [1.5, -2.0, 0.25, 0.5])
-    assert np.array_equal(out.matrix().toarray(), before)
-    assert out.constraints == {1: 0.5, 4: -2.0}
+    b = np.random.default_rng(14).standard_normal(7)
+    sys = system_from_dense(A, b)
+    M = sys.matrix()
+    out = apply_dirichlet(sys, [1, 4], [0.5, -2.0])
+    assert out.dofs.tolist() == [1, 4] and out.values.tolist() == [0.5, -2.0]
+    # the assembled system keeps its operator and right-hand side ...
+    assert sys.matrix() is M and np.array_equal(M.toarray(), A)
+    assert np.array_equal(sys.rhs, b)
+    # ... and still takes triplets
+    sys.add([6], [6], [1.0])
+    assert sys.matrix()[6, 6] == A[6, 6] + 1.0
 
 
-def test_dirichlet_conflict_error():
-    sys = system_from_dense(np.eye(3))
-    sys.set_dirichlet([1], [2.0])
-    with pytest.raises(ConstraintConflictError):
-        sys.set_dirichlet([1], [3.0])
-    sys.set_dirichlet([1], [2.0])  # same value is fine
+def test_dirichlet_rejects_bad_dofs():
+    sys = system_from_dense(random_spd(7, seed=13), np.ones(7))
+    # a repeated dof would put 2 on the diagonal
+    with pytest.raises(ValueError, match="dof 1 repeated"):
+        apply_dirichlet(sys, [1, 4, 1], [0.5, -2.0, 0.5])
+    with pytest.raises(IndexError, match="dof 7 out of range"):
+        apply_dirichlet(sys, [1, 7], [0.5, 0.0])
+    with pytest.raises(IndexError, match="dof -1 out of range"):
+        apply_dirichlet(sys, [-1, 2], [0.5, 0.0])
+    with pytest.raises(ValueError, match="equal length"):
+        apply_dirichlet(sys, [1, 4], [0.5])
 
 
 def test_merge_constraints_keeps_first_value_and_names_conflicts():
@@ -219,19 +229,19 @@ def test_merge_constraints_keeps_first_value_and_names_conflicts():
 
 def test_condition_identity():
     sys = system_from_dense(np.eye(6), np.zeros(6))
-    assert 0.5 <= condition_estimate(sys) <= 2.0
+    assert 0.5 <= condition_estimate(sys.matrix()) <= 2.0
 
 
 def test_condition_diagonal():
     sys = system_from_dense(np.diag([1.0, 10.0]))
-    est = condition_estimate(sys)
+    est = condition_estimate(sys.matrix())
     assert 5.0 <= est <= 20.0
 
 
 def test_condition_against_svd_oracle():
     A = random_spd(20, seed=11)
     sys = system_from_dense(A)
-    est = condition_estimate(sys)
+    est = condition_estimate(sys.matrix())
     ref = np.linalg.cond(A)
     assert ref / 2 <= est <= 2 * ref
 
@@ -242,7 +252,7 @@ def test_condition_indefinite_matrix():
     B = rng.standard_normal((6, 4))
     A = np.block([[random_spd(6, 13), B], [B.T, -0.5 * np.eye(4)]])
     sys = system_from_dense(A)
-    est = condition_estimate(sys)
+    est = condition_estimate(sys.matrix())
     ref = np.linalg.cond(A)
     assert ref / 2 <= est <= 2 * ref
 
@@ -250,4 +260,4 @@ def test_condition_indefinite_matrix():
 def test_condition_requires_symmetry():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        condition_estimate(system_from_dense(A))
+        condition_estimate(system_from_dense(A).matrix())

@@ -219,10 +219,10 @@ def test_region_interface_vertices():
 def test_region_boundary_edges_kinds():
     m = build_rect_mesh(2, 2, [(0, 0), (1, 1)],
                         region_fn=lambda c: SOLID if c[1] > 0.5 else FLUID)
-    edges = region_boundary_edges(m, SOLID)
-    kinds = [k for (_, _, _, k) in edges]
-    assert any(isinstance(k, tuple) and k[0] == "interface" for k in kinds)
-    assert any(k == TOP for k in kinds if not isinstance(k, tuple))
+    edges, cells, markers, other = region_boundary_edges(m, SOLID)
+    assert (other == FLUID).any() and (markers[other == FLUID] == -1).all()
+    assert (markers == TOP).any() and (other[markers == TOP] == -1).all()
+    assert (m.region_tags[cells] == SOLID).all() and edges.shape == (len(cells), 2)
 
 
 def test_region_boundary_edges_match_per_edge_reference():
@@ -234,11 +234,10 @@ def test_region_boundary_edges_match_per_edge_reference():
     meshes = [flap_meshes(angle, res)[1] for angle in (0.0, 65.0) for res in (1, 2)]
     meshes += [manufactured_meshes(level)[1] for level in (0, 1)] + [jitter]
     for m in meshes:
-        for tag in np.unique(m.region_tags).tolist():
-            edges = region_boundary_edges(m, tag)
-            assert edges == region_boundary_edges_loop(m, tag)
-            assert all(type(v) is int for e in edges for v in e[:3])
-            assert all(type(e[3]) is int or type(e[3][1]) is int for e in edges)
+        for tag in np.unique(m.region_tags).tolist() + [7]:   # 7: an empty region
+            got = region_boundary_edges(m, tag)
+            for x, y in zip(got, region_boundary_edges_loop(m, tag)):
+                assert x.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
 
 
 def test_immutability():

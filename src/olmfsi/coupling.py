@@ -18,7 +18,7 @@ import numpy as np
 from .mesh import Mesh, FLUID, SOLID, region_interface_vertices, eval_field
 from .geometry import build_topology, tri_rule
 from .stokes import (CompositeSpace, FluidProblem, solve_stokes,
-                     FluidSolution, FRONT, QUAD_ORDER)
+                     FluidSolution, FRONT)
 from .solid import (Material, SolidProblem, solve_newton, p1_mass_matrix,
                     InvertedElementError)
 from .motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
@@ -127,9 +127,9 @@ class FsiProblem:
     front_dirichlet: dict = field(default_factory=dict)
     solid_body_force: object = None
     solid_dirichlet: dict = field(default_factory=dict)
-    solid_dirichlet_nodes: tuple = None      # (node_ids, values (k, 2))
+    solid_clamped_nodes: np.ndarray = ()     # held at zero displacement
     solid_extra_load: np.ndarray | None = None
-    motion_extra_dirichlet: tuple = None     # (node_ids, values (k, 2))
+    motion_pinned_nodes: np.ndarray = ()     # fluid vertices the motion keeps in place
 
 
 @dataclass
@@ -151,12 +151,10 @@ def fsi_outer_iteration(problem, front, iface, us, load_scale=1.0):
     """One pass of the fixed-point loop body on the deformed front mesh;
     returns the raw solid update (warm-started at us) and the solved fluid
     state on the current configuration."""
-    topo = build_topology(problem.background, front,
-                          order=QUAD_ORDER, fluid_tag=FLUID)
-    space = CompositeSpace(problem.background, front, topo, fluid_tag=FLUID,
+    topo = build_topology(problem.background, front)
+    space = CompositeSpace(problem.background, front, topo,
                            bg_dirichlet=problem.bg_dirichlet,
-                           front_dirichlet=problem.front_dirichlet,
-                           interface_g="zero")
+                           front_dirichlet=problem.front_dirichlet)
     sol = solve_stokes(problem.fluid, space, topo)
 
     load = np.zeros((problem.front_ref.nv, 2))
@@ -169,7 +167,7 @@ def fsi_outer_iteration(problem, front, iface, us, load_scale=1.0):
                          region_tag=SOLID,
                          body_force=problem.solid_body_force,
                          dirichlet=problem.solid_dirichlet,
-                         dirichlet_nodes=problem.solid_dirichlet_nodes or (),
+                         clamped_nodes=problem.solid_clamped_nodes,
                          interface_load=load)
     ssol = _solve_solid(solid, us)
     return ssol, sol, topo, space
@@ -186,7 +184,7 @@ def _scaled_loads(solid, s):
     load = None if solid.interface_load is None else s * solid.interface_load
     return SolidProblem(solid.mesh, solid.material, solid.region_tag,
                         _scaled(solid.body_force, s), solid.dirichlet,
-                        solid.dirichlet_nodes, scaled_n, load)
+                        solid.clamped_nodes, scaled_n, load)
 
 
 def _solve_solid(solid, warm_start):
@@ -236,8 +234,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     mass = p1_mass_matrix(mesh, solid_cells)
     solid_verts = np.unique(mesh.cells[solid_cells])
     iface = region_interface_vertices(mesh, FLUID, SOLID)
-    motion = MeshMotionProblem(mesh, iface, FLUID,
-                               *(problem.motion_extra_dirichlet or ()))
+    motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
 
     def mnorm(fld):
         return float(np.sqrt(sum(col @ (mass @ col) for col in fld.T)))

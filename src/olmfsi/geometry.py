@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, SOLID, _ranges, containing_cells, locate_points
+from .mesh import Mesh, FLUID, SOLID, _ranges, containing_cells, locate_points
 
 
 class GeometryError(RuntimeError):
@@ -31,6 +31,7 @@ class CoarseBackgroundError(GeometryError):
 # Relative vertex-snapping / sliver-dropping tolerance, scaled by the local
 # mesh size before use.
 EPS_GEOM = 1e-12
+QUAD_ORDER = 2           # volume, cut-cell and boundary quadrature order
 
 
 # -- quadrature rules ------------------------------------------------------
@@ -291,7 +292,6 @@ class OverlapTopology:
     cut_rules: CutRules = None
     interface_segments: InterfaceSegments = None
     overlap_pairs: CellPairs = None
-    order: int = 2
     clipped_pairs: int = 0
 
     @property
@@ -417,7 +417,7 @@ def subtractive_rules(background, cells, polygons, order):
     return CutRules(rules.points[keep], rules.weights[keep], np.append(0, np.cumsum(nq)))
 
 
-def cut_cell_quadrature(cell, background, front, order=2):
+def cut_cell_quadrature(cell, background, front, order=QUAD_ORDER):
     """Quadrature over the uncovered part of one background cell.
 
     Subtractive composition: the full-cell rule plus negatively weighted
@@ -509,8 +509,7 @@ def _split_segments(a, b, normal, background):
     return seg, t0, t1, probed[k], side
 
 
-def interface_quadrature(front, background, topo, order=2, ff_markers=None,
-                         skip_region=None):
+def interface_quadrature(front, background, topo):
     """Split front boundary edges at background cell boundaries.
 
     Only pieces whose background-fluid side lies strictly inside the
@@ -520,17 +519,12 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
     segment stores its background parent cell on the background-fluid
     side, the first one that belongs to the reduced mesh, plus the front
     parent, the outward normal of the front domain and a 1D Gauss rule.
-    Edges with a marker outside ``ff_markers`` (if given) or on a
-    ``skip_region`` cell (the solid) are not coupled.
+    Edges of solid cells are never coupled.
     """
-    xs, ws = seg_rule(order)
-    edges = np.arange(len(front.boundary_edges))
-    if ff_markers is not None:
-        edges = edges[np.isin(front.boundary_markers, list(ff_markers))]
-    cells, normals = front.boundary_normals(edges)
-    if skip_region is not None:
-        keep = front.region_tags[cells] != skip_region
-        edges, cells, normals = edges[keep], cells[keep], normals[keep]
+    xs, ws = seg_rule(QUAD_ORDER)
+    cells, normals = front.boundary_normals(np.arange(len(front.boundary_edges)))
+    edges = np.flatnonzero(front.region_tags[cells] != SOLID)
+    cells, normals = cells[edges], normals[edges]
     a, b = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
     seg, t0, t1, piece, side = _split_segments(a, b, normals, background)
     sided, first = np.unique(piece, return_index=True)
@@ -556,7 +550,7 @@ def interface_quadrature(front, background, topo, order=2, ff_markers=None,
                              float(seg_len[sided[orphan]].sum()))
 
 
-def overlap_region_pairs(front, topo, fluid_tag=None):
+def overlap_region_pairs(front, topo):
     """Intersections of front fluid cells with reduced background cells.
 
     The covered polygons ``classify`` stored tile the overlap region (front
@@ -565,22 +559,18 @@ def overlap_region_pairs(front, topo, fluid_tag=None):
     background cell.
     """
     p = topo.polygons
-    rows = (np.arange(len(p)) if fluid_tag is None
-            else np.flatnonzero(front.region_tags[p.front_cell] == fluid_tag))
+    rows = np.flatnonzero(front.region_tags[p.front_cell] == FLUID)
     rows = rows[np.lexsort((p.bg_cell[rows], p.front_cell[rows]))]
     return CellPairs(p.bg_cell[rows], p.front_cell[rows], p.area[rows])
 
 
-def build_topology(background, front, order=2, fluid_tag=None):
+def build_topology(background, front):
     """Classify, then build all cut rules, interface segments and pairs."""
     topo = classify(background, front)
-    topo.order = order
     topo.cut_rules = subtractive_rules(background, topo.class_partial,
-                                       topo.polygons, order)
-    skip = SOLID if (front.region_tags == SOLID).any() else None
-    topo.interface_segments = interface_quadrature(front, background, topo,
-                                                   order, skip_region=skip)
-    topo.overlap_pairs = overlap_region_pairs(front, topo, fluid_tag=fluid_tag)
+                                       topo.polygons, QUAD_ORDER)
+    topo.interface_segments = interface_quadrature(front, background, topo)
+    topo.overlap_pairs = overlap_region_pairs(front, topo)
     return topo
 
 

@@ -174,7 +174,7 @@ class DirectSolver:
         self._A = A
         self._lu = _factor(A)
         diag = np.abs(self._lu.U.diagonal())
-        if diag.min() <= 1e-13 * diag.max():
+        if len(diag) and diag.min() <= 1e-13 * diag.max():
             raise SingularMatrixError(
                 f"numerically singular: zero pivot at factor position "
                 f"{int(np.argmin(diag))}")
@@ -198,8 +198,6 @@ class DirectSolver:
 def solve_direct(c):
     """Direct sparse LU solve of a ``Constrained`` system; constrained
     entries reproduce their values exactly."""
-    if c.matrix.shape[0] == 0:
-        return np.zeros(0)
     return DirectSolver(c.matrix).solve(c.rhs, c.dofs, c.values)
 
 

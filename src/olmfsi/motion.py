@@ -29,9 +29,9 @@ class MeshMotionProblem:
     """Extension of interface displacements into a mesh region, factored
     once for all interface values.
 
-    The outer boundary is traction free; ``extra_nodes`` can pin additional
-    vertices to ``extra_values`` (e.g. to keep a channel inlet plane in
-    place) and lose against interface data at shared nodes.  The
+    The outer boundary is traction free; ``pinned_nodes`` are additional
+    vertices held at zero displacement (e.g. to keep a channel inlet plane
+    in place) and lose against interface data at shared nodes.  The
     pseudo-material is homogeneous linear elasticity with mu = lam = 1;
     stiffening small cells (scaling the local parameters by 1/|T|) is a
     known extension if severe distortions ever require it.
@@ -39,19 +39,17 @@ class MeshMotionProblem:
     mesh: Mesh
     interface_nodes: np.ndarray
     region_tag: int | None = None
-    extra_nodes: np.ndarray = ()
-    extra_values: np.ndarray = ()
+    pinned_nodes: np.ndarray = ()
 
     def __post_init__(self):
         self.interface_nodes = np.asarray(self.interface_nodes, dtype=np.int64)
         if len(self.interface_nodes) == 0:
             raise ValueError("mesh motion requires Dirichlet interface nodes")
-        self.extra_nodes = np.asarray(self.extra_nodes, dtype=np.int64)
-        self.extra_values = np.asarray(self.extra_values, float).reshape(-1, 2)
-        nodes = np.union1d(self.interface_nodes, self.extra_nodes)
+        nodes = np.union1d(self.interface_nodes,
+                           np.asarray(self.pinned_nodes, dtype=np.int64))
         self._elasticity = SolidProblem(
             self.mesh, Material(LINEAR, 1.0, 1.0), self.region_tag,
-            dirichlet_nodes=(nodes, np.zeros((len(nodes), 2))))
+            clamped_nodes=nodes)
         cdofs = self._elasticity.constrained_dofs
         _, K = assemble_solid(self._elasticity, np.zeros(self._elasticity.ndof))
         self._solver = DirectSolver(apply_dirichlet(K, cdofs, np.zeros(len(cdofs))).matrix)
@@ -65,7 +63,6 @@ def solve_mesh_motion(problem, interface_values):
         raise ValueError("interface nodes/values length mismatch")
     elasticity = problem._elasticity
     data = np.zeros((problem.mesh.nv, 2))
-    data[problem.extra_nodes] = problem.extra_values
     data[problem.interface_nodes] = values          # interface data wins
     cdofs = elasticity.constrained_dofs
     cvals = elasticity.gather(data)[cdofs]

@@ -107,15 +107,16 @@ class SolidProblem:
     exterior boundary markers to displacement callbacks (see
     ``mesh.eval_field``) and wins over any nodal data at shared vertices;
     two markers giving one vertex different values raise
-    ConstraintConflictError.  ``dirichlet_nodes`` prescribes values
-    directly at vertices (used by the mesh-motion problem).
+    ConstraintConflictError.  ``clamped_nodes`` are vertices held at zero
+    displacement (a clamped flap base, the constrained nodes of the
+    mesh-motion problem); marker data wins at shared vertices.
     """
     mesh: Mesh
     material: Material
     region_tag: int | None = None
     body_force: object = None
     dirichlet: dict = field(default_factory=dict)
-    dirichlet_nodes: tuple = ()          # (node_ids, values (k, 2))
+    clamped_nodes: np.ndarray = ()
     neumann: dict = field(default_factory=dict)
     interface_load: np.ndarray | None = None
 
@@ -146,16 +147,14 @@ class SolidProblem:
             verts = np.unique(ij[markers == m])
             dofs.append((2 * self.vmap[verts][:, None] + np.arange(2)).ravel())
             vals.append(eval_field(g, self.mesh.vertices[verts], (2,)).ravel())
-        if self.dirichlet_nodes:
-            nodes, values = self.dirichlet_nodes
-            nodes = np.asarray(nodes, dtype=np.int64)
-            off = nodes[self.vmap[nodes] < 0]
-            if len(off):
-                raise ValueError(f"dirichlet node {off[0]} not in the solid region")
-            nodal = (2 * self.vmap[nodes][:, None] + np.arange(2)).ravel()
-            keep = ~np.isin(nodal, np.concatenate(dofs))   # marker data wins
-            dofs.append(nodal[keep])
-            vals.append(np.asarray(values, float).ravel()[keep])
+        nodes = np.asarray(self.clamped_nodes, dtype=np.int64)
+        off = nodes[self.vmap[nodes] < 0]
+        if len(off):
+            raise ValueError(f"clamped node {off[0]} not in the solid region")
+        nodal = (2 * self.vmap[nodes][:, None] + np.arange(2)).ravel()
+        nodal = nodal[~np.isin(nodal, np.concatenate(dofs))]   # marker data wins
+        dofs.append(nodal)
+        vals.append(np.zeros(len(nodal)))
         self.constrained_dofs, self.constrained_values = merge_constraints(
             np.concatenate(dofs), np.concatenate(vals))
 

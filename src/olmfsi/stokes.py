@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (SOLID, region_interface_vertices, barycentric as _bary,
-                   eval_field)
+from .mesh import (FLUID, SOLID, region_interface_vertices,
+                   barycentric as _bary, eval_field)
 from .geometry import (
+    QUAD_ORDER,
     tri_rule,
     seg_rule,
     triangle_rule,
@@ -30,7 +31,6 @@ from .geometry import (
 from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
 BG, FRONT = 0, 1
-QUAD_ORDER = 2           # volume, cut-cell and boundary quadrature order
 # weights of the background and front fluxes in the interface mean: the
 # front mesh is never cut, so its side carries the whole flux
 ALPHA = (0.0, 1.0)
@@ -38,28 +38,28 @@ ALPHA = (0.0, 1.0)
 
 class CompositeSpace:
     """P1 vector/scalar dof maps over the reduced background mesh plus the
-    front fluid mesh, with Dirichlet sets and optional pressure pinning.
+    front fluid mesh (its FLUID cells), with Dirichlet sets and optional
+    pressure pinning.
 
     Dof layout: background velocity, front velocity, background pressure,
     front pressure.  No dof is shared between the meshes.  The Dirichlet
-    callbacks follow ``mesh.eval_field``; ``dirichlet_dofs`` (ascending) and
-    ``dirichlet_values`` are their merged data (``linalg.merge_constraints``).
+    callbacks follow ``mesh.eval_field``; the fluid-solid interface
+    vertices of the front are always no-slip.  ``dirichlet_dofs``
+    (ascending) and ``dirichlet_values`` are the merged data
+    (``linalg.merge_constraints``).
     """
 
-    def __init__(self, background, front, topo, fluid_tag=None,
-                 bg_dirichlet=None, front_dirichlet=None,
-                 interface_g="zero", pin_pressure=False, pin_value=0.0):
+    def __init__(self, background, front, topo, bg_dirichlet=None,
+                 front_dirichlet=None, pin_pressure=False, pin_value=0.0):
         self.background = background
         self.front = front
         self.topo = topo
-        self.fluid_tag = fluid_tag
 
         bg_active = np.zeros(background.nv, dtype=bool)
         if len(topo.reduced_cells):
             bg_active[background.cells[topo.reduced_cells].ravel()] = True
         fr_active = np.zeros(front.nv, dtype=bool)
-        self.fluid_cells = (np.arange(front.nc) if fluid_tag is None
-                            else front.region_cells(fluid_tag))
+        self.fluid_cells = front.region_cells(FLUID)
         if len(self.fluid_cells):
             fr_active[front.cells[self.fluid_cells].ravel()] = True
 
@@ -83,12 +83,11 @@ class CompositeSpace:
             else:
                 raise ValueError("no pressure dof available to pin")
         self.dirichlet_dofs, self.dirichlet_values = self._collect_dirichlet(
-            bg_dirichlet or {}, front_dirichlet or {}, interface_g, pin_value)
+            bg_dirichlet or {}, front_dirichlet or {}, pin_value)
 
-    def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, interface_g,
-                           pin_value):
+    def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, pin_value):
         """Merged Dirichlet dofs and values: marked boundary edges of both
-        meshes, the fluid-solid interface and the pressure pin."""
+        meshes, the no-slip fluid-solid interface and the pressure pin."""
         pin = [] if self.pin_dof is None else [self.pin_dof]
         dofs, vals = [np.array(pin, dtype=np.int64)], [np.full(len(pin), float(pin_value))]
 
@@ -104,10 +103,8 @@ class CompositeSpace:
             for m, g in spec.items():
                 add(mesh, vmap, base,
                     np.unique(mesh.boundary_edges[mesh.boundary_markers == m]), g)
-        if interface_g is not None and self.fluid_tag is not None:
-            add(self.front, self.fr_vmap, self.offset_u2,
-                region_interface_vertices(self.front, self.fluid_tag, SOLID),
-                None if interface_g == "zero" else interface_g)
+        add(self.front, self.fr_vmap, self.offset_u2,
+            region_interface_vertices(self.front, FLUID, SOLID), None)
         return merge_constraints(np.concatenate(dofs), np.concatenate(vals))
 
 
@@ -441,7 +438,7 @@ def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
         return sums(side, cells, rule.points, rule.weights, *fields(rule.points))
 
     partial = topo.class_partial
-    rules = (topo.cut_rules if order <= topo.order else
+    rules = (topo.cut_rules if order <= QUAD_ORDER else
              subtractive_rules(space.background, partial, topo.polygons, order))
     pts, wts = rules.points, rules.weights
     part = np.zeros((len(partial), 4))

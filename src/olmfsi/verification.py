@@ -238,7 +238,6 @@ def manufactured_fsi_problem(mf, level):
     fluid_verts = np.unique(front.cells[front.region_tags == FLUID])
     on_ends = fluid_verts[(np.abs(front.vertices[fluid_verts, 0]) < 1e-12)
                           | (np.abs(front.vertices[fluid_verts, 0] - mf.L) < 1e-12)]
-    pins = (on_ends, np.zeros((len(on_ends), 2)))
     # all fluid-adjacent boundary edges may couple: any part interior to
     # the background must be tied to the background field
     return FsiProblem(
@@ -251,7 +250,7 @@ def manufactured_fsi_problem(mf, level):
         solid_body_force=mf.f_solid,
         solid_dirichlet={LEFT: mf.us, RIGHT: mf.us, TOP: mf.us},
         solid_extra_load=extra,
-        motion_extra_dirichlet=pins,
+        motion_pinned_nodes=on_ends,
     )
 
 
@@ -342,7 +341,7 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
         topo = build_topology(bg, fr)
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={m: ms.u for m in (LEFT, RIGHT, BOTTOM, TOP)},
-                               interface_g=None, pin_pressure=True)
+                               pin_pressure=True)
         prob = FluidProblem(viscosity=viscosity, body_force=ms.f,
                             gamma=gamma, delta=delta)
         sol = solve_stokes(prob, space, topo)
@@ -354,13 +353,7 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
                   f"err_u={eu:.4e} err_p={ep:.4e}")
     if out_dir:
         write_outputs(None, report, out_dir)
-        sol, topo = last
-        write_vtk_mesh(os.path.join(out_dir, "background.vtk"),
-                       sol.space.background,
-                       {"velocity": sol.velocity(BG), "pressure": sol.pressure(BG)})
-        write_vtk_mesh(os.path.join(out_dir, "front.vtk"), sol.space.front,
-                       {"velocity": sol.velocity(FRONT), "pressure": sol.pressure(FRONT)})
-        write_vtk_topology(os.path.join(out_dir, "cut_geometry.vtk"), topo)
+        _write_fluid_fields(out_dir, *last)
     return report
 
 
@@ -472,14 +465,13 @@ def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
     fluid = FluidProblem(viscosity=viscosity, body_force=None,
                          gamma=gamma, delta=delta)
     front_dirichlet = {} if angle_deg != 0.0 else {BOTTOM: noslip}
-    pins = None
+    floor = ()
     if angle_deg == 0.0:
         # the fluid collar rests on the channel floor and must not lift off,
         # otherwise covered floor cells next to the clamped flap base turn
         # into cut cells touching the solid
         fluid_verts = np.unique(box.cells[box.region_tags == FLUID])
         floor = fluid_verts[np.abs(box.vertices[fluid_verts, 1]) < 1e-12]
-        pins = (floor, np.zeros((len(floor), 2)))
     return FsiProblem(
         background=bg,
         front_ref=box,
@@ -488,8 +480,8 @@ def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
         # the do-nothing outlet on the right fixes the pressure level
         bg_dirichlet={LEFT: inflow, BOTTOM: noslip, TOP: noslip},
         front_dirichlet=front_dirichlet,
-        solid_dirichlet_nodes=(clamp, np.zeros((len(clamp), 2))),
-        motion_extra_dirichlet=pins,
+        solid_clamped_nodes=clamp,
+        motion_pinned_nodes=floor,
     )
 
 
@@ -523,6 +515,19 @@ def _fresh_log(out_dir):
     return path
 
 
+def _write_fluid_fields(out_dir, sol, topo):
+    """Velocity and pressure of one fluid solve on both meshes, and its cut
+    geometry (legacy VTK)."""
+    space = sol.space
+    for name, mesh, mesh_id, title in (
+            ("background.vtk", space.background, BG, "background fluid"),
+            ("front.vtk", space.front, FRONT, "moving fluid mesh (current configuration)")):
+        write_vtk_mesh(os.path.join(out_dir, name), mesh,
+                       {"velocity": sol.velocity(mesh_id), "pressure": sol.pressure(mesh_id)},
+                       title=title)
+    write_vtk_topology(os.path.join(out_dir, "cut_geometry.vtk"), topo)
+
+
 def write_outputs(state, report, out_dir):
     """Field output (legacy VTK) plus the convergence table."""
     os.makedirs(out_dir, exist_ok=True)
@@ -530,18 +535,9 @@ def write_outputs(state, report, out_dir):
         report.to_csv(os.path.join(out_dir, "convergence.csv"))
     if state is None:
         return
-    space = state.space
-    sol = state.fluid
-    write_vtk_mesh(os.path.join(out_dir, "background.vtk"), space.background,
-                   {"velocity": sol.velocity(BG), "pressure": sol.pressure(BG)},
-                   title="background fluid")
-    write_vtk_mesh(os.path.join(out_dir, "front.vtk"), space.front,
-                   {"velocity": sol.velocity(FRONT), "pressure": sol.pressure(FRONT)},
-                   title="moving fluid mesh (current configuration)")
+    _write_fluid_fields(out_dir, state.fluid, state.topo)
     ref = state.front_current  # same connectivity as the reference mesh
     write_vtk_mesh(os.path.join(out_dir, "displacement.vtk"), ref,
                    {"solid_displacement": state.solid_displacement,
                     "mesh_displacement": state.mesh_displacement},
                    title="composite mesh displacements")
-    if state.topo is not None:
-        write_vtk_topology(os.path.join(out_dir, "cut_geometry.vtk"), state.topo)

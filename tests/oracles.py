@@ -17,14 +17,14 @@ import numpy as np
 import sympy as sp
 
 from olmfsi.coupling import TractionMappingError
-from olmfsi.geometry import (EPS_GEOM, GeometryError, InterfaceSegments, QuadRule,
-                             exterior_pieces, seg_rule, tri_rule, triangle_rule,
-                             uncovered_pieces)
+from olmfsi.geometry import (EPS_GEOM, QUAD_ORDER as FLUID_ORDER, GeometryError,
+                             InterfaceSegments, QuadRule, exterior_pieces, seg_rule,
+                             tri_rule, triangle_rule, uncovered_pieces)
 from olmfsi.linalg import SparseSystem
-from olmfsi.mesh import BOTTOM, LEFT, RIGHT, TOP, Mesh, barycentric, eval_field
+from olmfsi.mesh import BOTTOM, LEFT, RIGHT, SOLID, TOP, Mesh, barycentric, eval_field
 from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, STVK, InvertedElementError, Material,
                           first_piola, piola_tangent)
-from olmfsi.stokes import ALPHA, BG, FRONT, QUAD_ORDER as FLUID_ORDER, _full_cell_volume_terms
+from olmfsi.stokes import ALPHA, BG, FRONT, _full_cell_volume_terms
 from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
 _I2 = np.eye(2)
@@ -313,20 +313,15 @@ def _split_segments_loop(a, b, normal, background):
             for seg_pieces in pieces]
 
 
-def interface_quadrature_loop(front, background, topo, order=2, ff_markers=None,
-                              skip_region=None):
+def interface_quadrature_loop(front, background, topo):
     """Per-piece reference for ``geometry.interface_quadrature``: the former
     loop, one segment appended at a time, stacked at the end."""
     reduced = topo.reduced_mask
-    xs, ws = seg_rule(order)
+    xs, ws = seg_rule(FLUID_ORDER)
     segments, dropped = [], 0.0
-    edges = np.arange(len(front.boundary_edges))
-    if ff_markers is not None:
-        edges = edges[np.isin(front.boundary_markers, list(ff_markers))]
-    cells, normals = front.boundary_normals(edges)
-    if skip_region is not None:
-        keep = front.region_tags[cells] != skip_region
-        edges, cells, normals = edges[keep], cells[keep], normals[keep]
+    cells, normals = front.boundary_normals(np.arange(len(front.boundary_edges)))
+    edges = np.flatnonzero(front.region_tags[cells] != SOLID)   # solid edges never couple
+    cells, normals = cells[edges], normals[edges]
     starts, ends = (front.vertices[front.boundary_edges[edges, k]] for k in (0, 1))
     for a, b, front_cell, normal, pieces in zip(
             starts, ends, cells.tolist(), normals,
@@ -822,7 +817,7 @@ def error_norms_loop(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
                      triangle_rule(bg.cell_points[int(c)], order))
     covered = covered_dict(topo.polygons)
     for i, c in enumerate(topo.class_partial.tolist()):
-        rule = (topo.cut_rules[i] if order <= topo.order
+        rule = (topo.cut_rules[i] if order <= FLUID_ORDER
                 else _subtractive_rule(bg, c, covered[c], order))
         cell_contrib(bg, c, u_bg, p_bg, rule)
     for c in space.fluid_cells:

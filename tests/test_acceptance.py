@@ -65,7 +65,7 @@ def _condition_for(offset_frac, use_ih=True, jh_extension=True, N=8):
     topo = build_topology(bg, fr)
     zero = constant([0.0, 0.0])
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True)
+                           pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, use_ih=use_ih, jh_extension=jh_extension)
     sys = apply_dirichlet(assemble(prob, space, topo), space.dirichlet_dofs,
                           space.dirichlet_values)
@@ -100,7 +100,7 @@ def test_criterion_4_consistency_patch_test():
         topo = build_topology(bg, fr)
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={m: u for m in ALL_SIDES},
-                               interface_g=None, pin_pressure=True, pin_value=c)
+                               pin_pressure=True, pin_value=c)
         sys = assemble(FluidProblem(viscosity=1.0), space, topo)
         x = np.zeros(space.ndof)
         for mesh, vmap, ubase, pbase in (
@@ -231,8 +231,7 @@ def test_criterion_7_traction_drag():
         bg = build_rect_mesh(2, 2, [(0.4, 0.2), (0.6, 0.3)])
         topo = build_topology(bg, front)
         space = CompositeSpace(bg, front, topo,
-                               front_dirichlet={LEFT: u, BOTTOM: u, TOP: u},
-                               interface_g=None)
+                               front_dirichlet={LEFT: u, BOTTOM: u, TOP: u})
         sol = solve_stokes(FluidProblem(viscosity=nu), space, topo)
         wall = np.flatnonzero(np.abs(front.vertices[:, 1]) < 1e-12)
         drag = traction_functional(sol, None, space, wall)[:, 0].sum()

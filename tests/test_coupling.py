@@ -75,8 +75,7 @@ def poiseuille_channel(nx, ny, L=1.0, H=0.5, nu=1.0, c=1.0):
     bg = build_rect_mesh(2, 2, [(0.4, 0.2), (0.6, 0.3)])  # fully covered
     topo = build_topology(bg, front)
     space = CompositeSpace(bg, front, topo,
-                           front_dirichlet={LEFT: u, BOTTOM: u, TOP: u},
-                           interface_g=None)
+                           front_dirichlet={LEFT: u, BOTTOM: u, TOP: u})
     sol = solve_stokes(FluidProblem(viscosity=nu), space, topo)
     return sol, space, topo, front
 
@@ -116,7 +115,7 @@ def test_traction_translation_invariant():
     bg2 = Mesh(space.background.vertices + shift, space.background.cells,
                space.background.boundary_edges, space.background.boundary_markers)
     topo2 = build_topology(bg2, front2)
-    space2 = CompositeSpace(bg2, front2, topo2, interface_g=None)
+    space2 = CompositeSpace(bg2, front2, topo2)
     from olmfsi.stokes import FluidSolution
     sol2 = FluidSolution(space2, sol.coeffs, viscosity=sol.viscosity)
     out2 = traction_functional(sol2, None, space2, wall)
@@ -148,8 +147,8 @@ def test_traction_missing_node_error():
     comp = build_rect_mesh(4, 4, [(0, 0), (1, 1)],
                            region_fn=lambda cc: SOLID if cc[1] > 0.5 else FLUID)
     bg = build_rect_mesh(2, 2, [(0.3, 0.1), (0.6, 0.3)])
-    topo2 = build_topology(bg, comp, fluid_tag=FLUID)
-    space2 = CompositeSpace(bg, comp, topo2, fluid_tag=FLUID, interface_g=None)
+    topo2 = build_topology(bg, comp)
+    space2 = CompositeSpace(bg, comp, topo2)
     from olmfsi.stokes import FluidSolution
     sol2 = FluidSolution(space2, np.zeros(space2.ndof), viscosity=1.0)
     top_corner = np.flatnonzero((comp.vertices[:, 1] > 0.99)
@@ -178,10 +177,10 @@ def test_traction_matches_boundary_quadrature_oracle():
         sv[front0.cells[front0.region_tags == SOLID].ravel()] = True
         disp[:, 1] = np.where(sv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
-        topo = build_topology(bg, front, fluid_tag=FLUID)
-        space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
+        topo = build_topology(bg, front)
+        space = CompositeSpace(bg, front, topo,
                                bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
-                               front_dirichlet={LEFT: mf.u}, interface_g="zero")
+                               front_dirichlet={LEFT: mf.u})
         prob = FluidProblem(viscosity=mf.viscosity, body_force=mf.f,
                             neumann=((BG, RIGHT, mf.fluid_traction),
                                      (FRONT, RIGHT, mf.fluid_traction)))
@@ -400,9 +399,9 @@ def test_config_validation():
 def test_geometry_bookkeeping_every_iteration():
     # walking the loop by hand: at each pass the classification partitions
     # the background mesh and the coupling segments reproduce the length of
-    # the marked interface edges on the current configuration
+    # the marked interface edges on the current configuration (the only
+    # fluid edges interior to the background)
     from olmfsi.mesh import GAMMA_FF
-    from olmfsi.geometry import interface_quadrature
 
     mf = build_manufactured()
     problem = manufactured_fsi_problem(mf, 0)
@@ -410,7 +409,7 @@ def test_geometry_bookkeeping_every_iteration():
     um = np.zeros((problem.front_ref.nv, 2))
     iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
     mesh_motion = MeshMotionProblem(problem.front_ref, iface, FLUID,
-                                    *problem.motion_extra_dirichlet)
+                                    problem.motion_pinned_nodes)
     for k in range(3):
         ssol, _, front, topo, space, iface = outer_pass(problem, us, um)
         nc = problem.background.nc
@@ -421,9 +420,7 @@ def test_geometry_bookkeeping_every_iteration():
                   if m == GAMMA_FF]
         perim = sum(np.hypot(*(front.vertices[j] - front.vertices[i]))
                     for i, j in marked)
-        ff_only = interface_quadrature(front, problem.background, topo,
-                                       ff_markers={GAMMA_FF})
-        assert ff_only.length.sum() == pytest.approx(perim, abs=1e-10)
+        assert topo.interface_length() == pytest.approx(perim, abs=1e-10)
         us = ssol.displacement
         um = solve_mesh_motion(mesh_motion, us[iface])
 
@@ -447,10 +444,10 @@ def test_interpolated_exact_solution_residual_decays():
         solidv[front0.cells[front0.region_tags == SOLID].ravel()] = True
         disp[:, 1] = np.where(solidv, H, y * H / mf.Rf)
         front = deform_mesh(front0, disp)
-        topo = build_topology(bg, front, fluid_tag=FLUID)
-        space = CompositeSpace(bg, front, topo, fluid_tag=FLUID,
+        topo = build_topology(bg, front)
+        space = CompositeSpace(bg, front, topo,
                                bg_dirichlet={LEFT: mf.u, BOTTOM: mf.u},
-                               front_dirichlet={LEFT: mf.u}, interface_g="zero")
+                               front_dirichlet={LEFT: mf.u})
         prob = FluidProblem(viscosity=mf.viscosity, body_force=mf.f,
                             neumann=((BG, RIGHT, mf.fluid_traction),
                                      (FRONT, RIGHT, mf.fluid_traction)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from olmfsi.mesh import Mesh, build_rect_mesh, FLUID, SOLID
-from olmfsi.geometry import (EPS_GEOM, _pieces, classify, build_topology,
+from olmfsi.geometry import (EPS_GEOM, QUAD_ORDER, _pieces, classify, build_topology,
                              intersect_convex, cut_cell_quadrature,
                              interface_quadrature, overlap_region_pairs,
                              subtractive_rules, fan_triangles, triangle_rule,
@@ -426,7 +426,7 @@ def test_rotated_fronts_partition_and_consistency():
         u = lambda p: (A @ p[..., None])[..., 0] + b
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={m: u for m in (1, 2, 3, 4)},
-                               interface_g=None, pin_pressure=True, pin_value=c)
+                               pin_pressure=True, pin_value=c)
         sys = assemble(FluidProblem(viscosity=1.0), space, topo)
         x = np.zeros(space.ndof)
         for mesh, vmap, ubase, pbase in (
@@ -507,8 +507,7 @@ def test_piece_tables_match_loop_references():
     rows = 0
     for bg, fr in _splitter_cases():
         topo = build_topology(bg, fr)
-        skip = SOLID if (fr.region_tags == SOLID).any() else None
-        ref = interface_quadrature_loop(fr, bg, topo, skip_region=skip)
+        ref = interface_quadrature_loop(fr, bg, topo)
         got = topo.interface_segments
         fields = ("start", "end", "bg_cell", "front_cell", "normal", "points", "weights")
         assert _bits(*(getattr(got, f) for f in fields)) == \
@@ -559,7 +558,7 @@ def _random_fronts(n, seed):
 def test_topology_rules_match_standalone_cut_rules():
     bg = build_rect_mesh(20, 20, [(0, 0), (1, 1)])
     for fr in _random_fronts(4, seed=5):
-        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        topo = build_topology(bg, fr)
         assert len(topo.class_partial)
         covered = covered_dict(topo.polygons)
         order4 = subtractive_rules(bg, topo.class_partial, topo.polygons, 4)
@@ -588,7 +587,7 @@ def test_covered_polygons_area_identities():
     cases = [("random", bg20, fr) for fr in _random_fronts(4, seed=9)]
     cases += [c for c in _placements() if c[0] not in ("random", "coarse background")]
     for name, bg, fr in cases:
-        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        topo = build_topology(bg, fr)
         p = topo.polygons
         assert np.isin(p.bg_cell, topo.reduced_cells).all(), name
         # uncovered plus covered area is the cell area, for every cut cell
@@ -627,7 +626,7 @@ def test_topology_clips_each_pair_once(monkeypatch):
     fr = _random_fronts(1, seed=2)[0]
     topo = classify(bg, fr)
     n_classify = sum(len(a) for a, _ in clipped)
-    assert build_topology(bg, fr, fluid_tag=FLUID).clipped_pairs == topo.clipped_pairs
+    assert build_topology(bg, fr).clipped_pairs == topo.clipped_pairs
     assert sum(len(a) for a, _ in clipped) == 2 * n_classify
     bp, fp = bg.cell_points, fr.cell_points
     edges = fr.vertices[fr.boundary_edges]
@@ -674,7 +673,7 @@ def test_batched_classify_matches_per_pair_reference():
                 classify(bg, fr)
             raised += 1
             continue
-        topo = build_topology(bg, fr, fluid_tag=FLUID)
+        topo = build_topology(bg, fr)
         cls = np.zeros(bg.nc, dtype=np.int64)
         cls[topo.class_fully] = 1
         cls[topo.class_partial] = 2
@@ -690,7 +689,7 @@ def test_batched_classify_matches_per_pair_reference():
                                for _, p in polys]), name
         assert len(topo.cut_rules) == len(topo.class_partial), name
         for i, c in enumerate(topo.class_partial.tolist()):
-            ref = _subtractive_rule(bg, c, ref_cov[c], topo.order)
+            ref = _subtractive_rule(bg, c, ref_cov[c], QUAD_ORDER)
             assert np.array_equal(topo.cut_rules[i].points, ref.points), name
             assert np.array_equal(topo.cut_rules[i].weights, ref.weights), name
     assert raised == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from olmfsi.linalg import (SparseSystem, apply_dirichlet, solve_direct,
+from olmfsi.linalg import (SparseSystem, DirectSolver, apply_dirichlet, solve_direct,
                            condition_estimate, SingularMatrixError,
                            ConstraintConflictError, merge_constraints)
 
@@ -70,6 +70,13 @@ def test_solve_numerically_singular():
     sys = system_from_dense(A, np.ones(3))
     with pytest.raises(SingularMatrixError):
         solve_direct(apply_dirichlet(sys, *NONE))
+
+
+def test_solve_empty_system():
+    # SuperLU factors and solves the 0 x 0 system: no pivot to check
+    x = DirectSolver(sp.csr_matrix((0, 0))).solve(np.zeros(0), [], [])
+    assert x.shape == (0,)
+    assert solve_direct(apply_dirichlet(SparseSystem(0), *NONE)).shape == (0,)
 
 
 def kkt_matrix(seed):

@@ -352,21 +352,21 @@ def test_nodal_dirichlet_data_loses_to_marker_data():
     inner = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) < 1e-12)
     nodes = np.concatenate([inner, left])
     prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: constant([0.1, 0.2])},
-                        dirichlet_nodes=(nodes, np.tile([0.3, -0.4], (len(nodes), 1))))
-    U = np.zeros(prob.ndof)
+                        clamped_nodes=nodes)
+    U = np.ones(prob.ndof)
     U[prob.constrained_dofs] = prob.constrained_values
     field = prob.scatter(U)
     assert len(prob.constrained_dofs) == 2 * len(nodes)
-    assert (field[left] == [0.1, 0.2]).all() and (field[inner] == [0.3, -0.4]).all()
+    assert (field[left] == [0.1, 0.2]).all() and (field[inner] == 0.0).all()
 
     # a marker without edges adds nothing; a node off the region is rejected
     layered = build_rect_mesh(4, 4, [(0, 0), (1, 1)],
                               region_fn=lambda c: SOLID if c[1] > 0.5 else FLUID)
     prob = SolidProblem(layered, MAT1, region_tag=SOLID, dirichlet={BOTTOM: zero_g},
-                        dirichlet_nodes=([layered.nv - 1], [[0.0, 0.0]]))
+                        clamped_nodes=[layered.nv - 1])
     assert prob.constrained_dofs.dtype == np.int64 and len(prob.constrained_dofs) == 2
-    with pytest.raises(ValueError, match="dirichlet node 0 not in the solid region"):
-        SolidProblem(layered, MAT1, region_tag=SOLID, dirichlet_nodes=([0], [[0.0, 0.0]]))
+    with pytest.raises(ValueError, match="clamped node 0 not in the solid region"):
+        SolidProblem(layered, MAT1, region_tag=SOLID, clamped_nodes=[0])
 
 
 def test_per_point_callbacks_rejected():

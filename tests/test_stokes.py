@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from olmfsi.mesh import (Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, TOP,
-                         FLUID, SOLID)
+                         FLUID, SOLID, region_interface_vertices)
 from olmfsi.geometry import CutRules, build_topology
 from olmfsi.stokes import (CompositeSpace, FluidProblem, FluidSolution,
                            assemble, solve_stokes, error_norms)
@@ -52,7 +52,7 @@ def test_empty_front_reduces_to_single_mesh_assembler():
     bg = build_rect_mesh(4, 4, [(0, 0), (1, 1)])
     fr = empty_mesh()
     topo = build_topology(bg, fr)
-    space = CompositeSpace(bg, fr, topo, interface_g=None)
+    space = CompositeSpace(bg, fr, topo)
     assert space.n2 == 0 and space.n1 == bg.nv
 
     def f(p):
@@ -75,7 +75,7 @@ def test_linear_shear_field_consistency():
     pr = constant(0.0)
     bg, fr, topo = patch_setup([(0.23, 0.31), (0.68, 0.77)])
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: u for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True, pin_value=0.0)
+                           pin_pressure=True, pin_value=0.0)
     sys = assemble(FluidProblem(viscosity=1.0), space, topo)
     x = interpolate(space, u, pr)
     free = np.ones(space.ndof, bool)
@@ -99,7 +99,7 @@ def test_patch_test_random_front_positions(seed):
     bg, fr, topo = patch_setup([(x0, y0), (x0 + w, y0 + h)],
                                fr_n=(rng.integers(2, 5), rng.integers(2, 5)))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: u for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True, pin_value=c)
+                           pin_pressure=True, pin_value=c)
     prob = FluidProblem(viscosity=1.0)
     sys = assemble(prob, space, topo)
     x = interpolate(space, u, pr)
@@ -114,7 +114,7 @@ def test_patch_test_random_front_positions(seed):
 
 def test_matrix_symmetry():
     bg, fr, topo = patch_setup([(0.19, 0.27), (0.66, 0.81)])
-    space = CompositeSpace(bg, fr, topo, interface_g=None)
+    space = CompositeSpace(bg, fr, topo)
     sys = assemble(FluidProblem(viscosity=0.37), space, topo)
     M = sys.matrix()
     assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
@@ -124,7 +124,7 @@ def test_zero_data_zero_solution():
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.7, 0.7)])
     zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True)
+                           pin_pressure=True)
     sol = solve_stokes(FluidProblem(viscosity=1.0), space, topo)
     assert np.abs(sol.coeffs).max() < 1e-12
 
@@ -133,7 +133,7 @@ def test_unpinned_pure_dirichlet_is_singular():
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.7, 0.7)])
     zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=False)
+                           pin_pressure=False)
     sys = assemble(FluidProblem(viscosity=1.0), space, topo)
     with pytest.raises(SingularMatrixError):
         solve_direct(apply_dirichlet(sys, space.dirichlet_dofs, space.dirichlet_values))
@@ -168,8 +168,7 @@ def test_poiseuille_eoc():
         fr = empty_mesh()
         topo = build_topology(bg, fr)
         space = CompositeSpace(bg, fr, topo,
-                               bg_dirichlet={LEFT: u, BOTTOM: u, TOP: u},
-                               interface_g=None)
+                               bg_dirichlet={LEFT: u, BOTTOM: u, TOP: u})
         sol = solve_stokes(FluidProblem(viscosity=nu), space, topo)
         eu, ep = error_norms(sol, u, grad_u, pr, topo, order=4)
         errs.append(eu)
@@ -190,7 +189,7 @@ def cond_for_offset(offset_frac, use_ih=True, jh_extension=True, N=8):
     topo = build_topology(bg, fr)
     zero = constant(np.zeros(2))
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: zero for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True)
+                           pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, use_ih=use_ih, jh_extension=jh_extension)
     sys = apply_dirichlet(assemble(prob, space, topo), space.dirichlet_dofs,
                           space.dirichlet_values)
@@ -216,7 +215,7 @@ def test_lu_fill_guard_on_patch_study_system():
     bg, fr = stokes_patch_setup(2)
     topo = build_topology(bg, fr)
     space = CompositeSpace(bg, fr, topo, bg_dirichlet={m: ms.u for m in ALL_SIDES},
-                           interface_g=None, pin_pressure=True)
+                           pin_pressure=True)
     prob = FluidProblem(viscosity=1.0, body_force=ms.f, gamma=10.0, delta=0.5)
     sys = apply_dirichlet(assemble(prob, space, topo), space.dirichlet_dofs,
                           space.dirichlet_values)
@@ -245,7 +244,7 @@ def test_solution_invariant_under_cell_permutation():
         topo = build_topology(bg, fr)
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={m: u for m in ALL_SIDES},
-                               interface_g=None, pin_pressure=True)
+                               pin_pressure=True)
         sols.append(solve_stokes(FluidProblem(viscosity=1.0, body_force=f),
                                  space, topo).coeffs)
     scale = np.abs(sols[0]).max()
@@ -260,7 +259,7 @@ def test_error_norm_zero_for_interpolated_linear_field():
     gu = constant([[0.3, 0.7], [-0.5, -0.3]])
     pr = constant(0.25)
     bg, fr, topo = patch_setup([(0.22, 0.28), (0.69, 0.76)])
-    space = CompositeSpace(bg, fr, topo, interface_g=None)
+    space = CompositeSpace(bg, fr, topo)
     x = interpolate(space, u, pr)
     sol = FluidSolution(space, x, viscosity=1.0)
     eu, ep = error_norms(sol, u, gu, pr, topo, order=4)
@@ -274,7 +273,7 @@ def test_error_norm_analytic_value():
     bg = build_rect_mesh(4, 4, [(0, 0), (1, 1)])
     fr = empty_mesh()
     topo = build_topology(bg, fr)
-    space = CompositeSpace(bg, fr, topo, interface_g=None)
+    space = CompositeSpace(bg, fr, topo)
     sol = FluidSolution(space, np.zeros(space.ndof), viscosity=1.0)
     u = lambda p: np.column_stack([p[:, 1], np.zeros(len(p))])
     gu = constant([[0.0, 1.0], [0.0, 0.0]])
@@ -292,7 +291,7 @@ def test_error_norm_against_refined_quadrature_oracle():
                              -np.sin(p[:, 0]), np.zeros(len(p))], axis=-1).reshape(-1, 2, 2)
     pr = lambda p: p[:, 0] ** 2 - p[:, 1]
     bg, fr, topo = patch_setup([(0.22, 0.28), (0.69, 0.76)])
-    space = CompositeSpace(bg, fr, topo, interface_g=None)
+    space = CompositeSpace(bg, fr, topo)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(space.ndof)  # arbitrary discrete field
     sol = FluidSolution(space, x, viscosity=1.0)
@@ -303,14 +302,13 @@ def test_error_norm_against_refined_quadrature_oracle():
 
 
 def test_composite_space_dof_counts():
-    from olmfsi.mesh import FLUID, SOLID
     bg = build_rect_mesh(12, 12, [(0, 0), (1, 1)])
     fr = build_rect_mesh(4, 4, [(0.2, 0.2), (0.7, 0.8)],
                          region_fn=lambda c: SOLID if (0.3 < c[0] < 0.6
                                                        and 0.35 < c[1] < 0.65)
                          else FLUID)
-    topo = build_topology(bg, fr, fluid_tag=FLUID)
-    space = CompositeSpace(bg, fr, topo, fluid_tag=FLUID)
+    topo = build_topology(bg, fr)
+    space = CompositeSpace(bg, fr, topo)
     reduced_verts = np.unique(bg.cells[topo.reduced_cells])
     fluid_verts = np.unique(fr.cells[fr.region_tags == FLUID])
     assert space.n1 == len(reduced_verts)
@@ -322,6 +320,15 @@ def test_composite_space_dof_counts():
     # vertices of solid cells only carry no dof
     solid_only = np.setdiff1d(np.arange(fr.nv), fluid_verts)
     assert len(solid_only) and (space.fr_vmap[solid_only] == -1).all()
+    # the region tags alone make the fluid-solid interface no-slip and keep
+    # the solid out of the overlap pairs
+    iface = region_interface_vertices(fr, FLUID, SOLID)
+    no_slip = (space.offset_u2 + 2 * space.fr_vmap[iface][:, None] + np.arange(2)).ravel()
+    assert len(iface) and (space.fr_vmap[iface] >= 0).all()
+    assert np.array_equal(space.dirichlet_dofs, np.sort(no_slip))
+    assert (space.dirichlet_values == 0.0).all()
+    pairs = topo.overlap_pairs
+    assert len(pairs) and (fr.region_tags[pairs.front_cell] == FLUID).all()
 
 
 def test_problem_validation():
@@ -352,9 +359,9 @@ def _traction(pts, n):
     return np.outer(1.0 + pts[:, 1] - pts[:, 0] ** 2, n) + np.array([0.3, -0.1])
 
 
-def _overlap_case(fluid_tag=None, aligned=False, empty_cut=False):
+def _overlap_case(solid_core=False, aligned=False, empty_cut=False):
     """Background square under a rotated front that crosses its right side
-    (a solid core when fluid_tag is set), or a grid-aligned front."""
+    (with a solid core if asked), or a grid-aligned front."""
     bg = build_rect_mesh(10, 10, [(0, 0), (1, 1)])
     if aligned:
         fr = build_rect_mesh(4, 4, [(0.2, 0.3), (0.6, 0.7)])
@@ -362,23 +369,22 @@ def _overlap_case(fluid_tag=None, aligned=False, empty_cut=False):
         solid = (lambda c: SOLID if 0.62 < c[0] < 0.84 and 0.44 < c[1] < 0.56
                  else FLUID)
         fr = build_rect_mesh(10, 6, [(0.31, 0.24), (1.24, 0.76)],
-                             region_fn=solid if fluid_tag is not None else None)
+                             region_fn=solid if solid_core else None)
         t = 0.17
         rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         c = np.array([0.7, 0.5])
         fr = Mesh((fr.vertices - c) @ rot.T + c, fr.cells, fr.boundary_edges,
                   fr.boundary_markers, fr.region_tags)
-    topo = build_topology(bg, fr, fluid_tag=fluid_tag)
+    topo = build_topology(bg, fr)
     if empty_cut:
         # the second partial cell's rule emptied, as for a sliver cut
         r = topo.cut_rules
         drop = np.arange(r.offsets[1], r.offsets[2])
         topo.cut_rules = CutRules(np.delete(r.points, drop, axis=0), np.delete(r.weights, drop),
                                   np.append(r.offsets[:2], r.offsets[2:] - len(drop)))
-    space = CompositeSpace(bg, fr, topo, fluid_tag=fluid_tag,
+    space = CompositeSpace(bg, fr, topo,
                            bg_dirichlet={LEFT: lambda p: np.column_stack(
                                [p[:, 1], np.zeros(len(p))])},
-                           interface_g=None if fluid_tag is None else "zero",
                            pin_pressure=True)
     return topo, space
 
@@ -386,7 +392,7 @@ def _overlap_case(fluid_tag=None, aligned=False, empty_cut=False):
 @pytest.mark.parametrize("case", [
     dict(order=2), dict(order=4), dict(order=5),
     dict(mean_shift=True), dict(mean_shift=False), dict(pointwise=True),
-    dict(fluid_tag=FLUID), dict(aligned=True), dict(order=2, empty_cut=True)])
+    dict(solid_core=True), dict(aligned=True), dict(order=2, empty_cut=True)])
 def test_batched_error_norms_match_per_cell_reference(case):
     case = dict(case)
     order = case.pop("order", 4)
@@ -395,7 +401,7 @@ def test_batched_error_norms_match_per_cell_reference(case):
     topo, space = _overlap_case(**case)
     if case.get("aligned"):
         assert len(topo.class_partial) == 0
-    if case.get("fluid_tag") is not None:
+    if case.get("solid_core"):
         assert len(space.fluid_cells) < space.front.nc
     sol = FluidSolution(space, np.random.default_rng(5).standard_normal(space.ndof))
     gu, pr = (rowwise(_grad_u), rowwise(_pres)) if pointwise else (_grad_u, _pres)
@@ -408,7 +414,7 @@ def test_batched_error_norms_match_per_cell_reference(case):
 @pytest.mark.parametrize("use_ih", [True, False])
 @pytest.mark.parametrize("jh_extension", [True, False])
 def test_batched_assembly_matches_per_item_reference(jh_extension, use_ih, force):
-    topo, space = _overlap_case(fluid_tag=FLUID, empty_cut=True)
+    topo, space = _overlap_case(solid_core=True, empty_cut=True)
     f = {None: None, "vectorized": _force, "pointwise": rowwise(_force)}[force]
     prob = FluidProblem(viscosity=0.3, body_force=f, use_ih=use_ih,
                         jh_extension=jh_extension,
@@ -428,24 +434,24 @@ def test_conflicting_background_markers_raise():
     # LEFT and BOTTOM meet at the corner (0, 0) with different velocities
     bg, fr, topo = patch_setup([(0.3, 0.3), (0.6, 0.55)])
     with pytest.raises(ConstraintConflictError, match="constrained to both 1.0 and 0.0"):
-        CompositeSpace(bg, fr, topo, interface_g=None,
+        CompositeSpace(bg, fr, topo,
                        bg_dirichlet={LEFT: constant([1.0, 0.0]),
                                      BOTTOM: constant([0.0, 0.0])})
     # equal values at the shared corner are consistent
     zero = constant(np.zeros(2))
-    CompositeSpace(bg, fr, topo, interface_g=None, bg_dirichlet={LEFT: zero, BOTTOM: zero})
+    CompositeSpace(bg, fr, topo, bg_dirichlet={LEFT: zero, BOTTOM: zero})
 
 
 def test_vectorized_dirichlet_callbacks_match_pointwise_wrappers():
-    # boundary markers of both meshes and the fluid-solid interface, each
-    # evaluated once per marker on the whole vertex array
+    # boundary markers of both meshes, each evaluated once per marker on the
+    # whole vertex array, merged with the no-slip fluid-solid interface
     ms = build_manufactured_stokes()
-    topo, space = _overlap_case(fluid_tag=FLUID)
+    topo, space = _overlap_case(solid_core=True)
 
     def build(g):
-        return CompositeSpace(space.background, space.front, topo, fluid_tag=FLUID,
+        return CompositeSpace(space.background, space.front, topo,
                               bg_dirichlet={m: g for m in ALL_SIDES},
-                              front_dirichlet={LEFT: g, TOP: g}, interface_g=g,
+                              front_dirichlet={LEFT: g, TOP: g},
                               pin_pressure=True, pin_value=0.25)
 
     vec, point = build(ms.u), build(rowwise(lambda p: ms.u(p)[0]))

@@ -4,7 +4,9 @@ the Dirichlet-Neumann fixed-point iteration.
 Each outer iteration deforms the composite moving mesh, rebuilds the overlap
 topology, solves the fluid on the current configuration, feeds the weighted
 boundary traction to the solid as a nodal load, relaxes the displacement
-update and re-extends it into the fluid mesh.
+update and re-extends it into the fluid mesh.  The solid problem and its
+body load are set up once per run; the solid's whole load is one nodal
+array, which the continuation scales as a whole.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .mesh import Mesh, FLUID, SOLID, region_interface_vertices, eval_field
 from .geometry import build_topology, tri_rule
 from .stokes import (CompositeSpace, FluidProblem, solve_stokes,
                      FluidSolution, FRONT)
-from .solid import (Material, SolidProblem, solve_newton, p1_mass_matrix,
+from .solid import (Material, SolidProblem, solve_newton, body_load, p1_mass_matrix,
                     InvertedElementError)
 from .motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
 
@@ -92,8 +94,9 @@ def traction_functional(solution, body_force, space, interface_nodes):
 class FsiConfig:
     """Outer-loop controls for the fixed-point iteration.
 
-    ``load_ramp`` > 0 scales the fluid traction by min(1, k/load_ramp) over
-    the first outer iterations; with a linear fluid this equals ramping the
+    ``load_ramp`` > 0 scales the fluid traction and the auxiliary solid load
+    (not the solid body force) by min(1, k/load_ramp) over the first outer
+    iterations; with a linear fluid this equals ramping the
     flow data itself and tames strongly loaded first iterates.  Convergence
     is only declared once the full load is active.
     """
@@ -147,55 +150,30 @@ class FsiState:
     solid_newton_iters: list = field(default_factory=list)
 
 
-def fsi_outer_iteration(problem, front, iface, us, load_scale=1.0):
-    """One pass of the fixed-point loop body on the deformed front mesh;
-    returns the raw solid update (warm-started at us) and the solved fluid
-    state on the current configuration."""
+def fsi_outer_iteration(problem, front, iface):
+    """The fluid half of one pass of the fixed-point loop on the deformed
+    front mesh: rebuild the overlap topology, solve the fluid and transfer
+    its traction.  Returns the nodal fluid load on the solid, (nv, 2), and
+    the solved fluid state on the current configuration."""
     topo = build_topology(problem.background, front)
     space = CompositeSpace(problem.background, front, topo,
                            bg_dirichlet=problem.bg_dirichlet,
                            front_dirichlet=problem.front_dirichlet)
     sol = solve_stokes(problem.fluid, space, topo)
-
-    load = np.zeros((problem.front_ref.nv, 2))
-    load[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
-    if problem.solid_extra_load is not None:
-        load = load + problem.solid_extra_load
-    load = load_scale * load
-
-    solid = SolidProblem(problem.front_ref, problem.solid_material,
-                         region_tag=SOLID,
-                         body_force=problem.solid_body_force,
-                         dirichlet=problem.solid_dirichlet,
-                         clamped_nodes=problem.solid_clamped_nodes,
-                         interface_load=load)
-    ssol = _solve_solid(solid, us)
-    return ssol, sol, topo, space
+    traction = np.zeros((problem.front_ref.nv, 2))
+    traction[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
+    return traction, sol, topo, space
 
 
-def _scaled(fn, s):
-    if fn is None:
-        return None
-    return lambda x, _f=fn, _s=s: _s * np.asarray(_f(x))
-
-
-def _scaled_loads(solid, s):
-    scaled_n = {m: _scaled(t, s) for m, t in solid.neumann.items()}
-    load = None if solid.interface_load is None else s * solid.interface_load
-    return SolidProblem(solid.mesh, solid.material, solid.region_tag,
-                        _scaled(solid.body_force, s), solid.dirichlet,
-                        solid.clamped_nodes, scaled_n, load)
-
-
-def _solve_solid(solid, warm_start):
+def _solve_solid(solid, load, warm_start):
     """Newton solve warm-started at the current outer iterate.
 
-    If a full Newton step inverts an element, the loads are ramped by
+    If a full Newton step inverts an element, the load array is ramped by
     adaptive bisection continuation: each stage re-solves at an
     intermediate load factor starting from the last good state.
     """
     try:
-        return solve_newton(solid, rtol=1e-12, u0=warm_start)
+        return solve_newton(solid, load, rtol=1e-12, u0=warm_start)
     except InvertedElementError:
         pass
     u = warm_start
@@ -205,7 +183,7 @@ def _solve_solid(solid, warm_start):
     while targets:
         s = targets[-1]
         try:
-            sol = solve_newton(_scaled_loads(solid, s), rtol=1e-12, u0=u)
+            sol = solve_newton(solid, s * load, rtol=1e-12, u0=u)
         except InvertedElementError:
             if s - s_done < 1.0 / 64.0:
                 raise
@@ -219,20 +197,37 @@ def _solve_solid(solid, warm_start):
     return sol
 
 
+def _solid_setup(problem):
+    """The solid problem of a run, its body load and the auxiliary load
+    (0.0 for none).  A pass under load factor alpha loads the solid with
+    body + alpha * (traction + extra)."""
+    mesh = problem.front_ref
+    solid = SolidProblem(mesh, problem.solid_material, SOLID,
+                         problem.solid_dirichlet, problem.solid_clamped_nodes)
+    extra = problem.solid_extra_load
+    if extra is None:
+        extra = 0.0
+    else:
+        solid.gather(extra)      # raises ValueError unless shaped (nv, 2)
+    return solid, body_load(mesh, solid.cells, problem.solid_body_force), extra
+
+
 def fsi_fixed_point(problem, config=None, log_path=None):
     """Dirichlet-Neumann iteration with dynamic relaxation.
 
     Starts from zero displacements, rebuilds the overlap geometry on every
     pass and stops when the relative L2 increment of the solid displacement
-    drops below config.tol.  The interface vertices, the solid vertices and
-    the factored mesh-motion operator are set up once per run.  The
-    iteration log gets the completed iterations also when the run fails.
+    drops below config.tol.  The interface vertices, the solid problem
+    with its body load and the factored mesh-motion operator are set up
+    once per run; each pass loads the solid with the body load plus the
+    ramped fluid traction and auxiliary load.  The iteration log gets the
+    completed iterations also when the run fails.
     """
     config = config or FsiConfig()
     mesh = problem.front_ref
-    solid_cells = mesh.region_cells(SOLID)
-    mass = p1_mass_matrix(mesh, solid_cells)
-    solid_verts = np.unique(mesh.cells[solid_cells])
+    solid, body, extra = _solid_setup(problem)
+    mass = p1_mass_matrix(mesh, solid.cells)
+    solid_verts = np.unique(mesh.cells[solid.cells])
     iface = region_interface_vertices(mesh, FLUID, SOLID)
     motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
 
@@ -252,8 +247,8 @@ def fsi_fixed_point(problem, config=None, log_path=None):
             disp = um.copy()             # mesh motion, solid values on the solid
             disp[solid_verts] = us[solid_verts]
             front = deform_mesh(mesh, disp)
-            ssol, fluid_sol, topo, space = fsi_outer_iteration(
-                problem, front, iface, us, load_scale=alpha)
+            traction, fluid_sol, topo, space = fsi_outer_iteration(problem, front, iface)
+            ssol = _solve_solid(solid, body + alpha * (traction + extra), us)
             newton_iters.append(ssol.iterations)
             r = (ssol.displacement - us).ravel()
             if r_prev is not None:

@@ -18,7 +18,8 @@ from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constrain
 
 STVK = "stvk"
 LINEAR = "linear"
-QUAD_ORDER = 2           # body-force and edge-traction quadrature order
+QUAD_ORDER = 2           # body-force quadrature order
+EDGE_ORDER = 4           # edge-traction quadrature order
 
 _I2 = np.eye(2)
 
@@ -102,23 +103,21 @@ def piola_tangent(F, material, dF):
 class SolidProblem:
     """Solid equilibrium problem on (a tagged region of) a reference mesh.
 
-    ``interface_load`` is a nodal functional over mesh vertices, (nv, 2),
-    typically produced by the fluid traction transfer; ``dirichlet`` maps
-    exterior boundary markers to displacement callbacks (see
-    ``mesh.eval_field``) and wins over any nodal data at shared vertices;
-    two markers giving one vertex different values raise
-    ConstraintConflictError.  ``clamped_nodes`` are vertices held at zero
-    displacement (a clamped flap base, the constrained nodes of the
-    mesh-motion problem); marker data wins at shared vertices.
+    The problem holds no load: ``solve_newton`` takes the external load as
+    one nodal array over mesh vertices, (nv, 2), built from ``body_load``,
+    ``edge_load`` and the fluid traction transfer, and ``gather`` maps it
+    to the active dofs.  ``dirichlet`` maps exterior boundary markers to
+    displacement callbacks (see ``mesh.eval_field``); two markers giving
+    one vertex different values raise ConstraintConflictError.
+    ``clamped_nodes`` are vertices held at zero displacement (a clamped
+    flap base, the constrained nodes of the mesh-motion problem); marker
+    data wins at shared vertices.
     """
     mesh: Mesh
     material: Material
     region_tag: int | None = None
-    body_force: object = None
     dirichlet: dict = field(default_factory=dict)
     clamped_nodes: np.ndarray = ()
-    neumann: dict = field(default_factory=dict)
-    interface_load: np.ndarray | None = None
 
     def __post_init__(self):
         if self.region_tag is None:
@@ -137,17 +136,17 @@ class SolidProblem:
     def _collect_bcs(self):
         if self.region_tag is None:
             ij, markers = self.mesh.boundary_edges, self.mesh.boundary_markers
-        else:   # interface edges carry marker -1 (the Neumann side)
+        else:   # interface edges carry marker -1
             ij, _, markers, _ = region_boundary_edges(self.mesh, self.region_tag)
-        self._neumann_edges = [(i, j, self.neumann[k])
-                               for (i, j), k in zip(ij.tolist(), markers.tolist())
-                               if k in self.neumann]
         dofs, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for m, g in self.dirichlet.items():
             verts = np.unique(ij[markers == m])
             dofs.append((2 * self.vmap[verts][:, None] + np.arange(2)).ravel())
             vals.append(eval_field(g, self.mesh.vertices[verts], (2,)).ravel())
         nodes = np.asarray(self.clamped_nodes, dtype=np.int64)
+        out = nodes[(nodes < 0) | (nodes >= self.mesh.nv)]
+        if len(out):
+            raise IndexError(f"clamped node {int(out[0])} out of range")
         off = nodes[self.vmap[nodes] < 0]
         if len(off):
             raise ValueError(f"clamped node {off[0]} not in the solid region")
@@ -159,29 +158,61 @@ class SolidProblem:
             np.concatenate(dofs), np.concatenate(vals))
 
     def scatter(self, U):
-        """Active dof vector -> full (nv, 2) nodal field (zeros off-region)."""
+        """Active dof vector -> full (nv, 2) nodal field (zeros off-region).
+        Active vertices are numbered in vertex order, two dofs each."""
         out = np.zeros((self.mesh.nv, 2))
-        act = self.vmap >= 0
-        out[act, 0] = U[2 * self.vmap[act]]
-        out[act, 1] = U[2 * self.vmap[act] + 1]
+        out[self.vmap >= 0] = np.reshape(U, (-1, 2))
         return out
 
     def gather(self, field_nodal):
-        U = np.zeros(self.ndof)
-        act = self.vmap >= 0
-        U[2 * self.vmap[act]] = field_nodal[act, 0]
-        U[2 * self.vmap[act] + 1] = field_nodal[act, 1]
-        return U
+        """Full (nv, 2) nodal field -> active dof vector; a load or warm
+        start of any other shape raises ValueError."""
+        field_nodal = np.asarray(field_nodal, float)
+        if field_nodal.shape != (self.mesh.nv, 2):
+            raise ValueError(f"nodal field of shape {field_nodal.shape}, "
+                             f"expected ({self.mesh.nv}, 2)")
+        return field_nodal[self.vmap >= 0].ravel()
+
+
+def body_load(mesh, cells, force):
+    """Nodal load (nv, 2) of a body force over the given cells (zeros for a
+    force of None); the force callback is evaluated once, at every
+    quadrature point of every cell."""
+    load = np.zeros((mesh.nv, 2))
+    if force is None:
+        return load
+    cells = np.asarray(cells, dtype=np.int64)
+    lam, w = tri_rule(QUAD_ORDER)
+    fv = eval_field(force, lam @ mesh.cell_points[cells], (2,)).reshape(len(cells), len(w), 2)
+    A = mesh.cell_areas[cells][:, None, None]
+    np.add.at(load, mesh.cells[cells], A * np.einsum("q,qa,cqi->cai", w, lam, fv))
+    return load
+
+
+def edge_load(mesh, edges, traction):
+    """Nodal load (nv, 2) of a traction on the given (k, 2) vertex pairs of
+    the mesh (reference configuration); the traction callback is evaluated
+    once, at every quadrature point of every edge."""
+    load = np.zeros((mesh.nv, 2))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    xs, ws = seg_rule(EDGE_ORDER)
+    a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    d = b - a
+    pts = a[:, None] + xs[None, :, None] * d[:, None]                  # (e, q, 2)
+    tv = eval_field(traction, pts.reshape(-1, 2), (2,)).reshape(pts.shape)
+    lam = np.column_stack([1.0 - xs, xs])
+    length = np.hypot(d[:, 0], d[:, 1])[:, None, None]
+    np.add.at(load, edges, length * np.einsum("q,qa,eqi->eai", ws, lam, tv))
+    return load
 
 
 def assemble_solid(problem, u_current):
-    """Residual vector and analytic tangent at the current displacement.
+    """Internal force vector and analytic tangent at the current displacement.
 
-    ``u_current`` is an active dof vector; the residual pairs internal
-    forces against body force, edge tractions and the interface load.  All
-    cells of the problem are assembled at once: local arrays are indexed
-    (cell, node a, component i), and the tangent's columns come from the
-    six unit directions dF = e_j (x) grad phi_b per cell.
+    ``u_current`` is an active dof vector.  All cells of the problem are
+    assembled at once: local arrays are indexed (cell, node a, component
+    i), and the tangent's columns come from the six unit directions
+    dF = e_j (x) grad phi_b per cell.
     """
     mesh = problem.mesh
     mat = problem.material
@@ -208,30 +239,6 @@ def assemble_solid(problem, u_current):
     loc = dofs.reshape(nc, 6)
     K.add(np.repeat(loc, 6, axis=1), np.tile(loc, (1, 6)),
           Kloc.transpose(0, 3, 4, 1, 2).reshape(nc, 36))
-
-    # external loads enter the residual with a minus sign
-    if problem.body_force is not None:
-        lam, w = tri_rule(QUAD_ORDER)
-        fv = eval_field(problem.body_force, lam @ mesh.cell_points[cells], (2,))
-        fv = fv.reshape(nc, len(w), 2)
-        np.add.at(R, dofs, -(A * np.einsum("q,qa,cqi->cai", w, lam, fv)))
-
-    if problem._neumann_edges:
-        xs, ws = seg_rule(QUAD_ORDER)
-        for i, j, t in problem._neumann_edges:
-            a, b = mesh.vertices[i], mesh.vertices[j]
-            length = np.hypot(*(b - a))
-            pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-            tv = eval_field(t, pts, (2,))
-            lam = np.column_stack([1.0 - xs, xs])
-            for vloc, v in enumerate((i, j)):
-                for c in range(2):
-                    R[2 * problem.vmap[v] + c] -= np.sum(ws * length * lam[:, vloc] * tv[:, c])
-
-    if problem.interface_load is not None:
-        L = problem.gather(np.asarray(problem.interface_load, float))
-        R -= L
-
     return R, K
 
 
@@ -242,13 +249,15 @@ class SolidSolution:
     residuals: list
 
 
-def solve_newton(problem, tol=1e-10, maxit=25, rtol=0.0, u0=None):
-    """Full Newton iteration; converges when the free-dof residual norm
-    drops below ``tol`` (or ``rtol`` times its initial value).
+def solve_newton(problem, load, tol=1e-10, maxit=25, rtol=0.0, u0=None):
+    """Full Newton iteration on internal force minus the nodal ``load``
+    (nv, 2); converges when the free-dof residual norm drops below ``tol``
+    (or ``rtol`` times its initial value).
 
     ``u0`` is an optional nodal warm start; Dirichlet values always win.
     """
-    U = np.zeros(problem.ndof) if u0 is None else problem.gather(np.asarray(u0))
+    L = problem.gather(load)
+    U = np.zeros(problem.ndof) if u0 is None else problem.gather(u0)
     U[problem.constrained_dofs] = problem.constrained_values
     free = np.ones(problem.ndof, dtype=bool)
     free[problem.constrained_dofs] = False
@@ -258,6 +267,7 @@ def solve_newton(problem, tol=1e-10, maxit=25, rtol=0.0, u0=None):
     r0 = None
     for _ in range(maxit + 1):
         R, K = assemble_solid(problem, U)
+        R -= L
         rnorm = float(np.linalg.norm(R[free])) if free.any() else 0.0
         residuals.append(rnorm)
         if r0 is None:

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (Mesh, build_rect_mesh, build_tensor_mesh, region_boundary_edges,
-                   eval_field, FLUID, SOLID, LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
-from .geometry import build_topology, seg_rule
+                   FLUID, SOLID, LEFT, RIGHT, BOTTOM, TOP, GAMMA_FF)
+from .geometry import build_topology
 from .stokes import CompositeSpace, FluidProblem, solve_stokes, error_norms, BG, FRONT
-from .solid import Material, STVK, h1_error
+from .solid import Material, STVK, edge_load, h1_error
 from .coupling import FsiProblem, FsiConfig, fsi_fixed_point
 from .vtkio import write_vtk_mesh, write_vtk_topology
 
@@ -202,24 +202,11 @@ def manufactured_meshes(level, mf=None):
     return bg, front
 
 
-LOAD_ORDER = 4           # quadrature order of the interface load
-
-
 def interface_load_vector(mesh, traction_fn):
     """Nodal load from a traction prescribed on the reference interface
     (the solid region's edges shared with another region)."""
-    xs, ws = seg_rule(LOAD_ORDER)
-    load = np.zeros((mesh.nv, 2))
     edges, _, _, other = region_boundary_edges(mesh, SOLID)
-    for i, j in edges[other >= 0].tolist():
-        a, b = mesh.vertices[i], mesh.vertices[j]
-        length = np.hypot(*(b - a))
-        pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-        tv = eval_field(traction_fn, pts, (2,))
-        lam = np.column_stack([1.0 - xs, xs])
-        for vloc, v in enumerate((i, j)):
-            load[v] += length * np.einsum("q,q,qi->i", ws, lam[:, vloc], tv)
-    return load
+    return edge_load(mesh, edges[other >= 0], traction_fn)
 
 
 def manufactured_fsi_problem(mf, level):

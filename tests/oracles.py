@@ -22,8 +22,8 @@ from olmfsi.geometry import (EPS_GEOM, QUAD_ORDER as FLUID_ORDER, GeometryError,
                              tri_rule, triangle_rule, uncovered_pieces)
 from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import BOTTOM, LEFT, RIGHT, SOLID, TOP, Mesh, barycentric, eval_field
-from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, STVK, InvertedElementError, Material,
-                          first_piola, piola_tangent)
+from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, EDGE_ORDER, STVK, InvertedElementError,
+                          Material, first_piola, piola_tangent)
 from olmfsi.stokes import ALPHA, BG, FRONT, _full_cell_volume_terms
 from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
@@ -545,10 +545,9 @@ def _subtractive_rule(background, cell, polys, order):
 
 
 def assemble_solid_loop(problem, u_current):
-    """Per-cell assembly of the solid residual and tangent: the scalar
+    """Per-cell assembly of the solid internal force and tangent: the scalar
     reference for the batched ``solid.assemble_solid``, with six 2x2
-    ``piola_tangent`` calls per cell and one ``eval_field`` call per cell
-    for the body force."""
+    ``piola_tangent`` calls per cell."""
     mesh = problem.mesh
     mat = problem.material
     U = np.asarray(u_current, float)
@@ -581,38 +580,29 @@ def assemble_solid_loop(problem, u_current):
                 Kloc[:, 2 * b + j] = col.ravel()
         loc = dofs.ravel()
         K.add(np.repeat(loc, 6), np.tile(loc, 6), Kloc.ravel())
-
-    # external loads enter the residual with a minus sign
-    if problem.body_force is not None:
-        lam, w = tri_rule(SOLID_ORDER)
-        for cell in problem.cells:
-            cell = int(cell)
-            pts = lam @ mesh.cell_points[cell]
-            fv = eval_field(problem.body_force, pts, (2,))
-            conn = mesh.cells[cell]
-            slots = problem.vmap[conn]
-            A = mesh.cell_areas[cell]
-            rv = A * np.einsum("q,qa,qi->ai", w, lam, fv)
-            dofs = np.column_stack([2 * slots, 2 * slots + 1])
-            np.add.at(R, dofs.ravel(), -rv.ravel())
-
-    if problem._neumann_edges:
-        xs, ws = seg_rule(SOLID_ORDER)
-        for i, j, t in problem._neumann_edges:
-            a, b = mesh.vertices[i], mesh.vertices[j]
-            length = np.hypot(*(b - a))
-            pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-            tv = eval_field(t, pts, (2,))
-            lam = np.column_stack([1.0 - xs, xs])
-            for vloc, v in enumerate((i, j)):
-                for c in range(2):
-                    R[2 * problem.vmap[v] + c] -= np.sum(ws * length * lam[:, vloc] * tv[:, c])
-
-    if problem.interface_load is not None:
-        L = problem.gather(np.asarray(problem.interface_load, float))
-        R -= L
-
     return R, K
+
+
+def solid_load_loop(mesh, cells, force, edges, traction):
+    """Nodal load (nv, 2) of a body force over the cells plus a traction on
+    the (k, 2) edges, one ``eval_field`` call per cell and per edge: the
+    reference for ``solid.body_load`` + ``solid.edge_load``."""
+    body, edge = np.zeros((mesh.nv, 2)), np.zeros((mesh.nv, 2))
+    lam, w = tri_rule(SOLID_ORDER)
+    for cell in cells:
+        cell = int(cell)
+        fv = eval_field(force, lam @ mesh.cell_points[cell], (2,))
+        rv = mesh.cell_areas[cell] * np.einsum("q,qa,qi->ai", w, lam, fv)
+        np.add.at(body, mesh.cells[cell], rv)
+    xs, ws = seg_rule(EDGE_ORDER)
+    lam = np.column_stack([1.0 - xs, xs])
+    for i, j in np.asarray(edges).tolist():
+        a, b = mesh.vertices[i], mesh.vertices[j]
+        length = np.hypot(*(b - a))
+        pts = a[None, :] + xs[:, None] * (b - a)[None, :]
+        tv = eval_field(traction, pts, (2,))
+        np.add.at(edge, [i, j], length * np.einsum("q,qa,qi->ai", ws, lam, tv))
+    return body + edge
 
 
 def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,

@@ -16,7 +16,7 @@ from olmfsi.geometry import (build_topology, classify, cut_cell_quadrature,
 from olmfsi.stokes import CompositeSpace, FluidProblem, assemble, solve_stokes, BG, FRONT, _bary
 from olmfsi.linalg import apply_dirichlet, condition_estimate
 from olmfsi.solid import (Material, SolidProblem, first_piola, strain_energy,
-                          assemble_solid, solve_newton, STVK)
+                          assemble_solid, solve_newton, edge_load, STVK)
 from olmfsi.coupling import aitken_update, traction_functional, FsiConfig, \
     fsi_fixed_point
 from olmfsi.verification import (run_stokes_convergence, run_convergence,
@@ -207,9 +207,8 @@ def test_criterion_6_solid_gradient_checks():
     tangent_err = np.linalg.norm((Rp - Rm) / (2 * h) - K.matrix() @ dU) \
         / np.linalg.norm(K.matrix() @ dU)
 
-    strip = SolidProblem(mesh, mat, dirichlet={LEFT: constant([0.0, 0.0])},
-                         neumann={RIGHT: constant([0.0, 0.02])})
-    sol = solve_newton(strip, tol=1e-10)
+    right = mesh.boundary_edges[mesh.boundary_markers == RIGHT]
+    sol = solve_newton(prob, edge_load(mesh, right, constant([0.0, 0.02])), tol=1e-10)
     tail = [v for v in sol.residuals if v > 1e-13]
     ratio = np.log(tail[-1]) / np.log(tail[-2])
 

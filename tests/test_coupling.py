@@ -12,7 +12,7 @@ from olmfsi.coupling import (aitken_update, traction_functional,
                              FixedPointError)
 from olmfsi.motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
 from olmfsi.solid import (Material, SolidProblem, assemble_solid, solve_newton,
-                          InvertedElementError, NewtonError)
+                          body_load, InvertedElementError, NewtonError)
 from fixtures import constant, rowwise, translated, l2_norm
 from oracles import traction_functional_loop
 from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
@@ -20,14 +20,18 @@ from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
 
 
 def outer_pass(problem, us, um):
-    """fsi_outer_iteration at the composite configuration of (us, um)."""
+    """One pass of the fixed-point loop body at the composite configuration
+    of (us, um), under the full load: fsi_outer_iteration, then the solid
+    solve warm-started at us."""
     mesh = problem.front_ref
-    solid_verts = np.unique(mesh.cells[mesh.region_tags == SOLID])
+    solid, body, extra = coupling._solid_setup(problem)
+    solid_verts = np.unique(mesh.cells[solid.cells])
     iface = region_interface_vertices(mesh, FLUID, SOLID)
     disp = um.copy()
     disp[solid_verts] = us[solid_verts]
     front = deform_mesh(mesh, disp)
-    ssol, sol, topo, space = fsi_outer_iteration(problem, front, iface, us)
+    traction, sol, topo, space = fsi_outer_iteration(problem, front, iface)
+    ssol = coupling._solve_solid(solid, body + (traction + extra), us)
     return ssol, sol, front, topo, space, iface
 
 
@@ -339,48 +343,81 @@ def test_mesh_motion_factored_once_per_run(monkeypatch):
                           state.solid_displacement[iface])
 
 
-def column_under_top_load(force):
-    """A 1 x 2 column clamped at the bottom and pressed down at the top."""
+def test_solid_set_up_once_per_run(monkeypatch):
+    # one solid problem and one evaluation of the body force serve every
+    # outer iteration and every Newton step
+    counts = dict.fromkeys(("problem", "force"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(coupling, "SolidProblem", counting("problem", coupling.SolidProblem))
+    problem = manufactured_fsi_problem(build_manufactured(), 0)
+    problem.solid_body_force = counting("force", problem.solid_body_force)
+    state = fsi_fixed_point(problem)
+    assert state.iterations >= 3 and sum(state.solid_newton_iters) > state.iterations
+    assert counts == {"problem": 1, "force": 1}
+
+
+def test_solid_extra_load_must_be_nodal():
+    # a single load vector is not broadcast onto every vertex
+    problem = manufactured_fsi_problem(build_manufactured(), 0)
+    problem.solid_extra_load = np.array([0.0, -1.0])
+    with pytest.raises(ValueError, match=r"nodal field of shape \(2,\)"):
+        fsi_fixed_point(problem)
+
+
+def column_under_top_load(force, kind):
+    """A 1 x 2 column clamped at the bottom and pressed down with the total
+    force, at the top or by its own weight; the solid and its load."""
     mesh = build_rect_mesh(2, 4, [(0, 0), (1, 2)])
+    solid = SolidProblem(mesh, Material.from_young_poisson(1.0, 0.3),
+                         dirichlet={BOTTOM: constant([0.0, 0.0])})
+    if kind == "weight":
+        return solid, body_load(mesh, solid.cells, constant([0.0, -force / 2.0]))
     top = np.flatnonzero(np.isclose(mesh.vertices[:, 1], 2.0))
     load = np.zeros((mesh.nv, 2))
     load[top, 1] = -force / len(top)
-    return SolidProblem(mesh, Material.from_young_poisson(1.0, 0.3),
-                        dirichlet={BOTTOM: constant([0.0, 0.0])},
-                        interface_load=load)
+    return solid, load
 
 
-def load_factors(monkeypatch, solid):
-    """The load factor of every Newton solve the solid solve starts."""
+def load_factors(monkeypatch, full):
+    """The load factor of every Newton solve the solid solve starts, read
+    from the load array it is given."""
     factors = []
 
-    def newton(stage, **kwargs):
-        factors.append(stage.interface_load.sum() / solid.interface_load.sum())
-        return solve_newton(stage, **kwargs)
+    def newton(stage, load, **kwargs):
+        factors.append(load.sum() / full.sum())
+        return solve_newton(stage, load, **kwargs)
     monkeypatch.setattr(coupling, "solve_newton", newton)
     return factors
 
 
 def test_solid_continuation_reaches_equilibrium(monkeypatch):
-    solid = column_under_top_load(0.1)
-    zero = np.zeros((solid.mesh.nv, 2))
-    with pytest.raises(InvertedElementError):
-        solve_newton(solid, rtol=1e-12, u0=zero)
-    factors = load_factors(monkeypatch, solid)
-    sol = coupling._solve_solid(solid, zero)
-    assert factors == [1.0, 0.5, 1.0]
-    R, _ = assemble_solid(solid, solid.gather(sol.displacement))
-    free = np.ones(solid.ndof, dtype=bool)
-    free[solid.constrained_dofs] = False
-    assert np.linalg.norm(R[free]) <= 1e-10       # solve_newton's tolerance
+    for kind, force in (("top", 0.1), ("weight", 0.22)):
+        solid, load = column_under_top_load(force, kind)
+        zero = np.zeros((solid.mesh.nv, 2))
+        with pytest.raises(InvertedElementError):
+            solve_newton(solid, load, rtol=1e-12, u0=zero)
+        factors = load_factors(monkeypatch, load)
+        sol = coupling._solve_solid(solid, load, zero)
+        assert factors == [1.0, 0.5, 1.0], kind
+        R, _ = assemble_solid(solid, solid.gather(sol.displacement))
+        free = np.ones(solid.ndof, dtype=bool)
+        free[solid.constrained_dofs] = False
+        # solve_newton's tolerance
+        assert np.linalg.norm((R - solid.gather(load))[free]) <= 1e-10, kind
 
 
 def test_solid_continuation_gives_up_below_a_64th(monkeypatch):
-    solid = column_under_top_load(100.0)
-    factors = load_factors(monkeypatch, solid)
-    with pytest.raises(InvertedElementError):
-        coupling._solve_solid(solid, np.zeros((solid.mesh.nv, 2)))
-    assert factors == [2.0 ** -k for k in range(8)]
+    for kind in ("top", "weight"):
+        solid, load = column_under_top_load(100.0, kind)
+        factors = load_factors(monkeypatch, load)
+        with pytest.raises(InvertedElementError):
+            coupling._solve_solid(solid, load, np.zeros((solid.mesh.nv, 2)))
+        assert factors == [2.0 ** -k for k in range(8)], kind
 
 
 def test_config_validation():

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fixtures import constant, rowwise, l2_norm
-from oracles import assemble_solid_loop
+from oracles import assemble_solid_loop, solid_load_loop
 from olmfsi.linalg import ConstraintConflictError
 from olmfsi.mesh import Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, FLUID, SOLID
+from olmfsi.motion import MeshMotionProblem
 from olmfsi.solid import (Material, SolidProblem, first_piola, piola_tangent,
                           strain_energy, assemble_solid, solve_newton,
+                          body_load, edge_load,
                           InvertedElementError, NewtonError, STVK, LINEAR,
                           p1_mass_matrix, l2_error, h1_seminorm_error)
 
@@ -17,10 +19,19 @@ MAT1 = Material(STVK, 1.0, 1.0)
 zero_g = constant([0.0, 0.0])
 
 
+def no_load(prob):
+    return np.zeros((prob.mesh.nv, 2))
+
+
+def marker_edges(mesh, marker):
+    return mesh.boundary_edges[mesh.boundary_markers == marker]
+
+
 def strip_problem(mat, traction, nx=10, ny=2):
+    """A strip clamped on the left, and the load of a traction on its right end."""
     mesh = build_rect_mesh(nx, ny, [(0, 0), (1, 0.2)])
-    return SolidProblem(mesh, mat, dirichlet={LEFT: zero_g},
-                        neumann={RIGHT: traction})
+    prob = SolidProblem(mesh, mat, dirichlet={LEFT: zero_g})
+    return prob, edge_load(mesh, marker_edges(mesh, RIGHT), traction)
 
 
 # -- stress ----------------------------------------------------------------------
@@ -94,9 +105,8 @@ def test_material_validation():
 # -- assembly ---------------------------------------------------------------------
 
 def test_zero_state_zero_residual():
-    prob = strip_problem(MAT1, None)
-    prob.neumann = {}
-    prob = SolidProblem(prob.mesh, MAT1, dirichlet={LEFT: zero_g})
+    prob = SolidProblem(build_rect_mesh(10, 2, [(0, 0), (1, 0.2)]), MAT1,
+                        dirichlet={LEFT: zero_g})
     R, K = assemble_solid(prob, np.zeros(prob.ndof))
     assert np.abs(R).max() == 0.0
 
@@ -142,15 +152,14 @@ def test_assembly_reports_inverted_cell():
 def test_newton_zero_data_one_iteration():
     prob = SolidProblem(build_rect_mesh(4, 2, [(0, 0), (1, 0.5)]), MAT1,
                         dirichlet={LEFT: zero_g})
-    sol = solve_newton(prob, tol=1e-10)
+    sol = solve_newton(prob, no_load(prob), tol=1e-10)
     assert sol.iterations == 1
     assert np.abs(sol.displacement).max() == 0.0
 
 
 def test_newton_linear_single_step():
     mat = Material.from_young_poisson(10.0, 0.3, LINEAR)
-    prob = strip_problem(mat, constant([0.0, 0.01]))
-    sol = solve_newton(prob, tol=1e-10)
+    sol = solve_newton(*strip_problem(mat, constant([0.0, 0.01])), tol=1e-10)
     assert sol.iterations == 1
 
 
@@ -161,7 +170,7 @@ def test_newton_small_load_matches_linear_model():
     sols = {}
     for model in (STVK, LINEAR):
         mat = Material.from_young_poisson(10.0, 0.3, model)
-        sols[model] = solve_newton(strip_problem(mat, tr), tol=1e-13).displacement
+        sols[model] = solve_newton(*strip_problem(mat, tr), tol=1e-13).displacement
     scale = np.abs(sols[LINEAR]).max()
     diff = np.abs(sols[STVK] - sols[LINEAR]).max()
     # geometric nonlinearity enters at second order in the displacement
@@ -171,8 +180,7 @@ def test_newton_small_load_matches_linear_model():
 
 def test_newton_clamped_strip_quadratic_convergence():
     mat = Material.from_young_poisson(10.0, 0.3)
-    prob = strip_problem(mat, constant([0.0, 0.02]))
-    sol = solve_newton(prob, tol=1e-10)
+    sol = solve_newton(*strip_problem(mat, constant([0.0, 0.02])), tol=1e-10)
     assert sol.iterations <= 8
     r = sol.residuals
     # quadratic ratio on the last steps above the roundoff floor
@@ -184,9 +192,8 @@ def test_newton_clamped_strip_quadratic_convergence():
 
 def test_newton_nonconvergence_reports_history():
     mat = Material.from_young_poisson(10.0, 0.3)
-    prob = strip_problem(mat, constant([0.0, 0.02]))
     with pytest.raises(NewtonError) as err:
-        solve_newton(prob, tol=1e-30, maxit=2)
+        solve_newton(*strip_problem(mat, constant([0.0, 0.02])), tol=1e-30, maxit=2)
     assert len(err.value.residuals) >= 2
 
 
@@ -197,13 +204,12 @@ def test_translation_invariance():
     # boundary values and an unshifted interior, which must stay untangled
     c = np.array([0.009, -0.006])
     tr = constant([0.0, 0.01])
-    base = SolidProblem(mesh, mat, dirichlet={LEFT: zero_g, RIGHT: zero_g},
-                        body_force=constant([0.0, 0.05]))
+    base = SolidProblem(mesh, mat, dirichlet={LEFT: zero_g, RIGHT: zero_g})
     shifted = SolidProblem(mesh, mat,
-                           dirichlet={LEFT: constant(c), RIGHT: constant(c)},
-                           body_force=constant([0.0, 0.05]))
-    u0 = solve_newton(base, tol=1e-12).displacement
-    u1 = solve_newton(shifted, tol=1e-12).displacement
+                           dirichlet={LEFT: constant(c), RIGHT: constant(c)})
+    load = body_load(mesh, base.cells, constant([0.0, 0.05]))
+    u0 = solve_newton(base, load, tol=1e-12).displacement
+    u1 = solve_newton(shifted, load, tol=1e-12).displacement
     assert np.abs(u1 - (u0 + c)).max() < 1e-9
 
 
@@ -214,7 +220,7 @@ def test_region_restricted_problem():
     prob = SolidProblem(mesh, mat, region_tag=SOLID,
                         dirichlet={LEFT: zero_g, RIGHT: zero_g})
     assert prob.nactive == 3 * 5  # vertices of the upper half
-    sol = solve_newton(prob, tol=1e-12)
+    sol = solve_newton(prob, no_load(prob), tol=1e-12)
     lower = mesh.vertices[:, 1] < 0.5 - 1e-9
     assert np.abs(sol.displacement[lower]).max() == 0.0
 
@@ -252,12 +258,12 @@ def test_batched_assembly_matches_per_cell_reference(model, region, force):
     rng = np.random.default_rng(4)
     prob = SolidProblem(
         mesh, Material.from_young_poisson(10.0, 0.3, model), region_tag=region,
-        body_force=(_vec_force if force == "vectorized"
-                    else rowwise(lambda x: _vec_force(x[None])[0])),
-        dirichlet={LEFT: zero_g},
-        neumann={RIGHT: lambda x: np.column_stack([np.full(len(x), 0.1), x[:, 1]])},
-        interface_load=rng.standard_normal((mesh.nv, 2)))
-    assert 0 < len(prob.cells) and len(prob._neumann_edges)
+        dirichlet={LEFT: zero_g})
+    body_force = (_vec_force if force == "vectorized"
+                  else rowwise(lambda x: _vec_force(x[None])[0]))
+    traction = lambda x: np.column_stack([np.full(len(x), 0.1), x[:, 1]])
+    right = marker_edges(mesh, RIGHT)
+    assert 0 < len(prob.cells) and len(right)
     U = 0.005 * rng.standard_normal(prob.ndof)
     R, K = assemble_solid(prob, U)
     R_ref, K_ref = assemble_solid_loop(prob, U)
@@ -266,6 +272,9 @@ def test_batched_assembly_matches_per_cell_reference(model, region, force):
     A, A_ref = K.matrix(), K_ref.matrix()
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, part), getattr(A_ref, part))
+    load = body_load(mesh, prob.cells, body_force) + edge_load(mesh, right, traction)
+    assert np.array_equal(load, solid_load_loop(mesh, prob.cells, body_force,
+                                                right, traction))
 
 
 def test_batched_assembly_names_first_inverted_cell():
@@ -308,10 +317,15 @@ def test_stacked_constitutive_laws_match_2x2_calls_bitwise():
 @pytest.mark.parametrize("force", [None, _vec_force, constant([0.0, 1.0])])
 def test_assembly_on_empty_region(force):
     mesh = build_rect_mesh(3, 2, [(0, 0), (1, 1)], region_fn=lambda c: FLUID)
-    prob = SolidProblem(mesh, MAT1, region_tag=SOLID, body_force=force)
+    prob = SolidProblem(mesh, MAT1, region_tag=SOLID)
     assert len(prob.cells) == 0
     R, K = assemble_solid(prob, np.zeros(prob.ndof))
     assert R.shape == (0,) and K.n == 0 and K.matrix().nnz == 0
+    load = body_load(mesh, prob.cells, force)
+    assert load.shape == (mesh.nv, 2) and not load.any()
+    if force is not None:
+        assert not edge_load(mesh, [], force).any()
+    assert prob.gather(load).shape == (0,)
 
 
 def test_batched_error_norms_sum_over_cells():
@@ -375,9 +389,10 @@ def test_per_point_callbacks_rejected():
     mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
     with pytest.raises(ValueError, match=r"shape \(2,\) for 3 points"):
         SolidProblem(mesh, MAT1, dirichlet={LEFT: per_point})
-    prob = SolidProblem(mesh, MAT1, dirichlet={LEFT: zero_g}, body_force=per_point)
     with pytest.raises(ValueError, match=r"shape \(2,\) for 48 points"):
-        assemble_solid(prob, np.zeros(prob.ndof))
+        body_load(mesh, np.arange(mesh.nc), per_point)
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 12 points"):
+        edge_load(mesh, marker_edges(mesh, BOTTOM), per_point)
     # at exactly two points the one row has the length of a column
     narrow = build_rect_mesh(4, 1, [(0, 0), (1, 0.2)])
     with pytest.raises(ValueError, match=r"shape \(2,\) for 2 points"):
@@ -394,3 +409,25 @@ def test_vectorized_dirichlet_callback_matches_pointwise():
                                                 RIGHT: rowwise(lambda x: g(x[None])[0])})
     assert np.array_equal(vec.constrained_dofs, point.constrained_dofs)
     assert vec.constrained_values.tobytes() == point.constrained_values.tobytes()
+
+
+def test_clamped_and_pinned_nodes_out_of_range():
+    mesh = build_rect_mesh(4, 2, [(0, 0), (1, 0.2)])
+    for node in (-1, mesh.nv):
+        with pytest.raises(IndexError, match=f"clamped node {node} out of range"):
+            SolidProblem(mesh, MAT1, clamped_nodes=[node])
+        with pytest.raises(IndexError, match=f"clamped node {node} out of range"):
+            MeshMotionProblem(mesh, [0, 1], pinned_nodes=[node])
+    prob = SolidProblem(mesh, MAT1, clamped_nodes=[mesh.nv - 1])
+    assert np.array_equal(prob.constrained_dofs, 2 * (mesh.nv - 1) + np.arange(2))
+
+
+def test_nodal_load_and_warm_start_shapes_checked():
+    prob, load = strip_problem(MAT1, constant([0.0, 0.01]))
+    for bad in (np.array([0.0, -1.0]), load[:-1], load.ravel()):
+        with pytest.raises(ValueError, match="nodal field of shape"):
+            solve_newton(prob, bad)
+        with pytest.raises(ValueError, match="nodal field of shape"):
+            solve_newton(prob, load, u0=bad)
+    assert np.array_equal(prob.scatter(prob.gather(load)), load)
+

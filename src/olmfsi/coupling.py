@@ -6,7 +6,8 @@ topology, solves the fluid on the current configuration, feeds the weighted
 boundary traction to the solid as a nodal load, relaxes the displacement
 update and re-extends it into the fluid mesh.  The solid problem and its
 body load are set up once per run; the solid's whole load is one nodal
-array, which the continuation scales as a whole.
+array, which the continuation scales as a whole.  The fluid background far
+from the front is condensed once per run (``stokes.FarField``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .mesh import Mesh, FLUID, SOLID, region_interface_vertices, eval_field
 from .geometry import build_topology, tri_rule
-from .stokes import (CompositeSpace, FluidProblem, solve_stokes,
+from .stokes import (CompositeSpace, FarField, FluidProblem, solve_stokes,
                      FluidSolution, FRONT)
 from .solid import (Material, SolidProblem, solve_newton, body_load, p1_mass_matrix,
                     InvertedElementError)
@@ -150,16 +151,17 @@ class FsiState:
     solid_newton_iters: list = field(default_factory=list)
 
 
-def fsi_outer_iteration(problem, front, iface):
+def fsi_outer_iteration(problem, front, iface, far=None):
     """The fluid half of one pass of the fixed-point loop on the deformed
-    front mesh: rebuild the overlap topology, solve the fluid and transfer
-    its traction.  Returns the nodal fluid load on the solid, (nv, 2), and
-    the solved fluid state on the current configuration."""
+    front mesh: rebuild the overlap topology, solve the fluid (condensing
+    the run's ``FarField`` ``far``, if given) and transfer its traction.
+    Returns the nodal fluid load on the solid, (nv, 2), and the solved
+    fluid state on the current configuration."""
     topo = build_topology(problem.background, front)
     space = CompositeSpace(problem.background, front, topo,
                            bg_dirichlet=problem.bg_dirichlet,
                            front_dirichlet=problem.front_dirichlet)
-    sol = solve_stokes(problem.fluid, space, topo)
+    sol = solve_stokes(problem.fluid, space, topo, far)
     traction = np.zeros((problem.front_ref.nv, 2))
     traction[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
     return traction, sol, topo, space
@@ -218,7 +220,8 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     Starts from zero displacements, rebuilds the overlap geometry on every
     pass and stops when the relative L2 increment of the solid displacement
     drops below config.tol.  The interface vertices, the solid problem
-    with its body load and the factored mesh-motion operator are set up
+    with its body load, the factored mesh-motion operator and the fluid
+    ``FarField`` (factored on the first fluid solve, if it pays) are set up
     once per run; each pass loads the solid with the body load plus the
     ramped fluid traction and auxiliary load.  The iteration log gets the
     completed iterations also when the run fails.
@@ -230,6 +233,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     solid_verts = np.unique(mesh.cells[solid.cells])
     iface = region_interface_vertices(mesh, FLUID, SOLID)
     motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
+    far = FarField()
 
     def mnorm(fld):
         return float(np.sqrt(sum(col @ (mass @ col) for col in fld.T)))
@@ -247,7 +251,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
             disp = um.copy()             # mesh motion, solid values on the solid
             disp[solid_verts] = us[solid_verts]
             front = deform_mesh(mesh, disp)
-            traction, fluid_sol, topo, space = fsi_outer_iteration(problem, front, iface)
+            traction, fluid_sol, topo, space = fsi_outer_iteration(problem, front, iface, far)
             ssol = _solve_solid(solid, body + alpha * (traction + extra), us)
             newton_iters.append(ssol.iterations)
             r = (ssol.displacement - us).ravel()

@@ -161,9 +161,19 @@ def _factor(A):
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
 
+# probe growth of a numerically singular matrix: regular flap fluid systems
+# read 8e2-4e3, the unpinned pressure null space 7.5e17
+PROBE_GROWTH_LIMIT = 1e13
+
+
 class DirectSolver:
     """Sparse LU of a square matrix, checked once when it is factored and
-    on every solve, so one factorization can serve many right-hand sides."""
+    on every solve, so one factorization can serve many right-hand sides.
+
+    The factorization is checked by one solve with a seeded right-hand side
+    b: a growth ||A||_inf ||x||_inf / ||b||_inf at or above
+    ``PROBE_GROWTH_LIMIT`` raises SingularMatrixError.
+    """
 
     def __init__(self, A):
         # structural deficiency: name the first empty row
@@ -173,26 +183,36 @@ class DirectSolver:
                 f"structurally singular: zero pivot at dof {int(empty[0])} (empty row)")
         self._A = A
         self._lu = _factor(A)
-        diag = np.abs(self._lu.U.diagonal())
-        if len(diag) and diag.min() <= 1e-13 * diag.max():
-            raise SingularMatrixError(
-                f"numerically singular: zero pivot at factor position "
-                f"{int(np.argmin(diag))}")
         self._norm_a = abs(A).sum(axis=1).max() if A.nnz else 0.0
+        if A.shape[0]:
+            b = np.random.default_rng(0).standard_normal(A.shape[0])
+            growth = self._norm_a * np.abs(self._lu.solve(b)).max() / np.abs(b).max()
+            if not growth < PROBE_GROWTH_LIMIT:
+                raise SingularMatrixError(
+                    f"numerically singular: probe solve growth {growth:.3e}")
 
-    def solve(self, rhs, cdofs, cvals):
-        """Solution for rhs; the constrained entries cdofs reproduce their
-        values cvals exactly."""
+    def solve(self, rhs, cdofs=(), cvals=()):
+        """Solution for rhs, one column per column of a 2-D rhs; the
+        constrained entries cdofs reproduce their values cvals exactly."""
         x = self._lu.solve(rhs)
         if not np.isfinite(x).all():
             raise SingularMatrixError("solve produced non-finite values (zero pivot)")
-        x[cdofs] = cvals
-        resid = np.linalg.norm(self._A @ x - rhs)
-        bound = 1e-10 * (self._norm_a * np.linalg.norm(x) + np.linalg.norm(rhs))
-        if resid > max(bound, 1e-300) and resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
-            raise SingularMatrixError(
-                f"large solve residual {resid:.3e} (near-singular matrix)")
+        if len(cdofs):
+            x[cdofs] = cvals
+        check_residual(self._A, x, rhs, self._norm_a)
         return x
+
+
+def check_residual(A, x, rhs, norm_a):
+    """Raise SingularMatrixError unless every column of x solves A x = rhs
+    to 1e-10 relative to ||A||_inf ||x|| + ||rhs|| (or 1e-8 of ||rhs||)."""
+    resid = np.linalg.norm(A @ x - rhs, axis=0)
+    size = np.linalg.norm(rhs, axis=0)
+    bound = 1e-10 * (norm_a * np.linalg.norm(x, axis=0) + size)
+    bad = (resid > np.maximum(bound, 1e-300)) & (resid > 1e-8 * np.maximum(size, 1.0))
+    if np.any(bad):
+        raise SingularMatrixError(
+            f"large solve residual {np.max(resid):.3e} (near-singular matrix)")
 
 
 def solve_direct(c):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import (FLUID, SOLID, region_interface_vertices,
                    barycentric as _bary, eval_field)
@@ -28,7 +29,8 @@ from .geometry import (
     uncovered_pieces,
     exterior_pieces,
 )
-from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
+from .linalg import (SparseSystem, Constrained, DirectSolver, apply_dirichlet,
+                     check_residual, solve_direct, merge_constraints)
 
 BG, FRONT = 0, 1
 # weights of the background and front fluxes in the interface mean: the
@@ -390,11 +392,113 @@ class FluidSolution:
         return out
 
 
-def solve_stokes(problem, space, topo):
-    """Assemble, constrain and solve; Dirichlet values are exact in the result."""
-    # nested, so the unconstrained system is freed before the factorization
-    x = solve_direct(apply_dirichlet(assemble(problem, space, topo),
-                                     space.dirichlet_dofs, space.dirichlet_values))
+def _bg_dofs(space, verts):
+    """Velocity, then pressure dofs of background vertices (all active)."""
+    slot = space.bg_vmap[verts]
+    return np.concatenate([(2 * slot[:, None] + np.arange(2)).ravel(),
+                           space.offset_p1 + slot])
+
+
+class FarField:
+    """Static condensation of the fixed background far from the front, for
+    the fluid solves of one fixed-point run.
+
+    On the first solve the box of the vertices of the covered (fully or
+    partially) background cells is grown by its own width and height on
+    each side.  The active background vertices outside it are *far*; the
+    other background vertices of their cells form the *rim*.  The far rows
+    and their coupling to the rim only see full uncovered cells, so they do
+    not change while no covered cell, interface segment or overlap pair
+    touches a far vertex: the far block A_FF is factored once and its
+    effect on the rim is the dense Schur block S = A_RF A_FF^-1 A_FR.  Each
+    solve factors only the near system (every other dof, with S taken off
+    the rim block) and recovers the far dofs with two far solves.  A front
+    that reaches a far vertex rebuilds the far field.  The far field is
+    used only when it holds more dofs than the rest of the system;
+    otherwise the set-up does not pay and every solve is a plain one.  The
+    constrained background dofs must not depend on the front (no pressure
+    pin, as in every fixed-point run); the residual check on the whole
+    system catches a far block that went stale all the same.
+    """
+
+    def __init__(self):
+        self._built = False
+        self._far = None        # far vertex mask; None for plain solves
+
+    def solve(self, c, space, topo):
+        """Solution of the eliminated fluid system ``c`` on ``space``."""
+        if not self._built or self._touched(space, topo):
+            self._build(c, space, topo)
+        if self._far is None:
+            return solve_direct(c)
+        A, b = c.matrix, c.rhs
+        far, rim = _bg_dofs(space, np.flatnonzero(self._far)), _bg_dofs(space, self._rim)
+        is_near = np.ones(len(b), dtype=bool)
+        is_near[far] = False
+        near = np.flatnonzero(is_near)
+        pos = np.cumsum(is_near) - 1        # position of a near dof in near
+        r = pos[rim]
+        A_near = A[near][:, near] - sp.csr_matrix(
+            (self._S.ravel(), (np.repeat(r, len(r)), np.tile(r, len(r)))),
+            shape=(len(near), len(near)))
+        b_near = b[near]
+        b_near[r] -= self._A_RF @ self._solver.solve(b[far])
+        held = is_near[c.dofs]
+        x = np.empty(len(b))
+        x[near] = solve_direct(Constrained(A_near, b_near, pos[c.dofs[held]],
+                                           c.values[held]))
+        x[far] = self._solver.solve(b[far] - self._A_FR @ x[rim])
+        x[c.dofs] = c.values
+        # against the whole system: a stale far block cannot pass
+        check_residual(A, x, b, abs(A).sum(axis=1).max())
+        return x
+
+    def _touched(self, space, topo):
+        """Whether a cell with more than full-cell terms has a far vertex
+        (never for plain solves)."""
+        if self._far is None:
+            return False
+        cells = np.concatenate([topo.class_fully, topo.class_partial,
+                                topo.interface_segments.bg_cell,
+                                topo.overlap_pairs.bg_cell])
+        return bool(self._far[space.background.cells[cells]].any())
+
+    def _build(self, c, space, topo):
+        self._built, self._far = True, None
+        bg = space.background
+        covered = np.concatenate([topo.class_fully, topo.class_partial])
+        if not len(covered):
+            return
+        pts = bg.vertices[bg.cells[covered]].reshape(-1, 2)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        lo, hi = 2 * lo - hi, 2 * hi - lo
+        far = (space.bg_vmap >= 0) & ((bg.vertices < lo) | (bg.vertices > hi)).any(axis=1)
+        if 2 * 3 * far.sum() <= space.ndof:      # the far dofs must outnumber the rest
+            return
+        rim = np.zeros(bg.nv, dtype=bool)
+        rim[bg.cells[far[bg.cells].any(axis=1)]] = True
+        self._far, self._rim = far, np.flatnonzero(rim & ~far)
+        far, rim = _bg_dofs(space, np.flatnonzero(far)), _bg_dofs(space, self._rim)
+        A_F = c.matrix[far]
+        self._A_FR, self._A_RF = A_F[:, rim], c.matrix[rim][:, far]
+        self._solver = DirectSolver(A_F[:, far])
+        # S a few rim columns at a time: the dense far solutions stay small
+        cols = self._A_FR.tocsc()
+        self._S = np.hstack([self._A_RF @ self._solver.solve(cols[:, j:j + 16].toarray())
+                             for j in range(0, len(rim), 16)])
+
+
+def solve_stokes(problem, space, topo, far=None):
+    """Assemble, constrain and solve; Dirichlet values are exact in the result.
+
+    ``far`` is the ``FarField`` of a fixed-point run: it condenses the fixed
+    background far from the front out of every solve of the run.  Without
+    it the whole system is factored.
+    """
+    # the unconstrained system is freed before the factorization
+    c = apply_dirichlet(assemble(problem, space, topo),
+                        space.dirichlet_dofs, space.dirichlet_values)
+    x = solve_direct(c) if far is None else far.solve(c, space, topo)
     return FluidSolution(space, x, viscosity=problem.viscosity)
 
 

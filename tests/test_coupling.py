@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from olmfsi import coupling, motion
+from olmfsi import coupling, motion, stokes
 from olmfsi.mesh import (Mesh, build_rect_mesh, FLUID, SOLID,
                          LEFT, RIGHT, BOTTOM, TOP, region_interface_vertices)
 from olmfsi.geometry import build_topology
-from olmfsi.stokes import CompositeSpace, FluidProblem, solve_stokes, BG, FRONT
+from olmfsi.stokes import (CompositeSpace, FarField, FluidProblem, assemble,
+                           solve_stokes, BG, FRONT)
+from olmfsi.linalg import SingularMatrixError, apply_dirichlet, solve_direct
 from olmfsi.coupling import (aitken_update, traction_functional,
                              TractionMappingError, FsiConfig,
                              fsi_fixed_point, fsi_outer_iteration,
@@ -318,21 +320,23 @@ def test_failed_run_keeps_its_iteration_log(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
 
 
+def counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def test_mesh_motion_factored_once_per_run(monkeypatch):
     # one assembly and one factorization of the motion operator serve every
     # outer iteration; no motion solve goes through Newton
     counts = dict.fromkeys(("assemble", "factor", "newton", "solve"), 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-    monkeypatch.setattr(motion, "assemble_solid", counting("assemble", motion.assemble_solid))
-    monkeypatch.setattr(motion, "DirectSolver", counting("factor", motion.DirectSolver))
-    monkeypatch.setattr(motion, "solve_newton", counting("newton", motion.solve_newton))
+    monkeypatch.setattr(motion, "assemble_solid",
+                        counting(counts, "assemble", motion.assemble_solid))
+    monkeypatch.setattr(motion, "DirectSolver", counting(counts, "factor", motion.DirectSolver))
+    monkeypatch.setattr(motion, "solve_newton", counting(counts, "newton", motion.solve_newton))
     monkeypatch.setattr(coupling, "solve_mesh_motion",
-                        counting("solve", coupling.solve_mesh_motion))
+                        counting(counts, "solve", coupling.solve_mesh_motion))
     problem = manufactured_fsi_problem(build_manufactured(), 0)
     state = fsi_fixed_point(problem)
     assert state.iterations >= 3
@@ -343,19 +347,92 @@ def test_mesh_motion_factored_once_per_run(monkeypatch):
                           state.solid_displacement[iface])
 
 
+def fluid_system(problem, front):
+    """The eliminated fluid system of an FSI problem on a front placement."""
+    topo = build_topology(problem.background, front)
+    space = CompositeSpace(problem.background, front, topo,
+                           bg_dirichlet=problem.bg_dirichlet,
+                           front_dirichlet=problem.front_dirichlet)
+    c = apply_dirichlet(assemble(problem.fluid, space, topo),
+                        space.dirichlet_dofs, space.dirichlet_values)
+    return c, space, topo
+
+
+def test_far_field_solve_matches_plain_solve(monkeypatch):
+    # the far field of iteration 1 serves the converged configuration too:
+    # one far factorization, both solves equal the plain LU to roundoff
+    counts = {"far": 0}
+    monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
+    problem = flap_problem(0.0, res=1)
+    state = fsi_fixed_point(problem, FsiConfig(load_ramp=4))
+    assert counts["far"] == 1
+    far = FarField()
+    for front in (problem.front_ref, state.front_current):
+        c, space, topo = fluid_system(problem, front)
+        x, ref = far.solve(c, space, topo), solve_direct(c)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(x[c.dofs], c.values)
+    assert counts["far"] == 2
+
+
+def test_far_field_set_up_once_per_run(monkeypatch):
+    # flap 0 deg res 1: the far field (1950 of 3012 dofs) is factored once;
+    # every outer iteration factors its near system through solve_direct
+    counts = dict.fromkeys(("far", "near"), 0)
+    monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
+    monkeypatch.setattr(stokes, "solve_direct", counting(counts, "near", stokes.solve_direct))
+    state = fsi_fixed_point(flap_problem(0.0, res=1), FsiConfig(load_ramp=4))
+    assert state.iterations == 9
+    assert counts == {"far": 1, "near": 9}
+
+
+@pytest.mark.parametrize("case", ["manufactured-0", "flap-65"])
+def test_far_field_not_worth_it_keeps_plain_path(case, monkeypatch):
+    # the far field holds fewer dofs than the rest: no far factorization
+    counts = dict.fromkeys(("far", "plain"), 0)
+    monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
+    monkeypatch.setattr(stokes, "solve_direct", counting(counts, "plain", stokes.solve_direct))
+    if case == "flap-65":
+        state = fsi_fixed_point(flap_problem(65.0, res=1), FsiConfig(load_ramp=4))
+    else:
+        state = fsi_fixed_point(manufactured_fsi_problem(build_manufactured(), 0))
+    assert counts == {"far": 0, "plain": state.iterations}
+
+
+def test_far_field_rebuilt_when_front_reaches_it(monkeypatch):
+    # the flap box moved 0.5 upstream covers cells with far vertices of the
+    # first placement's far field: it is rebuilt around the new placement
+    counts = {"far": 0}
+    monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
+    problem = flap_problem(0.0, res=1)
+    far = FarField()
+    far.solve(*fluid_system(problem, problem.front_ref))
+    c, space, topo = fluid_system(problem, translated(problem.front_ref, (-0.5, 0.0)))
+    x, ref = far.solve(c, space, topo), solve_direct(c)
+    assert counts["far"] == 2
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_far_field_corrupted_rim_block_fails_residual_check():
+    # the near and far solves stay consistent with a wrong Schur block; the
+    # residual on the whole system catches it
+    problem = flap_problem(0.0, res=1)
+    c, space, topo = fluid_system(problem, problem.front_ref)
+    far = FarField()
+    far.solve(c, space, topo)
+    far._S *= 1.01
+    with pytest.raises(SingularMatrixError, match="residual"):
+        far.solve(c, space, topo)
+
+
 def test_solid_set_up_once_per_run(monkeypatch):
     # one solid problem and one evaluation of the body force serve every
     # outer iteration and every Newton step
     counts = dict.fromkeys(("problem", "force"), 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-    monkeypatch.setattr(coupling, "SolidProblem", counting("problem", coupling.SolidProblem))
+    monkeypatch.setattr(coupling, "SolidProblem",
+                        counting(counts, "problem", coupling.SolidProblem))
     problem = manufactured_fsi_problem(build_manufactured(), 0)
-    problem.solid_body_force = counting("force", problem.solid_body_force)
+    problem.solid_body_force = counting(counts, "force", problem.solid_body_force)
     state = fsi_fixed_point(problem)
     assert state.iterations >= 3 and sum(state.solid_newton_iters) > state.iterations
     assert counts == {"problem": 1, "force": 1}

@@ -72,6 +72,16 @@ def test_solve_numerically_singular():
         solve_direct(apply_dirichlet(sys, *NONE))
 
 
+def test_solve_nearly_singular_by_probe():
+    # a pivot ratio of about 1e-15 behind a rotation: SuperLU factors it,
+    # the probe solve's growth names it singular
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = Q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 1e-15]) @ Q.T
+    with pytest.raises(SingularMatrixError, match="probe solve growth"):
+        solve_direct(apply_dirichlet(system_from_dense(A, np.ones(6)), *NONE))
+
+
 def test_solve_empty_system():
     # SuperLU factors and solves the 0 x 0 system: no pivot to check
     x = DirectSolver(sp.csr_matrix((0, 0))).solve(np.zeros(0), [], [])

@@ -81,14 +81,12 @@ def deform_mesh(ref_mesh, displacement):
     displacement = np.asarray(displacement, float)
     if displacement.shape != (ref_mesh.nv, 2):
         raise ValueError("displacement must be defined at every vertex")
-    verts = ref_mesh.vertices + displacement
-    p = verts[ref_mesh.cells]
-    if len(p):
-        areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                       - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-        bad = areas <= 1e-12 * ref_mesh.cell_areas
-        if bad.any():
-            cell = int(np.flatnonzero(bad)[0])
-            raise MeshTangleError(f"mesh tangling: cell {cell} inverted or degenerate")
-    return Mesh(verts, ref_mesh.cells, ref_mesh.boundary_edges,
+    mesh = Mesh(ref_mesh.vertices + displacement, ref_mesh.cells, ref_mesh.boundary_edges,
                 ref_mesh.boundary_markers, ref_mesh.region_tags, validate=False)
+    # the constructor turns an inverted cell counterclockwise
+    bad = ((mesh.cells != ref_mesh.cells).any(axis=1)
+           | (mesh.cell_areas <= 1e-12 * ref_mesh.cell_areas))
+    if bad.any():
+        cell = int(np.flatnonzero(bad)[0])
+        raise MeshTangleError(f"mesh tangling: cell {cell} inverted or degenerate")
+    return mesh

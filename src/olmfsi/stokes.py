@@ -44,7 +44,8 @@ class CompositeSpace:
     pressure pinning.
 
     Dof layout: background velocity, front velocity, background pressure,
-    front pressure.  No dof is shared between the meshes.  The Dirichlet
+    front pressure.  No dof is shared between the meshes; ``dofs`` gives
+    the dofs of vertices of one side.  The Dirichlet
     callbacks follow ``mesh.eval_field``; the fluid-solid interface
     vertices of the front are always no-slip.  ``dirichlet_dofs``
     (ascending) and ``dirichlet_values`` are the merged data
@@ -75,17 +76,25 @@ class CompositeSpace:
         self.offset_p1 = 2 * (self.n1 + self.n2)
         self.offset_p2 = self.offset_p1 + self.n1
         self.ndof = 3 * (self.n1 + self.n2)
+        # per side, indexed by BG or FRONT: the mesh and its vertex-to-slot
+        # map (-1 at vertices without dofs)
+        self.sides = ((background, self.bg_vmap), (front, self.fr_vmap))
 
         self.pin_dof = None
         if pin_pressure:
-            if self.n1:
-                self.pin_dof = int(self.offset_p1)
-            elif self.n2:
-                self.pin_dof = int(self.offset_p2)
-            else:
+            if not self.ndof:
                 raise ValueError("no pressure dof available to pin")
+            self.pin_dof = self.offset_p1      # the first pressure dof of either mesh
         self.dirichlet_dofs, self.dirichlet_values = self._collect_dirichlet(
             bg_dirichlet or {}, front_dirichlet or {}, pin_value)
+
+    def dofs(self, mesh_id, verts):
+        """Velocity dofs (..., 2) and pressure dofs (...) of active
+        vertices ``verts`` (any shape) of one side."""
+        slot = self.sides[mesh_id][1][verts]
+        u_base, p_base = ((0, self.offset_p1) if mesh_id == BG
+                          else (self.offset_u2, self.offset_p2))
+        return u_base + 2 * slot[..., None] + np.arange(2), p_base + slot
 
     def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, pin_value):
         """Merged Dirichlet dofs and values: marked boundary edges of both
@@ -93,20 +102,18 @@ class CompositeSpace:
         pin = [] if self.pin_dof is None else [self.pin_dof]
         dofs, vals = [np.array(pin, dtype=np.int64)], [np.full(len(pin), float(pin_value))]
 
-        def add(mesh, vmap, base, verts, g):
+        def add(mesh_id, verts, g):
+            mesh, vmap = self.sides[mesh_id]
             verts = verts[vmap[verts] >= 0]
-            dofs.append((base + 2 * vmap[verts][:, None] + np.arange(2)).ravel())
+            dofs.append(self.dofs(mesh_id, verts)[0].ravel())
             vals.append(np.zeros(2 * len(verts)) if g is None
                         else eval_field(g, mesh.vertices[verts], (2,)).ravel())
 
-        for mesh, vmap, base, spec in (
-                (self.background, self.bg_vmap, 0, bg_dirichlet),
-                (self.front, self.fr_vmap, self.offset_u2, front_dirichlet)):
+        for mesh_id, spec in ((BG, bg_dirichlet), (FRONT, front_dirichlet)):
+            mesh = self.sides[mesh_id][0]
             for m, g in spec.items():
-                add(mesh, vmap, base,
-                    np.unique(mesh.boundary_edges[mesh.boundary_markers == m]), g)
-        add(self.front, self.fr_vmap, self.offset_u2,
-            region_interface_vertices(self.front, FLUID, SOLID), None)
+                add(mesh_id, np.unique(mesh.boundary_edges[mesh.boundary_markers == m]), g)
+        add(FRONT, region_interface_vertices(self.front, FLUID, SOLID), None)
         return merge_constraints(np.concatenate(dofs), np.concatenate(vals))
 
 
@@ -139,101 +146,77 @@ class FluidProblem:
 
 def _block(rows, cols, vals):
     """Triplets (S, a * b) of per-item blocks vals (S, a, b) on row dofs
-    (S, a) and column dofs (S, b), row-major within an item.  Several blocks
-    are added in one call as ``map(np.hstack, zip(*blocks))``: item-major,
-    then block by block, the order of a per-item loop, so the CSR sums
-    duplicate entries in the same order."""
+    (S, a) and column dofs (S, b), row-major within an item.  Every kernel
+    adds its blocks one ``sys.add`` each: block k of every item, then block
+    k + 1, so the CSR sums duplicate entries in the order of a per-item loop
+    that adds its local blocks block by block."""
     return (np.repeat(rows, cols.shape[1], axis=1),
             np.tile(cols, (1, rows.shape[1])), vals.reshape(len(vals), -1))
 
 
-def _full_cell_volume_terms(sys, mesh, cells, vmap, u_base, p_base, nu,
-                            delta, f, order):
-    """Vectorized P1-P1 Stokes volume terms over full (uncut) cells."""
-    cells = np.asarray(cells, dtype=np.int64)
+def _volume_terms(sys, space, mesh_id, cells, problem, rules=None):
+    """P1-P1 Stokes volume terms on cells of one side: over the whole cell,
+    or over the uncovered part of each partially covered background cell
+    given by ``rules`` (CutRules in the order of ``cells``).  A whole cell
+    takes its moments in closed form: measure |T| and int lambda_b = |T|/3."""
     if len(cells) == 0:
         return
-    G = mesh.p1_grads[cells]          # (nc,3,2)
-    A = mesh.cell_areas[cells]        # (nc,)
-    h2 = mesh.cell_diameters[cells] ** 2
-    conn = mesh.cells[cells]          # (nc,3)
-    uslot = vmap[conn]                # (nc,3)
-    udof = (u_base + 2 * uslot[:, :, None] + np.arange(2)[None, None, :])
-    pdof = p_base + uslot
-
-    M = nu * A[:, None, None] * np.einsum("cad,cbd->cab", G, G)
+    mesh = space.sides[mesh_id][0]
+    udof, pdof = space.dofs(mesh_id, mesh.cells[cells])
+    g = mesh.p1_grads[cells]
+    gg = g @ g.transpose(0, 2, 1)
+    area, h2 = mesh.cell_areas[cells], mesh.cell_diameters[cells] ** 2
+    if rules is None:
+        W, int_lam = area, np.repeat(area[:, None] / 3.0, 3, axis=1)
+    else:
+        W, int_lam, groups = rules.totals(), np.zeros((len(cells), 3)), rules.groups()
+        lam = np.empty((len(rules.points), 3))
+        for rows, idx in groups:
+            lam[idx] = _bary(mesh, cells[rows], rules.points[idx])
+            int_lam[rows] = (rules.weights[idx][:, None] @ lam[idx])[:, 0]
+    # the pressure stabilization covers the whole cell unless switched off
+    whole_j = rules is None or problem.jh_extension
     for comp in range(2):
-        sys.add(*_block(udof[..., comp], udof[..., comp], M))
-
-    # b(v, p) = -(div v, q): integral of lambda_b is A/3
-    Bv = -(A[:, None, None] / 3.0) * G  # (nc, a, i) for every pressure b
+        sys.add(*_block(udof[..., comp], udof[..., comp],
+                        (problem.viscosity * W)[:, None, None] * gg))
     for comp in range(2):
-        r, c, v = _block(udof[..., comp], pdof, np.repeat(Bv[..., comp, None], 3, axis=2))
+        # b(v, q) = -(div v, q)
+        r, c, v = _block(udof[..., comp], pdof, -(g[:, :, comp, None] * int_lam[:, None]))
         sys.add(r, c, v)
         sys.add(c, r, v)
+    area_j = area if whole_j else W
+    sys.add(*_block(pdof, pdof, (-problem.delta * h2 * area_j)[:, None, None] * gg))
 
-    J = -(delta * h2 * A)[:, None, None] * np.einsum("cad,cbd->cab", G, G)
-    sys.add(*_block(pdof, pdof, J))
-
-    if f is not None:
-        lam, w = tri_rule(order)
-        pts = np.einsum("qa,cax->cqx", lam, mesh.cell_points[cells])
-        fv = eval_field(f, pts, (2,)).reshape(len(cells), -1, 2)
-        # (f, v)
-        rv = np.einsum("q,qa,cqi->cai", w, lam, fv) * A[:, None, None]
-        sys.add_rhs(udof.ravel(), rv.ravel())
-        # -delta h^2 (f, grad q)
-        rq = -delta * (h2 * A)[:, None] * np.einsum("q,cqi,cai->ca", w, fv, G)
-        sys.add_rhs(pdof.ravel(), rq.ravel())
-
-
-def _cut_cell_terms(sys, mesh, cells, rules, vmap, u_base, p_base, nu, delta,
-                    f, jh_extension, order):
-    """Volume terms on partially covered background cells, one rule each
-    (CutRules in the order of ``cells``)."""
-    if len(cells) == 0:
-        return
-    g = mesh.p1_grads[cells]
-    slot = vmap[mesh.cells[cells]]
-    udof = u_base + 2 * slot[:, :, None] + np.arange(2)
-    pdof = p_base + slot
-    W = rules.totals()
-    pts, wts, groups = rules.points, rules.weights, rules.groups()
-    lam = np.empty((len(pts), 3))
-    int_lam = np.zeros((len(cells), 3))
-    for rows, idx in groups:
-        lam[idx] = _bary(mesh, cells[rows], pts[idx])
-        int_lam[rows] = (wts[idx][:, None] @ lam[idx])[:, 0]
-
-    gg = g @ g.transpose(0, 2, 1)
-    h2 = mesh.cell_diameters[cells] ** 2
-    area_j = mesh.cell_areas[cells] if jh_extension else W
-    trip = [_block(udof[..., comp], udof[..., comp], (nu * W)[:, None, None] * gg)
-            for comp in range(2)]
-    for comp in range(2):
-        # -(div v, q) with int lambda_b over the cut region
-        r, c, v = _block(udof[..., comp], pdof, -(g[:, :, comp, None] * int_lam[:, None]))
-        trip += [(r, c, v), (c, r, v)]
-    trip.append(_block(pdof, pdof, (-delta * h2 * area_j)[:, None, None] * gg))
-    sys.add(*map(np.hstack, zip(*trip)))
-
+    f = problem.body_force
     if f is None:
         return
-    fv = eval_field(f, pts, (2,)) if len(pts) else None
-    rv = np.zeros((len(cells), 3, 2))
-    rq = np.zeros((len(cells), 3))
-    for rows, idx in groups:
-        rv[rows] = np.einsum("cq,cqa,cqi->cai", wts[idx], lam[idx], fv[idx])
-        rq[rows] = np.einsum("cq,cqi,cai->ca", wts[idx], fv[idx], g[rows])
-    has = np.diff(rules.offsets) > 0
-    sys.add_rhs(udof[has].ravel(), rv[has].ravel())
-    # rhs stabilization matches the j-term region
-    if jh_extension:
-        full = triangle_rule(mesh.cell_points[cells], order)
-        fv = eval_field(f, full.points, (2,)).reshape(len(cells), -1, 2)
-        rq = np.einsum("cq,cqi,cai->ca", full.weights, fv, g)
-    has |= jh_extension
-    sys.add_rhs(pdof[has].ravel(), ((-delta * h2)[:, None] * rq)[has].ravel())
+
+    def moments(groups):
+        """Per cell, int f lambda_a (c, 3, 2) and int f . grad lambda_a
+        (c, 3), from (rows, weights, lambda, f) at the points of a rule."""
+        rv, rq = np.zeros((len(cells), 3, 2)), np.zeros((len(cells), 3))
+        for rows, w, lam_q, fv in groups:
+            rv[rows] = np.einsum("cq,cqa,cqi->cai", w, lam_q, fv)
+            rq[rows] = np.einsum("cq,cqi,cai->ca", w, fv, g[rows])
+        return rv, rq
+
+    if whole_j:
+        full = triangle_rule(mesh.cell_points[cells], QUAD_ORDER)
+        whole = moments([(slice(None), full.weights,
+                          np.broadcast_to(tri_rule(QUAD_ORDER)[0], full.weights.shape + (3,)),
+                          eval_field(f, full.points, (2,)).reshape(*full.weights.shape, 2))])
+    if rules is None:
+        part, has = whole, np.ones(len(cells), dtype=bool)
+    else:
+        fv = eval_field(f, rules.points, (2,)) if len(rules.points) else None
+        part = moments([(rows, rules.weights[idx], lam[idx], fv[idx])
+                        for rows, idx in groups])
+        has = np.diff(rules.offsets) > 0
+    # (f, v) over the cell's region, -delta h^2 (f, grad q) over the j-term's
+    sys.add_rhs(udof[has].ravel(), part[0][has].ravel())
+    has |= whole_j
+    rq = (whole if whole_j else part)[1]
+    sys.add_rhs(pdof[has].ravel(), ((-problem.delta * h2)[:, None] * rq)[has].ravel())
 
 
 def _interface_terms(sys, space, problem, segments):
@@ -247,11 +230,9 @@ def _interface_terms(sys, space, problem, segments):
     gT, gK = bg.p1_grads[T], fr.p1_grads[K]
     lamT, lamK = _bary(bg, T, pts), _bary(fr, K, pts)
     h = bg.cell_diameters[T]
-    slotT = space.bg_vmap[bg.cells[T]]
-    slotK = space.fr_vmap[fr.cells[K]]
-    udofs = [np.hstack([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
-             for c in range(2)]
-    pdofs = np.hstack([space.offset_p1 + slotT, space.offset_p2 + slotK])
+    (uT, pT), (uK, pK) = space.dofs(BG, bg.cells[T]), space.dofs(FRONT, fr.cells[K])
+    udofs = np.concatenate([uT, uK], axis=1)                   # (S, 6, 2)
+    pdofs = np.hstack([pT, pK])
 
     # jump = front - background ; mean = a1*background + a2*front
     jco = np.concatenate([-lamT, lamK], axis=2)                # (S, nq, 6)
@@ -266,12 +247,11 @@ def _interface_terms(sys, space, problem, segments):
     Avv = pen + consist
     Bjp = jTw @ mp                                             # jump x mean
 
-    trip = []
     for comp in range(2):
-        trip.append(_block(udofs[comp], udofs[comp], Avv))
-        r, c, v = _block(udofs[comp], pdofs, n[:, comp, None, None] * Bjp)
-        trip += [(r, c, v), (c, r, v)]
-    sys.add(*map(np.hstack, zip(*trip)))
+        sys.add(*_block(udofs[..., comp], udofs[..., comp], Avv))
+        r, c, v = _block(udofs[..., comp], pdofs, n[:, comp, None, None] * Bjp)
+        sys.add(r, c, v)
+        sys.add(c, r, v)
 
 
 def _overlap_terms(sys, space, problem, pairs):
@@ -281,13 +261,12 @@ def _overlap_terms(sys, space, problem, pairs):
     nu = problem.viscosity
     bg, fr = space.background, space.front
     T, K, W = pairs.bg_cell, pairs.front_cell, pairs.area
-    slotT = space.bg_vmap[bg.cells[T]]
-    slotK = space.fr_vmap[fr.cells[K]]
     G = np.concatenate([bg.p1_grads[T], -fr.p1_grads[K]], axis=1)   # jump gradient
     M = (nu * W)[:, None, None] * (G @ G.transpose(0, 2, 1))
-    dofs = [np.hstack([2 * slotT + comp, space.offset_u2 + 2 * slotK + comp])
-            for comp in range(2)]
-    sys.add(*map(np.hstack, zip(*[_block(d, d, M) for d in dofs])))
+    udofs = np.concatenate([space.dofs(BG, bg.cells[T])[0],
+                            space.dofs(FRONT, fr.cells[K])[0]], axis=1)
+    for comp in range(2):
+        sys.add(*_block(udofs[..., comp], udofs[..., comp], M))
 
 
 def _neumann_terms(sys, space, problem):
@@ -300,9 +279,7 @@ def _neumann_terms(sys, space, problem):
         return
     xs, ws = seg_rule(QUAD_ORDER)
     for mesh_id, marker, traction in problem.neumann:
-        mesh = space.background if mesh_id == BG else space.front
-        vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
-        base = 0 if mesh_id == BG else space.offset_u2
+        mesh, vmap = space.sides[mesh_id]
         ij = mesh.boundary_edges
         edges = np.flatnonzero((mesh.boundary_markers == marker)
                                & (vmap[ij] >= 0).all(axis=1))
@@ -329,8 +306,7 @@ def _neumann_terms(sys, space, problem):
         # (piece, vertex, component, point): each load sums its own row
         terms = (w[..., None] * lam)[..., None] * tv[:, :, None]
         loads = np.sum(np.ascontiguousarray(terms.transpose(0, 2, 3, 1)), axis=3)
-        vdofs = base + 2 * vmap[ij[edges[seg]]][..., None] + np.arange(2)
-        sys.add_rhs(vdofs.ravel(), loads.ravel())
+        sys.add_rhs(space.dofs(mesh_id, ij[edges[seg]])[0].ravel(), loads.ravel())
 
 
 def assemble(problem, space, topo):
@@ -340,22 +316,10 @@ def assemble(problem, space, topo):
     checked for symmetry; the space holds the Dirichlet data.
     """
     sys = SparseSystem(space.ndof)
-    bg, fr = space.background, space.front
-    nu = problem.viscosity
-    f = problem.body_force
-    order = QUAD_ORDER
-
-    # background: fully uncovered cells carry everything with full rules
-    _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
-                            space.offset_p1, nu, problem.delta, f, order)
-    # partially covered cells: physical terms with cut rules
-    _cut_cell_terms(sys, bg, topo.class_partial, topo.cut_rules, space.bg_vmap, 0,
-                    space.offset_p1, nu, problem.delta, f,
-                    problem.jh_extension, order)
-    # front fluid cells: full rules
-    _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
-                            space.offset_u2, space.offset_p2, nu,
-                            problem.delta, f, order)
+    # uncovered and partially covered background cells, front fluid cells
+    _volume_terms(sys, space, BG, topo.class_not, problem)
+    _volume_terms(sys, space, BG, topo.class_partial, problem, topo.cut_rules)
+    _volume_terms(sys, space, FRONT, space.fluid_cells, problem)
     _interface_terms(sys, space, problem, topo.interface_segments)
     if problem.use_ih:
         _overlap_terms(sys, space, problem, topo.overlap_pairs)
@@ -371,32 +335,25 @@ class FluidSolution:
 
     def velocity(self, mesh_id):
         """Nodal velocity on one mesh, zeros at inactive vertices."""
-        space = self.space
-        mesh = space.background if mesh_id == BG else space.front
-        vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
-        base = 0 if mesh_id == BG else space.offset_u2
-        out = np.zeros((mesh.nv, 2))
-        act = vmap >= 0
-        out[act, 0] = self.coeffs[base + 2 * vmap[act]]
-        out[act, 1] = self.coeffs[base + 2 * vmap[act] + 1]
-        return out
+        return self._nodal(mesh_id, 0)
 
     def pressure(self, mesh_id):
-        space = self.space
-        mesh = space.background if mesh_id == BG else space.front
-        vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
-        base = space.offset_p1 if mesh_id == BG else space.offset_p2
-        out = np.zeros(mesh.nv)
-        act = vmap >= 0
-        out[act] = self.coeffs[base + vmap[act]]
+        return self._nodal(mesh_id, 1)
+
+    def _nodal(self, mesh_id, field):
+        """Velocity (0) or pressure (1) at the vertices of one side."""
+        mesh, vmap = self.space.sides[mesh_id]
+        act = np.flatnonzero(vmap >= 0)
+        dofs = self.space.dofs(mesh_id, act)[field]
+        out = np.zeros((mesh.nv,) + dofs.shape[1:])
+        out[act] = self.coeffs[dofs]
         return out
 
 
 def _bg_dofs(space, verts):
     """Velocity, then pressure dofs of background vertices (all active)."""
-    slot = space.bg_vmap[verts]
-    return np.concatenate([(2 * slot[:, None] + np.arange(2)).ravel(),
-                           space.offset_p1 + slot])
+    u, p = space.dofs(BG, verts)
+    return np.concatenate([u.ravel(), p])
 
 
 class FarField:

@@ -7,8 +7,9 @@ array, one result row per point.
 import numpy as np
 
 from olmfsi.geometry import _areas
-from olmfsi.mesh import Mesh
+from olmfsi.mesh import Mesh, eval_field
 from olmfsi.solid import p1_mass_matrix
+from olmfsi.stokes import BG, FRONT
 
 
 def constant(value):
@@ -20,6 +21,20 @@ def constant(value):
 def rowwise(fn):
     """Array callback that evaluates the per-point function fn row by row."""
     return lambda pts: np.array([fn(p) for p in pts], dtype=float)
+
+
+def interpolate(space, u, p):
+    """Nodal interpolant of velocity and pressure callbacks into the
+    composite coefficient vector of ``space``."""
+    x = np.zeros(space.ndof)
+    for mesh_id in (BG, FRONT):
+        mesh, vmap = space.sides[mesh_id]
+        act = np.flatnonzero(vmap >= 0)
+        if len(act):
+            udofs, pdofs = space.dofs(mesh_id, act)
+            x[udofs] = eval_field(u, mesh.vertices[act], (2,))
+            x[pdofs] = eval_field(p, mesh.vertices[act], ())
+    return x
 
 
 def translated(mesh, vec):

@@ -24,7 +24,7 @@ from olmfsi.linalg import SparseSystem
 from olmfsi.mesh import BOTTOM, LEFT, RIGHT, SOLID, TOP, Mesh, barycentric, eval_field
 from olmfsi.solid import (QUAD_ORDER as SOLID_ORDER, EDGE_ORDER, STVK, InvertedElementError,
                           Material, first_piola, piola_tangent)
-from olmfsi.stokes import ALPHA, BG, FRONT, _full_cell_volume_terms
+from olmfsi.stokes import ALPHA, BG, FRONT
 from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 
 _I2 = np.eye(2)
@@ -605,58 +605,66 @@ def solid_load_loop(mesh, cells, force, edges, traction):
     return body + edge
 
 
-def _cut_cell_terms_loop(sys, mesh, cell, rule, vmap, u_base, p_base, nu_a,
-                         delta, f, jh_extension, order):
-    """Volume terms on one partially covered background cell."""
+def _local(rows, cols, vals):
+    """Triplets of one local block, row-major."""
+    return np.repeat(rows, len(cols)), np.tile(cols, len(rows)), np.ravel(vals)
+
+
+def _add_blockwise(sys, items):
+    """Add the local blocks of every item (one list of triplets per item,
+    blocks in the same order for each) block by block: block k of every
+    item, then block k + 1."""
+    for k in range(len(items[0]) if items else 0):
+        for blocks in items:
+            sys.add(*blocks[k])
+
+
+def _volume_terms_loop(sys, space, mesh_id, cell, rule, problem):
+    """Local volume blocks of one cell, over the whole cell (rule None) or
+    over the uncovered part given by its cut rule; adds its loads."""
+    mesh = space.sides[mesh_id][0]
     g = mesh.p1_grads[cell]
-    conn = mesh.cells[cell]
-    slot = vmap[conn]
-    udof = u_base + 2 * slot[:, None] + np.arange(2)[None, :]
-    pdof = p_base + slot
-    W = rule.total
-    lam = barycentric(mesh, cell, rule.points) if len(rule.points) else np.zeros((0, 3))
+    udof, pdof = space.dofs(mesh_id, mesh.cells[cell])
+    area = mesh.cell_areas[cell]
+    whole = triangle_rule(mesh.cell_points[cell], FLUID_ORDER)
+    if rule is None:
+        W, int_lam = area, np.full(3, area / 3.0)
+        rule, lam = whole, tri_rule(FLUID_ORDER)[0]
+    else:
+        W = rule.total
+        lam = barycentric(mesh, cell, rule.points) if len(rule.points) else np.zeros((0, 3))
+        int_lam = rule.weights @ lam if len(rule.points) else np.zeros(3)
+    jrule = whole if rule is whole or problem.jh_extension else rule
 
-    M = nu_a * W * (g @ g.T)
+    M = problem.viscosity * W * (g @ g.T)
+    blocks = [_local(udof[:, comp], udof[:, comp], M) for comp in range(2)]
+    # -(div v, q) with int lambda_b over the cell's region
     for comp in range(2):
-        r = np.repeat(udof[:, comp], 3)
-        c = np.tile(udof[:, comp], 3)
-        sys.add(r, c, M.ravel())
-
-    # -(div v, q) with int lambda_b over the cut region
-    int_lam = rule.weights @ lam if len(rule.points) else np.zeros(3)
-    for comp in range(2):
-        vals = -np.outer(g[:, comp], int_lam)
-        r = np.repeat(udof[:, comp], 3)
-        c = np.tile(pdof, 3)
-        sys.add(r, c, vals.ravel())
-        sys.add(c, r, vals.ravel())
-
+        r, c, v = _local(udof[:, comp], pdof, -np.outer(g[:, comp], int_lam))
+        blocks += [(r, c, v), (c, r, v)]
     h2 = mesh.cell_diameters[cell] ** 2
-    area_j = mesh.cell_areas[cell] if jh_extension else W
-    J = -delta * h2 * area_j * (g @ g.T)
-    sys.add(np.repeat(pdof, 3), np.tile(pdof, 3), J.ravel())
+    area_j = area if jrule is whole else W
+    blocks.append(_local(pdof, pdof, -problem.delta * h2 * area_j * (g @ g.T)))
 
+    f = problem.body_force
     if f is not None:
         if len(rule.points):
             fv = eval_field(f, rule.points, (2,))
-            rv = np.einsum("q,qa,qi->ai", rule.weights, lam, fv)
-            sys.add_rhs(udof.ravel(), rv.ravel())
+            sys.add_rhs(udof.ravel(), np.einsum("q,qa,qi->ai", rule.weights, lam, fv).ravel())
         # rhs stabilization matches the j-term region
-        if jh_extension:
-            frule = triangle_rule(mesh.cell_points[cell], order)
-            fpts, fw = frule.points, frule.weights
-        else:
-            fpts, fw = rule.points, rule.weights
-        if len(fpts):
-            fv = eval_field(f, fpts, (2,))
-            rq = -delta * h2 * np.einsum("q,qi,ai->a", fw, fv, g)
-            sys.add_rhs(pdof, rq)
+        if len(jrule.points):
+            fv = eval_field(f, jrule.points, (2,))
+            rq = np.einsum("q,qi,ai->a", jrule.weights, fv, g)
+            sys.add_rhs(pdof, (-problem.delta * h2) * rq)
+    return blocks
 
 
-def _interface_terms_loop(sys, space, problem, segments):
+def _interface_terms_loop(space, problem, segments):
+    """Local blocks of each interface segment."""
     nu_a = problem.viscosity
     a1, a2 = ALPHA
     bg, fr = space.background, space.front
+    items = []
     for T, K, pts, w, n in zip(segments.bg_cell.tolist(), segments.front_cell.tolist(),
                                segments.points, segments.weights, segments.normal):
         gT = bg.p1_grads[T]
@@ -665,13 +673,8 @@ def _interface_terms_loop(sys, space, problem, segments):
         lamK = barycentric(fr, K, pts)
         h = bg.cell_diameters[T]
 
-        connT = bg.cells[T]
-        connK = fr.cells[K]
-        slotT = space.bg_vmap[connT]
-        slotK = space.fr_vmap[connK]
-        udofs = [np.concatenate([2 * slotT + c, space.offset_u2 + 2 * slotK + c])
-                 for c in range(2)]
-        pdofs = np.concatenate([space.offset_p1 + slotT, space.offset_p2 + slotK])
+        (uT, pT), (uK, pK) = space.dofs(BG, bg.cells[T]), space.dofs(FRONT, fr.cells[K])
+        pdofs = np.concatenate([pT, pK])
 
         # jump = front - background ; mean = a1*background + a2*front
         jco = np.hstack([-lamT, lamK])                       # (nq, 6)
@@ -684,31 +687,26 @@ def _interface_terms_loop(sys, space, problem, segments):
         Avv = pen + consist
         Bjp = (jco.T * w) @ mp                                # (6, 6) jump x mean
 
+        blocks = []
         for comp in range(2):
-            r = np.repeat(udofs[comp], 6)
-            c = np.tile(udofs[comp], 6)
-            sys.add(r, c, Avv.ravel())
-            bv = n[comp] * Bjp
-            r = np.repeat(udofs[comp], 6)
-            c = np.tile(pdofs, 6)
-            sys.add(r, c, bv.ravel())
-            sys.add(c, r, bv.ravel())
+            udofs = np.concatenate([uT[:, comp], uK[:, comp]])
+            r, c, v = _local(udofs, pdofs, n[comp] * Bjp)
+            blocks += [_local(udofs, udofs, Avv), (r, c, v), (c, r, v)]
+        items.append(blocks)
+    return items
 
 
-def _overlap_terms_loop(sys, space, problem, pairs):
-    nu_a = problem.viscosity
+def _overlap_terms_loop(space, problem, pairs):
+    """Local blocks of each overlap pair."""
     bg, fr = space.background, space.front
+    items = []
     for T, K, area in zip(pairs.bg_cell, pairs.front_cell, pairs.area):
-        gT = bg.p1_grads[T]
-        gK = fr.p1_grads[K]
-        slotT = space.bg_vmap[bg.cells[T]]
-        slotK = space.fr_vmap[fr.cells[K]]
-        G = np.vstack([gT, -gK])                              # jump gradient
-        M = nu_a * area * (G @ G.T)
-        for comp in range(2):
-            dofs = np.concatenate([2 * slotT + comp,
-                                   space.offset_u2 + 2 * slotK + comp])
-            sys.add(np.repeat(dofs, 6), np.tile(dofs, 6), M.ravel())
+        G = np.vstack([bg.p1_grads[T], -fr.p1_grads[K]])    # jump gradient
+        M = problem.viscosity * area * (G @ G.T)
+        uT, uK = space.dofs(BG, bg.cells[T])[0], space.dofs(FRONT, fr.cells[K])[0]
+        items.append([_local(d, d, M) for d in
+                      (np.concatenate([uT[:, comp], uK[:, comp]]) for comp in range(2))])
+    return items
 
 
 def _neumann_terms_loop(sys, space, problem):
@@ -716,9 +714,7 @@ def _neumann_terms_loop(sys, space, problem):
         return
     xs, ws = seg_rule(FLUID_ORDER)
     for mesh_id, marker, traction in problem.neumann:
-        mesh = space.background if mesh_id == BG else space.front
-        vmap = space.bg_vmap if mesh_id == BG else space.fr_vmap
-        base = 0 if mesh_id == BG else space.offset_u2
+        mesh, vmap = space.sides[mesh_id]
         for e, ((i, j), m) in enumerate(zip(mesh.boundary_edges,
                                             mesh.boundary_markers)):
             if int(m) != marker:
@@ -741,32 +737,26 @@ def _neumann_terms_loop(sys, space, problem):
                 lam = np.column_stack([1.0 - ts, ts])  # hats of i, j
                 for vloc, v in enumerate((i, j)):
                     for comp in range(2):
-                        sys.add_rhs([base + 2 * vmap[v] + comp],
+                        sys.add_rhs([space.dofs(mesh_id, v)[0][comp]],
                                     [np.sum(w * lam[:, vloc] * tv[:, comp])])
 
 
 def stokes_item_terms_loop(problem, space, topo):
     """Per-item assembly of the coupled Stokes system: the reference for the
-    batched ``stokes.assemble``.  Cut-cell terms are added one partial cell
-    at a time, interface terms one segment, overlap terms one pair and
-    Neumann loads one (piece, vertex, component) at a time; full cells use
-    the package's batched volume kernel, as the package always did."""
+    batched ``stokes.assemble``.  Volume terms are computed one cell at a
+    time, interface terms one segment and overlap terms one pair, each
+    kernel's blocks added block by block; Neumann loads are added one
+    (piece, vertex, component) at a time."""
     sys = SparseSystem(space.ndof)
-    bg, fr = space.background, space.front
-    nu_a = problem.viscosity
-    f = problem.body_force
-    order = FLUID_ORDER
-    _full_cell_volume_terms(sys, bg, topo.class_not, space.bg_vmap, 0,
-                            space.offset_p1, nu_a, problem.delta, f, order)
-    for i, c in enumerate(topo.class_partial.tolist()):
-        _cut_cell_terms_loop(sys, bg, c, topo.cut_rules[i], space.bg_vmap, 0, space.offset_p1,
-                             nu_a, problem.delta, f, problem.jh_extension, order)
-    _full_cell_volume_terms(sys, fr, space.fluid_cells, space.fr_vmap,
-                            space.offset_u2, space.offset_p2, nu_a,
-                            problem.delta, f, order)
-    _interface_terms_loop(sys, space, problem, topo.interface_segments)
+    for mesh_id, cells, rules in ((BG, topo.class_not, None),
+                                  (BG, topo.class_partial, topo.cut_rules),
+                                  (FRONT, space.fluid_cells, None)):
+        _add_blockwise(sys, [_volume_terms_loop(sys, space, mesh_id, c,
+                                                None if rules is None else rules[i], problem)
+                             for i, c in enumerate(cells.tolist())])
+    _add_blockwise(sys, _interface_terms_loop(space, problem, topo.interface_segments))
     if problem.use_ih:
-        _overlap_terms_loop(sys, space, problem, topo.overlap_pairs)
+        _add_blockwise(sys, _overlap_terms_loop(space, problem, topo.overlap_pairs))
     _neumann_terms_loop(sys, space, problem)
     return sys
 

@@ -22,7 +22,7 @@ from olmfsi.coupling import aitken_update, traction_functional, FsiConfig, \
 from olmfsi.verification import (run_stokes_convergence, run_convergence,
                                  flap_problem)
 
-from fixtures import constant
+from fixtures import constant, interpolate
 from oracles import (scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      halfplane_cut_area)
 
@@ -102,15 +102,7 @@ def test_criterion_4_consistency_patch_test():
                                bg_dirichlet={m: u for m in ALL_SIDES},
                                pin_pressure=True, pin_value=c)
         sys = assemble(FluidProblem(viscosity=1.0), space, topo)
-        x = np.zeros(space.ndof)
-        for mesh, vmap, ubase, pbase in (
-                (bg, space.bg_vmap, 0, space.offset_p1),
-                (fr, space.fr_vmap, space.offset_u2, space.offset_p2)):
-            act = vmap >= 0
-            vals = mesh.vertices[act] @ A.T + b
-            x[ubase + 2 * vmap[act]] = vals[:, 0]
-            x[ubase + 2 * vmap[act] + 1] = vals[:, 1]
-            x[pbase + vmap[act]] = c
+        x = interpolate(space, u, constant(c))
         free = np.ones(space.ndof, bool)
         free[space.dirichlet_dofs] = False
         worst = max(worst, np.abs((sys.matrix() @ x - sys.rhs)[free]).max())

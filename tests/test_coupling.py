@@ -15,7 +15,7 @@ from olmfsi.coupling import (aitken_update, traction_functional,
 from olmfsi.motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
 from olmfsi.solid import (Material, SolidProblem, assemble_solid, solve_newton,
                           body_load, InvertedElementError, NewtonError)
-from fixtures import constant, rowwise, translated, l2_norm
+from fixtures import constant, interpolate, rowwise, translated, l2_norm
 from oracles import traction_functional_loop
 from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
                                  flap_problem, flap2d)
@@ -566,15 +566,7 @@ def test_interpolated_exact_solution_residual_decays():
                             neumann=((BG, RIGHT, mf.fluid_traction),
                                      (FRONT, RIGHT, mf.fluid_traction)))
         sys = assemble(prob, space, topo)
-        xv = np.zeros(space.ndof)
-        for mesh, vmap, ubase, pbase in (
-                (bg, space.bg_vmap, 0, space.offset_p1),
-                (front, space.fr_vmap, space.offset_u2, space.offset_p2)):
-            act = vmap >= 0
-            uv = mf.u(mesh.vertices[act])
-            xv[ubase + 2 * vmap[act]] = uv[:, 0]
-            xv[ubase + 2 * vmap[act] + 1] = uv[:, 1]
-            xv[pbase + vmap[act]] = mf.p(mesh.vertices[act])
+        xv = interpolate(space, mf.u, mf.p)
         free = np.ones(space.ndof, bool)
         free[space.dirichlet_dofs] = False
         norms.append(np.linalg.norm((sys.matrix() @ xv - sys.rhs)[free]))

@@ -9,7 +9,7 @@ from olmfsi.geometry import (EPS_GEOM, QUAD_ORDER, _pieces, classify, build_topo
                              tri_rule, CoarseBackgroundError, GeometryError,
                              exterior_pieces, uncovered_pieces)
 
-from fixtures import polygon_area, refine_uniform, translated
+from fixtures import constant, interpolate, polygon_area, refine_uniform, translated
 from oracles import (sample_cell_fraction, scanline_intersection_area,
                      scanline_mesh_overlap_area, mc_mesh_overlap_area,
                      split_edges_brute_force, adaptive_tri_integral,
@@ -428,15 +428,7 @@ def test_rotated_fronts_partition_and_consistency():
                                bg_dirichlet={m: u for m in (1, 2, 3, 4)},
                                pin_pressure=True, pin_value=c)
         sys = assemble(FluidProblem(viscosity=1.0), space, topo)
-        x = np.zeros(space.ndof)
-        for mesh, vmap, ubase, pbase in (
-                (bg, space.bg_vmap, 0, space.offset_p1),
-                (fr, space.fr_vmap, space.offset_u2, space.offset_p2)):
-            act = vmap >= 0
-            vals = mesh.vertices[act] @ A.T + b
-            x[ubase + 2 * vmap[act]] = vals[:, 0]
-            x[ubase + 2 * vmap[act] + 1] = vals[:, 1]
-            x[pbase + vmap[act]] = c
+        x = interpolate(space, u, constant(c))
         free = np.ones(space.ndof, bool)
         free[space.dirichlet_dofs] = False
         assert np.abs((sys.matrix() @ x - sys.rhs)[free]).max() < 1e-10

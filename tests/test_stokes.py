@@ -5,13 +5,13 @@ import scipy.sparse.linalg as spla
 from olmfsi.mesh import (Mesh, build_rect_mesh, LEFT, RIGHT, BOTTOM, TOP,
                          FLUID, SOLID, region_interface_vertices)
 from olmfsi.geometry import CutRules, build_topology
-from olmfsi.stokes import (CompositeSpace, FluidProblem, FluidSolution,
+from olmfsi.stokes import (BG, FRONT, CompositeSpace, FluidProblem, FluidSolution,
                            assemble, solve_stokes, error_norms)
 from olmfsi.linalg import apply_dirichlet, solve_direct, condition_estimate, \
     SingularMatrixError, ConstraintConflictError, _factor
 from olmfsi.verification import build_manufactured_stokes, stokes_patch_setup
 
-from fixtures import constant, rowwise
+from fixtures import constant, interpolate, rowwise
 from oracles import (dense_stokes_single_mesh, error_norms_loop,
                      stokes_item_terms_loop)
 
@@ -20,22 +20,6 @@ ALL_SIDES = (LEFT, RIGHT, BOTTOM, TOP)
 
 def empty_mesh():
     return Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int))
-
-
-def interpolate(space, u_fn, p_fn):
-    """Nodal interpolant of exact fields into the composite coefficient vector."""
-    x = np.zeros(space.ndof)
-    for mesh, vmap, ubase, pbase in (
-            (space.background, space.bg_vmap, 0, space.offset_p1),
-            (space.front, space.fr_vmap, space.offset_u2, space.offset_p2)):
-        act = vmap >= 0
-        if not act.any():
-            continue
-        vals = u_fn(mesh.vertices[act])
-        x[ubase + 2 * vmap[act]] = vals[:, 0]
-        x[ubase + 2 * vmap[act] + 1] = vals[:, 1]
-        x[pbase + vmap[act]] = p_fn(mesh.vertices[act])
-    return x
 
 
 def patch_setup(front_box, bg_n=6, fr_n=(4, 3), pin_value=0.0):
@@ -317,6 +301,22 @@ def test_composite_space_dof_counts():
     # velocity and pressure blocks do not overlap across meshes
     assert space.offset_u2 == 2 * space.n1
     assert space.offset_p2 - space.offset_p1 == space.n1
+    # the active vertices of both meshes carry every dof exactly once
+    hits = np.zeros(space.ndof, dtype=int)
+    for mesh_id in (BG, FRONT):
+        act = np.flatnonzero(space.sides[mesh_id][1] >= 0)
+        for d in space.dofs(mesh_id, act):
+            np.add.at(hits, d.ravel(), 1)
+    assert (hits == 1).all()
+    # the nodal fields of a solution are the interpolated nodal values
+    u = lambda p: np.column_stack([np.sin(p[:, 0]), p[:, 0] * p[:, 1]])
+    pr = lambda p: np.cos(p[:, 1]) - p[:, 0]
+    sol = FluidSolution(space, interpolate(space, u, pr))
+    for mesh_id, mesh in ((BG, bg), (FRONT, fr)):
+        act = space.sides[mesh_id][1] >= 0
+        assert np.array_equal(sol.velocity(mesh_id)[act], u(mesh.vertices[act]))
+        assert np.array_equal(sol.pressure(mesh_id)[act], pr(mesh.vertices[act]))
+        assert not sol.velocity(mesh_id)[~act].any() and not sol.pressure(mesh_id)[~act].any()
     # vertices of solid cells only carry no dof
     solid_only = np.setdiff1d(np.arange(fr.nv), fluid_verts)
     assert len(solid_only) and (space.fr_vmap[solid_only] == -1).all()

@@ -64,10 +64,11 @@ def load_config(path, **defaults):
     return cfg
 
 
-def _fsi_config(cfg):
+def _fsi_config(cfg, load_ramp=0):
     try:
         return FsiConfig(tol=cfg["tol"], max_outer=cfg["max_outer"],
-                         omega_max=cfg["omega_max"], omega0=cfg["omega0"])
+                         omega_max=cfg["omega_max"], omega0=cfg["omega0"],
+                         load_ramp=load_ramp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -96,10 +97,9 @@ def cmd_stokes(args):
 
 
 def cmd_flap(args):
-    from .verification import flap2d
+    from .verification import flap2d, FLAP_LOAD_RAMP
     cfg = load_config(args.config, E_s=15.0)
-    fsi_cfg = _fsi_config(cfg)
-    fsi_cfg.load_ramp = 4   # strong flap loads: ramp the first iterations
+    fsi_cfg = _fsi_config(cfg, FLAP_LOAD_RAMP)
     state, _problem = flap2d(args.angle, config=fsi_cfg,
                              out_dir=args.out,
                              E_s=cfg["E_s"], nu_s=cfg["nu_s"],

@@ -69,7 +69,7 @@ def traction_functional(solution, body_force, space, interface_nodes):
     nodes = np.asarray(interface_nodes, dtype=np.int64)
     cells = space.fluid_cells
     conn = front.cells[cells]
-    dry = nodes[~np.isin(nodes, conn)]
+    dry = nodes[space.fr_vmap[nodes] < 0]
     if len(dry):
         raise TractionMappingError(
             f"interface node {int(dry[0])} has no adjacent fluid cell")
@@ -230,7 +230,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     mesh = problem.front_ref
     solid, body, extra = _solid_setup(problem)
     mass = p1_mass_matrix(mesh, solid.cells)
-    solid_verts = np.unique(mesh.cells[solid.cells])
+    solid_verts = np.flatnonzero(solid.vmap >= 0)
     iface = region_interface_vertices(mesh, FLUID, SOLID)
     motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
     far = FarField()

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, FLUID, SOLID, _ranges, containing_cells, locate_points
+from .mesh import (Mesh, FLUID, SOLID, _ranges, containing_cells, locate_points,
+                   signed_areas)
 
 
 class GeometryError(RuntimeError):
@@ -91,9 +92,7 @@ def triangle_rule(pts, order):
     of triangles (c, 3, 2) gives points (c, nq, 2) and weights (c, nq)."""
     lam, w = tri_rule(order)
     pts = np.asarray(pts, float)
-    area = 0.5 * np.abs((pts[..., 1, 0] - pts[..., 0, 0]) * (pts[..., 2, 1] - pts[..., 0, 1])
-                        - (pts[..., 1, 1] - pts[..., 0, 1]) * (pts[..., 2, 0] - pts[..., 0, 0]))
-    return QuadRule(lam @ pts, w * area[..., None])
+    return QuadRule(lam @ pts, w * np.abs(signed_areas(pts))[..., None])
 
 
 @dataclass(frozen=True)
@@ -341,12 +340,9 @@ def _covered_pairs(background, front, cells):
 def _band(background, front):
     """Ascending background cells whose bounding box meets the box of a
     front boundary edge (an edge of exactly one front cell)."""
-    _, order, skey = front.edge_keys
-    starts = np.diff(skey, prepend=-1, append=-1) != 0
-    slot = order[starts[:-1] & starts[1:]]
-    fp = front.cell_points
-    a, b = fp[slot // 3, slot % 3], fp[slot // 3, (slot + 1) % 3]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    e = front.edges
+    ends = front.vertices[e.verts[e.count == 1]]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
     ks, cs = background.cell_grid.query_boxes(lo, hi)
     blo, bhi = background.cell_boxes
     return np.unique(cs[((blo[cs] <= hi[ks]) & (bhi[cs] >= lo[ks])).all(axis=1)])

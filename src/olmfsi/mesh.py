@@ -6,11 +6,17 @@ Boundary marker conventions (small integer tags):
     3  bottom side      4  top side
     5  fluid-fluid coupling boundary of a moving composite mesh
 
-Cell region tags: 0 = fluid, 1 = solid.  All cells are stored with
-counterclockwise vertex order; constructors flip inverted cells.
+Cell region tags: 0 = fluid, 1 = solid.  A validated mesh turns its cells
+counterclockwise; ``validate=False`` keeps them as given, so an inverted
+cell shows as a negative signed area.  The mesh owns its connectivity:
+``Mesh.edges`` (one table of unique edges) and ``Mesh.vertex_slots`` (the
+vertex numbering of a cell set, the dof map of every P1 space).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +80,30 @@ class CellGrid:
         return key // max(self.nc, 1), key % max(self.nc, 1)
 
 
+@dataclass(frozen=True)
+class EdgeTable:
+    """Unique edges of a mesh, ascending by key ``v_lo * nv + v_hi``; side k
+    of cell c (vertices k, k + 1 mod 3) is edge ``of_side[c, k]``."""
+    key: np.ndarray       # (ne,)
+    verts: np.ndarray     # (ne, 2) v_lo, v_hi
+    cells: np.ndarray     # (ne, 2) the two lowest cells, the second -1 if only one
+    count: np.ndarray     # (ne,) cells sharing the edge
+    of_side: np.ndarray   # (nc, 3)
+
+
+def signed_areas(pts):
+    """Signed areas of triangles (..., 3, 2), positive when counterclockwise."""
+    return 0.5 * ((pts[..., 1, 0] - pts[..., 0, 0]) * (pts[..., 2, 1] - pts[..., 0, 1])
+                  - (pts[..., 1, 1] - pts[..., 0, 1]) * (pts[..., 2, 0] - pts[..., 0, 0]))
+
+
 class Mesh:
     """Immutable triangle mesh with boundary markers and cell region tags.
 
-    All derived quantities (areas, diameters, P1 gradients, adjacency) are
-    computed lazily and cached; instances are safe to share across threads.
+    All derived quantities (areas, diameters, P1 gradients, connectivity)
+    are computed lazily and cached; instances are safe to share across
+    threads.  ``validate=True`` turns cells counterclockwise, then checks
+    areas and boundary closure.
     """
 
     def __init__(self, vertices, cells, boundary_edges=None, boundary_markers=None,
@@ -94,15 +119,14 @@ class Mesh:
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell vertex index out of range")
 
-        # enforce counterclockwise orientation
-        if cells.size:
-            p0, p1, p2 = (vertices[cells[:, k]] for k in range(3))
-            det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-                - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-            flip = det < 0.0
+        if validate:   # orient counterclockwise; the areas fill the cached cell_areas
+            areas = signed_areas(vertices[cells])
+            flip = areas < 0.0
             if flip.any():
                 cells = cells.copy()
                 cells[flip, 1], cells[flip, 2] = cells[flip, 2], cells[flip, 1]
+                areas = np.abs(areas)
+            self.cell_areas = areas
 
         if boundary_edges is None:
             boundary_edges = np.zeros((0, 2), dtype=np.int64)
@@ -113,7 +137,8 @@ class Mesh:
         boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
         if len(boundary_markers) != len(boundary_edges):
             raise MeshError("boundary_markers length mismatch")
-        if boundary_edges.size and boundary_edges.max() >= len(vertices):
+        if boundary_edges.size and (boundary_edges.min() < 0
+                                    or boundary_edges.max() >= len(vertices)):
             raise MeshError("boundary edge vertex index out of range")
 
         if region_tags is None:
@@ -130,7 +155,6 @@ class Mesh:
         for a in (self.vertices, self.cells, self.boundary_edges,
                   self.boundary_markers, self.region_tags):
             a.flags.writeable = False
-        self._cache = {}
 
         if validate:
             self._validate()
@@ -149,93 +173,96 @@ class Mesh:
         if self.nc and self.cell_areas.min() <= 0.0:
             bad = int(np.argmin(self.cell_areas))
             raise DegenerateCellError(f"cell {bad} has non-positive area")
-        # boundary edges must close up: every touched vertex has even degree
-        if len(self.boundary_edges):
-            deg = np.zeros(self.nv, dtype=int)
-            np.add.at(deg, self.boundary_edges.ravel(), 1)
-            touched = deg[deg > 0]
-            if (touched % 2).any():
-                raise MeshError("boundary edges do not form closed polylines")
+        # boundary edges must close up: every vertex has even degree
+        if (np.bincount(self.boundary_edges.ravel(), minlength=self.nv) % 2).any():
+            raise MeshError("boundary edges do not form closed polylines")
 
     # -- cached geometry -------------------------------------------------
 
-    def _cached(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def cell_points(self):
         """(nc, 3, 2) vertex coordinates per cell."""
-        return self._cached("cell_points", lambda: self.vertices[self.cells])
+        return self.vertices[self.cells]
 
-    @property
+    @cached_property
     def cell_areas(self):
-        def f():
-            p = self.cell_points
-            return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                          - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-        return self._cached("cell_areas", f)
+        """Signed cell areas (nc,), positive for counterclockwise cells."""
+        return signed_areas(self.cell_points)
 
-    @property
+    @cached_property
     def cell_diameters(self):
-        def f():
-            p = self.cell_points
-            e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-            return np.linalg.norm(e, axis=2).max(axis=1)
-        return self._cached("cell_diameters", f)
+        p = self.cell_points
+        e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
+        return np.linalg.norm(e, axis=2).max(axis=1)
 
-    @property
+    @cached_property
     def p1_grads(self):
         """(nc, 3, 2) constant gradients of the three nodal basis functions."""
-        def f():
-            p = self.cell_points
-            a = self.cell_areas
-            if (a <= 0.0).any():
-                bad = int(np.argmin(a))
-                raise DegenerateCellError(f"cell {bad} has non-positive area")
-            g = np.empty((self.nc, 3, 2))
-            for k in range(3):
-                # gradient of basis k is the inward normal of the opposite
-                # edge scaled by 1/(2A)
-                pa, pb = p[:, (k + 1) % 3], p[:, (k + 2) % 3]
-                g[:, k, 0] = (pa[:, 1] - pb[:, 1]) / (2.0 * a)
-                g[:, k, 1] = (pb[:, 0] - pa[:, 0]) / (2.0 * a)
-            return g
-        return self._cached("p1_grads", f)
+        p = self.cell_points
+        a = self.cell_areas
+        if (a <= 0.0).any():
+            bad = int(np.argmin(a))
+            raise DegenerateCellError(f"cell {bad} has non-positive area")
+        g = np.empty((self.nc, 3, 2))
+        for k in range(3):
+            # gradient of basis k is the inward normal of the opposite
+            # edge scaled by 1/(2A)
+            pa, pb = p[:, (k + 1) % 3], p[:, (k + 2) % 3]
+            g[:, k, 0] = (pa[:, 1] - pb[:, 1]) / (2.0 * a)
+            g[:, k, 1] = (pb[:, 0] - pa[:, 0]) / (2.0 * a)
+        return g
 
-    @property
+    @cached_property
     def cell_boxes(self):
         """Lower and upper corners (nc, 2) of the cell bounding boxes."""
-        def f():
-            a, b, c = self.cell_points.transpose(1, 0, 2)
-            return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-        return self._cached("cell_boxes", f)
+        a, b, c = self.cell_points.transpose(1, 0, 2)
+        return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
-    @property
+    @cached_property
     def bbox(self):
-        def f():
-            if self.nv == 0:
-                return (np.zeros(2), np.zeros(2))
-            return (self.vertices.min(axis=0).copy(), self.vertices.max(axis=0).copy())
-        return self._cached("bbox", f)
+        if self.nv == 0:
+            return (np.zeros(2), np.zeros(2))
+        return (self.vertices.min(axis=0).copy(), self.vertices.max(axis=0).copy())
 
-    @property
+    @cached_property
     def cell_grid(self):
         """Bucket grid over the cell bounding boxes, for candidate queries."""
-        return self._cached("cell_grid", lambda: CellGrid(*self.cell_boxes))
+        return CellGrid(*self.cell_boxes)
 
-    @property
-    def edge_keys(self):
-        """Key v_lo * nv + v_hi of cell edge 3 c + k (vertices k, k + 1),
-        the stable order sorting them, and the sorted keys."""
-        def f():
-            key = np.sort(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1) @ [self.nv, 1]
-            order = np.argsort(key, kind="stable")
-            return key, order, key[order]
-        return self._cached("edge_keys", f)
+    # -- connectivity ----------------------------------------------------
 
-    # -- convenience -----------------------------------------------------
+    @cached_property
+    def edges(self):
+        """The ``EdgeTable`` of the cell sides, from one stable sort."""
+        side = np.sort(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        key = side @ [self.nv, 1]
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) != 0
+        first = np.flatnonzero(new)
+        count = np.diff(np.append(first, len(key)))
+        of_side = np.empty(len(key), dtype=np.int64)
+        of_side[order] = np.cumsum(new) - 1
+        cell = order // 3
+        second = np.where(count > 1, cell[np.minimum(first + 1, len(key) - 1)], -1)
+        return EdgeTable(key[order[first]], side[order[first]],
+                         np.column_stack([cell[first], second]), count,
+                         of_side.reshape(-1, 3))
+
+    def edge_index(self, pairs):
+        """Edge of each vertex pair (E, 2), in either order; -1 where no
+        cell has that side."""
+        key = np.sort(pairs, axis=1) @ [self.nv, 1]
+        row = np.searchsorted(self.edges.key, key)
+        return np.where(np.append(self.edges.key, -1)[row] == key, row, -1)
+
+    def vertex_slots(self, cells):
+        """Slot of each vertex among the vertices of the given cells,
+        numbered in vertex order; -1 at vertices of no such cell."""
+        used = np.zeros(self.nv, dtype=bool)
+        used[self.cells[cells]] = True
+        slots = np.full(self.nv, -1, dtype=np.int64)
+        slots[used] = np.arange(np.count_nonzero(used))
+        return slots
 
     def region_cells(self, tag):
         return np.flatnonzero(self.region_tags == tag)
@@ -244,21 +271,20 @@ class Mesh:
         """Adjacent cells and outward unit normals (E, 2) of the given
         boundary edges, from one cached pass over all boundary edges;
         errors if one of them is interior."""
-        cells, normals = self._cached("boundary_normals", self._boundary_normals)
+        cells, normals = self._boundary_normals
         edges = np.asarray(edges, dtype=np.int64)
         bad = edges[cells[edges] < 0]
         if len(bad):
             raise MeshError(f"boundary edge {bad[0]} is not on the mesh boundary")
         return cells[edges], normals[edges]
 
+    @cached_property
     def _boundary_normals(self):
         """Cell (-1 unless exactly one) and outward unit normal per boundary edge."""
-        _, order, skey = self.edge_keys
-        want = np.sort(self.boundary_edges, axis=1) @ [self.nv, 1]
-        lo, hi = (np.searchsorted(skey, want, side) for side in ("left", "right"))
-        one = hi - lo == 1
-        cells = np.full(len(want), -1, dtype=np.int64)
-        cells[one] = order[lo[one]] // 3
+        e = self.edges
+        only = np.where(e.count == 1, e.cells[:, 0], -1)
+        cells = np.append(only, -1)[self.edge_index(self.boundary_edges)]   # -1: no cell
+        one = cells >= 0
         a, b = (self.vertices[self.boundary_edges[:, k]] for k in (0, 1))
         ev = b - a
         n = np.column_stack([ev[:, 1], -ev[:, 0]]) / np.hypot(ev[:, 1], -ev[:, 0])[:, None]
@@ -362,11 +388,8 @@ def eval_field(fn, pts, shape):
 
 def region_interface_vertices(mesh, tag_a=FLUID, tag_b=SOLID):
     """Vertices shared by cells of two different region tags, sorted."""
-    in_a = np.zeros(mesh.nv, dtype=bool)
-    in_b = np.zeros(mesh.nv, dtype=bool)
-    in_a[mesh.cells[mesh.region_tags == tag_a].ravel()] = True
-    in_b[mesh.cells[mesh.region_tags == tag_b].ravel()] = True
-    return np.flatnonzero(in_a & in_b)
+    a, b = (mesh.vertex_slots(mesh.region_cells(t)) >= 0 for t in (tag_a, tag_b))
+    return np.flatnonzero(a & b)
 
 
 def region_boundary_edges(mesh, tag):
@@ -377,21 +400,15 @@ def region_boundary_edges(mesh, tag):
     exterior boundary marker (0 if unmarked, -1 off the mesh boundary) and
     the region tag of the cell across it (-1 on the mesh boundary).
     """
-    key, order, skey = mesh.edge_keys
-    edge = (3 * np.flatnonzero(mesh.region_tags == tag)[:, None] + np.arange(3)).ravel()
-    lo, hi = (np.searchsorted(skey, key[edge], side) for side in ("left", "right"))
-    # the first cell other than the edge's own along the sorted keys
-    cell, first = edge // 3, order[lo] // 3
-    other = np.where(first != cell, first, order[np.minimum(lo + 1, len(order) - 1)] // 3)
-    outer = hi - lo == 1
-    other_tag = np.where(outer, -1, mesh.region_tags[other])
+    e = mesh.edges
+    own = mesh.region_cells(tag)
+    cell, k, edge = np.repeat(own, 3), np.tile(np.arange(3), len(own)), e.of_side[own].ravel()
+    first, second = e.cells[edge].T
+    outer = e.count[edge] == 1
+    other_tag = np.where(outer, -1, mesh.region_tags[np.where(first != cell, first, second)])
     keep = outer | (other_tag != tag)
-    edge, cell, outer, other_tag = edge[keep], cell[keep], outer[keep], other_tag[keep]
-    marker_of = {min(i, j) * mesh.nv + max(i, j): m for (i, j), m in
-                 zip(mesh.boundary_edges.tolist(), mesh.boundary_markers.tolist())}
-    markers = np.array([marker_of.get(k, 0) if o else -1
-                        for k, o in zip(key[edge].tolist(), outer.tolist())], dtype=np.int64)
-    k = edge % 3
+    cell, k, edge, outer, other_tag = (a[keep] for a in (cell, k, edge, outer, other_tag))
+    marker = np.zeros(len(e.key) + 1, dtype=np.int64)   # the last entry takes unknown pairs
+    marker[mesh.edge_index(mesh.boundary_edges)] = mesh.boundary_markers
     ij = np.column_stack([mesh.cells[cell, k], mesh.cells[cell, (k + 1) % 3]])
-    return ij, cell, markers, other_tag
-
+    return ij, cell, np.where(outer, marker[edge], -1), other_tag

@@ -124,12 +124,8 @@ class SolidProblem:
             self.cells = np.arange(self.mesh.nc)
         else:
             self.cells = self.mesh.region_cells(self.region_tag)
-        active = np.zeros(self.mesh.nv, dtype=bool)
-        if len(self.cells):
-            active[self.mesh.cells[self.cells].ravel()] = True
-        self.vmap = np.full(self.mesh.nv, -1, dtype=np.int64)
-        self.vmap[active] = np.arange(active.sum())
-        self.nactive = int(active.sum())
+        self.vmap = self.mesh.vertex_slots(self.cells)
+        self.nactive = int(self.vmap.max(initial=-1)) + 1
         self.ndof = 2 * self.nactive
         self._collect_bcs()
 

@@ -58,20 +58,11 @@ class CompositeSpace:
         self.front = front
         self.topo = topo
 
-        bg_active = np.zeros(background.nv, dtype=bool)
-        if len(topo.reduced_cells):
-            bg_active[background.cells[topo.reduced_cells].ravel()] = True
-        fr_active = np.zeros(front.nv, dtype=bool)
         self.fluid_cells = front.region_cells(FLUID)
-        if len(self.fluid_cells):
-            fr_active[front.cells[self.fluid_cells].ravel()] = True
-
-        self.bg_vmap = np.full(background.nv, -1, dtype=np.int64)
-        self.bg_vmap[bg_active] = np.arange(bg_active.sum())
-        self.fr_vmap = np.full(front.nv, -1, dtype=np.int64)
-        self.fr_vmap[fr_active] = np.arange(fr_active.sum())
-        self.n1 = int(bg_active.sum())
-        self.n2 = int(fr_active.sum())
+        self.bg_vmap = background.vertex_slots(topo.reduced_cells)
+        self.fr_vmap = front.vertex_slots(self.fluid_cells)
+        self.n1 = int(self.bg_vmap.max(initial=-1)) + 1
+        self.n2 = int(self.fr_vmap.max(initial=-1)) + 1
         self.offset_u2 = 2 * self.n1
         self.offset_p1 = 2 * (self.n1 + self.n2)
         self.offset_p2 = self.offset_p1 + self.n1

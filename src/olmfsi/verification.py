@@ -222,7 +222,7 @@ def manufactured_fsi_problem(mf, level):
     # pin the moving mesh at the channel ends: the exact stretching keeps
     # the inlet/outlet planes fixed, and letting them drift would punch
     # uncovered slivers into the mesh union near the background corners
-    fluid_verts = np.unique(front.cells[front.region_tags == FLUID])
+    fluid_verts = np.flatnonzero(front.vertex_slots(front.region_cells(FLUID)) >= 0)
     on_ends = fluid_verts[(np.abs(front.vertices[fluid_verts, 0]) < 1e-12)
                           | (np.abs(front.vertices[fluid_verts, 0] - mf.L) < 1e-12)]
     # all fluid-adjacent boundary edges may couple: any part interior to
@@ -381,6 +381,7 @@ FLAP_SIZE = (0.06, 0.24)
 FLAP_BASE = (1.25, 0.0)
 FLAP_MARGIN = 0.08       # width of the fluid collar of the box around the flap
 FLAP_UBAR = 0.45         # mean inflow velocity
+FLAP_LOAD_RAMP = 4       # strong flap loads: ramp the first outer iterations
 
 
 def _rotate(points, angle_deg, center):
@@ -457,7 +458,7 @@ def flap_problem(angle_deg=0.0, E_s=15.0, nu_s=0.3, viscosity=0.001,
         # the fluid collar rests on the channel floor and must not lift off,
         # otherwise covered floor cells next to the clamped flap base turn
         # into cut cells touching the solid
-        fluid_verts = np.unique(box.cells[box.region_tags == FLUID])
+        fluid_verts = np.flatnonzero(box.vertex_slots(box.region_cells(FLUID)) >= 0)
         floor = fluid_verts[np.abs(box.vertices[fluid_verts, 1]) < 1e-12]
     return FsiProblem(
         background=bg,
@@ -480,7 +481,7 @@ def flap2d(angle_deg=0.0, config=None, out_dir=None, **kw):
     overshoots what a static equilibrium supports on fine meshes.
     """
     problem = flap_problem(angle_deg, **kw)
-    config = config or FsiConfig(load_ramp=4)
+    config = config or FsiConfig(load_ramp=FLAP_LOAD_RAMP)
     state = fsi_fixed_point(problem, config, log_path=_fresh_log(out_dir))
     if out_dir:
         write_outputs(state, None, out_dir)

@@ -85,6 +85,13 @@ def test_ccw_enforced():
     assert m.cell_areas[0] > 0
 
 
+def test_unvalidated_mesh_keeps_clockwise_cell():
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.array([[0, 2, 1]]), validate=False)
+    assert m.cells.tolist() == [[0, 2, 1]]
+    assert m.cell_areas[0] == -0.5
+
+
 def test_element_diameter_right_triangle():
     m = unit_right_triangle()
     assert m.cell_diameters[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
@@ -238,6 +245,35 @@ def test_region_boundary_edges_match_per_edge_reference():
             got = region_boundary_edges(m, tag)
             for x, y in zip(got, region_boundary_edges_loop(m, tag)):
                 assert x.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
+
+
+EDGE_TABLE_MESHES = {
+    "rect": lambda: build_rect_mesh(4, 3, [(0, 0), (1, 1)],
+                                    region_fn=lambda c: SOLID if c[1] > 0.5 else FLUID),
+    "flap": lambda: flap_meshes(65.0, 1)[1],
+    "manufactured": lambda: manufactured_meshes(1)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TABLE_MESHES))
+def test_edge_table_and_vertex_slots(name):
+    m = EDGE_TABLE_MESHES[name]()
+    e = m.edges
+    sides = m.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+    assert np.array_equal(e.verts[e.of_side], np.sort(sides, axis=2))
+    assert np.array_equal(e.key, e.verts @ [m.nv, 1]) and (np.diff(e.key) > 0).all()
+    assert np.array_equal(np.bincount(e.of_side.ravel(), minlength=len(e.key)), e.count)
+    if name == "rect":
+        assert np.array_equal(e.verts[e.count == 1],
+                              np.unique(np.sort(m.boundary_edges, axis=1), axis=0))
+    outer, inner = e.cells[e.count == 1], e.cells[e.count == 2]
+    assert (outer[:, 1] == -1).all() and (e.count <= 2).all()
+    assert (inner >= 0).all() and (inner[:, 0] < inner[:, 1]).all()
+    for cells in (m.region_cells(FLUID), m.region_cells(SOLID), np.arange(m.nc), []):
+        slots = m.vertex_slots(cells)
+        used = np.unique(m.cells[cells])
+        assert np.array_equal(np.flatnonzero(slots >= 0), used)
+        assert np.array_equal(slots[used], np.arange(len(used)))
 
 
 def test_immutability():

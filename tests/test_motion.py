@@ -114,7 +114,7 @@ def test_deform_tangle_error_names_cell():
     mesh = build_rect_mesh(2, 2, [(0, 0), (1, 1)])
     disp = np.zeros((mesh.nv, 2))
     disp[0] = [5.0, 5.0]
-    with pytest.raises(MeshTangleError, match="cell"):
+    with pytest.raises(MeshTangleError, match="cell 0 inverted"):
         deform_mesh(mesh, disp)
 
 

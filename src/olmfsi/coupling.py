@@ -7,7 +7,9 @@ boundary traction to the solid as a nodal load, relaxes the displacement
 update and re-extends it into the fluid mesh.  The solid problem and its
 body load are set up once per run; the solid's whole load is one nodal
 array, which the continuation scales as a whole.  The fluid background far
-from the front is condensed once per run (``stokes.FarField``).
+from the front is condensed once per run (``stokes.FarField``): its rows are
+built from the far cells and factored per connected component once, never
+reassembled, and each pass assembles and factors only the near fluid system.
 """
 
 from __future__ import annotations

@@ -122,8 +122,7 @@ def apply_dirichlet(system, dofs, values):
     # zero constrained rows and columns, then put ones on the diagonal
     mask = count > 0
     A = A.copy()
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    A.data[mask[rows] | mask[A.indices]] = 0.0
+    A.data[np.repeat(mask, np.diff(A.indptr)) | mask[A.indices]] = 0.0
     A.eliminate_zeros()
     A = A + sp.csr_matrix((np.ones(len(dofs)), (dofs, dofs)), shape=(n, n))
     A.sort_indices()
@@ -199,14 +198,15 @@ class DirectSolver:
             raise SingularMatrixError("solve produced non-finite values (zero pivot)")
         if len(cdofs):
             x[cdofs] = cvals
-        check_residual(self._A, x, rhs, self._norm_a)
+        check_residual(self._A @ x - rhs, x, rhs, self._norm_a)
         return x
 
 
-def check_residual(A, x, rhs, norm_a):
-    """Raise SingularMatrixError unless every column of x solves A x = rhs
-    to 1e-10 relative to ||A||_inf ||x|| + ||rhs|| (or 1e-8 of ||rhs||)."""
-    resid = np.linalg.norm(A @ x - rhs, axis=0)
+def check_residual(r, x, rhs, norm_a):
+    """Raise SingularMatrixError unless every column of the residual
+    r = A x - rhs is below 1e-10 relative to ||A||_inf ||x|| + ||rhs|| (or
+    1e-8 of ||rhs||)."""
+    resid = np.linalg.norm(r, axis=0)
     size = np.linalg.norm(rhs, axis=0)
     bound = 1e-10 * (norm_a * np.linalg.norm(x, axis=0) + size)
     bad = (resid > np.maximum(bound, 1e-300)) & (resid > 1e-8 * np.maximum(size, 1.0))

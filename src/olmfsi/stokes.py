@@ -13,7 +13,8 @@ with these pairings the scheme is consistent for smooth fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,6 +87,13 @@ class CompositeSpace:
         u_base, p_base = ((0, self.offset_p1) if mesh_id == BG
                           else (self.offset_u2, self.offset_p2))
         return u_base + 2 * slot[..., None] + np.arange(2), p_base + slot
+
+    def boundary_edges(self, mesh_id, marker):
+        """Boundary edges of one side marked ``marker`` whose vertices all
+        have dofs."""
+        mesh, vmap = self.sides[mesh_id]
+        return np.flatnonzero((mesh.boundary_markers == marker)
+                              & (vmap[mesh.boundary_edges] >= 0).all(axis=1))
 
     def _collect_dirichlet(self, bg_dirichlet, front_dirichlet, pin_value):
         """Merged Dirichlet dofs and values: marked boundary edges of both
@@ -270,10 +278,9 @@ def _neumann_terms(sys, space, problem):
         return
     xs, ws = seg_rule(QUAD_ORDER)
     for mesh_id, marker, traction in problem.neumann:
-        mesh, vmap = space.sides[mesh_id]
+        mesh = space.sides[mesh_id][0]
         ij = mesh.boundary_edges
-        edges = np.flatnonzero((mesh.boundary_markers == marker)
-                               & (vmap[ij] >= 0).all(axis=1))
+        edges = space.boundary_edges(mesh_id, marker)
         a, b = mesh.vertices[ij[edges, 0]], mesh.vertices[ij[edges, 1]]
         normals = mesh.boundary_normals(edges)[1]
         if mesh_id == BG:
@@ -347,6 +354,46 @@ def _bg_dofs(space, verts):
     return np.concatenate([u.ravel(), p])
 
 
+def _has_far(far, items):
+    """Which items (rows of background vertex numbers) have a vertex in
+    the far mask ``far``: the far field owns exactly these."""
+    return far[items].any(axis=1)
+
+
+class _Part:
+    """One part of the fluid system, for ``assemble``: the dofs ``index``
+    (ascending) of ``space``, numbered in that order, with their Dirichlet
+    data, and the items of ``topo`` the part owns.  The far part owns the
+    not-covered background cells and the background boundary edges with a
+    vertex in ``far`` (a background vertex mask); the near part owns every
+    other item."""
+
+    def __init__(self, space, topo, far, is_far, index):
+        self.background, self.front, self.sides = space.background, space.front, space.sides
+        self.fluid_cells = space.fluid_cells[:0] if is_far else space.fluid_cells
+        self.ndof = len(index)
+        self.local = np.full(space.ndof, -1)
+        self.local[index] = np.arange(len(index))
+        held = self.local[space.dirichlet_dofs] >= 0
+        self.dirichlet_dofs = self.local[space.dirichlet_dofs[held]]
+        self.dirichlet_values = space.dirichlet_values[held]
+        cells = topo.class_not
+        owned = cells[_has_far(far, self.background.cells[cells]) == is_far]
+        self.topo = (SimpleNamespace(class_not=owned, class_partial=cells[:0], cut_rules=None,
+                                     interface_segments=(), overlap_pairs=())
+                     if is_far else replace(topo, class_not=owned))
+        self._space, self._far, self._is_far = space, far, is_far
+
+    def dofs(self, mesh_id, verts):
+        return tuple(self.local[d] for d in self._space.dofs(mesh_id, verts))
+
+    def boundary_edges(self, mesh_id, marker):
+        edges = self._space.boundary_edges(mesh_id, marker)
+        if mesh_id == FRONT:
+            return edges[:0] if self._is_far else edges
+        return edges[_has_far(self._far, self.background.boundary_edges[edges]) == self._is_far]
+
+
 class FarField:
     """Static condensation of the fixed background far from the front, for
     the fluid solves of one fixed-point run.
@@ -355,50 +402,68 @@ class FarField:
     partially) background cells is grown by its own width and height on
     each side.  The active background vertices outside it are *far*; the
     other background vertices of their cells form the *rim*.  The far rows
-    and their coupling to the rim only see full uncovered cells, so they do
-    not change while no covered cell, interface segment or overlap pair
-    touches a far vertex: the far block A_FF is factored once and its
-    effect on the rim is the dense Schur block S = A_RF A_FF^-1 A_FR.  Each
-    solve factors only the near system (every other dof, with S taken off
-    the rim block) and recovers the far dofs with two far solves.  A front
-    that reaches a far vertex rebuilds the far field.  The far field is
-    used only when it holds more dofs than the rest of the system;
-    otherwise the set-up does not pay and every solve is a plain one.  The
-    constrained background dofs must not depend on the front (no pressure
-    pin, as in every fixed-point run); the residual check on the whole
-    system catches a far block that went stale all the same.
+    are built from the far cells alone (the not-covered background cells
+    with a far vertex, and the background boundary edges with one) and
+    eliminated in far/rim numbering once: they do not change while no
+    covered cell, interface segment or overlap pair touches a far vertex,
+    and they are never reassembled.  The far block A_FF is factored once
+    per connected component of its graph (on the flap, the background
+    upstream and downstream of the front); its effect on the rim is the
+    dense Schur block S = A_RF A_FF^-1 A_FR, each nonzero rim column solved
+    on the component it touches, and A_RF A_FF^-1 b_F is kept too.  Each
+    solve assembles, eliminates and factors only the near system (the items
+    without a far vertex plus the far cells' rim block, with S taken off
+    the rim) and recovers the far dofs per component.  A front that reaches
+    a far vertex rebuilds the far field.  The far field is used only when
+    it holds more dofs than the rest of the system; otherwise the set-up
+    does not pay and every solve is a plain one.  The constrained
+    background dofs must not depend on the front (no pressure pin, as in
+    every fixed-point run); the residual check on the whole system, near
+    and far rows, catches a far block that went stale all the same.
     """
 
     def __init__(self):
         self._built = False
         self._far = None        # far vertex mask; None for plain solves
 
-    def solve(self, c, space, topo):
-        """Solution of the eliminated fluid system ``c`` on ``space``."""
+    def solve(self, problem, space, topo):
+        """Solution of the fluid system of ``problem`` on ``space``, its
+        Dirichlet values exact."""
         if not self._built or self._touched(space, topo):
-            self._build(c, space, topo)
+            self._build(problem, space, topo)
         if self._far is None:
-            return solve_direct(c)
-        A, b = c.matrix, c.rhs
-        far, rim = _bg_dofs(space, np.flatnonzero(self._far)), _bg_dofs(space, self._rim)
-        is_near = np.ones(len(b), dtype=bool)
+            return _solve_whole(problem, space, topo)
+        far = _bg_dofs(space, np.flatnonzero(self._far))
+        is_near = np.ones(space.ndof, dtype=bool)
         is_near[far] = False
-        near = np.flatnonzero(is_near)
-        pos = np.cumsum(is_near) - 1        # position of a near dof in near
-        r = pos[rim]
-        A_near = A[near][:, near] - sp.csr_matrix(
-            (self._S.ravel(), (np.repeat(r, len(r)), np.tile(r, len(r)))),
-            shape=(len(near), len(near)))
-        b_near = b[near]
-        b_near[r] -= self._A_RF @ self._solver.solve(b[far])
-        held = is_near[c.dofs]
-        x = np.empty(len(b))
-        x[near] = solve_direct(Constrained(A_near, b_near, pos[c.dofs[held]],
-                                           c.values[held]))
-        x[far] = self._solver.solve(b[far] - self._A_FR @ x[rim])
-        x[c.dofs] = c.values
-        # against the whole system: a stale far block cannot pass
-        check_residual(A, x, b, abs(A).sum(axis=1).max())
+        near = _Part(space, topo, self._far, False, np.flatnonzero(is_near))
+        r = near.local[_bg_dofs(space, self._rim)]
+        sys = assemble(problem, near, near.topo)
+        rows, cols, vals = self._rim_block
+        sys.add(r[rows], r[cols], vals)
+        sys.add_rhs(r, self._rim_rhs)
+        c = apply_dirichlet(sys, near.dirichlet_dofs, near.dirichlet_values)
+        S = sp.csr_matrix((self._S.ravel(), (np.repeat(r, len(r)), np.tile(r, len(r)))),
+                          shape=c.matrix.shape)
+        b = c.rhs.copy()
+        b[r] -= self._w
+        x_near = solve_direct(Constrained(c.matrix - S, b, c.dofs, c.values))
+        x_rim, x_free, r_far = x_near[r], np.empty(len(self._b_F)), np.empty(len(self._b_F))
+        for idx, A_FF, A_FR, solver in self._blocks:
+            rhs = self._b_F[idx] - A_FR @ x_rim
+            x_free[idx] = solver.solve(rhs)
+            r_far[idx] = A_FF @ x_free[idx] - rhs
+        x = np.empty(space.ndof)
+        x[is_near], x[far] = x_near, self._rhs_far
+        x[far[self._free]] = x_free
+        # against the whole system, near rows with their far coupling and
+        # the far rows: a stale far block cannot pass
+        r_near = c.matrix @ x_near - c.rhs
+        r_near[r] += self._A_RF @ x_free
+        norm = np.asarray(abs(c.matrix).sum(axis=1)).ravel()
+        norm[r] += self._rim_norm
+        check_residual(np.concatenate([r_near, r_far]), x,
+                       np.concatenate([c.rhs, self._rhs_far]), max(norm.max(), self._norm_far))
         return x
 
     def _touched(self, space, topo):
@@ -409,9 +474,9 @@ class FarField:
         cells = np.concatenate([topo.class_fully, topo.class_partial,
                                 topo.interface_segments.bg_cell,
                                 topo.overlap_pairs.bg_cell])
-        return bool(self._far[space.background.cells[cells]].any())
+        return bool(_has_far(self._far, space.background.cells[cells]).any())
 
-    def _build(self, c, space, topo):
+    def _build(self, problem, space, topo):
         self._built, self._far = True, None
         bg = space.background
         covered = np.concatenate([topo.class_fully, topo.class_partial])
@@ -423,17 +488,54 @@ class FarField:
         far = (space.bg_vmap >= 0) & ((bg.vertices < lo) | (bg.vertices > hi)).any(axis=1)
         if 2 * 3 * far.sum() <= space.ndof:      # the far dofs must outnumber the rest
             return
-        rim = np.zeros(bg.nv, dtype=bool)
-        rim[bg.cells[far[bg.cells].any(axis=1)]] = True
-        self._far, self._rim = far, np.flatnonzero(rim & ~far)
-        far, rim = _bg_dofs(space, np.flatnonzero(far)), _bg_dofs(space, self._rim)
-        A_F = c.matrix[far]
-        self._A_FR, self._A_RF = A_F[:, rim], c.matrix[rim][:, far]
-        self._solver = DirectSolver(A_F[:, far])
-        # S a few rim columns at a time: the dense far solutions stay small
-        cols = self._A_FR.tocsc()
-        self._S = np.hstack([self._A_RF @ self._solver.solve(cols[:, j:j + 16].toarray())
-                             for j in range(0, len(rim), 16)])
+        verts = np.zeros(bg.nv, dtype=bool)
+        verts[bg.cells[_has_far(far, bg.cells)]] = True
+        self._far, self._rim = far, np.flatnonzero(verts & ~far)
+        # the far cells' system in far/rim numbering: velocity, then pressure
+        # dofs of the far and rim vertices
+        verts = np.flatnonzero(verts)
+        part = _Part(space, topo, far, True, _bg_dofs(space, verts))
+        c = apply_dirichlet(assemble(problem, part, part.topo),
+                            part.dirichlet_dofs, part.dirichlet_values)
+        in_far = np.concatenate([np.repeat(far[verts], 2), far[verts]])
+        fixed = np.zeros(len(in_far), dtype=bool)
+        fixed[c.dofs] = True
+        F, R = np.flatnonzero(in_far & ~fixed), np.flatnonzero(~in_far)
+        A, A_F, A_R = c.matrix, c.matrix[F], c.matrix[R]
+        A_FF, A_FR, self._A_RF = A_F[:, F], A_F[:, R], A_R[:, F]
+        rim_block = A_R[:, R].tocoo()
+        self._rim_block = (rim_block.row, rim_block.col, rim_block.data)
+        # the far dofs' right-hand side (their values where constrained),
+        # which the constrained far dofs take as their solution
+        self._rhs_far, self._free = c.rhs[in_far], ~fixed[in_far]
+        self._b_F, self._rim_rhs = c.rhs[F], c.rhs[R]
+        # ||A||_inf of the whole system: the far rows, and the rim rows'
+        # far coupling, which each solve adds to its near rows
+        self._norm_far = abs(A[in_far]).sum(axis=1).max()
+        self._rim_norm = np.asarray(abs(self._A_RF).sum(axis=1)).ravel()
+        self._S, self._w = np.zeros((len(R), len(R))), np.zeros(len(R))
+        self._blocks = []
+        # imported here: only runs that condense a far field load csgraph
+        from scipy.sparse.csgraph import connected_components
+        n, labels = connected_components(A_FF, directed=False)
+        for comp in (np.flatnonzero(labels == k) for k in range(n)):
+            A_CC, A_CR, A_RC = A_FF[comp][:, comp], A_FR[comp], self._A_RF[:, comp]
+            solver = DirectSolver(A_CC)
+            self._blocks.append((comp, A_CC, A_CR, solver))
+            self._w += A_RC @ solver.solve(self._b_F[comp])
+            # the rim columns the component touches, a few at a time: the
+            # dense far solutions stay small
+            cols, A_CR = np.flatnonzero(A_CR.getnnz(axis=0)), A_CR.tocsc()
+            for j in range(0, len(cols), 16):
+                some = cols[j:j + 16]
+                self._S[:, some] += A_RC @ solver.solve(A_CR[:, some].toarray())
+
+
+def _solve_whole(problem, space, topo):
+    """Assemble, constrain and factor the whole system."""
+    # the unconstrained system is freed before the factorization
+    return solve_direct(apply_dirichlet(assemble(problem, space, topo),
+                                        space.dirichlet_dofs, space.dirichlet_values))
 
 
 def solve_stokes(problem, space, topo, far=None):
@@ -443,10 +545,8 @@ def solve_stokes(problem, space, topo, far=None):
     background far from the front out of every solve of the run.  Without
     it the whole system is factored.
     """
-    # the unconstrained system is freed before the factorization
-    c = apply_dirichlet(assemble(problem, space, topo),
-                        space.dirichlet_dofs, space.dirichlet_values)
-    x = solve_direct(c) if far is None else far.solve(c, space, topo)
+    x = (_solve_whole(problem, space, topo) if far is None
+         else far.solve(problem, space, topo))
     return FluidSolution(space, x, viscosity=problem.viscosity)
 
 

@@ -360,30 +360,67 @@ def fluid_system(problem, front):
 
 def test_far_field_solve_matches_plain_solve(monkeypatch):
     # the far field of iteration 1 serves the converged configuration too:
-    # one far factorization, both solves equal the plain LU to roundoff
+    # one far build, one factorization per far component, both solves equal
+    # the plain LU of the whole eliminated system to roundoff
     counts = {"far": 0}
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
     problem = flap_problem(0.0, res=1)
     state = fsi_fixed_point(problem, FsiConfig(load_ramp=4))
-    assert counts["far"] == 1
+    assert counts["far"] == 2
     far = FarField()
     for front in (problem.front_ref, state.front_current):
         c, space, topo = fluid_system(problem, front)
-        x, ref = far.solve(c, space, topo), solve_direct(c)
+        x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(x[c.dofs], c.values)
-    assert counts["far"] == 2
+    assert counts["far"] == 4
 
 
 def test_far_field_set_up_once_per_run(monkeypatch):
-    # flap 0 deg res 1: the far field (1950 of 3012 dofs) is factored once;
-    # every outer iteration factors its near system through solve_direct
-    counts = dict.fromkeys(("far", "near"), 0)
+    # flap 0 deg res 1: the far field (1950 of 3012 dofs) is built once and
+    # factored once per component; every outer iteration factors its near
+    # system through solve_direct
+    counts = dict.fromkeys(("build", "far", "near"), 0)
+    monkeypatch.setattr(FarField, "_build", counting(counts, "build", FarField._build))
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
     monkeypatch.setattr(stokes, "solve_direct", counting(counts, "near", stokes.solve_direct))
     state = fsi_fixed_point(flap_problem(0.0, res=1), FsiConfig(load_ramp=4))
     assert state.iterations == 9
-    assert counts == {"far": 1, "near": 9}
+    assert counts == {"build": 1, "far": 2, "near": 9}
+
+
+def test_far_field_run_never_touches_whole_system(monkeypatch):
+    # flap 0 deg res 1: the far field falls into the background upstream and
+    # downstream of the box, and no fluid system of a run's full size is
+    # eliminated or factored, not even in the first iteration
+    farfields, ndofs, sizes = [], set(), []
+
+    def far_field():
+        farfields.append(FarField())
+        return farfields[-1]
+
+    def space(*args, **kwargs):
+        out = CompositeSpace(*args, **kwargs)
+        ndofs.add(out.ndof)
+        return out
+
+    def recorded(fn, size):
+        def call(arg, *rest):
+            sizes.append(size(arg))
+            return fn(arg, *rest)
+        return call
+
+    monkeypatch.setattr(coupling, "FarField", far_field)
+    monkeypatch.setattr(coupling, "CompositeSpace", space)
+    monkeypatch.setattr(stokes, "apply_dirichlet", recorded(stokes.apply_dirichlet, lambda s: s.n))
+    monkeypatch.setattr(stokes, "solve_direct",
+                        recorded(stokes.solve_direct, lambda c: c.matrix.shape[0]))
+    state = fsi_fixed_point(flap_problem(0.0, res=1), FsiConfig(load_ramp=4))
+    assert state.iterations == 9 and len(farfields) == 1
+    assert [len(idx) for idx, *_ in farfields[0]._blocks] == [853, 875]
+    # the far build's elimination, then one elimination and one LU per iteration
+    assert len(sizes) == 1 + 2 * 9
+    assert ndofs.isdisjoint(sizes)
 
 
 @pytest.mark.parametrize("case", ["manufactured-0", "flap-65"])
@@ -401,15 +438,36 @@ def test_far_field_not_worth_it_keeps_plain_path(case, monkeypatch):
 
 def test_far_field_rebuilt_when_front_reaches_it(monkeypatch):
     # the flap box moved 0.5 upstream covers cells with far vertices of the
-    # first placement's far field: it is rebuilt around the new placement
-    counts = {"far": 0}
+    # first placement's far field: it is rebuilt around the new placement,
+    # and the rebuilt far field condenses (each of its components factored)
+    counts = dict.fromkeys(("build", "far"), 0)
+    monkeypatch.setattr(FarField, "_build", counting(counts, "build", FarField._build))
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
     problem = flap_problem(0.0, res=1)
     far = FarField()
-    far.solve(*fluid_system(problem, problem.front_ref))
+    far.solve(problem.fluid, *fluid_system(problem, problem.front_ref)[1:])
+    assert counts == {"build": 1, "far": 2}
     c, space, topo = fluid_system(problem, translated(problem.front_ref, (-0.5, 0.0)))
-    x, ref = far.solve(c, space, topo), solve_direct(c)
-    assert counts["far"] == 2
+    x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
+    assert far._far is not None and len(far._blocks) > 0
+    assert counts == {"build": 2, "far": 2 + len(far._blocks)}
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_far_field_neumann_edges_split_between_far_and_near():
+    # a traction instead of no-slip on the channel top: its edges with a far
+    # vertex are integrated in the far build, the others (above the flap)
+    # in each near system, each edge once
+    problem = flap_problem(0.0, res=1)
+    del problem.bg_dirichlet[TOP]
+    problem.fluid.neumann = ((BG, TOP, lambda pts, n: np.column_stack(
+        [-pts[:, 1], np.ones(len(pts))])),)
+    c, space, topo = fluid_system(problem, problem.front_ref)
+    far = FarField()
+    x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
+    bg = problem.background
+    has_far = far._far[bg.boundary_edges[space.boundary_edges(BG, TOP)]].any(axis=1)
+    assert 0 < has_far.sum() < len(has_far)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -417,12 +475,12 @@ def test_far_field_corrupted_rim_block_fails_residual_check():
     # the near and far solves stay consistent with a wrong Schur block; the
     # residual on the whole system catches it
     problem = flap_problem(0.0, res=1)
-    c, space, topo = fluid_system(problem, problem.front_ref)
+    space, topo = fluid_system(problem, problem.front_ref)[1:]
     far = FarField()
-    far.solve(c, space, topo)
+    far.solve(problem.fluid, space, topo)
     far._S *= 1.01
     with pytest.raises(SingularMatrixError, match="residual"):
-        far.solve(c, space, topo)
+        far.solve(problem.fluid, space, topo)
 
 
 def test_solid_set_up_once_per_run(monkeypatch):

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .coupling import FsiConfig
+from .stokes import FluidProblem
 
 CONFIG_KEYS = {
     "nu_f": (float, 0.001),
@@ -64,19 +65,25 @@ def load_config(path, **defaults):
     return cfg
 
 
-def _fsi_config(cfg, load_ramp=0):
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ValueError (a bad value) a ConfigError."""
     try:
-        return FsiConfig(tol=cfg["tol"], max_outer=cfg["max_outer"],
-                         omega_max=cfg["omega_max"], omega0=cfg["omega0"],
-                         load_ramp=load_ramp)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _fsi_config(cfg, load_ramp=0):
+    return _checked(FsiConfig, tol=cfg["tol"], max_outer=cfg["max_outer"],
+                    omega_max=cfg["omega_max"], omega0=cfg["omega0"], load_ramp=load_ramp)
 
 
 def cmd_convergence(args):
     from .verification import build_manufactured, run_convergence
     cfg = load_config(args.config, E_s=10.0)
-    mf = build_manufactured(viscosity=cfg["nu_f"], E_s=cfg["E_s"], nu_s=cfg["nu_s"])
+    if args.levels < 2:
+        raise ConfigError("--levels must be at least 2")
+    mf = _checked(build_manufactured, viscosity=cfg["nu_f"], E_s=cfg["E_s"], nu_s=cfg["nu_s"])
     report = run_convergence(levels=args.levels, config=_fsi_config(cfg),
                              out_dir=args.out, verbose=True, mf=mf)
     print("eoc_u:", report.eoc_u)
@@ -88,6 +95,9 @@ def cmd_convergence(args):
 def cmd_stokes(args):
     from .verification import run_stokes_convergence
     cfg = load_config(args.config, nu_f=1.0)
+    if args.levels < 2:
+        raise ConfigError("--levels must be at least 2")
+    _checked(FluidProblem, viscosity=cfg["nu_f"], gamma=cfg["gamma"], delta=cfg["delta"])
     report = run_stokes_convergence(levels=args.levels, viscosity=cfg["nu_f"],
                                     gamma=cfg["gamma"], delta=cfg["delta"],
                                     out_dir=args.out, verbose=True)
@@ -97,14 +107,13 @@ def cmd_stokes(args):
 
 
 def cmd_flap(args):
-    from .verification import flap2d, FLAP_LOAD_RAMP
+    from .verification import flap2d, flap_problem, FLAP_LOAD_RAMP
     cfg = load_config(args.config, E_s=15.0)
     fsi_cfg = _fsi_config(cfg, FLAP_LOAD_RAMP)
-    state, _problem = flap2d(args.angle, config=fsi_cfg,
-                             out_dir=args.out,
-                             E_s=cfg["E_s"], nu_s=cfg["nu_s"],
-                             viscosity=cfg["nu_f"], res=cfg["res"],
-                             gamma=cfg["gamma"], delta=cfg["delta"])
+    params = dict(E_s=cfg["E_s"], nu_s=cfg["nu_s"], viscosity=cfg["nu_f"], res=cfg["res"],
+                  gamma=cfg["gamma"], delta=cfg["delta"])
+    _checked(flap_problem, args.angle, **params)    # bad values fail here, before any solve
+    state, _problem = flap2d(args.angle, config=fsi_cfg, out_dir=args.out, **params)
     print(f"converged in {state.iterations} outer iterations; "
           f"max displacement {np.abs(state.solid_displacement).max():.4e}")
     return 0

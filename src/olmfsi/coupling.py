@@ -6,10 +6,11 @@ topology, solves the fluid on the current configuration, feeds the weighted
 boundary traction to the solid as a nodal load, relaxes the displacement
 update and re-extends it into the fluid mesh.  The solid problem and its
 body load are set up once per run; the solid's whole load is one nodal
-array, which the continuation scales as a whole.  The fluid background far
-from the front is condensed once per run (``stokes.FarField``): its rows are
-built from the far cells and factored per connected component once, never
-reassembled, and each pass assembles and factors only the near fluid system.
+array, which the continuation scales as a whole.  Every fluid solve of a run
+goes through one ``stokes.FarField``: the background far from the front, if
+it holds most of the fluid dofs, is built from the far cells and factored
+per connected component once; each pass assembles and factors the near
+system, which is the whole fluid system where the far set is empty.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ class FsiState:
 
 def fsi_outer_iteration(problem, front, iface, far=None):
     """The fluid half of one pass of the fixed-point loop on the deformed
-    front mesh: rebuild the overlap topology, solve the fluid (condensing
-    the run's ``FarField`` ``far``, if given) and transfer its traction.
+    front mesh: rebuild the overlap topology, solve the fluid (through the
+    run's ``FarField`` ``far``, if given) and transfer its traction.
     Returns the nodal fluid load on the solid, (nv, 2), and the solved
     fluid state on the current configuration."""
     topo = build_topology(problem.background, front)
@@ -223,7 +224,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     pass and stops when the relative L2 increment of the solid displacement
     drops below config.tol.  The interface vertices, the solid problem
     with its body load, the factored mesh-motion operator and the fluid
-    ``FarField`` (factored on the first fluid solve, if it pays) are set up
+    ``FarField`` (its far set chosen on the first fluid solve) are set up
     once per run; each pass loads the solid with the body load plus the
     ramped fluid traction and auxiliary load.  The iteration log gets the
     completed iterations also when the run fails.

@@ -75,9 +75,11 @@ class SparseSystem:
         """Unconstrained operator as CSR (duplicate triplets summed)."""
         if self._csr is None:
             if self._rows:
-                rows = np.concatenate(self._rows)
-                cols = np.concatenate(self._cols)
-                vals = np.concatenate(self._vals)
+                # each list gives way to its joined array before the next is joined
+                self._rows = [np.concatenate(self._rows)]
+                self._cols = [np.concatenate(self._cols)]
+                self._vals = [np.concatenate(self._vals)]
+                (rows,), (cols,), (vals,) = self._rows, self._cols, self._vals
             else:
                 rows = cols = np.zeros(0, dtype=np.int64)
                 vals = np.zeros(0)

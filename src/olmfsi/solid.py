@@ -49,6 +49,8 @@ class Material:
 
     @classmethod
     def from_young_poisson(cls, E, nu, model=STVK):
+        if not (E > 0.0 and 0.0 < nu < 0.5):
+            raise ValueError("need E > 0 and 0 < nu < 0.5")
         mu = E / (2.0 + 2.0 * nu)
         lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         return cls(model, mu, lam)

@@ -395,44 +395,30 @@ class _Part:
 
 
 class FarField:
-    """Static condensation of the fixed background far from the front, for
-    the fluid solves of one fixed-point run.
+    """Static condensation of the fixed background far from the front; every
+    fluid solve runs through one, with a far set that may be empty.
 
-    On the first solve the box of the vertices of the covered (fully or
-    partially) background cells is grown by its own width and height on
-    each side.  The active background vertices outside it are *far*; the
-    other background vertices of their cells form the *rim*.  The far rows
-    are built from the far cells alone (the not-covered background cells
-    with a far vertex, and the background boundary edges with one) and
-    eliminated in far/rim numbering once: they do not change while no
-    covered cell, interface segment or overlap pair touches a far vertex,
-    and they are never reassembled.  The far block A_FF is factored once
-    per connected component of its graph (on the flap, the background
-    upstream and downstream of the front); its effect on the rim is the
-    dense Schur block S = A_RF A_FF^-1 A_FR, each nonzero rim column solved
-    on the component it touches, and A_RF A_FF^-1 b_F is kept too.  Each
-    solve assembles, eliminates and factors only the near system (the items
-    without a far vertex plus the far cells' rim block, with S taken off
-    the rim) and recovers the far dofs per component.  A front that reaches
-    a far vertex rebuilds the far field.  The far field is used only when
-    it holds more dofs than the rest of the system; otherwise the set-up
-    does not pay and every solve is a plain one.  The constrained
-    background dofs must not depend on the front (no pressure pin, as in
-    every fixed-point run); the residual check on the whole system, near
-    and far rows, catches a far block that went stale all the same.
+    The first solve of a fixed-point run marks *far* the active background
+    vertices outside the box of the covered cells grown by its own size on
+    each side, if they hold more dofs than the rest (``_box_far``).  The far
+    cells' rows are assembled, eliminated and factored per connected
+    component of A_FF once; they act on the *rim*, the other vertices of the
+    far cells, through S = A_RF A_FF^-1 A_FR (dense) and A_RF A_FF^-1 b_F.
+    Each solve factors only the near system, S taken off the rim, recovers
+    the far dofs and checks the residual of the whole system; with no far
+    vertex the near system is the whole one, in the same item order.  A
+    front that reaches a far vertex rebuilds the far field; the constrained
+    far dofs must not depend on the front (no pressure pin).
     """
 
     def __init__(self):
-        self._built = False
-        self._far = None        # far vertex mask; None for plain solves
+        self._far = None        # far background vertex mask, set by the first solve
 
     def solve(self, problem, space, topo):
         """Solution of the fluid system of ``problem`` on ``space``, its
         Dirichlet values exact."""
-        if not self._built or self._touched(space, topo):
-            self._build(problem, space, topo)
-        if self._far is None:
-            return _solve_whole(problem, space, topo)
+        if self._far is None or self._touched(space, topo):
+            self._build(problem, space, topo, _box_far(space, topo))
         far = _bg_dofs(space, np.flatnonzero(self._far))
         is_near = np.ones(space.ndof, dtype=bool)
         is_near[far] = False
@@ -443,6 +429,7 @@ class FarField:
         sys.add(r[rows], r[cols], vals)
         sys.add_rhs(r, self._rim_rhs)
         c = apply_dirichlet(sys, near.dirichlet_dofs, near.dirichlet_values)
+        del sys         # the unconstrained system is freed before the factorization
         S = sp.csr_matrix((self._S.ravel(), (np.repeat(r, len(r)), np.tile(r, len(r)))),
                           shape=c.matrix.shape)
         b = c.rhs.copy()
@@ -467,27 +454,15 @@ class FarField:
         return x
 
     def _touched(self, space, topo):
-        """Whether a cell with more than full-cell terms has a far vertex
-        (never for plain solves)."""
-        if self._far is None:
-            return False
+        """Whether a cell with more than full-cell terms has a far vertex."""
         cells = np.concatenate([topo.class_fully, topo.class_partial,
                                 topo.interface_segments.bg_cell,
                                 topo.overlap_pairs.bg_cell])
         return bool(_has_far(self._far, space.background.cells[cells]).any())
 
-    def _build(self, problem, space, topo):
-        self._built, self._far = True, None
+    def _build(self, problem, space, topo, far):
+        """Condense the far vertex mask ``far`` (possibly empty)."""
         bg = space.background
-        covered = np.concatenate([topo.class_fully, topo.class_partial])
-        if not len(covered):
-            return
-        pts = bg.vertices[bg.cells[covered]].reshape(-1, 2)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        lo, hi = 2 * lo - hi, 2 * hi - lo
-        far = (space.bg_vmap >= 0) & ((bg.vertices < lo) | (bg.vertices > hi)).any(axis=1)
-        if 2 * 3 * far.sum() <= space.ndof:      # the far dofs must outnumber the rest
-            return
         verts = np.zeros(bg.nv, dtype=bool)
         verts[bg.cells[_has_far(far, bg.cells)]] = True
         self._far, self._rim = far, np.flatnonzero(verts & ~far)
@@ -511,14 +486,11 @@ class FarField:
         self._b_F, self._rim_rhs = c.rhs[F], c.rhs[R]
         # ||A||_inf of the whole system: the far rows, and the rim rows'
         # far coupling, which each solve adds to its near rows
-        self._norm_far = abs(A[in_far]).sum(axis=1).max()
+        self._norm_far = np.asarray(abs(A[in_far]).sum(axis=1)).max(initial=0.0)
         self._rim_norm = np.asarray(abs(self._A_RF).sum(axis=1)).ravel()
         self._S, self._w = np.zeros((len(R), len(R))), np.zeros(len(R))
         self._blocks = []
-        # imported here: only runs that condense a far field load csgraph
-        from scipy.sparse.csgraph import connected_components
-        n, labels = connected_components(A_FF, directed=False)
-        for comp in (np.flatnonzero(labels == k) for k in range(n)):
+        for comp in _components(A_FF):
             A_CC, A_CR, A_RC = A_FF[comp][:, comp], A_FR[comp], self._A_RF[:, comp]
             solver = DirectSolver(A_CC)
             self._blocks.append((comp, A_CC, A_CR, solver))
@@ -531,23 +503,33 @@ class FarField:
                 self._S[:, some] += A_RC @ solver.solve(A_CR[:, some].toarray())
 
 
-def _solve_whole(problem, space, topo):
-    """Assemble, constrain and factor the whole system."""
-    # the unconstrained system is freed before the factorization
-    return solve_direct(apply_dirichlet(assemble(problem, space, topo),
-                                        space.dirichlet_dofs, space.dirichlet_values))
+def _box_far(space, topo):
+    """The far vertex mask of a fixed-point run (see ``FarField``)."""
+    bg, far = space.background, np.zeros(space.background.nv, dtype=bool)
+    pts = bg.vertices[bg.cells[np.concatenate([topo.class_fully, topo.class_partial])]]
+    if len(pts):
+        lo, hi = pts.min(axis=(0, 1)), pts.max(axis=(0, 1))
+        lo, hi = 2 * lo - hi, 2 * hi - lo
+        far = (space.bg_vmap >= 0) & ((bg.vertices < lo) | (bg.vertices > hi)).any(axis=1)
+    return far & (2 * 3 * far.sum() > space.ndof)      # the far dofs must outnumber the rest
+
+
+def _components(A):
+    """Connected components of the graph of A; csgraph loads only for a nonempty A."""
+    if not A.shape[0]:
+        return []
+    from scipy.sparse.csgraph import connected_components
+    n, labels = connected_components(A, directed=False)
+    return [np.flatnonzero(labels == k) for k in range(n)]
 
 
 def solve_stokes(problem, space, topo, far=None):
-    """Assemble, constrain and solve; Dirichlet values are exact in the result.
-
-    ``far`` is the ``FarField`` of a fixed-point run: it condenses the fixed
-    background far from the front out of every solve of the run.  Without
-    it the whole system is factored.
-    """
-    x = (_solve_whole(problem, space, topo) if far is None
-         else far.solve(problem, space, topo))
-    return FluidSolution(space, x, viscosity=problem.viscosity)
+    """Assemble, constrain and solve through ``far``, the ``FarField`` of a
+    fixed-point run, or one with no far vertex; Dirichlet values are exact."""
+    if far is None:
+        far = FarField()
+        far._build(problem, space, topo, np.zeros(space.background.nv, dtype=bool))
+    return FluidSolution(space, far.solve(problem, space, topo), viscosity=problem.viscosity)
 
 
 def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,

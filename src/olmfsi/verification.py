@@ -400,6 +400,8 @@ def flap_meshes(angle_deg=0.0, res=1):
     parts leaving the channel simply stop participating in the coupling.
     Returns (background, box, clamp_nodes).
     """
+    if res < 1:
+        raise ValueError("res must be at least 1")
     Lc, Hc = FLAP_CHANNEL
     Ws, Hs = FLAP_SIZE
     cx, cy = FLAP_BASE

@@ -358,22 +358,24 @@ def fluid_system(problem, front):
     return c, space, topo
 
 
-def test_far_field_solve_matches_plain_solve(monkeypatch):
+@pytest.mark.parametrize("angle, components", [(0.0, 2), (65.0, 0)], ids=["0deg", "65deg"])
+def test_far_field_solve_matches_plain_solve(angle, components, monkeypatch):
     # the far field of iteration 1 serves the converged configuration too:
-    # one far build, one factorization per far component, both solves equal
-    # the plain LU of the whole eliminated system to roundoff
+    # one far build, one factorization per far component (none at 65 deg,
+    # where the far set is empty), both solves equal the plain LU of the
+    # whole eliminated system to roundoff
     counts = {"far": 0}
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
-    problem = flap_problem(0.0, res=1)
+    problem = flap_problem(angle, res=1)
     state = fsi_fixed_point(problem, FsiConfig(load_ramp=4))
-    assert counts["far"] == 2
+    assert counts["far"] == components
     far = FarField()
     for front in (problem.front_ref, state.front_current):
         c, space, topo = fluid_system(problem, front)
         x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(x[c.dofs], c.values)
-    assert counts["far"] == 4
+    assert counts["far"] == 2 * components
 
 
 def test_far_field_set_up_once_per_run(monkeypatch):
@@ -423,17 +425,44 @@ def test_far_field_run_never_touches_whole_system(monkeypatch):
     assert ndofs.isdisjoint(sizes)
 
 
-@pytest.mark.parametrize("case", ["manufactured-0", "flap-65"])
+@pytest.mark.parametrize("case", ["manufactured-0", "flap-65", "flap-0-single"])
 def test_far_field_not_worth_it_keeps_plain_path(case, monkeypatch):
-    # the far field holds fewer dofs than the rest: no far factorization
+    # the far field holds fewer dofs than the rest, or the solve is a single
+    # solve_stokes call (at flap 0 deg, where a run condenses): the far set
+    # is empty, no far factorization, and each solve factors the whole
+    # eliminated system, bitwise as assembled and eliminated in one piece
     counts = dict.fromkeys(("far", "plain"), 0)
+    solves, handed = [], []
+
+    def solve(problem, space, topo, far=None):
+        solves.append((problem, space, topo))
+        return stokes.solve_stokes(problem, space, topo, far)
+
+    def direct(c):
+        handed.append(c)
+        return solve_direct(c)
+
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
-    monkeypatch.setattr(stokes, "solve_direct", counting(counts, "plain", stokes.solve_direct))
+    monkeypatch.setattr(stokes, "solve_direct", counting(counts, "plain", direct))
+    monkeypatch.setattr(coupling, "solve_stokes", solve)
     if case == "flap-65":
-        state = fsi_fixed_point(flap_problem(65.0, res=1), FsiConfig(load_ramp=4))
+        iterations = fsi_fixed_point(flap_problem(65.0, res=1), FsiConfig(load_ramp=4)).iterations
+    elif case == "manufactured-0":
+        iterations = fsi_fixed_point(manufactured_fsi_problem(build_manufactured(), 0)).iterations
     else:
-        state = fsi_fixed_point(manufactured_fsi_problem(build_manufactured(), 0))
-    assert counts == {"far": 0, "plain": state.iterations}
+        problem = flap_problem(0.0, res=1)
+        solve(problem.fluid, *fluid_system(problem, problem.front_ref)[1:])
+        iterations = 1
+    assert counts == {"far": 0, "plain": iterations}
+    assert len(solves) == len(handed) == iterations
+    for (problem, space, topo), c in zip(solves, handed):
+        whole = apply_dirichlet(assemble(problem, space, topo),
+                                space.dirichlet_dofs, space.dirichlet_values)
+        for got, want in ((c.matrix.indptr, whole.matrix.indptr),
+                          (c.matrix.indices, whole.matrix.indices),
+                          (c.matrix.data, whole.matrix.data), (c.rhs, whole.rhs),
+                          (c.dofs, whole.dofs), (c.values, whole.values)):
+            assert np.array_equal(got, want)
 
 
 def test_far_field_rebuilt_when_front_reaches_it(monkeypatch):
@@ -449,7 +478,7 @@ def test_far_field_rebuilt_when_front_reaches_it(monkeypatch):
     assert counts == {"build": 1, "far": 2}
     c, space, topo = fluid_system(problem, translated(problem.front_ref, (-0.5, 0.0)))
     x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
-    assert far._far is not None and len(far._blocks) > 0
+    assert far._far.any() and len(far._blocks) > 0
     assert counts == {"build": 2, "far": 2 + len(far._blocks)}
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 

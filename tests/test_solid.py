@@ -97,6 +97,9 @@ def test_material_validation():
         Material(STVK, -1.0, 1.0)
     with pytest.raises(ValueError):
         Material("bogus", 1.0, 1.0)
+    for E, nu in ((10.0, 0.5), (0.0, 0.3), (10.0, 0.0)):
+        with pytest.raises(ValueError, match="0 < nu < 0.5"):
+            Material.from_young_poisson(E, nu)
     m = Material.from_young_poisson(10.0, 0.3)
     assert m.mu == pytest.approx(10.0 / 2.6)
     assert m.lam == pytest.approx(10.0 * 0.3 / (1.3 * 0.4))

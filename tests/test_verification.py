@@ -443,6 +443,24 @@ def test_cli_rejects_max_outer_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    (["flap"], "nu_s = 0.5\n"),
+    (["flap"], "res = 0\n"),
+    (["flap"], "nu_f = 0\n"),
+    (["stokes", "--levels", "1"], ""),
+    (["convergence", "--levels", "1"], ""),
+])
+def test_cli_rejects_bad_values(command, config, tmp_path, capsys):
+    # a one-line config error and exit code 2 before any solve, no traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_stokes_end_to_end(tmp_path):
     out = tmp_path / "stokes"
     assert main(["stokes", "--levels", "2", "--out", str(out)]) == 0

@@ -14,10 +14,8 @@ with these pairings the scheme is consistent for smooth fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import (FLUID, SOLID, region_interface_vertices,
                    barycentric as _bary, eval_field)
@@ -30,8 +28,8 @@ from .geometry import (
     uncovered_pieces,
     exterior_pieces,
 )
-from .linalg import (SparseSystem, Constrained, DirectSolver, apply_dirichlet,
-                     check_residual, solve_direct, merge_constraints)
+from .linalg import (SparseSystem, DirectSolver, apply_dirichlet, check_residual,
+                     solve_direct, merge_constraints)
 
 BG, FRONT = 0, 1
 # weights of the background and front fluxes in the interface mean: the
@@ -57,7 +55,6 @@ class CompositeSpace:
                  front_dirichlet=None, pin_pressure=False, pin_value=0.0):
         self.background = background
         self.front = front
-        self.topo = topo
 
         self.fluid_cells = front.region_cells(FLUID)
         self.bg_vmap = background.vertex_slots(topo.reduced_cells)
@@ -354,44 +351,25 @@ def _bg_dofs(space, verts):
     return np.concatenate([u.ravel(), p])
 
 
-def _has_far(far, items):
-    """Which items (rows of background vertex numbers) have a vertex in
-    the far mask ``far``: the far field owns exactly these."""
-    return far[items].any(axis=1)
-
-
 class _Part:
-    """One part of the fluid system, for ``assemble``: the dofs ``index``
-    (ascending) of ``space``, numbered in that order, with their Dirichlet
-    data, and the items of ``topo`` the part owns.  The far part owns the
-    not-covered background cells and the background boundary edges with a
-    vertex in ``far`` (a background vertex mask); the near part owns every
-    other item."""
+    """The dofs ``index`` (ascending) of ``space``, numbered in that order,
+    with their Dirichlet data; it stands in for the space in ``assemble``
+    and the kernels and only renumbers.  Which items a part assembles is
+    its caller's choice (``FarField``)."""
 
-    def __init__(self, space, topo, far, is_far, index):
+    def __init__(self, space, index):
         self.background, self.front, self.sides = space.background, space.front, space.sides
-        self.fluid_cells = space.fluid_cells[:0] if is_far else space.fluid_cells
+        self.fluid_cells, self.boundary_edges = space.fluid_cells, space.boundary_edges
         self.ndof = len(index)
         self.local = np.full(space.ndof, -1)
         self.local[index] = np.arange(len(index))
         held = self.local[space.dirichlet_dofs] >= 0
         self.dirichlet_dofs = self.local[space.dirichlet_dofs[held]]
         self.dirichlet_values = space.dirichlet_values[held]
-        cells = topo.class_not
-        owned = cells[_has_far(far, self.background.cells[cells]) == is_far]
-        self.topo = (SimpleNamespace(class_not=owned, class_partial=cells[:0], cut_rules=None,
-                                     interface_segments=(), overlap_pairs=())
-                     if is_far else replace(topo, class_not=owned))
-        self._space, self._far, self._is_far = space, far, is_far
+        self._dofs = space.dofs
 
     def dofs(self, mesh_id, verts):
-        return tuple(self.local[d] for d in self._space.dofs(mesh_id, verts))
-
-    def boundary_edges(self, mesh_id, marker):
-        edges = self._space.boundary_edges(mesh_id, marker)
-        if mesh_id == FRONT:
-            return edges[:0] if self._is_far else edges
-        return edges[_has_far(self._far, self.background.boundary_edges[edges]) == self._is_far]
+        return tuple(self.local[d] for d in self._dofs(mesh_id, verts))
 
 
 class FarField:
@@ -400,15 +378,18 @@ class FarField:
 
     The first solve of a fixed-point run marks *far* the active background
     vertices outside the box of the covered cells grown by its own size on
-    each side, if they hold more dofs than the rest (``_box_far``).  The far
-    cells' rows are assembled, eliminated and factored per connected
-    component of A_FF once; they act on the *rim*, the other vertices of the
-    far cells, through S = A_RF A_FF^-1 A_FR (dense) and A_RF A_FF^-1 b_F.
-    Each solve factors only the near system, S taken off the rim, recovers
-    the far dofs and checks the residual of the whole system; with no far
-    vertex the near system is the whole one, in the same item order.  A
-    front that reaches a far vertex rebuilds the far field; the constrained
-    far dofs must not depend on the front (no pressure pin).
+    each side, none of a background Neumann edge, if they hold more dofs
+    than the rest (``_box_far``).  The far field decides ownership: it owns
+    the not-covered cells with a far vertex, whose volume terms it
+    assembles, eliminates and factors per connected component of A_FF once.
+    They act on the *rim*, the other vertices of the far cells, through
+    S = A_RF A_FF^-1 A_FR (dense) and w = A_RF A_FF^-1 b_F.  Each solve
+    assembles every other item, with the rim block, -S and -w among its
+    triplets, factors this near system, recovers the far dofs and checks
+    the residual of the whole system; with no far vertex the near system is
+    the whole one, in the same item order.  A front that reaches a far
+    vertex rebuilds the far field; the constrained far dofs must not depend
+    on the front (no pressure pin).
     """
 
     def __init__(self):
@@ -418,23 +399,22 @@ class FarField:
         """Solution of the fluid system of ``problem`` on ``space``, its
         Dirichlet values exact."""
         if self._far is None or self._touched(space, topo):
-            self._build(problem, space, topo, _box_far(space, topo))
+            self._build(problem, space, topo, _box_far(problem, space, topo))
         far = _bg_dofs(space, np.flatnonzero(self._far))
         is_near = np.ones(space.ndof, dtype=bool)
         is_near[far] = False
-        near = _Part(space, topo, self._far, False, np.flatnonzero(is_near))
+        near = _Part(space, np.flatnonzero(is_near))
         r = near.local[_bg_dofs(space, self._rim)]
-        sys = assemble(problem, near, near.topo)
+        cells = topo.class_not
+        sys = assemble(problem, near, replace(
+            topo, class_not=cells[~self._far[space.background.cells[cells]].any(axis=1)]))
         rows, cols, vals = self._rim_block
         sys.add(r[rows], r[cols], vals)
-        sys.add_rhs(r, self._rim_rhs)
+        sys.add(np.repeat(r, len(r)), np.tile(r, len(r)), -self._S)
+        sys.add_rhs(r, self._rim_rhs - self._w)
         c = apply_dirichlet(sys, near.dirichlet_dofs, near.dirichlet_values)
         del sys         # the unconstrained system is freed before the factorization
-        S = sp.csr_matrix((self._S.ravel(), (np.repeat(r, len(r)), np.tile(r, len(r)))),
-                          shape=c.matrix.shape)
-        b = c.rhs.copy()
-        b[r] -= self._w
-        x_near = solve_direct(Constrained(c.matrix - S, b, c.dofs, c.values))
+        x_near = solve_direct(c)
         x_rim, x_free, r_far = x_near[r], np.empty(len(self._b_F)), np.empty(len(self._b_F))
         for idx, A_FF, A_FR, solver in self._blocks:
             rhs = self._b_F[idx] - A_FR @ x_rim
@@ -443,12 +423,17 @@ class FarField:
         x = np.empty(space.ndof)
         x[is_near], x[far] = x_near, self._rhs_far
         x[far[self._free]] = x_free
-        # against the whole system, near rows with their far coupling and
-        # the far rows: a stale far block cannot pass
+        # against the whole system (c.rhs becomes its right-hand side): the
+        # near rows with S x_R - w back on the rim and their far coupling,
+        # and the far rows; a stale far block cannot pass
+        c.rhs[r] += self._w
         r_near = c.matrix @ x_near - c.rhs
-        r_near[r] += self._A_RF @ x_free
+        r_near[r] += self._S @ x_rim + self._A_RF @ x_free
+        # ||A||_inf of the whole system: S back on the rim-rim block, and the
+        # rim rows' far coupling
         norm = np.asarray(abs(c.matrix).sum(axis=1)).ravel()
-        norm[r] += self._rim_norm
+        C_RR = c.matrix[r][:, r].toarray()
+        norm[r] += np.abs(C_RR + self._S).sum(axis=1) - np.abs(C_RR).sum(axis=1) + self._rim_norm
         check_residual(np.concatenate([r_near, r_far]), x,
                        np.concatenate([c.rhs, self._rhs_far]), max(norm.max(), self._norm_far))
         return x
@@ -458,20 +443,22 @@ class FarField:
         cells = np.concatenate([topo.class_fully, topo.class_partial,
                                 topo.interface_segments.bg_cell,
                                 topo.overlap_pairs.bg_cell])
-        return bool(_has_far(self._far, space.background.cells[cells]).any())
+        return bool(self._far[space.background.cells[cells]].any())
 
     def _build(self, problem, space, topo, far):
         """Condense the far vertex mask ``far`` (possibly empty)."""
-        bg = space.background
+        bg, cells = space.background, topo.class_not
+        cells = cells[far[bg.cells[cells]].any(axis=1)]
         verts = np.zeros(bg.nv, dtype=bool)
-        verts[bg.cells[_has_far(far, bg.cells)]] = True
+        verts[bg.cells[cells]] = True
         self._far, self._rim = far, np.flatnonzero(verts & ~far)
         # the far cells' system in far/rim numbering: velocity, then pressure
         # dofs of the far and rim vertices
         verts = np.flatnonzero(verts)
-        part = _Part(space, topo, far, True, _bg_dofs(space, verts))
-        c = apply_dirichlet(assemble(problem, part, part.topo),
-                            part.dirichlet_dofs, part.dirichlet_values)
+        part = _Part(space, _bg_dofs(space, verts))
+        sys = SparseSystem(part.ndof)
+        _volume_terms(sys, part, BG, cells, problem)
+        c = apply_dirichlet(sys, part.dirichlet_dofs, part.dirichlet_values)
         in_far = np.concatenate([np.repeat(far[verts], 2), far[verts]])
         fixed = np.zeros(len(in_far), dtype=bool)
         fixed[c.dofs] = True
@@ -503,7 +490,7 @@ class FarField:
                 self._S[:, some] += A_RC @ solver.solve(A_CR[:, some].toarray())
 
 
-def _box_far(space, topo):
+def _box_far(problem, space, topo):
     """The far vertex mask of a fixed-point run (see ``FarField``)."""
     bg, far = space.background, np.zeros(space.background.nv, dtype=bool)
     pts = bg.vertices[bg.cells[np.concatenate([topo.class_fully, topo.class_partial])]]
@@ -511,6 +498,9 @@ def _box_far(space, topo):
         lo, hi = pts.min(axis=(0, 1)), pts.max(axis=(0, 1))
         lo, hi = 2 * lo - hi, 2 * hi - lo
         far = (space.bg_vmap >= 0) & ((bg.vertices < lo) | (bg.vertices > hi)).any(axis=1)
+    for mesh_id, marker, _ in problem.neumann:
+        if mesh_id == BG:       # a traction load stays in the near system
+            far[bg.boundary_edges[bg.boundary_markers == marker]] = False
     return far & (2 * 3 * far.sum() > space.ndof)      # the far dofs must outnumber the rest
 
 

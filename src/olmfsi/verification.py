@@ -322,7 +322,6 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
     ms = build_manufactured_stokes(viscosity)
 
     report = ConvergenceReport()
-    last = None
     for lvl in range(levels):
         bg, fr = stokes_patch_setup(lvl)
         topo = build_topology(bg, fr)
@@ -334,13 +333,12 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
         sol = solve_stokes(prob, space, topo)
         eu, ep = error_norms(sol, ms.u, ms.grad_u, ms.p, topo, order=4)
         report.add(bg.cell_diameters.max(), eu, ep)
-        last = (sol, topo)
         if verbose:
             print(f"level {lvl}: h={report.hs[-1]:.4f} "
                   f"err_u={eu:.4e} err_p={ep:.4e}")
     if out_dir:
         write_outputs(None, report, out_dir)
-        _write_fluid_fields(out_dir, *last)
+        _write_fluid_fields(out_dir, sol, topo)
     return report
 
 

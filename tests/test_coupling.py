@@ -380,15 +380,17 @@ def test_far_field_solve_matches_plain_solve(angle, components, monkeypatch):
 
 def test_far_field_set_up_once_per_run(monkeypatch):
     # flap 0 deg res 1: the far field (1950 of 3012 dofs) is built once and
-    # factored once per component; every outer iteration factors its near
-    # system through solve_direct
-    counts = dict.fromkeys(("build", "far", "near"), 0)
+    # factored once per component, without an assembly of its own; every
+    # outer iteration assembles its near system and factors it through
+    # solve_direct
+    counts = dict.fromkeys(("build", "far", "assemble", "near"), 0)
     monkeypatch.setattr(FarField, "_build", counting(counts, "build", FarField._build))
+    monkeypatch.setattr(stokes, "assemble", counting(counts, "assemble", stokes.assemble))
     monkeypatch.setattr(stokes, "DirectSolver", counting(counts, "far", stokes.DirectSolver))
     monkeypatch.setattr(stokes, "solve_direct", counting(counts, "near", stokes.solve_direct))
     state = fsi_fixed_point(flap_problem(0.0, res=1), FsiConfig(load_ramp=4))
     assert state.iterations == 9
-    assert counts == {"build": 1, "far": 2, "near": 9}
+    assert counts == {"build": 1, "far": 2, "assemble": 9, "near": 9}
 
 
 def test_far_field_run_never_touches_whole_system(monkeypatch):
@@ -483,10 +485,10 @@ def test_far_field_rebuilt_when_front_reaches_it(monkeypatch):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_far_field_neumann_edges_split_between_far_and_near():
-    # a traction instead of no-slip on the channel top: its edges with a far
-    # vertex are integrated in the far build, the others (above the flap)
-    # in each near system, each edge once
+def test_far_field_keeps_neumann_edges_near():
+    # a traction instead of no-slip on the channel top: no far vertex lies on
+    # a TOP edge, so the far build integrates no load and each near system
+    # every TOP edge once; the far field still condenses up- and downstream
     problem = flap_problem(0.0, res=1)
     del problem.bg_dirichlet[TOP]
     problem.fluid.neumann = ((BG, TOP, lambda pts, n: np.column_stack(
@@ -495,8 +497,8 @@ def test_far_field_neumann_edges_split_between_far_and_near():
     far = FarField()
     x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
     bg = problem.background
-    has_far = far._far[bg.boundary_edges[space.boundary_edges(BG, TOP)]].any(axis=1)
-    assert 0 < has_far.sum() < len(has_far)
+    assert not far._far[bg.boundary_edges[bg.boundary_markers == TOP]].any()
+    assert far._far.sum() == 600 and len(far._blocks) == 2
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

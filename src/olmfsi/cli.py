@@ -2,8 +2,9 @@
 
 Subcommands: ``convergence`` (coupled manufactured study), ``stokes``
 (fluid-only overlapping-mesh study), ``flap`` (elastic flap demo) and
-``cutdump`` (overlap-geometry debug output).  Options common to all runs
-live in a plain ``key = value`` config file; unknown keys are rejected.
+``cutdump`` (overlap-geometry debug output).  Run options live in a plain
+``key = value`` config file; unknown keys and keys the subcommand does not
+read are rejected.
 """
 
 from __future__ import annotations
@@ -28,14 +29,21 @@ CONFIG_KEYS = {
     "max_outer": (int, 50),
     "res": (int, 1),
 }
+# the config keys each subcommand reads
+USED_KEYS = {
+    "convergence": ("nu_f", "E_s", "nu_s", "tol", "omega_max", "omega0", "max_outer"),
+    "stokes": ("nu_f", "gamma", "delta"),
+    "flap": tuple(CONFIG_KEYS),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config(path):
-    """Read ``key = value`` lines; '#' starts a comment."""
+def parse_config(path, command=None):
+    """Read ``key = value`` lines; '#' starts a comment.  With a subcommand,
+    a key it does not read is rejected too."""
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -49,6 +57,8 @@ def parse_config(path):
             val = val.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if command and key not in USED_KEYS[command]:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is not used by {command!r}")
             typ, _ = CONFIG_KEYS[key]
             try:
                 values[key] = typ(val)
@@ -57,11 +67,11 @@ def parse_config(path):
     return values
 
 
-def load_config(path, **defaults):
+def load_config(path, command, **defaults):
     cfg = {k: d for k, (_, d) in CONFIG_KEYS.items()}
     cfg.update(defaults)
     if path:
-        cfg.update(parse_config(path))
+        cfg.update(parse_config(path, command))
     return cfg
 
 
@@ -80,7 +90,7 @@ def _fsi_config(cfg, load_ramp=0):
 
 def cmd_convergence(args):
     from .verification import build_manufactured, run_convergence
-    cfg = load_config(args.config, E_s=10.0)
+    cfg = load_config(args.config, args.command, E_s=10.0)
     if args.levels < 2:
         raise ConfigError("--levels must be at least 2")
     mf = _checked(build_manufactured, viscosity=cfg["nu_f"], E_s=cfg["E_s"], nu_s=cfg["nu_s"])
@@ -94,7 +104,7 @@ def cmd_convergence(args):
 
 def cmd_stokes(args):
     from .verification import run_stokes_convergence
-    cfg = load_config(args.config, nu_f=1.0)
+    cfg = load_config(args.config, args.command, nu_f=1.0)
     if args.levels < 2:
         raise ConfigError("--levels must be at least 2")
     _checked(FluidProblem, viscosity=cfg["nu_f"], gamma=cfg["gamma"], delta=cfg["delta"])
@@ -108,7 +118,7 @@ def cmd_stokes(args):
 
 def cmd_flap(args):
     from .verification import flap2d, flap_problem, FLAP_LOAD_RAMP
-    cfg = load_config(args.config, E_s=15.0)
+    cfg = load_config(args.config, args.command, E_s=15.0)
     fsi_cfg = _fsi_config(cfg, FLAP_LOAD_RAMP)
     params = dict(E_s=cfg["E_s"], nu_s=cfg["nu_s"], viscosity=cfg["nu_f"], res=cfg["res"],
                   gamma=cfg["gamma"], delta=cfg["delta"])

@@ -150,7 +150,6 @@ class FsiState:
     iterations: int
     front_current: Mesh = None
     topo: object = None
-    space: object = None
     solid_newton_iters: list = field(default_factory=list)
 
 
@@ -158,8 +157,9 @@ def fsi_outer_iteration(problem, front, iface, far=None):
     """The fluid half of one pass of the fixed-point loop on the deformed
     front mesh: rebuild the overlap topology, solve the fluid (through the
     run's ``FarField`` ``far``, if given) and transfer its traction.
-    Returns the nodal fluid load on the solid, (nv, 2), and the solved
-    fluid state on the current configuration."""
+    Returns the nodal fluid load on the solid, (nv, 2), the fluid solution
+    (its space included) and the overlap topology on the current
+    configuration."""
     topo = build_topology(problem.background, front)
     space = CompositeSpace(problem.background, front, topo,
                            bg_dirichlet=problem.bg_dirichlet,
@@ -167,23 +167,20 @@ def fsi_outer_iteration(problem, front, iface, far=None):
     sol = solve_stokes(problem.fluid, space, topo, far)
     traction = np.zeros((problem.front_ref.nv, 2))
     traction[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
-    return traction, sol, topo, space
+    return traction, sol, topo
 
 
 def _solve_solid(solid, load, warm_start):
     """Newton solve warm-started at the current outer iterate.
 
-    If a full Newton step inverts an element, the load array is ramped by
-    adaptive bisection continuation: each stage re-solves at an
-    intermediate load factor starting from the last good state.
+    One loop over a stack of load factors, the full load first: a stage
+    whose Newton step inverts an element pushes the midpoint between the
+    last good factor and its own (adaptive bisection continuation), and
+    every stage starts from the last good state.
     """
-    try:
-        return solve_newton(solid, load, rtol=1e-12, u0=warm_start)
-    except InvertedElementError:
-        pass
     u = warm_start
     s_done = 0.0
-    targets = [1.0, 0.5]         # the full load has just failed from u
+    targets = [1.0]
     total_iters = 0
     while targets:
         s = targets[-1]
@@ -254,7 +251,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
             disp = um.copy()             # mesh motion, solid values on the solid
             disp[solid_verts] = us[solid_verts]
             front = deform_mesh(mesh, disp)
-            traction, fluid_sol, topo, space = fsi_outer_iteration(problem, front, iface, far)
+            traction, fluid_sol, topo = fsi_outer_iteration(problem, front, iface, far)
             ssol = _solve_solid(solid, body + alpha * (traction + extra), us)
             newton_iters.append(ssol.iterations)
             r = (ssol.displacement - us).ravel()
@@ -271,11 +268,11 @@ def fsi_fixed_point(problem, config=None, log_path=None):
             um = solve_mesh_motion(motion, us_new[iface])
             r_prev = r
             us = us_new
-            log_rows.append((k, omega, rel, space.ndof, len(topo.class_partial)))
+            log_rows.append((k, omega, rel, fluid_sol.space.ndof, len(topo.class_partial)))
 
             if rel <= config.tol and alpha >= 1.0:
                 return FsiState(us, um, fluid_sol, omegas, increments, k,
-                                front_current=front, topo=topo, space=space,
+                                front_current=front, topo=topo,
                                 solid_newton_iters=newton_iters)
         raise FixedPointError(
             f"fixed point did not converge in {config.max_outer} iterations "

@@ -367,6 +367,22 @@ def barycentric(mesh, cell, pts):
     return lam / (2.0 * np.asarray(mesh.cell_areas[cell]))[..., None, None]
 
 
+def p1_error_sums(mesh, cells, u_nodal, v_nodal, pts, w, grad_exact, v_exact):
+    """Per-cell weighted sums, (c, 4), of rules with points (c, q, 2) and
+    weights (c, q): of |grad u_h - grad_exact|^2 (u_h a P1 vector field),
+    |v_h - v_exact|^2 (v_h a P1 field with k components, v_exact (c, q, k)),
+    of the first component of v_h - v_exact, and of the weights.  Each row
+    sums on its own, as np.sum of one cell's rule."""
+    conn = mesh.cells[cells]
+    gradu = np.einsum("cai,caj->cij", u_nodal[conn], mesh.p1_grads[cells])
+    dv = barycentric(mesh, cells, pts) @ v_nodal[conn] - v_exact
+    diff = gradu[:, None] - grad_exact
+    return np.column_stack([
+        np.sum(w * np.einsum("cqij,cqij->cq", diff, diff), axis=1),
+        np.sum(w[..., None] * dv * dv, axis=(1, 2)), np.sum(w * dv[..., 0], axis=1),
+        np.sum(w, axis=1)])
+
+
 def eval_field(fn, pts, shape):
     """Evaluate a field callback at (n, 2) points.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh import (FLUID, SOLID, region_interface_vertices,
-                   barycentric as _bary, eval_field)
+                   barycentric as _bary, eval_field, p1_error_sums)
 from .geometry import (
     QUAD_ORDER,
     tri_rule,
@@ -522,60 +522,50 @@ def solve_stokes(problem, space, topo, far=None):
     return FluidSolution(space, far.solve(problem, space, topo), viscosity=problem.viscosity)
 
 
-def error_norms(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
-                mean_shift=None):
+def error_norms(solution, exact_grad_u, exact_p, topo, order=4, mean_shift=None):
     """Velocity H1-seminorm and pressure L2 errors over the physical domain.
 
     Background cells contribute their uncovered part (cut rules on partial
-    cells), front fluid cells contribute fully.  With mean_shift the
-    pressure error is taken up to an additive constant, as appropriate for
-    pinned-pressure problems.
+    cells), front fluid cells contribute fully; ``mesh.p1_error_sums`` gives
+    each cell's sums, with the pressure as a one-component field.  With
+    mean_shift the pressure error is taken up to an additive constant, as
+    appropriate for pinned-pressure problems.
     """
     space = solution.space
     if mean_shift is None:
         mean_shift = space.pin_dof is not None
-    on_bg = (space.background, solution.velocity(BG), solution.pressure(BG))
-    on_fr = (space.front, solution.velocity(FRONT), solution.pressure(FRONT))
+    bg, fr = space.background, space.front
+    on_bg = (solution.velocity(BG), solution.pressure(BG)[:, None])
+    on_fr = (solution.velocity(FRONT), solution.pressure(FRONT)[:, None])
 
     def fields(pts):
         shape = pts.shape[:-1]
         return (eval_field(exact_grad_u, pts, (2, 2)).reshape(*shape, 2, 2),
-                eval_field(exact_p, pts, ()).reshape(shape))
+                eval_field(exact_p, pts, ()).reshape(*shape, 1))
 
-    def sums(side, cells, pts, w, ge, pe):
-        """Per-cell (grad err^2, p err^2, p err, weight) sums of rules with
-        one point count: points (c, q, 2), weights (c, q), exact fields
-        there.  Each row sums on its own, as np.sum of one cell's rule."""
-        mesh, u_nodal, p_nodal = side
-        conn = mesh.cells[cells]
-        gradu = np.einsum("cai,caj->cij", u_nodal[conn], mesh.p1_grads[cells])
-        dp = (_bary(mesh, cells, pts) @ p_nodal[conn][..., None])[..., 0] - pe
-        diff = gradu[:, None] - ge
-        return np.column_stack([
-            np.sum(w * np.einsum("cqij,cqij->cq", diff, diff), axis=1),
-            np.sum(w * dp * dp, axis=1), np.sum(w * dp, axis=1), np.sum(w, axis=1)])
-
-    def full_cells(side, cells):
+    def full_cells(mesh, cells, u_nodal, p_nodal):
         if len(cells) == 0:
             return np.zeros((0, 4))
-        rule = triangle_rule(side[0].cell_points[cells], order)
-        return sums(side, cells, rule.points, rule.weights, *fields(rule.points))
+        rule = triangle_rule(mesh.cell_points[cells], order)
+        return p1_error_sums(mesh, cells, u_nodal, p_nodal, rule.points, rule.weights,
+                             *fields(rule.points))
 
     partial = topo.class_partial
     rules = (topo.cut_rules if order <= QUAD_ORDER else
-             subtractive_rules(space.background, partial, topo.polygons, order))
+             subtractive_rules(bg, partial, topo.polygons, order))
     pts, wts = rules.points, rules.weights
     part = np.zeros((len(partial), 4))
     if len(pts):
         ge, pe = fields(pts)
         for rows, idx in rules.groups():
-            part[rows] = sums(on_bg, partial[rows], pts[idx], wts[idx], ge[idx], pe[idx])
+            part[rows] = p1_error_sums(bg, partial[rows], *on_bg, pts[idx], wts[idx],
+                                       ge[idx], pe[idx])
 
     # grad err^2, p err^2, p err, area: a running sum over the cells in
     # order (not covered, partial with a nonempty rule, front fluid)
     part = part[np.diff(rules.offsets) > 0]
-    acc = np.cumsum(np.vstack([np.zeros((1, 4)), full_cells(on_bg, topo.class_not),
-                               part, full_cells(on_fr, space.fluid_cells)]),
+    acc = np.cumsum(np.vstack([np.zeros((1, 4)), full_cells(bg, topo.class_not, *on_bg),
+                               part, full_cells(fr, space.fluid_cells, *on_fr)]),
                     axis=0)[-1]
     p_sq = acc[1]
     if mean_shift and acc[3] > 0:

@@ -331,7 +331,7 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
         prob = FluidProblem(viscosity=viscosity, body_force=ms.f,
                             gamma=gamma, delta=delta)
         sol = solve_stokes(prob, space, topo)
-        eu, ep = error_norms(sol, ms.u, ms.grad_u, ms.p, topo, order=4)
+        eu, ep = error_norms(sol, ms.grad_u, ms.p, topo, order=4)
         report.add(bg.cell_diameters.max(), eu, ep)
         if verbose:
             print(f"level {lvl}: h={report.hs[-1]:.4f} "
@@ -356,8 +356,7 @@ def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
     for lvl in range(levels):
         problem = manufactured_fsi_problem(mf, lvl)
         state = fsi_fixed_point(problem, config, log_path=log_path)
-        eu, ep = error_norms(state.fluid, mf.u, mf.grad_u, mf.p, state.topo,
-                             order=4)
+        eu, ep = error_norms(state.fluid, mf.grad_u, mf.p, state.topo, order=4)
         es = h1_error(problem.front_ref,
                       problem.front_ref.region_cells(SOLID),
                       state.solid_displacement, mf.us, mf.grad_us)

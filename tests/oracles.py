@@ -761,8 +761,7 @@ def stokes_item_terms_loop(problem, space, topo):
     return sys
 
 
-def error_norms_loop(solution, exact_u, exact_grad_u, exact_p, topo, order=4,
-                     mean_shift=None):
+def error_norms_loop(solution, exact_grad_u, exact_p, topo, order=4, mean_shift=None):
     """Per-cell velocity H1-seminorm and pressure L2 errors: the reference
     for the batched ``stokes.error_norms``, with two exact-field calls, one
     barycentric call and one einsum per cell."""

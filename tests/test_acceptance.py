@@ -265,10 +265,11 @@ def test_criterion_9_flap_demo():
             u1 = state.fluid.velocity(BG)
             u2 = state.fluid.velocity(FRONT)
             segs = state.topo.interface_segments
-            l1 = _bary(state.space.background, segs.bg_cell, segs.points)
-            l2 = _bary(state.space.front, segs.front_cell, segs.points)
-            jump = l2 @ u2[state.space.front.cells[segs.front_cell]] \
-                - l1 @ u1[state.space.background.cells[segs.bg_cell]]
+            space = state.fluid.space
+            l1 = _bary(space.background, segs.bg_cell, segs.points)
+            l2 = _bary(space.front, segs.front_cell, segs.points)
+            jump = l2 @ u2[space.front.cells[segs.front_cell]] \
+                - l1 @ u1[space.background.cells[segs.bg_cell]]
             jmax = np.abs(jump).max()
             jumps.append(jmax)
             results[(angle, res)] = (state.iterations, jmax)

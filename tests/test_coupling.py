@@ -32,9 +32,9 @@ def outer_pass(problem, us, um):
     disp = um.copy()
     disp[solid_verts] = us[solid_verts]
     front = deform_mesh(mesh, disp)
-    traction, sol, topo, space = fsi_outer_iteration(problem, front, iface)
+    traction, sol, topo = fsi_outer_iteration(problem, front, iface)
     ssol = coupling._solve_solid(solid, body + (traction + extra), us)
-    return ssol, sol, front, topo, space, iface
+    return ssol, sol, front, topo, iface
 
 
 # -- Aitken relaxation --------------------------------------------------------
@@ -139,10 +139,10 @@ def test_traction_matches_per_node_loop(case):
     problem = (flap_problem(arg, res=1) if kind == "flap"
                else manufactured_fsi_problem(mf, arg))
     zero = np.zeros((problem.front_ref.nv, 2))
-    _, sol, _, topo, space, iface = outer_pass(problem, zero, zero)
+    _, sol, _, topo, iface = outer_pass(problem, zero, zero)
     for force in (None, mf.f, rowwise(lambda p: mf.f(p)[0])):
-        new = traction_functional(sol, force, space, iface)
-        ref = traction_functional_loop(sol, force, space, iface)
+        new = traction_functional(sol, force, sol.space, iface)
+        ref = traction_functional_loop(sol, force, sol.space, iface)
         assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 def test_traction_missing_node_error():
@@ -255,7 +255,7 @@ def test_fixed_point_manufactured_converges_and_is_idempotent():
     assert all(0.05 <= w <= config.omega_max for w in state.omegas)
 
     # one more full outer pass changes the displacement by less than TOL
-    ssol, _, _, _, _, _ = outer_pass(problem, state.solid_displacement,
+    ssol, _, _, _, _ = outer_pass(problem, state.solid_displacement,
                                      state.mesh_displacement)
     mesh = problem.front_ref
     cells = mesh.region_cells(SOLID)
@@ -614,7 +614,7 @@ def test_geometry_bookkeeping_every_iteration():
     mesh_motion = MeshMotionProblem(problem.front_ref, iface, FLUID,
                                     problem.motion_pinned_nodes)
     for k in range(3):
-        ssol, _, front, topo, space, iface = outer_pass(problem, us, um)
+        ssol, _, front, topo, iface = outer_pass(problem, us, um)
         nc = problem.background.nc
         union = np.concatenate([topo.class_not, topo.class_fully,
                                 topo.class_partial])

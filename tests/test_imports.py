@@ -1,9 +1,12 @@
-"""Import hygiene of the package modules: every imported name is used.
+"""Hygiene of the package modules: every imported name and every
+parameter is used.
 
 A name a module imports only for others to reach (a name that
 ``perfbench/tracing.py`` wraps, say) says so on its import line with
 ``# noqa`` and a reason.  ``__init__.py`` re-exports the public API and is
-not checked.
+not checked for imports.  A parameter of a function or lambda, nested ones
+included, is read by its body, unless it is ``self``, ``cls`` or starts
+with ``_``, or its def line says ``# noqa`` with a reason.
 """
 
 import ast
@@ -36,11 +39,39 @@ def unused_imports(source):
     return out
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"),
+def unused_parameters(source):
+    """(line, name) of each parameter of a function or lambda that its body
+    never reads, unless it is exempt or its def line excuses it."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        a = node.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+            if arg is None or arg.arg in ("self", "cls") or arg.arg.startswith("_"):
+                continue
+            if arg.arg not in read and not EXCUSED.search(lines[node.lineno - 1]):
+                out.append((arg.lineno, arg.arg))
+    return sorted(out)
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_parameter(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def test_unused_import_detection():
@@ -59,3 +90,26 @@ def test_unused_import_detection():
     assert unused_imports(source) == [(2, "SimpleNamespace"), (4, "sp"), (5, "scipy"),
                                       (6, "Constrained"), (7, "solve_direct"),
                                       (9, "assemble")]
+
+
+def test_unused_parameter_detection():
+    source = "\n".join([
+        "def error_norms(solution, exact_u, exact_p, order=4, *args, **kwargs):",
+        "    def fields(pts, shape):",
+        "        return exact_p(pts), solution",
+        "    return fields, (lambda x, y: x)",
+        "class Space:",
+        "    def dofs(self, mesh_id, _unused):",
+        "        return 0",
+        "    @classmethod",
+        "    def empty(cls, n):",
+        "        return cls()",
+        "def callback(pts, t):  # noqa: ARG001  (a field callback's signature)",
+        "    return pts",
+        "def bump(n, /, *, k):",
+        "    del n",
+        "    return k",
+    ])
+    assert unused_parameters(source) == [(1, "args"), (1, "exact_u"), (1, "kwargs"),
+                                         (1, "order"), (2, "shape"), (4, "y"),
+                                         (6, "mesh_id"), (9, "n"), (13, "n")]

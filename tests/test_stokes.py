@@ -154,7 +154,7 @@ def test_poiseuille_eoc():
         space = CompositeSpace(bg, fr, topo,
                                bg_dirichlet={LEFT: u, BOTTOM: u, TOP: u})
         sol = solve_stokes(FluidProblem(viscosity=nu), space, topo)
-        eu, ep = error_norms(sol, u, grad_u, pr, topo, order=4)
+        eu, ep = error_norms(sol, grad_u, pr, topo, order=4)
         errs.append(eu)
         # Dirichlet nodes are reproduced exactly
         for d, v in zip(space.dirichlet_dofs, space.dirichlet_values):
@@ -246,7 +246,7 @@ def test_error_norm_zero_for_interpolated_linear_field():
     space = CompositeSpace(bg, fr, topo)
     x = interpolate(space, u, pr)
     sol = FluidSolution(space, x, viscosity=1.0)
-    eu, ep = error_norms(sol, u, gu, pr, topo, order=4)
+    eu, ep = error_norms(sol, gu, pr, topo, order=4)
     assert eu < 1e-12
     assert ep < 1e-12
 
@@ -259,10 +259,9 @@ def test_error_norm_analytic_value():
     topo = build_topology(bg, fr)
     space = CompositeSpace(bg, fr, topo)
     sol = FluidSolution(space, np.zeros(space.ndof), viscosity=1.0)
-    u = lambda p: np.column_stack([p[:, 1], np.zeros(len(p))])
     gu = constant([[0.0, 1.0], [0.0, 0.0]])
     pr = constant(0.0)
-    eu, ep = error_norms(sol, u, gu, pr, topo)
+    eu, ep = error_norms(sol, gu, pr, topo)
     assert eu == pytest.approx(1.0, abs=1e-12)
     assert ep == pytest.approx(0.0, abs=1e-14)
 
@@ -270,7 +269,6 @@ def test_error_norm_analytic_value():
 def test_error_norm_against_refined_quadrature_oracle():
     # smooth field on an overlapping configuration: the physically-integrated
     # error must match re-integration on uniformly refined quadrature
-    u = lambda p: np.column_stack([np.sin(p[:, 0] + p[:, 1]), np.cos(p[:, 0])])
     gu = lambda p: np.stack([np.cos(p[:, 0] + p[:, 1]), np.cos(p[:, 0] + p[:, 1]),
                              -np.sin(p[:, 0]), np.zeros(len(p))], axis=-1).reshape(-1, 2, 2)
     pr = lambda p: p[:, 0] ** 2 - p[:, 1]
@@ -279,8 +277,8 @@ def test_error_norm_against_refined_quadrature_oracle():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(space.ndof)  # arbitrary discrete field
     sol = FluidSolution(space, x, viscosity=1.0)
-    eu4, ep4 = error_norms(sol, u, gu, pr, topo, order=4)
-    eu5, ep5 = error_norms(sol, u, gu, pr, topo, order=5)
+    eu4, ep4 = error_norms(sol, gu, pr, topo, order=4)
+    eu5, ep5 = error_norms(sol, gu, pr, topo, order=5)
     assert eu4 == pytest.approx(eu5, rel=1e-6)
     assert ep4 == pytest.approx(ep5, rel=1e-6)
 
@@ -405,7 +403,7 @@ def test_batched_error_norms_match_per_cell_reference(case):
         assert len(space.fluid_cells) < space.front.nc
     sol = FluidSolution(space, np.random.default_rng(5).standard_normal(space.ndof))
     gu, pr = (rowwise(_grad_u), rowwise(_pres)) if pointwise else (_grad_u, _pres)
-    args = (sol, None, gu, pr, topo, order, mean_shift)
+    args = (sol, gu, pr, topo, order, mean_shift)
     # same cells, same per-cell sums in the same order: equal to the last bit
     assert error_norms(*args) == error_norms_loop(*args)
 

@@ -13,7 +13,7 @@ from olmfsi.verification import (build_manufactured, build_manufactured_stokes,
                                  flap_meshes, stokes_patch_setup, run_convergence)
 from olmfsi.coupling import FixedPointError, FsiConfig
 from olmfsi.vtkio import write_vtk_mesh
-from olmfsi.cli import parse_config, load_config, ConfigError, main
+from olmfsi.cli import parse_config, load_config, ConfigError, CONFIG_KEYS, main
 
 from oracles import build_manufactured_stokes_sympy, build_manufactured_sympy
 from vtkparse import parse_vtk
@@ -392,10 +392,13 @@ max_outer = 9
 """)
     vals = parse_config(p)
     assert vals == {"nu_f": 0.002, "gamma": 12.5, "max_outer": 9}
-    merged = load_config(p)
+    merged = load_config(p, "flap")
     assert merged["delta"] == 0.5
     assert merged["tol"] == 0.001
     assert merged["omega_max"] == 1.5
+    every = tmp_path / "all.cfg"       # flap reads every key
+    every.write_text("".join(f"{key} = 1\n" for key in CONFIG_KEYS))
+    assert load_config(every, "flap") == {key: 1 for key in CONFIG_KEYS}
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -458,6 +461,21 @@ def test_cli_rejects_bad_values(command, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("convergence", "gamma"), ("convergence", "res"),
+                                          ("stokes", "tol"), ("stokes", "E_s")])
+def test_cli_rejects_keys_the_subcommand_ignores(command, key, tmp_path, capsys):
+    # a key the subcommand would ignore is a config error before any solve
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 7\n")
+    code = main([command, "--levels", "2", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"key {key!r} is not used by {command!r}" in err
     assert not (tmp_path / "out").exists()
 
 

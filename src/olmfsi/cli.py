@@ -41,9 +41,9 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config(path, command=None):
-    """Read ``key = value`` lines; '#' starts a comment.  With a subcommand,
-    a key it does not read is rejected too."""
+def parse_config(path, command):
+    """Read ``key = value`` lines; '#' starts a comment.  An unknown key, or
+    one the subcommand does not read, is rejected."""
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -57,7 +57,7 @@ def parse_config(path, command=None):
             val = val.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if command and key not in USED_KEYS[command]:
+            if key not in USED_KEYS[command]:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} is not used by {command!r}")
             typ, _ = CONFIG_KEYS[key]
             try:
@@ -72,7 +72,7 @@ def load_config(path, command, **defaults):
     cfg.update(defaults)
     if path:
         cfg.update(parse_config(path, command))
-    return cfg
+    return {k: cfg[k] for k in USED_KEYS[command]}
 
 
 def _checked(fn, *args, **kwargs):

@@ -39,6 +39,31 @@ def unused_imports(source):
     return out
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parameters(node):
+    a = node.args
+    return [arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if arg is not None]
+
+
+def reads(nodes, name):
+    """Whether the nodes read ``name``, leaving out the bodies of nested
+    functions and lambdas that rebind it as a parameter."""
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, FUNCTIONS) and name in {arg.arg for arg in parameters(node)}:
+            # defaults and decorators are evaluated in the enclosing scope
+            outside = node.args.defaults + [d for d in node.args.kw_defaults if d]
+            if reads(outside + getattr(node, "decorator_list", []), name):
+                return True
+        elif reads(ast.iter_child_nodes(node), name):
+            return True
+    return False
+
+
 def unused_parameters(source):
     """(line, name) of each parameter of a function or lambda that its body
     never reads, unless it is exempt or its def line excuses it."""
@@ -46,16 +71,13 @@ def unused_parameters(source):
     lines = source.splitlines()
     out = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not isinstance(node, FUNCTIONS):
             continue
         body = node.body if isinstance(node.body, list) else [node.body]
-        read = {n.id for stmt in body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        a = node.args
-        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
-            if arg is None or arg.arg in ("self", "cls") or arg.arg.startswith("_"):
+        for arg in parameters(node):
+            if arg.arg in ("self", "cls") or arg.arg.startswith("_"):
                 continue
-            if arg.arg not in read and not EXCUSED.search(lines[node.lineno - 1]):
+            if not reads(body, arg.arg) and not EXCUSED.search(lines[node.lineno - 1]):
                 out.append((arg.lineno, arg.arg))
     return sorted(out)
 
@@ -109,7 +131,12 @@ def test_unused_parameter_detection():
         "def bump(n, /, *, k):",
         "    del n",
         "    return k",
+        "def shadowed(x, y, z):",
+        "    def inner(x, y=y):",
+        "        return x + y",
+        "    return inner, lambda z: z",
     ])
     assert unused_parameters(source) == [(1, "args"), (1, "exact_u"), (1, "kwargs"),
                                          (1, "order"), (2, "shape"), (4, "y"),
-                                         (6, "mesh_id"), (9, "n"), (13, "n")]
+                                         (6, "mesh_id"), (9, "n"), (13, "n"),
+                                         (16, "x"), (16, "z")]

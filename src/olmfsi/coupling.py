@@ -1,16 +1,16 @@
 """Partitioned FSI driver: fluid traction transfer, dynamic relaxation and
 the Dirichlet-Neumann fixed-point iteration.
 
-Each outer iteration deforms the composite moving mesh, rebuilds the overlap
-topology, solves the fluid on the current configuration, feeds the weighted
-boundary traction to the solid as a nodal load, relaxes the displacement
-update and re-extends it into the fluid mesh.  The solid problem and its
-body load are set up once per run; the solid's whole load is one nodal
-array, which the continuation scales as a whole.  Every fluid solve of a run
-goes through one ``stokes.FarField``: the background far from the front, if
-it holds most of the fluid dofs, is built from the far cells and factored
-per connected component once; each pass assembles and factors the near
-system, which is the whole fluid system where the far set is empty.
+``fsi_outer_iteration`` is one pass: deform the composite moving mesh,
+rebuild the overlap topology, solve the fluid on the current configuration
+and solve the solid under the weighted boundary traction as a nodal load.
+``fsi_fixed_point`` is the loop around it: the load ramp, Aitken
+relaxation, the mesh motion, the stop test and one row per iteration.  A
+run sets up once the solid problem with its body load, the factored
+mesh-motion operator and one ``stokes.FarField`` for all its fluid solves:
+the background far from the front, if it holds most of the fluid dofs, is
+factored once and condensed onto a rim; with an empty far set each pass
+solves the whole fluid system.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,26 +149,54 @@ class FsiState:
     omegas: list
     increments: list
     iterations: int
-    front_current: Mesh = None
-    topo: object = None
-    solid_newton_iters: list = field(default_factory=list)
+    front_current: Mesh
+    topo: object
+    solid_newton_iters: list
 
 
-def fsi_outer_iteration(problem, front, iface, far=None):
-    """The fluid half of one pass of the fixed-point loop on the deformed
-    front mesh: rebuild the overlap topology, solve the fluid (through the
-    run's ``FarField`` ``far``, if given) and transfer its traction.
-    Returns the nodal fluid load on the solid, (nv, 2), the fluid solution
-    (its space included) and the overlap topology on the current
-    configuration."""
+def _setup(problem):
+    """What a run sets up once: the solid problem, its body load, the
+    auxiliary load (0.0 for none), the solid's P1 mass matrix, the solid
+    and interface vertices, the factored mesh-motion operator and the fluid
+    ``FarField`` (its far set chosen on the first fluid solve)."""
+    mesh = problem.front_ref
+    solid = SolidProblem(mesh, problem.solid_material, SOLID,
+                         problem.solid_dirichlet, problem.solid_clamped_nodes)
+    extra = problem.solid_extra_load
+    if extra is None:
+        extra = 0.0
+    else:
+        solid.gather(extra)      # raises ValueError unless shaped (nv, 2)
+    body = body_load(mesh, solid.cells, problem.solid_body_force)
+    mass = p1_mass_matrix(mesh, solid.cells)
+    solid_verts = np.flatnonzero(solid.vmap >= 0)
+    iface = region_interface_vertices(mesh, FLUID, SOLID)
+    motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
+    return SimpleNamespace(problem=problem, solid=solid, body=body, extra=extra,
+                           mass=mass, solid_verts=solid_verts, iface=iface,
+                           motion=motion, far=FarField())
+
+
+def fsi_outer_iteration(run, us, um, alpha):
+    """One Dirichlet-Neumann pass of a run set up by ``_setup`` at the
+    configuration of the solid displacement us and the mesh motion um:
+    deform, fluid through the run's ``FarField``, traction, and the solid
+    under body + alpha * (traction + extra), warm-started at us.  Returns
+    the solid and fluid solutions, the deformed front and its topology."""
+    problem = run.problem
+    disp = um.copy()             # mesh motion, solid values on the solid
+    disp[run.solid_verts] = us[run.solid_verts]
+    front = deform_mesh(problem.front_ref, disp)
     topo = build_topology(problem.background, front)
     space = CompositeSpace(problem.background, front, topo,
                            bg_dirichlet=problem.bg_dirichlet,
                            front_dirichlet=problem.front_dirichlet)
-    sol = solve_stokes(problem.fluid, space, topo, far)
+    fluid_sol = solve_stokes(problem.fluid, space, topo, run.far)
     traction = np.zeros((problem.front_ref.nv, 2))
-    traction[iface] = traction_functional(sol, problem.fluid.body_force, space, iface)
-    return traction, sol, topo
+    traction[run.iface] = traction_functional(fluid_sol, problem.fluid.body_force,
+                                              space, run.iface)
+    ssol = _solve_solid(run.solid, run.body + alpha * (traction + run.extra), us)
+    return ssol, fluid_sol, front, topo
 
 
 def _solve_solid(solid, load, warm_start):
@@ -199,86 +228,54 @@ def _solve_solid(solid, load, warm_start):
     return sol
 
 
-def _solid_setup(problem):
-    """The solid problem of a run, its body load and the auxiliary load
-    (0.0 for none).  A pass under load factor alpha loads the solid with
-    body + alpha * (traction + extra)."""
-    mesh = problem.front_ref
-    solid = SolidProblem(mesh, problem.solid_material, SOLID,
-                         problem.solid_dirichlet, problem.solid_clamped_nodes)
-    extra = problem.solid_extra_load
-    if extra is None:
-        extra = 0.0
-    else:
-        solid.gather(extra)      # raises ValueError unless shaped (nv, 2)
-    return solid, body_load(mesh, solid.cells, problem.solid_body_force), extra
-
-
 def fsi_fixed_point(problem, config=None, log_path=None):
     """Dirichlet-Neumann iteration with dynamic relaxation.
 
-    Starts from zero displacements, rebuilds the overlap geometry on every
-    pass and stops when the relative L2 increment of the solid displacement
-    drops below config.tol.  The interface vertices, the solid problem
-    with its body load, the factored mesh-motion operator and the fluid
-    ``FarField`` (its far set chosen on the first fluid solve) are set up
-    once per run; each pass loads the solid with the body load plus the
-    ramped fluid traction and auxiliary load.  The iteration log gets the
-    completed iterations also when the run fails.
+    Starts from zero displacements, runs ``fsi_outer_iteration`` under the
+    ramped load factor, relaxes its solid update by Aitken's method and
+    stops when the relative mass-norm increment of the solid displacement
+    drops below config.tol under the full load.  Each iteration keeps one
+    row (k, omega, increment, fluid dofs, cut cells, solid Newton
+    iterations); the state, the error and the log, written also when the
+    run fails, are read off the rows.
     """
     config = config or FsiConfig()
-    mesh = problem.front_ref
-    solid, body, extra = _solid_setup(problem)
-    mass = p1_mass_matrix(mesh, solid.cells)
-    solid_verts = np.flatnonzero(solid.vmap >= 0)
-    iface = region_interface_vertices(mesh, FLUID, SOLID)
-    motion = MeshMotionProblem(mesh, iface, FLUID, problem.motion_pinned_nodes)
-    far = FarField()
+    run = _setup(problem)
 
     def mnorm(fld):
-        return float(np.sqrt(sum(col @ (mass @ col) for col in fld.T)))
+        return float(np.sqrt(sum(col @ (run.mass @ col) for col in fld.T)))
 
-    us = np.zeros((mesh.nv, 2))
-    um = np.zeros((mesh.nv, 2))
+    us = np.zeros((problem.front_ref.nv, 2))
+    um = np.zeros((problem.front_ref.nv, 2))
     omega = config.omega0
     r_prev = None
-    omegas, increments, newton_iters = [], [], []
-    log_rows = []
+    rows = []
 
     try:
         for k in range(1, config.max_outer + 1):
             alpha = 1.0 if config.load_ramp == 0 else min(1.0, k / config.load_ramp)
-            disp = um.copy()             # mesh motion, solid values on the solid
-            disp[solid_verts] = us[solid_verts]
-            front = deform_mesh(mesh, disp)
-            traction, fluid_sol, topo = fsi_outer_iteration(problem, front, iface, far)
-            ssol = _solve_solid(solid, body + alpha * (traction + extra), us)
-            newton_iters.append(ssol.iterations)
+            ssol, fluid_sol, front, topo = fsi_outer_iteration(run, us, um, alpha)
             r = (ssol.displacement - us).ravel()
             if r_prev is not None:
                 omega = aitken_update(omega, r_prev, r, config.omega_max)
             us_new = us + omega * r.reshape(-1, 2)
-            omegas.append(omega)
-
             inc = us_new - us
             denom = mnorm(us_new)
             rel = 0.0 if denom <= 1e-300 else mnorm(inc) / denom
-            increments.append(rel)
-
-            um = solve_mesh_motion(motion, us_new[iface])
+            um = solve_mesh_motion(run.motion, us_new[run.iface])
             r_prev = r
             us = us_new
-            log_rows.append((k, omega, rel, fluid_sol.space.ndof, len(topo.class_partial)))
-
+            rows.append((k, omega, rel, fluid_sol.space.ndof, len(topo.class_partial),
+                         ssol.iterations))
             if rel <= config.tol and alpha >= 1.0:
+                _, omegas, increments, _, _, newton = map(list, zip(*rows))
                 return FsiState(us, um, fluid_sol, omegas, increments, k,
-                                front_current=front, topo=topo,
-                                solid_newton_iters=newton_iters)
+                                front, topo, newton)
         raise FixedPointError(
             f"fixed point did not converge in {config.max_outer} iterations "
-            f"(last relative increment {increments[-1]:.3e})", increments)
+            f"(last relative increment {rel:.3e})", [row[2] for row in rows])
     finally:
-        _write_log(log_path, log_rows)
+        _write_log(log_path, rows)
 
 
 def _write_log(log_path, rows):
@@ -289,4 +286,4 @@ def _write_log(log_path, rows):
         w = csv.writer(f)
         if new:
             w.writerow(["k", "omega", "increment", "fluid_dofs", "cut_cells"])
-        w.writerows(rows)
+        w.writerows(row[:5] for row in rows)

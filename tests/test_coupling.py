@@ -12,7 +12,7 @@ from olmfsi.coupling import (aitken_update, traction_functional,
                              TractionMappingError, FsiConfig,
                              fsi_fixed_point, fsi_outer_iteration,
                              FixedPointError)
-from olmfsi.motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
+from olmfsi.motion import solve_mesh_motion
 from olmfsi.solid import (Material, SolidProblem, assemble_solid, solve_newton,
                           body_load, InvertedElementError, NewtonError)
 from fixtures import constant, interpolate, rowwise, translated, l2_norm
@@ -22,19 +22,11 @@ from olmfsi.verification import (build_manufactured, manufactured_fsi_problem,
 
 
 def outer_pass(problem, us, um):
-    """One pass of the fixed-point loop body at the composite configuration
-    of (us, um), under the full load: fsi_outer_iteration, then the solid
-    solve warm-started at us."""
-    mesh = problem.front_ref
-    solid, body, extra = coupling._solid_setup(problem)
-    solid_verts = np.unique(mesh.cells[solid.cells])
-    iface = region_interface_vertices(mesh, FLUID, SOLID)
-    disp = um.copy()
-    disp[solid_verts] = us[solid_verts]
-    front = deform_mesh(mesh, disp)
-    traction, sol, topo = fsi_outer_iteration(problem, front, iface)
-    ssol = coupling._solve_solid(solid, body + (traction + extra), us)
-    return ssol, sol, front, topo, iface
+    """One pass of the fixed-point loop at the composite configuration of
+    (us, um), under the full load, in a run of its own."""
+    run = coupling._setup(problem)
+    ssol, sol, front, topo = fsi_outer_iteration(run, us, um, 1.0)
+    return ssol, sol, front, topo, run.iface
 
 
 # -- Aitken relaxation --------------------------------------------------------
@@ -280,12 +272,17 @@ def test_fixed_point_relaxation_off_same_answer(monkeypatch):
     assert diff <= 10.0 * tol * scale
 
 
-def test_fixed_point_nonconvergence_error():
+def test_fixed_point_nonconvergence_error(tmp_path):
+    # the error and the log both carry every iteration of the failed run
     mf = build_manufactured()
     problem = manufactured_fsi_problem(mf, 0)
+    log = tmp_path / "iterations.csv"
     with pytest.raises(FixedPointError) as err:
-        fsi_fixed_point(problem, FsiConfig(tol=1e-12, max_outer=2))
+        fsi_fixed_point(problem, FsiConfig(tol=1e-12, max_outer=2), log_path=str(log))
     assert len(err.value.increments) == 2
+    lines = log.read_text().strip().splitlines()
+    assert lines[0] == "k,omega,increment,fluid_dofs,cut_cells"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 def test_stiff_limit_scaling():
@@ -610,11 +607,9 @@ def test_geometry_bookkeeping_every_iteration():
     problem = manufactured_fsi_problem(mf, 0)
     us = np.zeros((problem.front_ref.nv, 2))
     um = np.zeros((problem.front_ref.nv, 2))
-    iface = region_interface_vertices(problem.front_ref, FLUID, SOLID)
-    mesh_motion = MeshMotionProblem(problem.front_ref, iface, FLUID,
-                                    problem.motion_pinned_nodes)
+    run = coupling._setup(problem)
     for k in range(3):
-        ssol, _, front, topo, iface = outer_pass(problem, us, um)
+        ssol, _, front, topo = fsi_outer_iteration(run, us, um, 1.0)
         nc = problem.background.nc
         union = np.concatenate([topo.class_not, topo.class_fully,
                                 topo.class_partial])
@@ -625,7 +620,7 @@ def test_geometry_bookkeeping_every_iteration():
                     for i, j in marked)
         assert topo.interface_length() == pytest.approx(perim, abs=1e-10)
         us = ssol.displacement
-        um = solve_mesh_motion(mesh_motion, us[iface])
+        um = solve_mesh_motion(run.motion, us[run.iface])
 
 
 def test_interpolated_exact_solution_residual_decays():

@@ -1,12 +1,14 @@
-"""Hygiene of the package modules: every imported name and every
-parameter is used.
+"""Hygiene of the package modules: every imported name, every parameter
+and every private top-level name is used.
 
 A name a module imports only for others to reach (a name that
 ``perfbench/tracing.py`` wraps, say) says so on its import line with
 ``# noqa`` and a reason.  ``__init__.py`` re-exports the public API and is
 not checked for imports.  A parameter of a function or lambda, nested ones
 included, is read by its body, unless it is ``self``, ``cls`` or starts
-with ``_``, or its def line says ``# noqa`` with a reason.
+with ``_``, or its def line says ``# noqa`` with a reason.  A top-level
+``_name`` (def, class or assignment) is read by some package module; a
+read from the tests alone does not keep it.
 """
 
 import ast
@@ -82,6 +84,36 @@ def unused_parameters(source):
     return sorted(out)
 
 
+def unread_private_names(sources):
+    """(module, line, name) of each top-level ``_name`` of the modules in
+    ``sources`` (module -> source) that none of them reads by name or
+    imports; an attribute read (``a._Run``) does not count.  Dunder names
+    are not private."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.lineno, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.lineno, t.id) for target in targets
+                           for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [(module, line, name) for line, name in defined
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in read]
+    return sorted(out)
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -94,6 +126,10 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_parameter(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names({p.name: p.read_text() for p in MODULES}) == []
 
 
 def test_unused_import_detection():
@@ -140,3 +176,31 @@ def test_unused_parameter_detection():
                                          (1, "order"), (2, "shape"), (4, "y"),
                                          (6, "mesh_id"), (9, "n"), (13, "n"),
                                          (16, "x"), (16, "z")]
+
+
+def test_unread_private_name_detection():
+    sources = {
+        "a.py": "\n".join([
+            "__all__ = ['run']",
+            "_TOL = 1e-12",
+            "_SCALE: float = 2.0",
+            "_lo, (_hi, top) = 0, (1, 2)",
+            "def _setup(problem):",
+            "    return problem * _SCALE",
+            "def _solid_setup(problem):",
+            "    return problem",
+            "class _Run:",
+            "    _cache = None",
+            "    def _step(self):",
+            "        return self._cache",
+            "def run(problem):",
+            "    return _setup(problem), _hi",
+        ]),
+        "b.py": "\n".join([
+            "from .a import _TOL",
+            "import a",
+            "x = a._Run",
+        ]),
+    }
+    assert unread_private_names(sources) == [("a.py", 4, "_lo"), ("a.py", 7, "_solid_setup"),
+                                             ("a.py", 9, "_Run")]

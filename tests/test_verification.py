@@ -479,6 +479,17 @@ def test_cli_stokes_end_to_end(tmp_path):
     assert (out / "cut_geometry.vtk").exists()
 
 
+def test_cli_flap_end_to_end(tmp_path, capsys):
+    out = tmp_path / "flap"
+    assert main(["flap", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        "converged in 9 outer iterations; max displacement 9.8234e-02\n"
+    assert sorted(os.listdir(out)) == ["background.vtk", "cut_geometry.vtk",
+                                       "displacement.vtk", "front.vtk", "iterations.csv"]
+    lines = (out / "iterations.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 9
+
+
 def test_cli_convergence_end_to_end(tmp_path):
     out = tmp_path / "fsi"
     cfg = tmp_path / "run.cfg"

@@ -133,17 +133,15 @@ def cmd_cutdump(args):
     import os
     from .mesh import build_rect_mesh, Mesh
     from .geometry import build_topology
+    from .verification import _rotate
     from .vtkio import write_vtk_topology, write_vtk_mesh
 
-    bg = build_rect_mesh(args.n, args.n, [(0.0, 0.0), (1.0, 1.0)])
-    fr = build_rect_mesh(max(2, args.n // 2), max(2, args.n // 2),
-                         [(0.31, 0.27), (0.83, 0.71)])
+    bg = _checked(build_rect_mesh, args.n, args.n, [(0.0, 0.0), (1.0, 1.0)])
+    fr = _checked(build_rect_mesh, max(2, args.n // 2), max(2, args.n // 2),
+                  [(0.31, 0.27), (0.83, 0.71)])
     if args.angle:
-        th = np.deg2rad(args.angle)
-        c = np.array([0.57, 0.49])
-        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        fr = Mesh((fr.vertices - c) @ R.T + c, fr.cells, fr.boundary_edges,
-                  fr.boundary_markers, fr.region_tags)
+        fr = Mesh(_rotate(fr.vertices, args.angle, np.array([0.57, 0.49])), fr.cells,
+                  fr.boundary_edges, fr.boundary_markers, fr.region_tags)
     topo = build_topology(bg, fr)
     os.makedirs(args.out, exist_ok=True)
     write_vtk_topology(os.path.join(args.out, "cut_geometry.vtk"), topo)

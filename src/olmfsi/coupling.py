@@ -22,12 +22,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .mesh import Mesh, FLUID, SOLID, region_interface_vertices, eval_field
-from .geometry import build_topology, tri_rule
+from .mesh import Mesh, FLUID, SOLID, region_interface_vertices
+from .geometry import build_topology
 from .stokes import (CompositeSpace, FarField, FluidProblem, solve_stokes,
                      FluidSolution, FRONT)
-from .solid import (Material, SolidProblem, solve_newton, body_load, p1_mass_matrix,
-                    InvertedElementError)
+from .solid import (Material, SolidProblem, solve_newton, body_load, cell_loads,
+                    p1_mass_matrix, InvertedElementError)
 from .motion import MeshMotionProblem, solve_mesh_motion, deform_mesh
 
 
@@ -57,8 +57,10 @@ def aitken_update(omega_prev, du_k, du_next, omega_max):
     return float(min(max(omega, 0.05), omega_max))
 
 
-def traction_functional(solution, body_force, space, interface_nodes):
-    """Nodal fluid load on the structure at the interface nodes.
+def traction_functional(solution, fluid, interface_nodes):
+    """Nodal fluid load on the structure at the interface nodes, from a
+    solution of the ``FluidProblem`` fluid, whose viscosity and body force
+    it reads.
 
     Each interface node's hat function on the front fluid mesh acts as the
     extension of the corresponding structure test function; the functional
@@ -66,10 +68,8 @@ def traction_functional(solution, body_force, space, interface_nodes):
     which evaluates the weighted boundary traction far more accurately than
     direct line integration of the stress.
     """
+    space = solution.space
     front = space.front
-    nu = solution.viscosity
-    if nu is None:
-        raise ValueError("solution carries no viscosity; use solve_stokes")
     nodes = np.asarray(interface_nodes, dtype=np.int64)
     cells = space.fluid_cells
     conn = front.cells[cells]
@@ -81,13 +81,10 @@ def traction_functional(solution, body_force, space, interface_nodes):
     A = front.cell_areas[cells][:, None, None]
     u2, p2 = solution.velocity(FRONT)[conn], solution.pressure(FRONT)[conn]
     gradu = np.einsum("cai,caj->cij", u2, G)
-    sig = nu * gradu - p2.mean(axis=1)[:, None, None] * np.eye(2)
+    sig = fluid.viscosity * gradu - p2.mean(axis=1)[:, None, None] * np.eye(2)
     terms = [-(A * (sig[:, None] @ G[..., None])[..., 0])]      # (c, a, i)
-    if body_force is not None:
-        lam_q, w_q = tri_rule(2)
-        fv = eval_field(body_force, lam_q @ front.cell_points[cells], (2,))
-        fv = fv.reshape(len(cells), -1, 2)
-        terms.append(A * np.einsum("q,qa,cqi->cai", w_q, lam_q, fv))
+    if fluid.body_force is not None:
+        terms.append(cell_loads(front, cells, fluid.body_force))
     # stress, then body term, cell after cell: every node sums its one-ring
     # in the order of a loop over the ring
     load = np.zeros((front.nv, 2))
@@ -149,8 +146,7 @@ class FsiState:
     omegas: list
     increments: list
     iterations: int
-    front_current: Mesh
-    topo: object
+    topo: object            # of the last pass; topo.front is the current front
     solid_newton_iters: list
 
 
@@ -193,8 +189,7 @@ def fsi_outer_iteration(run, us, um, alpha):
                            front_dirichlet=problem.front_dirichlet)
     fluid_sol = solve_stokes(problem.fluid, space, topo, run.far)
     traction = np.zeros((problem.front_ref.nv, 2))
-    traction[run.iface] = traction_functional(fluid_sol, problem.fluid.body_force,
-                                              space, run.iface)
+    traction[run.iface] = traction_functional(fluid_sol, problem.fluid, run.iface)
     ssol = _solve_solid(run.solid, run.body + alpha * (traction + run.extra), us)
     return ssol, fluid_sol, front, topo
 
@@ -254,7 +249,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
     try:
         for k in range(1, config.max_outer + 1):
             alpha = 1.0 if config.load_ramp == 0 else min(1.0, k / config.load_ramp)
-            ssol, fluid_sol, front, topo = fsi_outer_iteration(run, us, um, alpha)
+            ssol, fluid_sol, _, topo = fsi_outer_iteration(run, us, um, alpha)
             r = (ssol.displacement - us).ravel()
             if r_prev is not None:
                 omega = aitken_update(omega, r_prev, r, config.omega_max)
@@ -269,8 +264,7 @@ def fsi_fixed_point(problem, config=None, log_path=None):
                          ssol.iterations))
             if rel <= config.tol and alpha >= 1.0:
                 _, omegas, increments, _, _, newton = map(list, zip(*rows))
-                return FsiState(us, um, fluid_sol, omegas, increments, k,
-                                front, topo, newton)
+                return FsiState(us, um, fluid_sol, omegas, increments, k, topo, newton)
         raise FixedPointError(
             f"fixed point did not converge in {config.max_outer} iterations "
             f"(last relative increment {rel:.3e})", [row[2] for row in rows])

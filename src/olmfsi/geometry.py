@@ -33,6 +33,7 @@ class CoarseBackgroundError(GeometryError):
 # mesh size before use.
 EPS_GEOM = 1e-12
 QUAD_ORDER = 2           # volume, cut-cell and boundary quadrature order
+ERROR_ORDER = 4          # error-norm quadrature order
 
 
 # -- quadrature rules ------------------------------------------------------

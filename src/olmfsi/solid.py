@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, region_boundary_edges, eval_field, p1_error_sums
-from .geometry import tri_rule, seg_rule, triangle_rule
+from .geometry import ERROR_ORDER, tri_rule, seg_rule, triangle_rule
 from .linalg import SparseSystem, apply_dirichlet, solve_direct, merge_constraints
 
 STVK = "stvk"
@@ -172,18 +172,21 @@ class SolidProblem:
         return field_nodal[self.vmap >= 0].ravel()
 
 
-def body_load(mesh, cells, force):
-    """Nodal load (nv, 2) of a body force over the given cells (zeros for a
-    force of None); the force callback is evaluated once, at every
-    quadrature point of every cell."""
-    load = np.zeros((mesh.nv, 2))
-    if force is None:
-        return load
-    cells = np.asarray(cells, dtype=np.int64)
+def cell_loads(mesh, cells, force):
+    """Per-cell nodal loads (c, 3, 2) of a body force over the given cells;
+    the force callback is evaluated once, at every quadrature point of
+    every cell."""
     lam, w = tri_rule(QUAD_ORDER)
     fv = eval_field(force, lam @ mesh.cell_points[cells], (2,)).reshape(len(cells), len(w), 2)
-    A = mesh.cell_areas[cells][:, None, None]
-    np.add.at(load, mesh.cells[cells], A * np.einsum("q,qa,cqi->cai", w, lam, fv))
+    return mesh.cell_areas[cells][:, None, None] * np.einsum("q,qa,cqi->cai", w, lam, fv)
+
+
+def body_load(mesh, cells, force):
+    """Nodal load (nv, 2) of a body force over the given cells (zeros for a
+    force of None)."""
+    load = np.zeros((mesh.nv, 2))
+    if force is not None:
+        np.add.at(load, mesh.cells[cells], cell_loads(mesh, cells, force))
     return load
 
 
@@ -296,11 +299,12 @@ def p1_mass_matrix(mesh, cells=None):
                          shape=(mesh.nv, mesh.nv)).tocsr()
 
 
-def h1_error(mesh, cells, field_nodal, exact, exact_grad, order=4):
-    """Full H1 norm of (P1 field - exact field) over the given cells, from
-    the per-cell sums of ``mesh.p1_error_sums`` added cell after cell."""
+def h1_error(mesh, cells, field_nodal, exact, exact_grad):
+    """Full H1 norm of (P1 field - exact field) over the given cells at
+    quadrature order ERROR_ORDER, from the per-cell sums of
+    ``mesh.p1_error_sums`` added cell after cell."""
     cells = np.asarray(cells, dtype=np.int64)
-    rule = triangle_rule(mesh.cell_points[cells], order)
+    rule = triangle_rule(mesh.cell_points[cells], ERROR_ORDER)
     pts = rule.points
     sums = p1_error_sums(mesh, cells, field_nodal, field_nodal, pts, rule.weights,
                          eval_field(exact_grad, pts, (2, 2)).reshape(*pts.shape, 2),

@@ -21,6 +21,7 @@ from .mesh import (FLUID, SOLID, region_interface_vertices,
                    barycentric as _bary, eval_field, p1_error_sums)
 from .geometry import (
     QUAD_ORDER,
+    ERROR_ORDER,
     tri_rule,
     seg_rule,
     triangle_rule,
@@ -326,7 +327,6 @@ def assemble(problem, space, topo):
 class FluidSolution:
     space: CompositeSpace
     coeffs: np.ndarray
-    viscosity: float = None
 
     def velocity(self, mesh_id):
         """Nodal velocity on one mesh, zeros at inactive vertices."""
@@ -519,21 +519,18 @@ def solve_stokes(problem, space, topo, far=None):
     if far is None:
         far = FarField()
         far._build(problem, space, topo, np.zeros(space.background.nv, dtype=bool))
-    return FluidSolution(space, far.solve(problem, space, topo), viscosity=problem.viscosity)
+    return FluidSolution(space, far.solve(problem, space, topo))
 
 
-def error_norms(solution, exact_grad_u, exact_p, topo, order=4, mean_shift=None):
+def error_norms(solution, exact_grad_u, exact_p, topo):
     """Velocity H1-seminorm and pressure L2 errors over the physical domain.
 
-    Background cells contribute their uncovered part (cut rules on partial
-    cells), front fluid cells contribute fully; ``mesh.p1_error_sums`` gives
-    each cell's sums, with the pressure as a one-component field.  With
-    mean_shift the pressure error is taken up to an additive constant, as
-    appropriate for pinned-pressure problems.
-    """
+    Background cells contribute their uncovered part (order ERROR_ORDER
+    subtractive rules on partial cells), front fluid cells contribute fully;
+    ``mesh.p1_error_sums`` gives each cell's sums, with the pressure as a
+    one-component field.  With a pressure pin the pressure error is taken up
+    to an additive constant."""
     space = solution.space
-    if mean_shift is None:
-        mean_shift = space.pin_dof is not None
     bg, fr = space.background, space.front
     on_bg = (solution.velocity(BG), solution.pressure(BG)[:, None])
     on_fr = (solution.velocity(FRONT), solution.pressure(FRONT)[:, None])
@@ -546,13 +543,12 @@ def error_norms(solution, exact_grad_u, exact_p, topo, order=4, mean_shift=None)
     def full_cells(mesh, cells, u_nodal, p_nodal):
         if len(cells) == 0:
             return np.zeros((0, 4))
-        rule = triangle_rule(mesh.cell_points[cells], order)
+        rule = triangle_rule(mesh.cell_points[cells], ERROR_ORDER)
         return p1_error_sums(mesh, cells, u_nodal, p_nodal, rule.points, rule.weights,
                              *fields(rule.points))
 
     partial = topo.class_partial
-    rules = (topo.cut_rules if order <= QUAD_ORDER else
-             subtractive_rules(bg, partial, topo.polygons, order))
+    rules = subtractive_rules(bg, partial, topo.polygons, ERROR_ORDER)
     pts, wts = rules.points, rules.weights
     part = np.zeros((len(partial), 4))
     if len(pts):
@@ -568,6 +564,6 @@ def error_norms(solution, exact_grad_u, exact_p, topo, order=4, mean_shift=None)
                                part, full_cells(fr, space.fluid_cells, *on_fr)]),
                     axis=0)[-1]
     p_sq = acc[1]
-    if mean_shift and acc[3] > 0:
+    if space.pin_dof is not None and acc[3] > 0:
         p_sq = max(acc[1] - acc[2] ** 2 / acc[3], 0.0)
     return float(np.sqrt(acc[0])), float(np.sqrt(p_sq))

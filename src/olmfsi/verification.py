@@ -245,24 +245,23 @@ def manufactured_fsi_problem(mf, level):
 
 
 def eoc_sequence(errors):
-    """log2 of successive error ratios; first entry is None."""
-    out = [None]
+    """log2 of successive error ratios; first entry is None, as is every
+    entry next to a missing or zero error."""
+    out = [None] if len(errors) else []
     for a, b in zip(errors[:-1], errors[1:]):
-        out.append(float(np.log2(a / b)) if a > 0 and b > 0 else None)
+        out.append(float(np.log2(a / b)) if None not in (a, b) and a > 0 and b > 0 else None)
     return out
 
 
 @dataclass
 class ConvergenceReport:
-    """Per-level mesh sizes, errors, convergence orders and iteration counts."""
+    """Per-level mesh sizes, errors and iteration counts; the convergence
+    orders are read off the errors."""
     hs: list = field(default_factory=list)
     err_u: list = field(default_factory=list)
     err_p: list = field(default_factory=list)
     err_s: list = field(default_factory=list)      # may hold None entries
     iters: list = field(default_factory=list)
-    eoc_u: list = field(default_factory=list)
-    eoc_p: list = field(default_factory=list)
-    eoc_s: list = field(default_factory=list)
 
     def add(self, h, err_u, err_p, err_s=None, iters=None):
         self.hs.append(float(h))
@@ -270,31 +269,19 @@ class ConvergenceReport:
         self.err_p.append(float(err_p))
         self.err_s.append(None if err_s is None else float(err_s))
         self.iters.append(iters)
-        self._recompute()
 
-    def _recompute(self):
-        self.eoc_u = eoc_sequence(self.err_u)
-        self.eoc_p = eoc_sequence(self.err_p)
-        if any(e is not None for e in self.err_s):
-            self.eoc_s = eoc_sequence([e for e in self.err_s])
-        else:
-            self.eoc_s = [None] * len(self.err_s)
-
-    def rows(self):
-        def fmt(v):
-            return "" if v is None else repr(v)
-        for k in range(len(self.hs)):
-            yield [k, repr(self.hs[k]), repr(self.err_u[k]), fmt(self.eoc_u[k]),
-                   repr(self.err_p[k]), fmt(self.eoc_p[k]),
-                   fmt(self.err_s[k]), fmt(self.eoc_s[k]), fmt(self.iters[k])]
+    eoc_u = property(lambda self: eoc_sequence(self.err_u))
+    eoc_p = property(lambda self: eoc_sequence(self.err_p))
+    eoc_s = property(lambda self: eoc_sequence(self.err_s))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["level", "h", "err_u_h1", "eoc_u", "err_p_l2", "eoc_p",
                         "err_s_h1", "eoc_s", "iters"])
-            for row in self.rows():
-                w.writerow(row)
+            for k, row in enumerate(zip(self.hs, self.err_u, self.eoc_u, self.err_p, self.eoc_p,
+                                        self.err_s, self.eoc_s, self.iters)):
+                w.writerow([k] + ["" if v is None else repr(v) for v in row])
 
 
 # -- runners ------------------------------------------------------------------
@@ -331,7 +318,7 @@ def run_stokes_convergence(levels=4, viscosity=1.0, gamma=10.0, delta=0.5,
         prob = FluidProblem(viscosity=viscosity, body_force=ms.f,
                             gamma=gamma, delta=delta)
         sol = solve_stokes(prob, space, topo)
-        eu, ep = error_norms(sol, ms.grad_u, ms.p, topo, order=4)
+        eu, ep = error_norms(sol, ms.grad_u, ms.p, topo)
         report.add(bg.cell_diameters.max(), eu, ep)
         if verbose:
             print(f"level {lvl}: h={report.hs[-1]:.4f} "
@@ -356,7 +343,7 @@ def run_convergence(levels=3, config=None, out_dir=None, verbose=False,
     for lvl in range(levels):
         problem = manufactured_fsi_problem(mf, lvl)
         state = fsi_fixed_point(problem, config, log_path=log_path)
-        eu, ep = error_norms(state.fluid, mf.grad_u, mf.p, state.topo, order=4)
+        eu, ep = error_norms(state.fluid, mf.grad_u, mf.p, state.topo)
         es = h1_error(problem.front_ref,
                       problem.front_ref.region_cells(SOLID),
                       state.solid_displacement, mf.us, mf.grad_us)
@@ -523,8 +510,8 @@ def write_outputs(state, report, out_dir):
     if state is None:
         return
     _write_fluid_fields(out_dir, state.fluid, state.topo)
-    ref = state.front_current  # same connectivity as the reference mesh
-    write_vtk_mesh(os.path.join(out_dir, "displacement.vtk"), ref,
+    # the current front: same connectivity as the reference mesh
+    write_vtk_mesh(os.path.join(out_dir, "displacement.vtk"), state.topo.front,
                    {"solid_displacement": state.solid_displacement,
                     "mesh_displacement": state.mesh_displacement},
                    title="composite mesh displacements")

@@ -30,14 +30,6 @@ from olmfsi.verification import ManufacturedFsi2d, ManufacturedStokes2d
 _I2 = np.eye(2)
 
 
-def point_in_tri(p, tri, tol=1e-12):
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < -tol:
-            return False
-    return True
-
-
 def points_in_mesh(points, mesh, tol=1e-12):
     """Boolean membership of points in the union of mesh cells (vectorized)."""
     points = np.asarray(points, float)
@@ -1029,14 +1021,13 @@ def build_manufactured_sympy(L=1.0, Rf=0.4, R1=0.3, Hs=0.1, U0=1.0,
     )
 
 
-def traction_functional_loop(solution, body_force, space, interface_nodes):
+def traction_functional_loop(solution, fluid, interface_nodes):
     """Per-node form of ``coupling.traction_functional``: for each
     interface node, the stress and body terms of its fluid one-ring, cell
     by cell in ascending order."""
+    space = solution.space
     front = space.front
-    nu = solution.viscosity
-    if nu is None:
-        raise ValueError("solution carries no viscosity; use solve_stokes")
+    nu, body_force = fluid.viscosity, fluid.body_force
     u2 = solution.velocity(FRONT)
     p2 = solution.pressure(FRONT)
     fluid_set = set(int(c) for c in space.fluid_cells)

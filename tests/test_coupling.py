@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,9 +83,9 @@ def poiseuille_channel(nx, ny, L=1.0, H=0.5, nu=1.0, c=1.0):
 def test_traction_zero_state():
     _, space, topo, front = poiseuille_channel(8, 4)
     from olmfsi.stokes import FluidSolution
-    zero = FluidSolution(space, np.zeros(space.ndof), viscosity=1.0)
+    zero = FluidSolution(space, np.zeros(space.ndof))
     wall = np.flatnonzero(np.abs(front.vertices[:, 1]) < 1e-12)
-    out = traction_functional(zero, None, space, wall)
+    out = traction_functional(zero, FluidProblem(viscosity=1.0), wall)
     assert np.abs(out).max() == 0.0
 
 
@@ -96,7 +98,7 @@ def test_traction_poiseuille_wall_drag_converges():
     for n in (12, 24, 48):
         sol, space, topo, front = poiseuille_channel(2 * n, n, L, H, nu, c)
         wall = np.flatnonzero(np.abs(front.vertices[:, 1]) < 1e-12)
-        drag = traction_functional(sol, None, space, wall)[:, 0].sum()
+        drag = traction_functional(sol, FluidProblem(viscosity=nu), wall)[:, 0].sum()
         assert drag > 0.0           # the flow drags the wall downstream
         errs.append(abs(drag - exact) / exact)
     assert errs[2] < errs[1] < errs[0]
@@ -106,7 +108,7 @@ def test_traction_poiseuille_wall_drag_converges():
 def test_traction_translation_invariant():
     sol, space, topo, front = poiseuille_channel(12, 6)
     wall = np.flatnonzero(np.abs(front.vertices[:, 1]) < 1e-12)
-    base = traction_functional(sol, None, space, wall)
+    base = traction_functional(sol, FluidProblem(viscosity=1.0), wall)
 
     shift = np.array([3.0, -2.0])
     front2 = translated(front, shift)
@@ -115,8 +117,8 @@ def test_traction_translation_invariant():
     topo2 = build_topology(bg2, front2)
     space2 = CompositeSpace(bg2, front2, topo2)
     from olmfsi.stokes import FluidSolution
-    sol2 = FluidSolution(space2, sol.coeffs, viscosity=sol.viscosity)
-    out2 = traction_functional(sol2, None, space2, wall)
+    sol2 = FluidSolution(space2, sol.coeffs)
+    out2 = traction_functional(sol2, FluidProblem(viscosity=1.0), wall)
     assert np.abs(out2 - base).max() < 1e-12
 
 
@@ -133,9 +135,29 @@ def test_traction_matches_per_node_loop(case):
     zero = np.zeros((problem.front_ref.nv, 2))
     _, sol, _, topo, iface = outer_pass(problem, zero, zero)
     for force in (None, mf.f, rowwise(lambda p: mf.f(p)[0])):
-        new = traction_functional(sol, force, sol.space, iface)
-        ref = traction_functional_loop(sol, force, sol.space, iface)
+        fluid = replace(problem.fluid, body_force=force)
+        new = traction_functional(sol, fluid, iface)
+        ref = traction_functional_loop(sol, fluid, iface)
         assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+@pytest.mark.parametrize("case", [("flap", 0.0), ("flap", 65.0), ("manufactured", 1)])
+def test_traction_equals_minus_interface_reactions(case):
+    # the reactions A x - b of the first pass's unconstrained fluid system at
+    # the front interface velocity rows balance the fluid load.  The
+    # manufactured case drops its outflow traction, which also acts at the
+    # interface corner node (1, 0.4); at level 0 overlap terms reach the
+    # interface rows as well
+    kind, arg = case
+    problem = (flap_problem(arg, res=1) if kind == "flap"
+               else manufactured_fsi_problem(build_manufactured(), arg))
+    problem.fluid = replace(problem.fluid, neumann=())
+    zero = np.zeros((problem.front_ref.nv, 2))
+    _, sol, _, topo, iface = outer_pass(problem, zero, zero)
+    sys = assemble(problem.fluid, sol.space, topo)
+    reactions = (sys.matrix() @ sol.coeffs - sys.rhs)[sol.space.dofs(FRONT, iface)[0]]
+    load = traction_functional(sol, problem.fluid, iface)
+    assert np.abs(load + reactions).max() <= 1e-14 * np.abs(load).max()
+
 
 def test_traction_missing_node_error():
     sol, space, topo, front = poiseuille_channel(8, 4)
@@ -148,11 +170,11 @@ def test_traction_missing_node_error():
     topo2 = build_topology(bg, comp)
     space2 = CompositeSpace(bg, comp, topo2)
     from olmfsi.stokes import FluidSolution
-    sol2 = FluidSolution(space2, np.zeros(space2.ndof), viscosity=1.0)
+    sol2 = FluidSolution(space2, np.zeros(space2.ndof))
     top_corner = np.flatnonzero((comp.vertices[:, 1] > 0.99)
                                 & (comp.vertices[:, 0] < 0.01))
     with pytest.raises(TractionMappingError):
-        traction_functional(sol2, None, space2, top_corner)
+        traction_functional(sol2, FluidProblem(viscosity=1.0), top_corner)
 
 
 def test_traction_matches_boundary_quadrature_oracle():
@@ -184,7 +206,7 @@ def test_traction_matches_boundary_quadrature_oracle():
                                      (FRONT, RIGHT, mf.fluid_traction)))
         sol = solve_stokes(prob, space, topo)
         iface = region_interface_vertices(front0, FLUID, SOLID)
-        tr = traction_functional(sol, mf.f, space, iface)
+        tr = traction_functional(sol, prob, iface)
 
         xs, ws = seg_rule(10)
         ref = np.zeros_like(tr)
@@ -367,7 +389,7 @@ def test_far_field_solve_matches_plain_solve(angle, components, monkeypatch):
     state = fsi_fixed_point(problem, FsiConfig(load_ramp=4))
     assert counts["far"] == components
     far = FarField()
-    for front in (problem.front_ref, state.front_current):
+    for front in (problem.front_ref, state.topo.front):
         c, space, topo = fluid_system(problem, front)
         x, ref = far.solve(problem.fluid, space, topo), solve_direct(c)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)

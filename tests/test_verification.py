@@ -459,12 +459,16 @@ def test_cli_rejects_max_outer_below_one(tmp_path, capsys):
     (["convergence", "--levels", "2"], "res = 7\n"),
     (["stokes", "--levels", "2"], "tol = 7\n"),
     (["stokes", "--levels", "2"], "E_s = 7\n"),
+    # a bad option of a subcommand without a config
+    (["cutdump", "--n", "0"], None),
 ])
 def test_cli_rejects_bad_values(command, config, tmp_path, capsys):
     # a one-line config error and exit code 2 before any solve, no traceback
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        command = command + ["--config", str(cfg)]
+    code = main(command + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
